@@ -21,6 +21,7 @@ from .graphs import (
     detect_signed_two_eigenvalue,
     detect_srg,
     detect_two_eigenvalue,
+    edge_key,
     format_graph,
     generate,
     is_balanced,
@@ -28,6 +29,7 @@ from .graphs import (
 )
 from .groups import (
     critical_group,
+    edge_difference,
     spanning_tree_count,
     verify_exponent_theorem,
     verify_spectral_bound,
@@ -40,7 +42,8 @@ from .linalg import (
     laplacian,
 )
 from .pairing import (
-    edge_pairing_closed_form,
+    _closed_form_params,
+    _pairing_table,
     monodromy_pairing,
     orthogonal_subset,
     verify_tail_heavy,
@@ -250,34 +253,26 @@ def _cmd_pairing(args) -> tuple[dict, dict, int]:
     result = {"m": _jint(group.exponent)}
     if (args.edge1 is None) != (args.edge2 is None):
         raise GraphError("give both --edge1 and --edge2, or neither")
-    closed_form = True
     try:
-        edge_pairing_closed_form(g, g.sorted_edges()[0], g.sorted_edges()[0])
+        _closed_form_params(g)
+        result["closed_form"] = True
     except StructureError:
-        closed_form = False
-    result["closed_form"] = closed_form
-
-    def pair_value(e1, e2) -> str:
-        if closed_form:
-            return str(edge_pairing_closed_form(g, e1, e2))
-        d1 = [0] * g.n
-        d2 = [0] * g.n
-        d1[e1[0] - 1], d1[e1[1] - 1] = 1, -1
-        d2[e2[0] - 1], d2[e2[1] - 1] = 1, -1
-        return str(monodromy_pairing(g, d1, d2))
-
+        result["closed_form"] = False
     if args.edge1 is not None:
         e1 = _parse_edge(args.edge1, "--edge1")
         e2 = _parse_edge(args.edge2, "--edge2")
-        result["pairs"] = [
-            {"edge1": _jedge(e1), "edge2": _jedge(e2), "value": pair_value(e1, e2)}
-        ]
+        for u, v in (e1, e2):
+            if edge_key(u, v) not in g.edges:
+                raise GraphError(f"({u},{v}) is not an edge")
+        d1, d2 = (edge_difference(g, *edge_key(*e)) for e in (e1, e2))
+        value = str(monodromy_pairing(g, d1, d2))
+        result["pairs"] = [{"edge1": _jedge(e1), "edge2": _jedge(e2), "value": value}]
     else:
-        edges = g.sorted_edges()
+        edges, table = _pairing_table(g)
         result["pairs"] = [
-            {"edge1": _jedge(e1), "edge2": _jedge(e2), "value": pair_value(e1, e2)}
-            for i, e1 in enumerate(edges)
-            for e2 in edges[i:]
+            {"edge1": _jedge(e1), "edge2": _jedge(edges[j]), "value": _jfrac(row[j])}
+            for i, (e1, row) in enumerate(zip(edges, table))
+            for j in range(i, len(edges))
         ]
     return result, descriptor, 0
 

@@ -2,15 +2,15 @@
 
 The critical group of a connected graph is the torsion part of the integer
 cokernel of its Laplacian; for an unbalanced signed graph the cokernel is
-already finite and is taken whole. Orders of specific cokernel classes are
-computed exactly through the Smith transforms.
+already finite and is taken whole. Invariant factors come from the Smith
+normal form, orders of cokernel classes from the grounded adjugate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import gcd, lcm
+from math import gcd
 
 from .errors import GraphError, InternalCheckError, StructureError
 from .graphs import (
@@ -24,7 +24,7 @@ from .graphs import (
     require_connected,
     switch,
 )
-from .linalg import IntMatrix, SnfResult, determinant, laplacian, smith_normal_form
+from .linalg import IntMatrix, SnfResult, adjugate, determinant, laplacian, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,42 @@ class AbelianGroup:
 @lru_cache(maxsize=None)
 def laplacian_snf(g: Graph | SignedGraph) -> SnfResult:
     return smith_normal_form(laplacian(g))
+
+
+@lru_cache(maxsize=None)
+def grounded_adjugate(g: Graph | SignedGraph) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(kappa, A) with A = adj(L0) symmetric and kappa = det L0 > 0.
+
+    L0 is the Laplacian with the last vertex grounded for an unsigned graph
+    (kappa is the spanning-tree count; A is empty for one vertex) and the
+    whole signed Laplacian, rejected when balanced, for a signed graph.
+    """
+    require_connected(g, "grounded_adjugate")
+    lap = laplacian(g)
+    if isinstance(g, Graph):
+        if g.n == 1:
+            return 1, ()
+        lap = IntMatrix.from_rows(row[:-1] for row in lap.entries[:-1])
+    try:
+        kappa, adj = adjugate(lap)
+    except GraphError:  # a zero pivot: the signed Laplacian is singular
+        raise StructureError("balanced signed graph: cokernel classes have infinite order")
+    if lap @ adj != IntMatrix.identity(lap.rows).scale(kappa):
+        raise InternalCheckError("grounded adjugate identity L0 @ A == kappa * I failed")
+    return kappa, adj.entries
+
+
+def grounded_potential(g: Graph | SignedGraph, vector) -> tuple[int, list[int]]:
+    """(kappa, A d0), where d0 is `vector` without the grounded coordinate:
+    kappa times the potential f0 solving L0 f0 = d0. A is symmetric, so
+    A d0 is the sum of d_j times row j of A."""
+    kappa, adj = grounded_adjugate(g)
+    image = [0] * len(adj)
+    for x, row in zip(vector, adj):
+        if x:
+            for i, a in enumerate(row):
+                image[i] += x * a
+    return kappa, image
 
 
 def critical_group(g: Graph | SignedGraph) -> AbelianGroup:
@@ -127,9 +163,9 @@ def vertex_indicator(g: Graph | SignedGraph, u: int) -> tuple[int, ...]:
 def element_order(g: Graph | SignedGraph, vector) -> int:
     """Order of the class of `vector` in the critical group.
 
-    In Smith coordinates c = U @ vector the class has order
-    lcm_i d_i / gcd(d_i, c_i) over the torsion positions; coordinates at
-    zero diagonal positions must vanish for the class to be torsion.
+    The smallest t with t * d0 in the lattice of L0 makes t * A d0 / kappa
+    integral, so the order is kappa / gcd(kappa, A d0). For an unsigned
+    graph the grounded equation is the only one left once d sums to zero.
     """
     vector = list(vector)
     if len(vector) != g.n:
@@ -137,19 +173,8 @@ def element_order(g: Graph | SignedGraph, vector) -> int:
     if isinstance(g, Graph) and sum(vector) != 0:
         raise GraphError("unsigned critical group classes need sum-zero vectors")
     require_connected(g, "element_order")
-    snf = laplacian_snf(g)
-    diag = snf.diagonal
-    if isinstance(g, SignedGraph) and any(d == 0 for d in diag):
-        raise StructureError("balanced signed graph: cokernel classes have infinite order")
-    c = snf.U.mul_vec(vector)
-    order = 1
-    for i, d in enumerate(diag):
-        if d == 0:
-            if c[i] != 0:
-                raise InternalCheckError("sum-zero class escaped the torsion part")
-        else:
-            order = lcm(order, d // gcd(d, c[i]))
-    return order
+    kappa, image = grounded_potential(g, vector)
+    return kappa // gcd(kappa, *image)
 
 
 # ---------------------------------------------------------------------------

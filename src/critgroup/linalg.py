@@ -131,6 +131,36 @@ def determinant(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def adjugate(m: IntMatrix) -> tuple[int, IntMatrix]:
+    """Determinant and adjugate of a square matrix: m @ adj == det * I.
+
+    The Bareiss loop of `determinant` run over every row of [m | I]
+    (fraction-free Gauss-Jordan): the right block ends as adj(m). Step k
+    touches only columns k+1 .. n+k; the others hold a reduced column or an
+    untouched identity column, whose entry in row k is then the previous
+    pivot. Without row swaps every leading principal minor must be
+    non-zero, as for a positive definite matrix.
+    """
+    if m.rows != m.cols:
+        raise GraphError("adjugate of a non-square matrix")
+    n = m.rows
+    a = [list(row) + [0] * n for row in m.entries]
+    prev = 1
+    for k in range(n):
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        if pivot == 0:
+            raise GraphError(f"leading principal minor of order {k + 1} is zero")
+        pivot_row[n + k] = prev
+        for i, row in enumerate(a):
+            if i != k:
+                f = row[k]
+                for j in range(k + 1, n + k + 1):
+                    row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
+        prev = pivot
+    return prev, IntMatrix.from_rows(row[n:] for row in a)
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form
 
@@ -270,37 +300,6 @@ def _check_snf(r: SnfResult) -> None:
             raise InternalCheckError(f"SNF diagonal {diag} violates the divisibility chain")
     if (r.U @ r.matrix) @ r.V != s:
         raise InternalCheckError("SNF transform identity U @ M @ V == S failed")
-
-
-def kernel_basis_rows(snf: SnfResult) -> list[tuple[int, ...]]:
-    """Basis of the left integer kernel {x : x @ M == 0}: the rows of U
-    matched with zero rows of S."""
-    r = snf.rank
-    return [snf.U.row(i) for i in range(r, snf.U.rows)]
-
-
-def solve_rational(m: IntMatrix, b, snf: SnfResult | None = None) -> list[Fraction] | None:
-    """Exact rational solution of m @ f == b, or None when inconsistent.
-
-    Computed through the Smith transforms: with U m V = S, the system
-    becomes S g = U b, solved coordinate-wise; zero rows of S demand zero
-    right-hand entries. A precomputed decomposition of m may be passed in.
-    """
-    if len(b) != m.rows:
-        raise GraphError(f"right-hand side length {len(b)} != {m.rows} rows")
-    if snf is None:
-        snf = smith_normal_form(m)
-    c = snf.U.mul_vec(list(b))
-    diag = snf.diagonal
-    g = [Fraction(0)] * m.cols
-    for i in range(m.rows):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            g[i] = Fraction(c[i], d)
-    return snf.V.mul_vec(g)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Monodromy pairing on critical groups, orthogonal edge sets, and the
 tail-heavy subgroup verifier.
 
-The pairing of two classes [D], [D2] is f.D2/m mod 1 where L f = m D; it is
+The pairing of two classes [D], [D2] is D2.f mod 1 where L f = D; with the
+last vertex grounded, f0 = A D0 / kappa for the grounded adjugate A. It is
 well-defined, bilinear, and symmetric, and for strongly regular graphs it
 has a closed form read off the order-achieving decomposition coefficients.
 A set of edges whose classes e_u - e_v pairwise pair to zero forces a
@@ -21,12 +22,11 @@ from .groups import (
     AbelianGroup,
     critical_group,
     decomposition,
-    edge_difference,
     element_order,
+    grounded_adjugate,
+    grounded_potential,
     is_balanced_complete_bipartite,
-    laplacian_snf,
 )
-from .linalg import laplacian, solve_rational
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,12 @@ def _require_unsigned(g, what: str) -> None:
 
 
 def monodromy_pairing(g: Graph, d, d2, m: int | None = None) -> PairingValue:
-    """Pairing of the classes of the sum-zero vectors d and d2.
+    """Pairing of the classes of the sum-zero vectors d and d2: d2 . A d0
+    / kappa mod 1 for the grounded adjugate A.
 
-    m defaults to the group exponent; any positive multiple of the order
-    of [d] gives the same value, which the property tests exercise.
+    m must be a positive multiple of the order of [d] and defaults to the
+    group exponent; it enters only the check that m * A d0 / kappa is an
+    integer potential, so every valid m gives the same value.
     """
     _require_unsigned(g, "the monodromy pairing")
     require_connected(g, "monodromy_pairing")
@@ -85,13 +87,11 @@ def monodromy_pairing(g: Graph, d, d2, m: int | None = None) -> PairingValue:
             raise GraphError(f"m must be positive, got {m}")
         if m % element_order(g, d):
             raise GraphError(f"m = {m} does not annihilate the first class")
-    f = solve_rational(laplacian(g), [m * x for x in d], snf=laplacian_snf(g))
-    if f is None:
-        raise InternalCheckError("m * d must lie in the Laplacian image")
-    if any(fi.denominator != 1 for fi in f):
+    kappa, image = grounded_potential(g, d)
+    if any(m * x % kappa for x in image):
         raise InternalCheckError("annihilated classes admit integer potentials")
-    numerator = sum(int(fi) * x for fi, x in zip(f, d2))
-    return PairingValue.reduce(Fraction(numerator, m), exponent=group.exponent)
+    numerator = sum(x * y for x, y in zip(d2, image))
+    return PairingValue.reduce(Fraction(numerator, kappa), exponent=group.exponent)
 
 
 def _closed_form_params(g: Graph) -> SrgParameters:
@@ -161,40 +161,19 @@ class OrthogonalSet:
 
 def _pairing_table(g: Graph) -> tuple[list[tuple[int, int]], list[list[Fraction]]]:
     """All pairwise pairing values between edge classes, by edge index in
-    lexicographic order. Uses the closed form when it applies, otherwise
-    integer potentials from the cached Smith transforms."""
+    lexicographic order. With A the grounded adjugate, edge (u, v) has
+    w = A (e_u - e_v)0 = A[u] - A[v], and pairs with edge (x, y) to
+    (w_x - w_y) / kappa mod 1; the grounded vertex has a zero row and entry."""
     edges = g.sorted_edges()
-    k = len(edges)
-    table = [[Fraction(0)] * k for _ in range(k)]
-    try:
-        _closed_form_params(g)
-        closed = True
-    except StructureError:
-        closed = False
-    if closed:
-        coeffs = [decomposition(g, e).coefficients for e in edges]
-        bound = detect_srg(g).eigenvalue_product
-        for i in range(k):
-            ci = coeffs[i]
-            for j in range(k):
-                x, y = edges[j]
-                table[i][j] = Fraction(ci[x - 1] - ci[y - 1], bound) % 1
-    else:
-        snf = laplacian_snf(g)
-        m = critical_group(g).exponent
-        lap = laplacian(g)
-        potentials = []
-        for u, v in edges:
-            target = [m * t for t in edge_difference(g, u, v)]
-            f = solve_rational(lap, target, snf=snf)
-            if f is None or any(fi.denominator != 1 for fi in f):
-                raise InternalCheckError("edge class potential should be integral")
-            potentials.append([int(fi) for fi in f])
-        for i in range(k):
-            fi = potentials[i]
-            for j in range(k):
-                x, y = edges[j]
-                table[i][j] = Fraction(fi[x - 1] - fi[y - 1], m) % 1
+    exponent = critical_group(g).exponent
+    kappa, adj = grounded_adjugate(g)
+    rows = [*adj, (0,) * (g.n - 1)]
+    table = []
+    for u, v in edges:
+        w = [a - b for a, b in zip(rows[u - 1], rows[v - 1])] + [0]
+        table.append([Fraction((w[x - 1] - w[y - 1]) % kappa, kappa) for x, y in edges])
+    if any(exponent % value.denominator for row in table for value in row):
+        raise InternalCheckError("a pairing denominator does not divide the group exponent")
     return edges, table
 
 

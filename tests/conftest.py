@@ -232,6 +232,21 @@ def determinant_divisor_diagonal(m: IntMatrix):
     return diagonal
 
 
+def smith_order(snf, vector):
+    """Order of the class of `vector` in the cokernel, read off the Smith
+    transforms of the Laplacian: with c = U @ vector, the lcm of
+    d_i / gcd(d_i, c_i) over the non-zero diagonal entries d_i."""
+    from math import gcd, lcm
+
+    c = snf.U.mul_vec(list(vector))
+    order = 1
+    for d, ci in zip(snf.diagonal, c):
+        assert d or ci == 0, "class outside the torsion part"
+        if d:
+            order = lcm(order, d // gcd(d, ci))
+    return order
+
+
 # ---------------------------------------------------------------------------
 # Seeded randomness helpers
 

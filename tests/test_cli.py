@@ -116,6 +116,41 @@ def test_pairing_requires_both_edges(capsys):
     assert "error" in err
 
 
+def test_pairing_edges_are_ascending_edges_of_the_graph(capsys):
+    # cycle 6 is not strongly regular, so no closed form applies
+    def ask(edge1, edge2):
+        return run(capsys, "pairing", "--family", "cycle", "--params", "6",
+                   "--edge1", edge1, "--edge2", edge2)
+
+    _, table, _ = run_json(capsys, "pairing", "--family", "cycle", "--params", "6")
+    values = {(tuple(p["edge1"]), tuple(p["edge2"])): p["value"] for p in table["result"]["pairs"]}
+    assert values[(("1", "2"), ("2", "3"))] == "5/6"
+    assert values[(("1", "2"), ("1", "6"))] == "1/6"
+    for edge1, edge2, key in (
+        ("1,2", "2,3", (("1", "2"), ("2", "3"))),
+        ("2,1", "2,3", (("1", "2"), ("2", "3"))),
+        ("1,2", "3,2", (("1", "2"), ("2", "3"))),
+        ("6,1", "1,2", (("1", "2"), ("1", "6"))),
+    ):
+        code, out, _ = ask(edge1, edge2)
+        assert code == 0
+        [pair] = json.loads(out)["result"]["pairs"]
+        assert pair["edge1"] == edge1.split(",")  # echoed as given
+        assert pair["edge2"] == edge2.split(",")
+        assert pair["value"] == values[key]
+    for bad in ("0,1", "1,99", "1,3"):  # zero, out of range, non-edge
+        for edge1, edge2 in ((bad, "2,3"), ("2,3", bad)):
+            code, out, err = ask(edge1, edge2)
+            assert code == 2 and out == ""
+            assert "is not an edge" in err
+
+
+def test_pairing_edgeless_graph(capsys):
+    code, report, _ = run_json(capsys, "pairing", "--family", "complete", "--params", "1")
+    assert code == 0
+    assert report["result"] == {"m": "1", "closed_form": False, "pairs": []}
+
+
 def test_orthogonal_exact(capsys):
     code, report, _ = run_json(capsys, "orthogonal", "--family", "petersen")
     assert code == 0

@@ -29,6 +29,7 @@ from critgroup import (
     paley,
     petersen,
     signed_complete_unbalanced,
+    smith_normal_form,
     spanning_tree_count,
     star,
     subgroup_invariant_factors,
@@ -40,10 +41,12 @@ from critgroup import (
 )
 from conftest import (
     applicable_edges,
+    connected_atlas,
     detect_srg_safe,
     random_connected_graph,
     random_sum_zero_vector,
     signed_corpus,
+    smith_order,
     unsigned_two_eigenvalue_corpus,
 )
 
@@ -164,6 +167,30 @@ def test_element_order_scaling_property():
         from math import gcd
 
         assert doubled == order // gcd(order, 2)
+
+
+def test_element_order_matches_smith_oracle_unsigned():
+    rng = random.Random(41)
+    graphs = connected_atlas(6)
+    graphs += [random_connected_graph(rng, rng.randint(7, 12), 0.4) for _ in range(12)]
+    for g in graphs:
+        snf = smith_normal_form(laplacian(g))
+        for u, v in itertools.combinations(g.vertices(), 2):
+            d = edge_difference(g, u, v)
+            assert element_order(g, d) == smith_order(snf, d)
+        vec = random_sum_zero_vector(rng, g.n)
+        assert element_order(g, vec) == smith_order(snf, vec)
+
+
+def test_element_order_matches_smith_oracle_signed():
+    for _, gs in signed_corpus():
+        snf = smith_normal_form(laplacian(gs))
+        for u in gs.vertices():
+            d = vertex_indicator(gs, u)
+            assert element_order(gs, d) == smith_order(snf, d)
+        for u, v in gs.sorted_edges():
+            d = edge_difference(gs, u, v)
+            assert element_order(gs, d) == smith_order(snf, d)
 
 
 def test_decomposition_srg_case():

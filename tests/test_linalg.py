@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -7,6 +6,7 @@ from critgroup import (
     GraphError,
     IntMatrix,
     Polynomial,
+    adjugate,
     char_poly,
     complete,
     cycle,
@@ -14,14 +14,12 @@ from critgroup import (
     distinct_nonzero_eigenvalue_product,
     gershgorin_bound,
     integer_roots,
-    kernel_basis_rows,
     laplacian,
     make_signed_graph,
     petersen,
     polynomial_gcd,
     signed_complete_unbalanced,
     smith_normal_form,
-    solve_rational,
     squarefree_part,
     star,
 )
@@ -118,43 +116,35 @@ def test_snf_goldens():
     assert list(smith_normal_form(zero).diagonal) == [0, 0]
 
 
-def test_kernel_basis_rows():
-    lap = laplacian(complete(3))
-    basis = kernel_basis_rows(smith_normal_form(lap))
-    assert len(basis) == 1
-    x = basis[0]
-    assert x[0] == x[1] == x[2] != 0
-    assert kernel_basis_rows(smith_normal_form(IntMatrix.identity(3))) == []
+def random_positive_definite(rng: random.Random, n: int) -> IntMatrix:
+    b = random_int_matrix(rng, n, n, bound=5)
+    return IntMatrix.from_rows(
+        [[sum(b[(k, i)] * b[(k, j)] for k in range(n)) + (i == j) for j in range(n)]
+         for i in range(n)]
+    )
 
 
-def test_solve_rational():
-    m = IntMatrix.from_rows([[2, 0], [0, 4]])
-    assert solve_rational(m, [1, 2]) == [Fraction(1, 2), Fraction(1, 2)]
-    # inconsistent system
-    m = IntMatrix.from_rows([[1, 1], [1, 1]])
-    assert solve_rational(m, [0, 1]) is None
-    # underdetermined but consistent
-    assert solve_rational(m, [2, 2]) is not None
+def test_adjugate_matches_determinant_and_identity():
+    rng = random.Random(23)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        m = random_positive_definite(rng, n)
+        det, adj = adjugate(m)
+        assert det == determinant(m) > 0
+        assert m @ adj == IntMatrix.identity(n).scale(det)
+        assert adj == adj.transpose()
+    lap = laplacian(cycle(4))
+    reduced = IntMatrix.from_rows(row[:-1] for row in lap.entries[:-1])
+    assert adjugate(reduced) == (4, IntMatrix.from_rows([[3, 2, 1], [2, 4, 2], [1, 2, 3]]))
+
+
+def test_adjugate_rejects():
     with pytest.raises(GraphError):
-        solve_rational(m, [1, 2, 3])
-    # precomputed decomposition gives the same answer
-    m = IntMatrix.from_rows([[3, 1], [1, 2]])
-    pre = smith_normal_form(m)
-    assert solve_rational(m, [5, 5], pre) == solve_rational(m, [5, 5])
-
-
-def test_solve_rational_solves_random_systems():
-    rng = random.Random(17)
-    for _ in range(40):
-        n = rng.randint(1, 6)
-        m = random_int_matrix(rng, n, n)
-        b = [rng.randint(-9, 9) for _ in range(n)]
-        x = solve_rational(m, b)
-        if x is None:
-            assert determinant(m) == 0
-            continue
-        got = [sum(Fraction(m[(i, j)]) * x[j] for j in range(n)) for i in range(n)]
-        assert got == [Fraction(v) for v in b]
+        adjugate(IntMatrix.from_rows([[1, 2, 3]]))
+    with pytest.raises(GraphError):  # zero leading principal minor
+        adjugate(IntMatrix.from_rows([[0, 1], [1, 0]]))
+    with pytest.raises(GraphError):  # singular
+        adjugate(laplacian(complete(3)))
 
 
 def test_polynomial_arithmetic():

@@ -31,7 +31,24 @@ from critgroup import (
     subgroup_invariant_factors,
     verify_tail_heavy,
 )
+from critgroup.pairing import _closed_form_params, _pairing_table
 from conftest import random_connected_graph, random_sum_zero_vector, unsigned_srg_corpus
+
+
+def test_pairing_table_matches_closed_form_on_srg_fixtures():
+    checked = 0
+    for _, g in unsigned_srg_corpus():
+        try:
+            _closed_form_params(g)
+        except StructureError:
+            continue  # complete and balanced complete bipartite graphs
+        edges, table = _pairing_table(g)
+        for i, e1 in enumerate(edges):
+            for j in range(i, len(edges)):
+                assert table[i][j] == table[j][i]
+                assert table[i][j] == edge_pairing_closed_form(g, e1, edges[j]).value
+        checked += 1
+    assert checked >= 8
 
 
 def test_pairing_value_normalization():
