@@ -3,6 +3,10 @@
 Reports are deterministic: identical invocations produce byte-identical
 stdout. Timing goes to stderr. All integers are serialized as decimal
 strings and rationals as "p/q" so consumers never face overflow or floats.
+
+Exit codes: 0 a report was written, 1 a verifier ran and the property
+failed, 2 bad input or a graph the command does not apply to (an `error:`
+line on stderr), 3 an internal exact check failed.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .errors import GraphError, GraphFormatError, StructureError
+from .errors import GraphError, InternalCheckError, StructureError
 from .graphs import (
     GENERATOR_FAMILIES,
     Graph,
@@ -36,7 +40,6 @@ from .groups import (
 )
 from .linalg import (
     char_poly,
-    distinct_nonzero_eigenvalue_product,
     gershgorin_bound,
     integer_roots,
     laplacian,
@@ -79,25 +82,32 @@ def _add_format_argument(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "text"), default="json")
 
 
-def _parse_params(raw: str | None):
+def _family_params(family: str, raw: str | None):
+    """The --params list as integers; for signed_from_file, the path."""
     if raw is None:
         return []
-    parts = [piece.strip() for piece in raw.split(",") if piece.strip()]
-    try:
-        return [int(piece) for piece in parts]
-    except ValueError:
-        return raw if len(parts) != 1 else parts[0]
+    if family == "signed_from_file":
+        return raw
+    values = []
+    for piece in raw.split(","):
+        if piece.strip():
+            try:
+                values.append(int(piece))
+            except ValueError:
+                raise GraphError(f"--params expects integers, got {piece.strip()!r}") from None
+    return values
 
 
 def _load_graph(args) -> tuple[Graph | SignedGraph, dict]:
     if args.input and args.family:
         raise GraphError("give either --input or --family, not both")
     if args.input:
+        if args.params is not None:
+            raise GraphError("--params applies to --family only")
         g = read_graph_file(args.input)
         return g, {"source": "file", "path": args.input}
     if args.family:
-        params = _parse_params(args.params)
-        g = generate(args.family, params)
+        g = generate(args.family, _family_params(args.family, args.params))
         descriptor = {"source": "family", "family": args.family}
         if args.params is not None:
             descriptor["params"] = args.params
@@ -317,15 +327,14 @@ def _cmd_verify(args) -> tuple[dict, dict, int]:
             result["half_bound_even"] = report.half_bound_even
         return result, descriptor, 0 if report.matched else 1
     if args.check == "spectral-bound":
-        ok = verify_spectral_bound(g)
-        product = distinct_nonzero_eigenvalue_product(laplacian(g))
+        report = verify_spectral_bound(g)
         result = {
             "check": "spectral-bound",
-            "exponent": _jint(critical_group(g).exponent),
-            "distinct_eigenvalue_product": _jint(product),
-            "verdict": "pass" if ok else "fail",
+            "exponent": _jint(report.exponent),
+            "distinct_eigenvalue_product": _jint(report.product),
+            "verdict": "pass" if report.passed else "fail",
         }
-        return result, descriptor, 0 if ok else 1
+        return result, descriptor, 0 if report.passed else 1
     report = verify_tail_heavy(g, mode=args.mode)
     result = {
         "check": "tail-heavy",
@@ -486,15 +495,12 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         result, descriptor, status = args.handler(args)
-    except GraphFormatError as exc:
+    except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GraphError, StructureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except InternalCheckError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 3
     report = {
         "schema": SCHEMA,
         "command": args.command,

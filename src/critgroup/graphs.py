@@ -778,64 +778,37 @@ class UnbalancedTriangle:
     switch_set: frozenset[int]
 
 
-def _normalize_triangle(gs: SignedGraph, a: int, b: int, c: int) -> UnbalancedTriangle:
-    """Switch inside {a,b,c} so the negative edge of the odd triangle sits on
-    a chosen pair. With one negative edge, relabel so that edge is (u,v).
-    With three, put it on (a,b) by switching at c."""
-    signs = {
-        (a, b): gs.sign(a, b),
-        (a, c): gs.sign(a, c),
-        (b, c): gs.sign(b, c),
+def odd_triangle_switch(gs: SignedGraph, a: int, b: int, c: int) -> frozenset[int]:
+    """Switching set inside {a, b, c} that makes (a, b) the unique negative
+    edge of the unbalanced triangle abc."""
+    pattern = (gs.sign(a, b), gs.sign(a, c), gs.sign(b, c))
+    table = {
+        (-1, 1, 1): frozenset(),
+        (1, -1, 1): frozenset({a}),
+        (1, 1, -1): frozenset({b}),
+        (-1, -1, -1): frozenset({c}),
     }
-    negs = [e for e, s in signs.items() if s == -1]
-    if len(negs) == 1:
-        (u, v) = negs[0]
-        w = ({a, b, c} - {u, v}).pop()
-        return UnbalancedTriangle(u, v, w, gs, frozenset())
-    if len(negs) == 3:
-        switched = switch(gs, {c})
-        return UnbalancedTriangle(a, b, c, switched, frozenset({c}))
-    raise StructureError(f"triangle ({a},{b},{c}) is balanced")
+    if pattern not in table:
+        raise StructureError(f"triangle ({a},{b},{c}) is balanced")
+    return table[pattern]
 
 
 def find_unbalanced_triangle(gs: SignedGraph) -> UnbalancedTriangle:
-    """Locate an unbalanced triangle in an unbalanced signed complete graph.
+    """Locate an unbalanced triangle in a signed complete graph.
 
-    A spanning-tree sign propagation yields an unbalanced fundamental
-    cycle; while it is longer than a triangle, a chord splits it into two
-    cycles of which exactly one is unbalanced, so the unbalanced piece
-    shrinks to a triangle.
+    The star at vertex 1 is a spanning tree whose fundamental cycles are the
+    triangles (1, u, v); the graph is balanced iff every one of them is. In
+    the first odd triangle, (u, v) is its first negative edge in sorted
+    order, so it is switched only when all three edges are negative.
     """
     g = gs.graph
     if not g.is_complete() or g.n < 3:
         raise StructureError("need a complete graph on >= 3 vertices")
-    balance = is_balanced(gs)
-    if balance.balanced:
-        raise StructureError("signed graph is balanced, no unbalanced triangle")
-
-    # tree = star at vertex 1; find a violated non-tree edge
-    cycle_path = None
-    for u, v in g.sorted_edges():
-        if u == 1:
-            continue
-        if gs.sign(u, v) != gs.sign(1, u) * gs.sign(1, v):
-            cycle_path = [1, u, v]
-            break
-    if cycle_path is None:  # cannot happen for an unbalanced input
-        raise StructureError("no unbalanced fundamental cycle found")
-
-    def cycle_sign(path):
-        total = 1
-        for x, y in zip(path, path[1:] + path[:1]):
-            total *= gs.sign(x, y)
-        return total
-
-    while len(cycle_path) > 3:
-        head, second, third = cycle_path[0], cycle_path[1], cycle_path[2]
-        tri = [head, second, third]
-        if cycle_sign(tri) == -1:
-            cycle_path = tri
-        else:
-            cycle_path = [head, third] + cycle_path[3:]
-    a, b, c = sorted(cycle_path)
-    return _normalize_triangle(gs, a, b, c)
+    for x, y in g.sorted_edges():
+        if x != 1 and gs.sign(x, y) != gs.sign(1, x) * gs.sign(1, y):
+            u, v = next(e for e in ((1, x), (1, y), (x, y)) if gs.sign(*e) == -1)
+            w = ({1, x, y} - {u, v}).pop()
+            switch_set = odd_triangle_switch(gs, u, v, w)
+            work = switch(gs, switch_set) if switch_set else gs
+            return UnbalancedTriangle(u, v, w, work, switch_set)
+    raise StructureError("signed graph is balanced, no unbalanced triangle")

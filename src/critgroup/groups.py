@@ -21,10 +21,19 @@ from .graphs import (
     detect_signed_two_eigenvalue,
     detect_two_eigenvalue,
     edge_key,
+    odd_triangle_switch,
     require_connected,
     switch,
 )
-from .linalg import IntMatrix, SnfResult, adjugate, determinant, laplacian, smith_normal_form
+from .linalg import (
+    IntMatrix,
+    SnfResult,
+    adjugate,
+    determinant,
+    distinct_nonzero_eigenvalue_product,
+    laplacian,
+    smith_normal_form,
+)
 
 
 @dataclass(frozen=True)
@@ -212,169 +221,78 @@ def _verify_decomposition(dec: Decomposition) -> None:
         )
 
 
-def _unsigned_decomposition(g: Graph, u: int, v: int, params: TwoEigenvalueParams) -> Decomposition:
-    adj = g.adjacency
-    coeff = [0] * g.n
-    if params.regular:
-        case = "srg"
-        srg = params.srg
-        weight = srg.k + srg.mu - srg.lam - 1
-        a, b = (u, v) if u < v else (v, u)
-        coeff[a - 1] += weight
-        coeff[b - 1] -= weight
-    else:
-        case = "two_degree"
-        if g.degree(u) == g.degree(v):
-            raise StructureError(
-                "decomposition needs an edge joining the two degree classes"
-            )
-        a, b = (u, v) if g.degree(u) < g.degree(v) else (v, u)
-        coeff[a - 1] += params.k2
-        coeff[b - 1] -= params.k1
-    for w in adj[a] - {b}:
-        coeff[w - 1] += 1
-    for w in adj[b] - {a}:
-        coeff[w - 1] -= 1
-    return Decomposition(
-        case=case,
-        graph=g,
-        edge=(a, b),
-        coefficients=tuple(coeff),
-        order=params.eigenvalue_product,
-        target=edge_difference(g, a, b),
-        switch_set=frozenset(),
-    )
+def _two_eigenvalue_case(
+    g: Graph | SignedGraph,
+) -> tuple[str, TwoEigenvalueParams | SignedTwoEigenvalueParams]:
+    """The case name shared by decompositions and exponent reports, with
+    the two-eigenvalue parameters of g."""
+    if isinstance(g, SignedGraph):
+        params = detect_signed_two_eigenvalue(g)
+        if params is None:
+            raise StructureError("signed graph lacks the two-eigenvalue structure")
+        if not params.regular:
+            return "signed_two_degree", params
+        return ("signed_complete" if g.graph.is_complete() else "signed_regular"), params
+    params = detect_two_eigenvalue(g)
+    if params is None:
+        raise StructureError("graph lacks the two-eigenvalue structure")
+    return ("srg" if params.regular else "two_degree"), params
 
 
-def _signed_regular_decomposition(
-    gs: SignedGraph, u: int, v: int, params: SignedTwoEigenvalueParams
-) -> Decomposition:
-    a, b = (u, v) if u < v else (v, u)
-    switch_set = frozenset() if gs.sign(a, b) == 1 else frozenset({b})
-    work = switch(gs, switch_set) if switch_set else gs
-    weight = params.k1 - params.lam - 1
-    coeff = [0] * gs.n
-    coeff[a - 1] += weight
-    coeff[b - 1] -= weight
-    adj = gs.graph.adjacency
-    for w in adj[a] - {b}:
-        coeff[w - 1] += work.sign(a, w)
-    for w in adj[b] - {a}:
-        coeff[w - 1] -= work.sign(b, w)
-    return Decomposition(
-        case="signed_regular",
-        graph=work,
-        edge=(a, b),
-        coefficients=tuple(coeff),
-        order=params.eigenvalue_product,
-        target=edge_difference(gs, a, b),
-        switch_set=switch_set,
-    )
+def decomposition(g: Graph | SignedGraph, edge: tuple[int, int]) -> Decomposition:
+    """Explicit row combination showing order * target lies in the
+    Laplacian row lattice.
 
-
-def _signed_complete_decomposition(
-    gs: SignedGraph, u: int, v: int, params: SignedTwoEigenvalueParams
-) -> Decomposition:
-    a, b = (u, v) if u < v else (v, u)
+    The two distinct non-zero eigenvalues theta1, theta2 of the Laplacian L
+    satisfy (L - theta1)(L - theta2) target = 0, so the coefficients
+    c = (theta1 + theta2) target - L target give L c = theta1 theta2 target.
+    The edge (a, b) is taken ascending, or lower degree first in the
+    two-degree cases. A signed graph is first switched so that (a, b) is
+    positive, or, in the complete case, the unique negative edge of the
+    first unbalanced triangle (a, b, w); there the target is e_a + e_b.
+    The identity is re-verified exactly before the result is returned.
+    """
+    u, v = edge
+    a, b = edge_key(u, v)
+    base = g.graph if isinstance(g, SignedGraph) else g
+    if (a, b) not in base.edges:
+        raise GraphError(f"({u},{v}) is not an edge")
+    case, params = _two_eigenvalue_case(g)
+    if not params.regular:
+        if base.degree(a) == base.degree(b):
+            raise StructureError("decomposition needs an edge joining the two degree classes")
+        if base.degree(a) > base.degree(b):
+            a, b = b, a
+    target = list(edge_difference(g, a, b))
+    switch_set = frozenset()
     third = None
-    for w in gs.vertices():
-        if w in (a, b):
-            continue
-        if gs.sign(a, b) * gs.sign(a, w) * gs.sign(b, w) == -1:
-            third = w
-            break
-    if third is None:
-        raise StructureError(
-            f"every triangle through edge ({a},{b}) is balanced; "
-            "the signed complete decomposition needs an unbalanced one"
+    if case == "signed_complete":
+        third = next(
+            (w for w in g.vertices()
+             if w not in (a, b) and g.sign(a, b) * g.sign(a, w) * g.sign(b, w) == -1),
+            None,
         )
-    # switch inside {a, b, third} so (a,b) is the triangle's unique negative edge
-    pattern = (gs.sign(a, b), gs.sign(a, third), gs.sign(b, third))
-    switch_set = {
-        (-1, 1, 1): frozenset(),
-        (1, -1, 1): frozenset({a}),
-        (1, 1, -1): frozenset({b}),
-        (-1, -1, -1): frozenset({third}),
-    }[pattern]
-    work = switch(gs, switch_set) if switch_set else gs
-    weight = params.k1 - params.lam - 1
-    coeff = [0] * gs.n
-    coeff[a - 1] += weight
-    coeff[b - 1] += weight
-    adj = gs.graph.adjacency
-    for w in adj[a] - {b}:
-        coeff[w - 1] += work.sign(a, w)
-    for w in adj[b] - {a}:
-        coeff[w - 1] += work.sign(b, w)
-    target = [0] * gs.n
-    target[a - 1] = 1
-    target[b - 1] = 1
-    return Decomposition(
-        case="signed_complete",
+        if third is None:
+            raise StructureError(
+                f"every triangle through edge ({a},{b}) is balanced; "
+                "the signed complete decomposition needs an unbalanced one"
+            )
+        switch_set = odd_triangle_switch(g, a, b, third)
+        target[b - 1] = 1
+    elif isinstance(g, SignedGraph) and g.sign(a, b) == -1:
+        switch_set = frozenset({b})
+    work = switch(g, switch_set) if switch_set else g
+    image = laplacian(work).mul_vec(target)
+    dec = Decomposition(
+        case=case,
         graph=work,
         edge=(a, b),
-        coefficients=tuple(coeff),
+        coefficients=tuple(params.eigenvalue_sum * t - x for t, x in zip(target, image)),
         order=params.eigenvalue_product,
         target=tuple(target),
         switch_set=switch_set,
         triangle_vertex=third,
     )
-
-
-def _signed_two_degree_decomposition(
-    gs: SignedGraph, u: int, v: int, params: SignedTwoEigenvalueParams
-) -> Decomposition:
-    g = gs.graph
-    if g.degree(u) == g.degree(v):
-        raise StructureError("decomposition needs an edge joining the two degree classes")
-    a, b = (u, v) if g.degree(u) < g.degree(v) else (v, u)
-    switch_set = frozenset() if gs.sign(a, b) == 1 else frozenset({b})
-    work = switch(gs, switch_set) if switch_set else gs
-    coeff = [0] * gs.n
-    coeff[a - 1] += params.k2
-    coeff[b - 1] -= params.k1
-    adj = g.adjacency
-    for w in adj[a] - {b}:
-        coeff[w - 1] += work.sign(a, w)
-    for w in adj[b] - {a}:
-        coeff[w - 1] -= work.sign(b, w)
-    return Decomposition(
-        case="signed_two_degree",
-        graph=work,
-        edge=(a, b),
-        coefficients=tuple(coeff),
-        order=params.eigenvalue_product,
-        target=edge_difference(gs, a, b),
-        switch_set=switch_set,
-    )
-
-
-def decomposition(g: Graph | SignedGraph, edge: tuple[int, int]) -> Decomposition:
-    """Explicit row combination showing order * target lies in the
-    Laplacian row lattice. The identity is re-verified exactly before the
-    result is returned."""
-    u, v = edge
-    e = edge_key(u, v)
-    if isinstance(g, SignedGraph):
-        if e not in g.graph.edges:
-            raise GraphError(f"({u},{v}) is not an edge")
-        params = detect_signed_two_eigenvalue(g)
-        if params is None:
-            raise StructureError("signed graph lacks the two-eigenvalue structure")
-        if params.case == "regular":
-            if g.graph.is_complete():
-                dec = _signed_complete_decomposition(g, u, v, params)
-            else:
-                dec = _signed_regular_decomposition(g, u, v, params)
-        else:
-            dec = _signed_two_degree_decomposition(g, u, v, params)
-    else:
-        if e not in g.edges:
-            raise GraphError(f"({u},{v}) is not an edge")
-        params = detect_two_eigenvalue(g)
-        if params is None:
-            raise StructureError("graph lacks the two-eigenvalue structure")
-        dec = _unsigned_decomposition(g, u, v, params)
     _verify_decomposition(dec)
     return dec
 
@@ -510,85 +428,42 @@ class ExponentReport:
     half_bound_even: bool | None = None
 
 
-def _edge_order_scan(g: Graph | SignedGraph) -> tuple[int, tuple[int, int] | None]:
-    best = 0
-    best_edge = None
-    edges = g.sorted_edges()
-    for u, v in edges:
-        order = element_order(g, edge_difference(g, u, v))
-        if order > best:
-            best, best_edge = order, (u, v)
-    return best, best_edge
-
-
 def verify_exponent_theorem(g: Graph | SignedGraph) -> ExponentReport:
     """Check that the critical group exponent equals the product of the two
     distinct non-zero Laplacian eigenvalues, with the two unsigned
     exceptional families expecting their adjusted values instead."""
-    if isinstance(g, SignedGraph):
-        params = detect_signed_two_eigenvalue(g)
-        if params is None:
-            raise StructureError("signed graph lacks the two-eigenvalue structure")
-        group = critical_group(g)  # rejects balanced graphs
-        bound = params.eigenvalue_product
-        max_order, max_edge = _edge_order_scan(g)
-        half_even = None
-        if params.case == "regular" and g.graph.is_complete():
-            kind = "signed_complete"
-            half_even = bound % 2 == 0
-            # order bound for e_u comes from averaging three edge identities,
-            # which needs bound/2 to be integral
-            achieved = None
-            for u in g.vertices():
-                if element_order(g, vertex_indicator(g, u)) == bound:
-                    achieved = ("vertex_class", (u,))
-                    break
-        else:
-            kind = "signed_regular" if params.case == "regular" else "signed_two_degree"
-            achieved = None
-            for u, v in g.sorted_edges():
-                if element_order(g, edge_difference(g, u, v)) == bound:
-                    achieved = ("edge_difference", (u, v))
-                    break
-        expected = bound
-        return ExponentReport(
-            kind=kind,
-            classification="match",
-            spectral_bound=bound,
-            expected_exponent=expected,
-            exponent=group.exponent,
-            matched=group.exponent == expected,
-            group=group,
-            max_edge_order=max_order,
-            max_edge=max_edge,
-            achieving_element=achieved,
-            half_bound_even=half_even,
-        )
-
-    params = detect_two_eigenvalue(g)
-    if params is None:
-        raise StructureError("graph lacks the two-eigenvalue structure")
-    group = critical_group(g)
+    kind, params = _two_eigenvalue_case(g)
+    group = critical_group(g)  # rejects balanced signed graphs
     bound = params.eigenvalue_product
-    if is_star(g):
-        classification = "exceptional_star"
-        expected = 1
-    elif is_balanced_complete_bipartite(g):
-        classification = "exceptional_complete_bipartite"
-        if bound % 2:
-            raise InternalCheckError("complete bipartite bound should be even")
-        expected = bound // 2
-    else:
-        classification = "match"
-        expected = bound
-    max_order, max_edge = _edge_order_scan(g)
-    achieved = None
+    classification, expected = "match", bound
+    if isinstance(g, Graph):
+        if is_star(g):
+            classification, expected = "exceptional_star", 1
+        elif is_balanced_complete_bipartite(g):
+            if bound % 2:
+                raise InternalCheckError("complete bipartite bound should be even")
+            classification, expected = "exceptional_complete_bipartite", bound // 2
+    max_order, max_edge = 0, None
     for u, v in g.sorted_edges():
-        if element_order(g, edge_difference(g, u, v)) == group.exponent:
-            achieved = ("edge_difference", (u, v))
-            break
+        order = element_order(g, edge_difference(g, u, v))
+        if order > max_order:
+            max_order, max_edge = order, (u, v)
+    # every order divides the exponent, so the first edge of largest order
+    # is the first edge achieving the exponent, if any does
+    achieved = ("edge_difference", max_edge) if max_order == group.exponent else None
+    half_even = None
+    if kind == "signed_complete":
+        # edge classes have order at most 2 here; the order bound for e_u
+        # comes from averaging three edge identities, which needs bound/2
+        # to be integral
+        half_even = bound % 2 == 0
+        achieved = next(
+            (("vertex_class", (u,)) for u in g.vertices()
+             if element_order(g, vertex_indicator(g, u)) == group.exponent),
+            None,
+        )
     return ExponentReport(
-        kind="srg" if params.regular else "two_degree",
+        kind=kind,
         classification=classification,
         spectral_bound=bound,
         expected_exponent=expected,
@@ -598,21 +473,31 @@ def verify_exponent_theorem(g: Graph | SignedGraph) -> ExponentReport:
         max_edge_order=max_order,
         max_edge=max_edge,
         achieving_element=achieved,
+        half_bound_even=half_even,
     )
 
 
-def verify_spectral_bound(g: Graph | SignedGraph) -> bool:
+@dataclass(frozen=True)
+class SpectralBoundReport:
+    """Outcome of checking that the group exponent divides the product of
+    the distinct non-zero Laplacian eigenvalues."""
+
+    exponent: int
+    product: int
+    passed: bool
+
+
+def verify_spectral_bound(g: Graph | SignedGraph) -> SpectralBoundReport:
     """The group exponent must divide the product of the distinct non-zero
     Laplacian eigenvalues (an integer for any graph Laplacian)."""
-    from .linalg import distinct_nonzero_eigenvalue_product
-
     group = critical_group(g)
     product = distinct_nonzero_eigenvalue_product(laplacian(g))
     if product.denominator != 1 or product <= 0:
         raise InternalCheckError(
             f"distinct eigenvalue product {product} should be a positive integer"
         )
-    return int(product) % group.exponent == 0
+    product = int(product)
+    return SpectralBoundReport(group.exponent, product, product % group.exponent == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -623,25 +508,18 @@ def subgroup_invariant_factors(group: AbelianGroup, generators) -> AbelianGroup:
     """Invariant factors of the subgroup generated by the given coordinate
     vectors inside the direct sum of Z/d for d in group.invariant_factors.
 
-    The subgroup is Z^g modulo the lattice of coefficient vectors that die
-    in the ambient group; that lattice is read off a Smith computation.
+    Scaling coordinate i by E/d_i, with E the exponent, embeds the group in
+    (Z/E)^k, where the subgroup is the row span of the scaled generator
+    matrix. Its Smith diagonal s gives that span as the sum of s_i Z/E, so
+    the factors are E / gcd(s_i, E).
     """
-    d = len(group.invariant_factors)
+    factors = group.invariant_factors
     gens = [list(v) for v in generators]
-    if not gens:
-        return AbelianGroup(())
-    if any(len(v) != d for v in gens):
+    if any(len(v) != len(factors) for v in gens):
         raise GraphError("generator length does not match the number of factors")
-    g = len(gens)
-    rows = gens + [
-        [group.invariant_factors[i] if j == i else 0 for j in range(d)] for i in range(d)
-    ]
-    stacked = smith_normal_form(IntMatrix.from_rows(rows))
-    if stacked.rank != d:
-        raise InternalCheckError("relation stack lost rank")
-    relation_rows = [stacked.U.row(i)[:g] for i in range(d, g + d)]
-    relations = smith_normal_form(IntMatrix.from_rows(relation_rows))
-    diag = relations.diagonal
-    if len(diag) != g or any(x == 0 for x in diag):
-        raise InternalCheckError("subgroup of a finite group must be finite")
-    return AbelianGroup.from_diagonal(diag)
+    if not gens or not factors:
+        return AbelianGroup(())
+    e = group.exponent
+    scaled = IntMatrix.from_rows([x * (e // d) for x, d in zip(v, factors)] for v in gens)
+    diag = smith_normal_form(scaled).diagonal
+    return AbelianGroup.from_diagonal(sorted(e // gcd(s, e) for s in diag))

@@ -330,7 +330,7 @@ def _max_orthogonal(masks: list[int], count: int, initial_bound: int) -> list[in
             dfs(current, rest & masks[i])
             current.pop()
     dfs([], (1 << count) - 1)
-    if not best:
+    if count and not best:  # without edges the empty set is the maximum
         raise InternalCheckError("orthogonal search lost its seeded lower bound")
     return best
 

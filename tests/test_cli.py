@@ -1,8 +1,11 @@
 import dataclasses
+import itertools
 import json
+import random
 
 import critgroup.cli as cli
 import critgroup.groups
+from critgroup import InternalCheckError
 
 
 def run(capsys, *argv):
@@ -159,6 +162,15 @@ def test_orthogonal_exact(capsys):
     assert all(entry["value"] == "0/1" for entry in report["result"]["certificate"])
 
 
+def test_orthogonal_edgeless_graph(capsys):
+    for mode in ("exact", "greedy"):
+        code, report, _ = run_json(
+            capsys, "orthogonal", "--family", "complete", "--params", "1", "--mode", mode
+        )
+        assert code == 0
+        assert report["result"] == {"mode": mode, "size": "0", "edges": [], "certificate": []}
+
+
 def test_verify_exponent(capsys):
     code, report, _ = run_json(capsys, "verify", "--family", "petersen", "--check", "exponent")
     assert code == 0
@@ -200,6 +212,19 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert json.loads(out)["result"]["verdict"] == "fail"
 
 
+def test_internal_check_exit_code(capsys, monkeypatch):
+    # an exact check failing inside a command exits 3, never 1
+    def broken(g):
+        raise InternalCheckError("stubbed identity failed")
+
+    monkeypatch.setattr(cli, "verify_spectral_bound", broken)
+    code, out, err = run(
+        capsys, "verify", "--family", "petersen", "--check", "spectral-bound"
+    )
+    assert code == 3 and out == ""
+    assert err == "error: internal check failed: stubbed identity failed\n"
+
+
 def test_error_exit_codes(capsys, tmp_path):
     # unknown family
     code, _, err = run(capsys, "group", "--family", "nope")
@@ -227,6 +252,17 @@ def test_error_exit_codes(capsys, tmp_path):
     # structure error: exponent check on a graph without the structure
     code, _, err = run(capsys, "verify", "--family", "cycle", "--params", "6", "--check", "exponent")
     assert code == 2
+    # --params must be integers, and the bad value is named
+    for params, bad in (("a", "'a'"), ("1,x", "'x'")):
+        code, out, err = run(capsys, "group", "--family", "complete", "--params", params)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and bad in err
+    # --params belongs to --family
+    path3 = tmp_path / "path.txt"
+    path3.write_text("n 3\n1 2\n2 3\n")
+    code, out, err = run(capsys, "group", "--input", str(path3), "--params", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--params" in err
 
 
 def test_scan_output(capsys):
@@ -264,3 +300,60 @@ def test_text_format_scan(capsys):
     code, out, _ = run(capsys, "scan", "--nmax", "40", "--format", "text")
     assert code == 0
     assert "needs_review" in out
+
+
+def _random_graph_file(rng):
+    """A random graph file on at most 8 vertices: unsigned, or with a random
+    sign on every edge; now and then one line is corrupted."""
+    n = rng.randint(1, 8)
+    p = rng.random()
+    signed = rng.random() < 0.5
+    lines = [f"n {n}"]
+    for u, v in itertools.combinations(range(1, n + 1), 2):
+        if rng.random() < p:
+            lines.append(f"{u} {v} {rng.choice('+-')}" if signed else f"{u} {v}")
+    if len(lines) > 1 and rng.random() < 0.1:
+        lines[rng.randrange(1, len(lines))] = rng.choice(
+            ("1 1", f"1 {n + 1}", "1 2 *", "x 2", "1 2 + extra")
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _random_flags(rng, n):
+    command = rng.choice(("generate", "analyze", "group", "pairing", "orthogonal", "verify"))
+    flags = [command]
+    if command == "pairing" and rng.random() < 0.5:
+        for flag in ("--edge1", "--edge2"):
+            flags += [flag, f"{rng.randint(0, n + 1)},{rng.randint(1, n)}"]
+    if command == "orthogonal":
+        flags += ["--mode", rng.choice(("exact", "greedy"))]
+        if rng.random() < 0.5:
+            flags.append("--no-hints")
+    if command == "verify":
+        flags += ["--check", rng.choice(("exponent", "spectral-bound", "tail-heavy"))]
+        flags += ["--mode", rng.choice(("exact", "greedy"))]
+    if rng.random() < 0.3:
+        flags += ["--format", "text"]
+    return command, flags
+
+
+def test_fuzz_exit_codes(capsys, tmp_path):
+    # every run ends in a report (0), a failed verdict (1) or a clean error (2)
+    rng = random.Random(2718)
+    seen = set()
+    for i in range(200):
+        text = _random_graph_file(rng)
+        path = tmp_path / f"g{i}.txt"
+        path.write_text(text)
+        n = int(text.split()[1])
+        for _ in range(2):
+            command, flags = _random_flags(rng, n)
+            code, out, err = run(capsys, *flags, "--input", str(path))
+            seen.add(code)
+            assert "Traceback" not in err
+            if code == 2:
+                assert out == "" and err.startswith("error:"), (text, flags, err)
+            else:
+                assert code == 0 or (code == 1 and command == "verify"), (text, flags, code)
+                assert out and "elapsed" in err
+    assert {0, 2} <= seen

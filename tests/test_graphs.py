@@ -33,6 +33,7 @@ from critgroup import (
 )
 from conftest import (
     signed_c4_one_negative,
+    signed_complete_all_negative,
     signed_corpus,
     signed_k6_pentagon,
     signed_two_degree_hexad,
@@ -234,6 +235,15 @@ def test_find_unbalanced_triangle():
         find_unbalanced_triangle(make_signed_graph(3, [(1, 2), (1, 3), (2, 3)], []))
     with pytest.raises(StructureError):
         find_unbalanced_triangle(signed_c4_one_negative())
+
+
+def test_find_unbalanced_triangle_all_negative():
+    # an all-negative triangle keeps (1, 2) and switches its third vertex
+    gs = signed_complete_all_negative(4)
+    t = find_unbalanced_triangle(gs)
+    assert (t.u, t.v, t.w, t.switch_set) == (1, 2, 3, frozenset({3}))
+    assert t.graph == switch(gs, {3})
+    assert sorted(t.graph.negative_edges) == [(1, 2), (1, 4), (2, 4)]
 
 
 def test_generate_dispatcher():

@@ -278,6 +278,49 @@ def test_decomposition_normalizing_switches():
     assert switch(gs, dec.switch_set).negative_edges == dec.graph.negative_edges
 
 
+def test_decomposition_goldens():
+    # one full decomposition per case, the edge given in reverse
+    unsigned = dict(unsigned_two_eigenvalue_corpus())
+    signed = dict(signed_corpus())
+    cases = [
+        (unsigned["paley5"], (2, 1), "srg", (1, 2), (2, -2, -1, 0, 1), 5,
+         (1, -1, 0, 0, 0), (), None, None),
+        (unsigned["wheel_w4"], (2, 1), "two_degree", (2, 1), (-3, 4, -1, 0, 0), 15,
+         (-1, 1, 0, 0, 0), (), None, None),
+        (signed["all_negative_K4"], (2, 1), "signed_complete", (1, 2), (4, 4, 2, -2), 12,
+         (1, 1, 0, 0), (3,), 3, [(1, 2), (1, 4), (2, 4)]),
+        (signed["octahedron_signing"], (3, 2), "signed_regular", (2, 3),
+         (2, 3, -3, 0, 1, 1), 12, (0, 1, -1, 0, 0, 0), (3,), None,
+         [(1, 3), (3, 5), (4, 6), (5, 6)]),
+        (signed["two_degree_hexad"], (6, 3), "signed_two_degree", (3, 6),
+         (2, -1, 4, -1, -1, -3), 12, (0, 0, 1, 0, 0, -1), (6,), None,
+         [(1, 6), (2, 3), (4, 5)]),
+    ]
+    for g, edge, case, got_edge, coeff, order, target, switched, third, negatives in cases:
+        dec = decomposition(g, edge)
+        assert (dec.case, dec.edge, dec.coefficients, dec.order, dec.target) == (
+            case, got_edge, coeff, order, target
+        )
+        assert dec.switch_set == frozenset(switched)
+        assert dec.triangle_vertex == third
+        if negatives is None:
+            assert dec.graph == g
+        else:
+            assert sorted(dec.graph.negative_edges) == negatives
+
+
+def test_decomposition_orientation_and_switch_set():
+    for name, g in unsigned_two_eigenvalue_corpus() + signed_corpus():
+        signed = hasattr(g, "negative_edges")
+        for u, v in applicable_edges(g):
+            dec = decomposition(g, (u, v))
+            assert decomposition(g, (v, u)) == dec, (name, u, v)
+            if signed:
+                assert switch(g, dec.switch_set) == dec.graph, (name, u, v)
+            else:
+                assert dec.switch_set == frozenset() and dec.graph == g
+
+
 def test_witnesses_petersen():
     g = petersen()
     dec = decomposition(g, (1, 8))
@@ -414,16 +457,23 @@ def test_exponent_theorem_rejects_structureless():
 
 def test_spectral_bound_corpus():
     for name, g in unsigned_two_eigenvalue_corpus():
-        assert verify_spectral_bound(g), name
+        assert verify_spectral_bound(g).passed, name
     for name, gs in signed_corpus():
-        assert verify_spectral_bound(gs), name
+        assert verify_spectral_bound(gs).passed, name
+
+
+def test_spectral_bound_report():
+    report = verify_spectral_bound(cycle(6))
+    assert (report.exponent, report.product, report.passed) == (6, 12, True)
+    report = verify_spectral_bound(petersen())
+    assert (report.exponent, report.product, report.passed) == (10, 10, True)
 
 
 def test_spectral_bound_random_graphs():
     rng = random.Random(61)
     for _ in range(30):
         g = random_connected_graph(rng, rng.randint(2, 7))
-        assert verify_spectral_bound(g)
+        assert verify_spectral_bound(g).passed
 
 
 def test_subgroup_invariant_factors():
@@ -459,3 +509,41 @@ def test_subgroup_invariant_factors_random_cyclic():
             assert got == ()
         else:
             assert got == (order,)
+
+
+def test_subgroup_invariant_factors_brute_force():
+    # H by closure; the m-torsion of H has prod gcd(m, f_i) elements for
+    # every m dividing the exponent, which pins the invariant factors
+    from math import gcd, prod
+
+    rng = random.Random(43)
+    for _ in range(40):
+        factors, value = [], 1
+        for _ in range(rng.randint(1, 3)):
+            value *= rng.choice((1, 2, 2, 3, 4)) if factors else rng.randint(2, 6)
+            factors.append(value)
+        group = AbelianGroup(tuple(factors))
+        gens = [tuple(rng.randrange(-5, 9) for _ in factors) for _ in range(rng.randint(1, 3))]
+        reduced = [tuple(x % d for x, d in zip(v, factors)) for v in gens]
+        h = {tuple(0 for _ in factors)}
+        frontier = list(h)
+        while frontier:
+            x = frontier.pop()
+            for v in reduced:
+                y = tuple((a + b) % d for a, b, d in zip(x, v, factors))
+                if y not in h:
+                    h.add(y)
+                    frontier.append(y)
+        got = subgroup_invariant_factors(group, gens).invariant_factors
+        assert prod(got) == len(h)
+        for m in range(1, group.exponent + 1):
+            if group.exponent % m:
+                continue
+            torsion = sum(1 for x in h if all(m * a % d == 0 for a, d in zip(x, factors)))
+            assert torsion == prod(gcd(m, f) for f in got), (factors, gens, m)
+
+
+def test_subgroup_invariant_factors_trivial_group():
+    assert subgroup_invariant_factors(AbelianGroup(()), [()]).is_trivial()
+    with pytest.raises(GraphError):
+        subgroup_invariant_factors(AbelianGroup(()), [(1,)])
