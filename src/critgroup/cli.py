@@ -82,12 +82,10 @@ def _add_format_argument(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "text"), default="json")
 
 
-def _family_params(family: str, raw: str | None):
-    """The --params list as integers; for signed_from_file, the path."""
+def _family_params(raw: str | None):
+    """The --params list as integers."""
     if raw is None:
         return []
-    if family == "signed_from_file":
-        return raw
     values = []
     for piece in raw.split(","):
         if piece.strip():
@@ -107,7 +105,7 @@ def _load_graph(args) -> tuple[Graph | SignedGraph, dict]:
         g = read_graph_file(args.input)
         return g, {"source": "file", "path": args.input}
     if args.family:
-        g = generate(args.family, _family_params(args.family, args.params))
+        g = generate(args.family, _family_params(args.params))
         descriptor = {"source": "family", "family": args.family}
         if args.params is not None:
             descriptor["params"] = args.params
@@ -173,11 +171,9 @@ def _structure_block(g: Graph | SignedGraph) -> dict | None:
             "eigenvalue_sum": _jint(srg.eigenvalue_sum),
             "eigenvalue_product": _jint(srg.eigenvalue_product),
         }
-    try:
-        params = detect_two_eigenvalue(g)
-    except StructureError:
-        params = None
-    if params is not None and not params.regular:
+    # every regular two-eigenvalue graph is strongly regular
+    params = None if g.is_regular() else detect_two_eigenvalue(g)
+    if params is not None:
         return {
             "type": "two_degree",
             "k1": _jint(params.k1),

@@ -7,7 +7,7 @@ edges; every other edge is positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -322,6 +322,10 @@ def graph_join(g1: Graph, g2: Graph) -> Graph:
     return Graph(base.n, base.edges | frozenset(extra))
 
 
+# Largest vertex count accepted from outside input, a file header or the
+# parameters of a family, checked before anything of that size is built.
+MAX_VERTICES = 1000
+
 GENERATOR_FAMILIES = (
     "complete",
     "complete_multipartite",
@@ -331,14 +335,21 @@ GENERATOR_FAMILIES = (
     "petersen",
     "clebsch_complement",
     "signed_complete_unbalanced",
-    "signed_from_file",
 )
 
 
 def generate(family: str, params=None) -> Graph | SignedGraph:
-    """Build a named family member. params is a list of integers, except for
-    signed_from_file where it is a path."""
+    """Build a named family member from a list of integer parameters.
+
+    Every family's vertex count is the sum of its parameters, plus one for
+    the centre of a star, so it is checked against MAX_VERTICES first.
+    """
     params = params if params is not None else []
+    vertices = sum(params) + (family == "star")
+    if vertices > MAX_VERTICES:
+        raise GraphError(
+            f"family {family} would have {vertices} vertices; the limit is {MAX_VERTICES}"
+        )
 
     def want(k):
         if len(params) != k:
@@ -369,12 +380,6 @@ def generate(family: str, params=None) -> Graph | SignedGraph:
     if family == "signed_complete_unbalanced":
         want(1)
         return signed_complete_unbalanced(params[0])
-    if family == "signed_from_file":
-        if isinstance(params, str):
-            return read_graph_file(params)
-        if len(params) == 1 and isinstance(params[0], str):
-            return read_graph_file(params[0])
-        raise GraphError("signed_from_file takes a file path")
     raise GraphError(f"unknown family {family!r}; known: {', '.join(GENERATOR_FAMILIES)}")
 
 
@@ -404,6 +409,10 @@ def parse_graph(text: str) -> Graph | SignedGraph:
                 raise GraphFormatError(f"bad vertex count {tokens[1]!r}", lineno) from None
             if n < 1:
                 raise GraphFormatError(f"bad vertex count {n}", lineno)
+            if n > MAX_VERTICES:
+                raise GraphFormatError(
+                    f"vertex count {n} exceeds the limit of {MAX_VERTICES}", lineno
+                )
             continue
         if len(tokens) not in (2, 3):
             raise GraphFormatError(f"expected 'u v' or 'u v +/-', got {line!r}", lineno)
@@ -484,46 +493,87 @@ class SrgParameters:
         return self.n * self.mu
 
 
-def detect_srg(g: Graph) -> SrgParameters | None:
-    """Parameters (n, k, lam, mu) if g is strongly regular, else None."""
-    require_connected(g, "detect_srg")
-    if not g.is_regular() or g.n < 2:
-        return None
-    k = g.degree(1)
-    lam = None
-    mu = None
-    adj = g.adjacency
-    for u, v in combinations(g.vertices(), 2):
-        common = len(adj[u] & adj[v])
-        if v in adj[u]:
-            if lam is None:
-                lam = common
-            elif lam != common:
-                return None
+def _laplacian_quadratic(g: Graph | SignedGraph) -> tuple[int, int, int | None] | None:
+    """(s, p, c) with L^2 - s L + p I = c J entrywise, L the (signed)
+    Laplacian of the connected graph g, or None when no such identity holds
+    or g has no edge.
+
+    Off the diagonal, L^2 has ncn(u, v) - sign(u, v) (d_u + d_v), where ncn
+    is the signed common-neighbour count; on it, d^2 + d. So the identity
+    holds exactly when ncn = c on every non-adjacent pair, when
+    d_u + d_v - sign(u, v) ncn is one value t on every edge (then
+    s = t + c), and when every degree d gives the same p = c - d^2 - d + s d.
+    The last follows from the first two on a connected graph: they make
+    L^2 - s L - c J diagonal, and L commutes with it, so its diagonal is
+    constant along every edge. A signed graph needs c = 0. An unsigned graph
+    with every pair adjacent fits every c; c is then None and s, p are
+    those of c = 0.
+    """
+    signed = isinstance(g, SignedGraph)
+    base = g.graph if signed else g
+    adj = base.adjacency
+    degree = {v: len(nbrs) for v, nbrs in adj.items()}
+    negative = Graph(g.n, g.negative_edges if signed else frozenset()).adjacency
+    c = 0 if signed else None
+    t = None
+    for u, v in combinations(base.vertices(), 2):
+        if signed:
+            common = adj[u] & adj[v]
+            # w contributes -1 when exactly one of uw, wv is negative
+            ncn = len(common) - 2 * len(common & (negative[u] ^ negative[v]))
         else:
-            if mu is None:
-                mu = common
-            elif mu != common:
+            ncn = len(adj[u] & adj[v])
+        if v in adj[u]:
+            value = degree[u] + degree[v] - (-ncn if v in negative[u] else ncn)
+            if t is None:
+                t = value
+            elif t != value:
                 return None
-    if lam is None:
+        elif c is None:
+            c = ncn
+        elif c != ncn:
+            return None
+    if t is None:
         return None
-    if mu is None:
-        mu = 0  # complete graph
-    return SrgParameters(g.n, k, lam, mu)
+    s = t + (c or 0)
+    d = base.degree_values[0]
+    return s, (c or 0) - d * d - d + s * d, c
+
+
+def detect_srg(g: Graph) -> SrgParameters | None:
+    """Parameters (n, k, lam, mu) if g is strongly regular, else None.
+
+    A connected k-regular graph is strongly regular exactly when its
+    Laplacian satisfies L^2 - s L + p I = mu J (`_laplacian_quadratic`);
+    then lam = 2k - s + mu. Complete graphs give mu = 0.
+    """
+    require_connected(g, "detect_srg")
+    if not g.is_regular():
+        return None
+    quadratic = _laplacian_quadratic(g)
+    if quadratic is None:
+        return None
+    s, _, mu = quadratic
+    mu = mu or 0
+    k = g.degree(1)
+    return SrgParameters(g.n, k, 2 * k - s + mu, mu)
 
 
 @dataclass(frozen=True)
 class TwoEigenvalueParams:
     """Parameters of a connected graph whose Laplacian has exactly two
-    distinct non-zero eigenvalues.
+    distinct non-zero eigenvalues theta1, theta2.
 
-    regular=True is the strongly regular case (k1 == k2 == k). In the
-    non-regular case the degrees take exactly the two values k1 < k2,
-    every non-adjacent pair has mu common neighbors, every adjacent pair
-    has mu_bar common non-neighbors, and
+    Such a graph is one whose Laplacian satisfies
 
-        eigenvalue_sum  = k1 + k2 + 1 = n + mu - mu_bar
-        eigenvalue_product = k1*k2 + mu = n*mu.
+        (L - theta1)(L - theta2) = L^2 - s L + p I = mu J
+
+    (van Dam and Haemers): every non-adjacent pair has mu common
+    neighbours, every adjacent pair has mu_bar = n + mu - s common
+    non-neighbours, eigenvalue_sum = s = theta1 + theta2 and
+    eigenvalue_product = p = theta1 theta2 = n mu. regular=True is the
+    strongly regular case (k1 == k2). Otherwise the degrees take exactly
+    the two values k1 < k2, and s = k1 + k2 + 1.
     """
 
     n: int
@@ -534,86 +584,30 @@ class TwoEigenvalueParams:
     mu_bar: int
     eigenvalue_sum: int
     eigenvalue_product: int
-    srg: SrgParameters | None = field(default=None, compare=False)
 
 
 def detect_two_eigenvalue(g: Graph) -> TwoEigenvalueParams | None:
-    """Combinatorial two-distinct-nonzero-Laplacian-eigenvalue detection.
-
-    Regular graphs qualify iff strongly regular and not complete. A
-    non-regular graph qualifies iff there are constants mu, mu_bar such
-    that every non-adjacent pair has exactly mu common neighbors and every
-    adjacent pair has exactly mu_bar common non-neighbors.
+    """Parameters if the Laplacian of g has exactly two distinct non-zero
+    eigenvalues, else None: the identity L^2 - s L + p I = mu J of
+    `_laplacian_quadratic`, which for a regular graph says strongly
+    regular. Complete graphs, with a single non-zero eigenvalue, raise.
     """
     require_connected(g, "detect_two_eigenvalue")
     if g.is_complete():
         raise StructureError("complete graphs have a single non-zero eigenvalue")
-    if g.n < 2:
+    quadratic = _laplacian_quadratic(g)
+    if quadratic is None:
         return None
-    adj = g.adjacency
-
-    if g.is_regular():
-        srg = detect_srg(g)
-        if srg is None:
-            return None
-        k = srg.k
-        mu_bar = g.n - 2 * k + srg.lam
-        return TwoEigenvalueParams(
-            n=g.n,
-            regular=True,
-            k1=k,
-            k2=k,
-            mu=srg.mu,
-            mu_bar=mu_bar,
-            eigenvalue_sum=srg.eigenvalue_sum,
-            eigenvalue_product=srg.eigenvalue_product,
-            srg=srg,
-        )
-
-    mu = None
-    mu_bar = None
-    for u, v in combinations(g.vertices(), 2):
-        if v in adj[u]:
-            nonnbrs = g.n - 2 - len((adj[u] | adj[v]) - {u, v})
-            if mu_bar is None:
-                mu_bar = nonnbrs
-            elif mu_bar != nonnbrs:
-                return None
-        else:
-            common = len(adj[u] & adj[v])
-            if mu is None:
-                mu = common
-            elif mu != common:
-                return None
-    if mu is None or mu_bar is None or mu < 1:
-        return None
-
-    degrees = g.degree_values
-    if len(degrees) != 2:
-        return None
-    k1, k2 = degrees
-    # consistency: both closed forms for the eigenvalue data must agree
-    if k1 + k2 + 1 != g.n + mu - mu_bar or k1 * k2 + mu != g.n * mu:
-        return None
-    # adjacent common-neighbor counts split by the degree pattern
-    for u, v in g.sorted_edges():
-        common = len(adj[u] & adj[v])
-        du, dv = g.degree(u), g.degree(v)
-        if du == dv:
-            expected = mu - 1 + k1 - k2 if du == k1 else mu - 1 + k2 - k1
-        else:
-            expected = mu - 1
-        if common != expected:
-            return None
+    s, p, mu = quadratic
     return TwoEigenvalueParams(
         n=g.n,
-        regular=False,
-        k1=k1,
-        k2=k2,
+        regular=g.is_regular(),
+        k1=g.degree_values[0],
+        k2=g.degree_values[-1],
         mu=mu,
-        mu_bar=mu_bar,
-        eigenvalue_sum=k1 + k2 + 1,
-        eigenvalue_product=g.n * mu,
+        mu_bar=g.n + mu - s,
+        eigenvalue_sum=s,
+        eigenvalue_product=p,
     )
 
 
@@ -679,17 +673,16 @@ def net_common_neighbors(gs: SignedGraph, u: int, v: int) -> int:
 @dataclass(frozen=True)
 class SignedTwoEigenvalueParams:
     """Parameters of a signed graph whose Laplacian has exactly two distinct
-    eigenvalues.
+    eigenvalues, so that L^2 - s L + p I = 0 with s = eigenvalue_sum and
+    p = eigenvalue_product: net_common_neighbors(u, v) is 0 on non-adjacent
+    pairs and sign(u, v) (deg(u) + deg(v) - s) on edges.
 
-    case "regular": underlying graph is k-regular and there is a constant
-    lam with net_common_neighbors(u,v) = sign(u,v)*lam on edges and 0 on
-    non-adjacent pairs; then eigenvalue_sum = 2k - lam and
-    eigenvalue_product = k*(k - lam - 1).
+    case "regular": the underlying graph is k-regular, lam = 2k - s is the
+    signed count sign(u, v) net_common_neighbors(u, v) on every edge, and
+    p = k (k - lam - 1).
 
-    case "two_degree": degrees take exactly two values k1 < k2 and
-    net_common_neighbors(u,v) = sign(u,v)*(deg(u)+deg(v)-eigenvalue_sum)
-    on edges and 0 on non-adjacent pairs, with eigenvalue_sum = k1+k2+1
-    and eigenvalue_product = k1*k2.
+    case "two_degree": degrees take exactly two values k1 < k2, with
+    s = k1 + k2 + 1 and p = k1 k2.
     """
 
     n: int
@@ -706,61 +699,25 @@ class SignedTwoEigenvalueParams:
 
 
 def detect_signed_two_eigenvalue(gs: SignedGraph) -> SignedTwoEigenvalueParams | None:
-    """Detect the two-distinct-Laplacian-eigenvalue property of a signed graph.
-
-    Both cases force a quadratic polynomial to annihilate the signed
-    Laplacian, so this combinatorial test is exact: it succeeds iff the
-    signed Laplacian has exactly two distinct eigenvalues.
+    """Parameters if the signed Laplacian has exactly two distinct
+    eigenvalues, else None. A symmetric matrix has two distinct eigenvalues
+    exactly when a monic quadratic annihilates it, and
+    `_laplacian_quadratic` decides that identity with c = 0.
     """
     require_connected(gs, "detect_signed_two_eigenvalue")
-    g = gs.graph
-    if g.n < 2 or not g.edges:
+    quadratic = _laplacian_quadratic(gs)
+    if quadratic is None:
         return None
-    adj = g.adjacency
-
-    if g.is_regular():
-        k = g.degree(1)
-        lam = None
-        for u, v in combinations(g.vertices(), 2):
-            ncn = net_common_neighbors(gs, u, v)
-            if v in adj[u]:
-                value = gs.sign(u, v) * ncn
-                if lam is None:
-                    lam = value
-                elif lam != value:
-                    return None
-            elif ncn != 0:
-                return None
-        return SignedTwoEigenvalueParams(
-            n=g.n,
-            case="regular",
-            k1=k,
-            k2=k,
-            lam=lam,
-            eigenvalue_sum=2 * k - lam,
-            eigenvalue_product=k * (k - lam - 1),
-        )
-
-    degrees = g.degree_values
-    if len(degrees) != 2:
-        return None
-    k1, k2 = degrees
-    total = k1 + k2 + 1
-    for u, v in combinations(g.vertices(), 2):
-        ncn = net_common_neighbors(gs, u, v)
-        if v in adj[u]:
-            if ncn != gs.sign(u, v) * (g.degree(u) + g.degree(v) - total):
-                return None
-        elif ncn != 0:
-            return None
+    s, p, _ = quadratic
+    k1, k2 = gs.graph.degree_values[0], gs.graph.degree_values[-1]
     return SignedTwoEigenvalueParams(
-        n=g.n,
-        case="two_degree",
+        n=gs.n,
+        case="regular" if k1 == k2 else "two_degree",
         k1=k1,
         k2=k2,
-        lam=None,
-        eigenvalue_sum=total,
-        eigenvalue_product=k1 * k2,
+        lam=2 * k1 - s if k1 == k2 else None,
+        eigenvalue_sum=s,
+        eigenvalue_product=p,
     )
 
 

@@ -211,16 +211,6 @@ class Decomposition:
     triangle_vertex: int | None = None
 
 
-def _verify_decomposition(dec: Decomposition) -> None:
-    lap = laplacian(dec.graph)
-    combo = lap.mul_vec(list(dec.coefficients))  # symmetric, so rows == columns
-    want = [dec.order * t for t in dec.target]
-    if combo != want:
-        raise InternalCheckError(
-            f"decomposition identity failed for case {dec.case} at edge {dec.edge}"
-        )
-
-
 def _two_eigenvalue_case(
     g: Graph | SignedGraph,
 ) -> tuple[str, TwoEigenvalueParams | SignedTwoEigenvalueParams]:
@@ -282,19 +272,23 @@ def decomposition(g: Graph | SignedGraph, edge: tuple[int, int]) -> Decompositio
     elif isinstance(g, SignedGraph) and g.sign(a, b) == -1:
         switch_set = frozenset({b})
     work = switch(g, switch_set) if switch_set else g
-    image = laplacian(work).mul_vec(target)
-    dec = Decomposition(
+    lap = laplacian(work)
+    coefficients = [params.eigenvalue_sum * t - x for t, x in zip(target, lap.mul_vec(target))]
+    # lap is symmetric, so combining its rows is multiplying by it
+    if lap.mul_vec(coefficients) != [params.eigenvalue_product * t for t in target]:
+        raise InternalCheckError(
+            f"decomposition identity failed for case {case} at edge {(a, b)}"
+        )
+    return Decomposition(
         case=case,
         graph=work,
         edge=(a, b),
-        coefficients=tuple(params.eigenvalue_sum * t - x for t, x in zip(target, image)),
+        coefficients=tuple(coefficients),
         order=params.eigenvalue_product,
         target=tuple(target),
         switch_set=switch_set,
         triangle_vertex=third,
     )
-    _verify_decomposition(dec)
-    return dec
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +483,14 @@ class SpectralBoundReport:
 
 def verify_spectral_bound(g: Graph | SignedGraph) -> SpectralBoundReport:
     """The group exponent must divide the product of the distinct non-zero
-    Laplacian eigenvalues (an integer for any graph Laplacian)."""
+    Laplacian eigenvalues (an integer for any graph Laplacian). The
+    Laplacian of a single vertex is zero: its group is trivial and the
+    empty product is 1."""
     group = critical_group(g)
-    product = distinct_nonzero_eigenvalue_product(laplacian(g))
+    lap = laplacian(g)
+    if lap.is_zero():
+        return SpectralBoundReport(group.exponent, 1, True)
+    product = distinct_nonzero_eigenvalue_product(lap)
     if product.denominator != 1 or product <= 0:
         raise InternalCheckError(
             f"distinct eigenvalue product {product} should be a positive integer"

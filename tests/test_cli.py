@@ -199,6 +199,17 @@ def test_verify_spectral_bound(capsys):
     assert report["result"]["verdict"] == "pass"
 
 
+def test_verify_spectral_bound_one_vertex(capsys):
+    # trivial group, empty product of eigenvalues
+    code, report, _ = run_json(
+        capsys, "verify", "--family", "complete", "--params", "1", "--check", "spectral-bound"
+    )
+    assert code == 0
+    assert report["result"]["exponent"] == "1"
+    assert report["result"]["distinct_eigenvalue_product"] == "1"
+    assert report["result"]["verdict"] == "pass"
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     # force a failing verdict through a stubbed verifier to exercise exit 1
     real = critgroup.groups.verify_exponent_theorem
@@ -263,6 +274,24 @@ def test_error_exit_codes(capsys, tmp_path):
     code, out, err = run(capsys, "group", "--input", str(path3), "--params", "3")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "--params" in err
+    # files are read through --input only
+    code, out, err = run(capsys, "group", "--family", "signed_from_file")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "unknown family" in err
+    # vertex counts above the limit are rejected before anything is built
+    path4 = tmp_path / "huge.txt"
+    path4.write_text("n 99999999999\n1 2\n")
+    code, out, err = run(capsys, "group", "--input", str(path4))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "line 1" in err
+    for family, params in (
+        ("cycle", "1000000000"),
+        ("paley", "1000000009"),
+        ("complete_multipartite", "600,600"),
+    ):
+        code, out, err = run(capsys, "group", "--family", family, "--params", params)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "limit" in err
 
 
 def test_scan_output(capsys):
@@ -357,3 +386,10 @@ def test_fuzz_exit_codes(capsys, tmp_path):
                 assert code == 0 or (code == 1 and command == "verify"), (text, flags, code)
                 assert out and "elapsed" in err
     assert {0, 2} <= seen
+    # oversized headers, alone or followed by edges
+    for i, count in enumerate((1001, 99999999999, 10**40)):
+        path = tmp_path / f"huge{i}.txt"
+        path.write_text(f"n {count}\n1 2\n" if i % 2 else f"n {count}\n")
+        command, flags = _random_flags(rng, 8)
+        code, out, err = run(capsys, *flags, "--input", str(path))
+        assert code == 2 and out == "" and err.startswith("error:"), (count, flags, err)

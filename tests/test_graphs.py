@@ -4,9 +4,11 @@ import pytest
 
 from critgroup import (
     DisconnectedGraphError,
+    Graph,
     GraphError,
     GraphFormatError,
     StructureError,
+    char_poly,
     clebsch_complement,
     complement,
     complete,
@@ -21,6 +23,7 @@ from critgroup import (
     generate,
     graph_join,
     is_balanced,
+    laplacian,
     make_graph,
     make_signed_graph,
     net_common_neighbors,
@@ -28,10 +31,12 @@ from critgroup import (
     parse_graph,
     petersen,
     signed_complete_unbalanced,
+    squarefree_part,
     star,
     switch,
 )
 from conftest import (
+    connected_atlas,
     signed_c4_one_negative,
     signed_complete_all_negative,
     signed_corpus,
@@ -163,6 +168,45 @@ def test_two_degree_detection():
     assert detect_two_eigenvalue(cycle(6)) is None
     with pytest.raises(StructureError):
         detect_two_eigenvalue(complete(4))
+
+
+def _spectral_quadratic(g):
+    """The square-free part q of the Laplacian characteristic polynomial,
+    zero roots stripped first for an unsigned graph, as coefficients
+    (q0, q1, 1) when it has degree 2, else None."""
+    poly = char_poly(laplacian(g))
+    if isinstance(g, Graph):
+        poly, _ = poly.strip_zero_roots()
+    q = squarefree_part(poly)
+    return q.coeffs if q.degree == 2 else None
+
+
+def test_detection_matches_spectrum():
+    # a detector returns parameters exactly when q has degree 2, and then
+    # q = x^2 - s x + p with s, p the eigenvalue sum and product
+    atlas = connected_atlas(7)
+    for g in atlas:
+        if g.is_complete():
+            continue
+        want = _spectral_quadratic(g)
+        p = detect_two_eigenvalue(g)
+        assert (p and (p.eigenvalue_product, -p.eigenvalue_sum, 1)) == want, g
+        assert (detect_srg(g) is not None) == (want is not None and g.is_regular()), g
+    rng = random.Random(1998)
+    for g in atlas:
+        if g.n > 6:
+            continue
+        edges = g.sorted_edges()
+        if g.n <= 4:
+            signings = range(1 << len(edges))
+        else:
+            signings = [rng.getrandbits(len(edges)) for _ in range(3)]
+        for mask in signings:
+            negative = [e for i, e in enumerate(edges) if mask >> i & 1]
+            gs = make_signed_graph(g.n, edges, negative)
+            p = detect_signed_two_eigenvalue(gs)
+            want = _spectral_quadratic(gs)
+            assert (p and (p.eigenvalue_product, -p.eigenvalue_sum, 1)) == want, gs
 
 
 def test_switch_is_involution_and_preserves_balance_class():
