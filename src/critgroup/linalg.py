@@ -1,7 +1,10 @@
 """Exact integer and rational linear algebra.
 
-Everything here is exact: arbitrary-precision integers and
-fractions.Fraction. No floating point anywhere.
+Everything here is exact: arbitrary-precision integers, fractions.Fraction,
+and residues modulo a prime. Characteristic polynomials come from a
+Hessenberg reduction modulo a Mersenne prime larger than twice the
+coefficient bound, checked against an exact determinant at one point. No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -418,28 +421,93 @@ def squarefree_part(p: Polynomial) -> Polynomial:
     return q.primitive_integer()
 
 
+# Exponents p of the Mersenne primes 2^p - 1 that char_poly computes modulo.
+# They are proven primes, so no primality test is needed; 2^11213 - 1 covers
+# every Laplacian with at most graphs.MAX_VERTICES vertices.
+MERSENNE_EXPONENTS = (61, 89, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423,
+                      9689, 9941, 11213, 19937)
+
+
+def _mersenne_prime(limit: int) -> int:
+    """The smallest Mersenne prime of the table above `limit`."""
+    for p in MERSENNE_EXPONENTS:
+        if 2**p - 1 > limit:
+            return 2**p - 1
+    raise GraphError("characteristic polynomial coefficients exceed the largest modulus")
+
+
+def _hessenberg_char_poly(rows, prime: int) -> list[int]:
+    """Coefficients (low to high) of det(xI - m) modulo `prime`.
+
+    Reduces m to upper Hessenberg form H by similarity transforms over
+    Z/prime (Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 2.2.9), then reads the characteristic polynomials p_r of the
+    leading r x r blocks of H off the recurrence
+    p_r = (x - h_rr) p_{r-1} - sum_i (h_{r,r-1} ... h_{i+1,i}) h_ir p_{i-1}.
+    """
+    n = len(rows)
+    h = [[x % prime for x in row] for row in rows]
+    for j in range(n - 2):
+        k = j + 1
+        pivot = next((i for i in range(k, n) if h[i][j]), None)
+        if pivot is None:
+            continue  # column j is already reduced
+        if pivot != k:
+            h[pivot], h[k] = h[k], h[pivot]
+            for row in h:
+                row[pivot], row[k] = row[k], row[pivot]
+        inverse = pow(h[k][j], -1, prime)
+        pivot_tail = h[k][j:]
+        factors = []
+        for i in range(k + 1, n):
+            u = h[i][j] * inverse % prime
+            if u:
+                row = h[i]
+                h[i] = row[:j] + [(a - u * b) % prime for a, b in zip(row[j:], pivot_tail)]
+                factors.append((i, u))
+        # undo the row operations on the right: column k += u * column i
+        for row in h:
+            row[k] = (row[k] + sum(u * row[i] for i, u in factors)) % prime
+    polys = [[1]]
+    for r in range(n):
+        prev = polys[r]
+        coeffs = [0] + prev
+        coeffs[:r + 1] = [a - h[r][r] * c for a, c in zip(coeffs, prev)]
+        t = 1
+        for i in range(r - 1, -1, -1):
+            t = t * h[i + 1][i] % prime
+            if not t:
+                break
+            f = t * h[i][r] % prime
+            coeffs[:i + 1] = [a - f * c for a, c in zip(coeffs, polys[i])]
+        polys.append([c % prime for c in coeffs])
+    return polys[n]
+
+
 def char_poly(m: IntMatrix) -> Polynomial:
     """Characteristic polynomial det(xI - m), monic with integer
-    coefficients, by the Faddeev-LeVerrier recurrence.
+    coefficients, by Hessenberg reduction modulo one prime.
 
-    For an integer matrix every division in the recurrence is exact, so
-    the computation stays in arbitrary-precision integers.
+    With g = gershgorin_bound(m), every eigenvalue has |lambda| <= g, so the
+    coefficients are at most (1 + g)^n in absolute value and one Mersenne
+    prime P > 2 (1 + g)^n determines them as symmetric residues. The result
+    is checked: monic of degree n, the x^(n-1) coefficient is -trace(m), and
+    p(g + 1) equals det((g + 1) I - m) computed exactly.
     """
     if m.rows != m.cols:
         raise GraphError("characteristic polynomial of a non-square matrix")
     n = m.rows
-    ident = IntMatrix.identity(n)
-    coeffs = [1]  # coefficient of x^n
-    work = m
-    for k in range(1, n + 1):
-        t = work.trace()
-        if t % k:
-            raise InternalCheckError("Faddeev-LeVerrier division was not exact")
-        c = -(t // k)
-        coeffs.append(c)
-        if k < n:
-            work = m @ work.add(ident.scale(c))
-    return Polynomial.make(reversed(coeffs))
+    g = gershgorin_bound(m)
+    prime = _mersenne_prime(2 * (1 + g) ** n)
+    half = prime // 2
+    coeffs = [c - prime if c > half else c for c in _hessenberg_char_poly(m.entries, prime)]
+    poly = Polynomial.make(coeffs)
+    if poly.degree != n or poly.leading() != 1 or coeffs[n - 1] != -m.trace():
+        raise InternalCheckError("characteristic polynomial is not monic with the trace coefficient")
+    x0 = g + 1
+    if poly.evaluate(x0) != determinant(IntMatrix.identity(n).scale(x0).add(m.scale(-1))):
+        raise InternalCheckError(f"characteristic polynomial disagrees with det(xI - m) at x = {x0}")
+    return poly
 
 
 def distinct_nonzero_eigenvalue_product(m: IntMatrix) -> Fraction:
@@ -489,6 +557,6 @@ def integer_roots(p: Polynomial, bound: int) -> tuple[list[tuple[int, int]], Pol
 
 
 def gershgorin_bound(m: IntMatrix) -> int:
-    """Every eigenvalue of a symmetric integer matrix lies within this
-    bound in absolute value."""
+    """Every eigenvalue of a square integer matrix lies within this bound
+    in absolute value: the largest absolute row sum."""
     return max(sum(abs(x) for x in row) for row in m.entries)

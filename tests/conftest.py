@@ -7,6 +7,7 @@ from fractions import Fraction
 from critgroup import (
     Graph,
     IntMatrix,
+    Polynomial,
     clebsch_complement,
     complement,
     complete,
@@ -245,6 +246,24 @@ def smith_order(snf, vector):
         if d:
             order = lcm(order, d // gcd(d, ci))
     return order
+
+
+def faddeev_leverrier(m: IntMatrix) -> Polynomial:
+    """Characteristic polynomial det(xI - m) by the O(n^4) Faddeev-LeVerrier
+    recurrence: with M_1 = m, c_k = -tr(M_k) / k and M_{k+1} = m (M_k + c_k I).
+    For an integer matrix every division is exact."""
+    n = m.rows
+    ident = IntMatrix.identity(n)
+    coeffs = [1]  # coefficient of x^n
+    work = m
+    for k in range(1, n + 1):
+        t = work.trace()
+        assert t % k == 0, "Faddeev-LeVerrier division was not exact"
+        c = -(t // k)
+        coeffs.append(c)
+        if k < n:
+            work = m @ work.add(ident.scale(c))
+    return Polynomial.make(reversed(coeffs))
 
 
 # ---------------------------------------------------------------------------

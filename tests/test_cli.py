@@ -234,6 +234,12 @@ def test_internal_check_exit_code(capsys, monkeypatch):
     )
     assert code == 3 and out == ""
     assert err == "error: internal check failed: stubbed identity failed\n"
+    # a characteristic-polynomial modulus below the coefficient bound wraps
+    # the coefficients, and the one-point certificate fails the command
+    monkeypatch.setattr(critgroup.linalg, "_mersenne_prime", lambda limit: 2 ** 61 - 1)
+    code, out, err = run(capsys, "analyze", "--family", "paley", "--params", "29")
+    assert code == 3 and out == ""
+    assert err.startswith("error: internal check failed: ")
 
 
 def test_error_exit_codes(capsys, tmp_path):

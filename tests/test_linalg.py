@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from critgroup import (
     GraphError,
     IntMatrix,
+    InternalCheckError,
     Polynomial,
     adjugate,
     char_poly,
@@ -15,7 +17,9 @@ from critgroup import (
     gershgorin_bound,
     integer_roots,
     laplacian,
+    linalg,
     make_signed_graph,
+    paley,
     petersen,
     polynomial_gcd,
     signed_complete_unbalanced,
@@ -23,7 +27,12 @@ from critgroup import (
     squarefree_part,
     star,
 )
-from conftest import determinant_divisor_diagonal, random_int_matrix
+from conftest import (
+    connected_atlas,
+    determinant_divisor_diagonal,
+    faddeev_leverrier,
+    random_int_matrix,
+)
 
 
 def test_matrix_construction_and_ops():
@@ -192,13 +201,62 @@ def test_char_poly_goldens():
 
 def test_char_poly_matches_determinant():
     rng = random.Random(11)
-    for _ in range(25):
-        n = rng.randint(1, 5)
+    for _ in range(60):
+        n = rng.randint(1, 8)
         m = random_int_matrix(rng, n, n, bound=5)
         p = char_poly(m)
         # p(0) = det(0*I - M) = (-1)^n det(M)
         assert p.evaluate(0) == (-1) ** n * determinant(m)
         assert p.coeffs[-1] == 1
+        x = rng.randint(-9, 9)
+        assert p.evaluate(x) == determinant(IntMatrix.identity(n).scale(x).add(m.scale(-1)))
+
+
+def test_char_poly_matches_faddeev_leverrier():
+    matrices = [laplacian(g) for g in connected_atlas(7)]
+    rng = random.Random(1984)
+    for _ in range(80):
+        n = rng.randint(1, 8)
+        edges = [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < 0.5]
+        negative = [e for e in edges if rng.random() < 0.5]
+        matrices.append(laplacian(make_signed_graph(n, edges, negative)))
+    for i in range(240):
+        n = i % 8 + 1
+        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        if i % 3 == 1:  # strictly upper triangular: nilpotent
+            rows = [[x if j > r else 0 for j, x in enumerate(row)] for r, row in enumerate(rows)]
+        elif i % 3 == 2:  # last row a combination of the others: singular
+            rows[-1] = [sum(col[:-1]) for col in zip(*rows)]
+        matrices.append(IntMatrix.from_rows(rows))
+    for m in matrices:
+        assert char_poly(m) == faddeev_leverrier(m), m
+
+
+def _power(p, e):
+    result = Polynomial.make([1])
+    for _ in range(e):
+        result = result * p
+    return result
+
+
+@pytest.mark.parametrize("q", [49, 61, 101])
+def test_char_poly_paley_closed_form(q):
+    # a conference graph has Laplacian eigenvalues 0 and (q +- sqrt(q))/2,
+    # each of multiplicity (q - 1)/2
+    quadratic = Polynomial.make([q * (q - 1) // 4, -q, 1])
+    want = Polynomial.make([0, 1]) * _power(quadratic, (q - 1) // 2)
+    assert char_poly(laplacian(paley(q))) == want
+
+
+def test_char_poly_certificate_and_modulus_table(monkeypatch):
+    lap = laplacian(paley(29))
+    with pytest.raises(GraphError):  # beyond the largest modulus
+        char_poly(IntMatrix.from_rows([[2 ** 20000]]))
+    # a modulus below the coefficient bound wraps the coefficients; the
+    # one-point certificate must notice
+    monkeypatch.setattr(linalg, "_mersenne_prime", lambda limit: 2 ** 61 - 1)
+    with pytest.raises(InternalCheckError):
+        char_poly(lap)
 
 
 def test_integer_roots():
