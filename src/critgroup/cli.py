@@ -462,7 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_arguments(p)
     _add_format_argument(p)
     p.add_argument("--mode", choices=("exact", "greedy"), default="exact")
-    p.add_argument("--no-hints", action="store_true", help="disable structural seeds")
+    p.add_argument("--no-hints", action="store_true",
+                   help="disable the structural seeds of greedy mode")
     p.set_defaults(handler=_cmd_orthogonal)
 
     p = sub.add_parser("verify", help="run a theorem verifier")

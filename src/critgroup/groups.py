@@ -2,15 +2,17 @@
 
 The critical group of a connected graph is the torsion part of the integer
 cokernel of its Laplacian; for an unbalanced signed graph the cokernel is
-already finite and is taken whole. Invariant factors come from the Smith
-normal form, orders of cokernel classes from the grounded adjugate.
+already finite and is taken whole. Invariant factors come from a Smith
+diagonal modulo the spectral bound (or the spanning-tree count) of the core
+left by unit-pivot elimination, certified against the determinant of that
+core; orders of cokernel classes come from the grounded adjugate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import gcd
+from math import gcd, isqrt, prod
 
 from .errors import GraphError, InternalCheckError, StructureError
 from .graphs import (
@@ -27,13 +29,16 @@ from .graphs import (
 )
 from .linalg import (
     IntMatrix,
-    SnfResult,
     adjugate,
     determinant,
     distinct_nonzero_eigenvalue_product,
     laplacian,
-    smith_normal_form,
+    smith_diagonal,
+    unit_pivot_core,
 )
+
+# Graphs whose group and grounded adjugate stay cached; one CLI run reads one.
+CACHED_GRAPHS = 8
 
 
 @dataclass(frozen=True)
@@ -67,12 +72,7 @@ class AbelianGroup:
         return not self.invariant_factors
 
 
-@lru_cache(maxsize=None)
-def laplacian_snf(g: Graph | SignedGraph) -> SnfResult:
-    return smith_normal_form(laplacian(g))
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHED_GRAPHS)
 def grounded_adjugate(g: Graph | SignedGraph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(kappa, A) with A = adj(L0) symmetric and kappa = det L0 > 0.
 
@@ -109,39 +109,69 @@ def grounded_potential(g: Graph | SignedGraph, vector) -> tuple[int, list[int]]:
 
 
 def critical_group(g: Graph | SignedGraph) -> AbelianGroup:
-    """Invariant factors of the critical group.
+    """Invariant factors of the critical group: the cokernel of L0, the
+    Laplacian grounded at the last vertex, or the whole signed Laplacian of
+    an unbalanced signed graph (a balanced one, singular, is rejected).
 
-    Unsigned: the Laplacian of a connected graph has corank exactly one;
-    the zero is dropped along with the unit factors. Signed: the group is
-    finite iff the graph is unbalanced, so a singular signed Laplacian is
-    rejected.
+    L0 is eliminated on +-1 pivots (`unit_pivot_core`); kappa = |det| of the
+    core is the group order. The core's Smith diagonal is taken modulo the
+    eigenvalue product p when detection finds L^2 - s L + p I = c J, as
+    p x = L (s - L) x whenever J x = 0, else modulo kappa (`smith_diagonal`).
+    Certificate, else InternalCheckError: the factors form a divisibility
+    chain with product kappa and, modulo p, for each prime q | p exactly
+    |core| - rank_q(core) of them are divisible by q. Cached per graph.
     """
     require_connected(g, "critical_group")
-    diag = laplacian_snf(g).diagonal
-    zeros = sum(1 for d in diag if d == 0)
-    if isinstance(g, SignedGraph):
-        if zeros:
-            raise StructureError(
-                "balanced signed graph: the Laplacian cokernel is infinite"
-            )
-    elif zeros != 1:
-        raise InternalCheckError(
-            f"connected Laplacian should have corank 1, diagonal {diag}"
-        )
-    return AbelianGroup.from_diagonal(diag)
+    return _certified_group(g)
 
 
 def spanning_tree_count(g: Graph) -> int:
-    """Number of spanning trees, as the principal Laplacian cofactor."""
+    """Number of spanning trees: kappa = det L0, read off the cached
+    `critical_group` computation, whose certificate checks that the
+    invariant factors multiply to kappa."""
     require_connected(g, "spanning_tree_count")
-    if g.n == 1:
-        return 1
-    m = laplacian(g)
-    minor = [row[1:] for row in m.entries[1:]]
-    count = determinant(IntMatrix.from_rows(minor))
-    if count <= 0:
-        raise InternalCheckError(f"non-positive spanning tree count {count}")
-    return count
+    return _certified_group(g).order
+
+
+@lru_cache(maxsize=CACHED_GRAPHS)
+def _certified_group(g: Graph | SignedGraph) -> AbelianGroup:
+    lap = laplacian(g)
+    if isinstance(g, Graph):
+        if g.n == 1:
+            return AbelianGroup(())
+        lap = IntMatrix.from_rows(row[:-1] for row in lap.entries[:-1])
+    rows = unit_pivot_core(lap)
+    if not rows:
+        return AbelianGroup(())
+    core = IntMatrix.from_rows(rows)
+    kappa = abs(determinant(core))
+    if not kappa:
+        if isinstance(g, SignedGraph):
+            raise StructureError("balanced signed graph: the Laplacian cokernel is infinite")
+        raise InternalCheckError("grounded Laplacian of a connected graph is singular")
+    try:
+        modulus = _two_eigenvalue_case(g)[1].eigenvalue_product
+        primes = _prime_factors(modulus)
+    except StructureError:
+        modulus, primes = kappa, []
+    diag = smith_diagonal(core, modulus)
+    if prod(diag) != kappa or any(b % a for a, b in zip(diag, diag[1:])):
+        raise InternalCheckError(f"Smith diagonal {diag} is not a chain with product {kappa}")
+    for q in primes:  # q divides as many factors as the rank of the core drops modulo q
+        if sum(1 for d in diag if d % q == 0) != smith_diagonal(core, q).count(q):
+            raise InternalCheckError(f"Smith diagonal {diag} disagrees with the rank modulo {q}")
+    return AbelianGroup.from_diagonal(diag)
+
+
+def _prime_factors(m: int) -> list[int]:
+    """Distinct prime factors of a positive integer, by trial division."""
+    primes = []
+    for q in range(2, isqrt(m) + 1):
+        if m % q == 0:
+            primes.append(q)
+            while m % q == 0:
+                m //= q
+    return primes + [m] if m > 1 else primes
 
 
 # ---------------------------------------------------------------------------
@@ -520,5 +550,4 @@ def subgroup_invariant_factors(group: AbelianGroup, generators) -> AbelianGroup:
         return AbelianGroup(())
     e = group.exponent
     scaled = IntMatrix.from_rows([x * (e // d) for x, d in zip(v, factors)] for v in gens)
-    diag = smith_normal_form(scaled).diagonal
-    return AbelianGroup.from_diagonal(sorted(e // gcd(s, e) for s in diag))
+    return AbelianGroup.from_diagonal(sorted(e // s for s in smith_diagonal(scaled, e)))

@@ -1,14 +1,16 @@
 """Exact integer and rational linear algebra.
 
 Everything here is exact: arbitrary-precision integers, fractions.Fraction,
-and residues modulo a prime. Characteristic polynomials come from a
-Hessenberg reduction modulo a Mersenne prime larger than twice the
-coefficient bound, checked against an exact determinant at one point. No
-floating point anywhere.
+and residues modulo an integer. Smith diagonals come from exact elimination
+on +-1 pivots followed by elimination modulo a multiple of the exponent of
+the cokernel. Characteristic polynomials come from a Hessenberg reduction
+modulo a Mersenne prime larger than twice the coefficient bound, checked
+against an exact determinant at one point. No floating point anywhere.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -49,9 +51,6 @@ class IntMatrix:
     def __getitem__(self, pos: tuple[int, int]) -> int:
         i, j = pos
         return self.entries[i][j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
 
     def transpose(self) -> IntMatrix:
         return IntMatrix(tuple(zip(*self.entries)))
@@ -165,144 +164,113 @@ def adjugate(m: IntMatrix) -> tuple[int, IntMatrix]:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
+# Smith diagonal
 
 
-@dataclass(frozen=True)
-class SnfResult:
-    """U @ matrix @ V == S with U, V unimodular and S diagonal, the diagonal
-    non-negative with each entry dividing the next."""
+def unit_pivot_core(m: IntMatrix) -> list[list[int]]:
+    """The square matrix left after eliminating m on +-1 pivots.
 
-    matrix: IntMatrix
-    U: IntMatrix
-    S: IntMatrix
-    V: IntMatrix
-
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.S[i, i] for i in range(min(self.S.rows, self.S.cols)))
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal if d != 0)
-
-
-def smith_normal_form(m: IntMatrix) -> SnfResult:
-    """Smith normal form with transforms.
-
-    Pivot rule: the smallest non-zero absolute value in the working
-    submatrix, ties broken row-major. Deterministic for a given input.
+    Eliminating row i and column j on a pivot m_ij = +-1 (taking the Schur
+    complement) is a unimodular change of basis on both sides, so the core
+    has the cokernel of m and the same |det|. Rows are sparse dicts; each
+    step takes the unit entry of least Markowitz cost (r - 1)(c - 1), r and
+    c the non-zero counts of its row and column, ties to the least (i, j).
+    The core is empty when every row is eliminated.
     """
-    rows, cols = m.rows, m.cols
-    s = [list(row) for row in m.entries]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i, j):
-        if i != j:
-            s[i], s[j] = s[j], s[i]
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in s:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, factor):
-        # row dst += factor * row src
-        srow, urow = s[src], u[src]
-        sdst, udst = s[dst], u[dst]
-        for j in range(cols):
-            sdst[j] += factor * srow[j]
-        for j in range(rows):
-            udst[j] += factor * urow[j]
-
-    def add_col(dst, src, factor):
-        for row in s:
-            row[dst] += factor * row[src]
-        for row in v:
-            row[dst] += factor * row[src]
-
-    def pivot_to(t):
-        """Move the smallest non-zero |entry| of s[t:][t:] to (t, t)."""
-        best = 0
-        pi = pj = -1
-        for i in range(t, rows):
-            for j in range(t, cols):
-                a = abs(s[i][j])
-                if a and (best == 0 or a < best):
-                    best, pi, pj = a, i, j
-        if best == 0:
-            return False
-        swap_rows(t, pi)
-        swap_cols(t, pj)
-        return True
-
-    limit = min(rows, cols)
-    for t in range(limit):
-        if not pivot_to(t):
+    if m.rows != m.cols:
+        raise GraphError("unit-pivot elimination of a non-square matrix")
+    rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(m.entries)}
+    columns = set(range(m.cols))
+    while True:
+        counts = Counter(j for row in rows.values() for j in row)
+        units = (((len(row) - 1) * (counts[j] - 1), i, j)
+                 for i, row in rows.items() for j, x in row.items() if x in (1, -1))
+        best = min(units, default=None)
+        if best is None:
             break
+        _, i, j = best
+        pivot_row = rows.pop(i)
+        p = pivot_row.pop(j)
+        columns.discard(j)
+        for row in rows.values():
+            f = row.pop(j, 0) * p  # a_rj / p, as p = +-1
+            if not f:
+                continue
+            for c, x in pivot_row.items():
+                v = row.get(c, 0) - f * x
+                if v:
+                    row[c] = v
+                else:
+                    del row[c]
+    order = sorted(columns)
+    return [[row.get(j, 0) for j in order] for row in rows.values()]
+
+
+def smith_diagonal(m: IntMatrix, modulus: int) -> list[int]:
+    """Smith diagonal of m over Z/modulus, as a divisibility chain of
+    divisors of the modulus: entry i is gcd(d_i, modulus) for the integer
+    Smith diagonal d_1 | d_2 | ... of m, so a zero d_i gives the modulus.
+
+    Elimination over Z/M with the first unit as pivot, else the first
+    non-zero entry; gcds are taken only as far as the scan for a unit goes.
+    Column 0 is cleared by row operations (`_clear_column`); when the pivot
+    x does not generate every entry of row 0 (g = gcd(x, M) fails to divide
+    one), the matrix is transposed and cleared again, which lowers g. The
+    pivots give the cokernel as a sum of Z/g_i, sorted into a chain by
+    (a, b) -> (gcd, lcm). Works on rectangular matrices.
+    """
+    if modulus < 1:
+        raise GraphError(f"modulus must be positive, got {modulus}")
+    a = [[x % modulus for x in row] for row in m.entries]
+    size = min(m.rows, m.cols)
+    diag = []
+    while a and a[0]:
+        units = ((i, j) for i, row in enumerate(a) for j, x in enumerate(row)
+                 if x and gcd(x, modulus) == 1)
+        nonzero = ((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x)
+        pivot = next(units, None) or next(nonzero, None)
+        if pivot is None:
+            break
+        i, j = pivot
+        a[0], a[i] = a[i], a[0]
+        for row in a:
+            row[0], row[j] = row[j], row[0]
         while True:
-            # Euclidean elimination of row and column t
-            while True:
-                for i in range(t + 1, rows):
-                    if s[i][t]:
-                        add_row(i, t, -(s[i][t] // s[t][t]))
-                leftover = [i for i in range(t + 1, rows) if s[i][t]]
-                if leftover:
-                    # remainder strictly smaller than the pivot: promote it
-                    i = min(leftover, key=lambda x: abs(s[x][t]))
-                    swap_rows(t, i)
-                    continue
-                for j in range(t + 1, cols):
-                    if s[t][j]:
-                        add_col(j, t, -(s[t][j] // s[t][t]))
-                leftover = [j for j in range(t + 1, cols) if s[t][j]]
-                if leftover:
-                    j = min(leftover, key=lambda x: abs(s[t][x]))
-                    swap_cols(t, j)
-                    continue
+            _clear_column(a, modulus)
+            g = gcd(a[0][0], modulus)
+            if all(x % g == 0 for x in a[0]):
                 break
-            # pivot must divide everything that remains
-            d = s[t][t]
-            offender = None
-            for i in range(t + 1, rows):
-                if any(x % d for x in s[i][t + 1 :]):
-                    offender = i
-                    break
-            if offender is None:
-                break
-            add_row(t, offender, 1)
-        if s[t][t] < 0:
-            for j in range(cols):
-                s[t][j] = -s[t][j]
-            for j in range(rows):
-                u[t][j] = -u[t][j]
-
-    result = SnfResult(
-        matrix=m,
-        U=IntMatrix.from_rows(u),
-        S=IntMatrix.from_rows(s),
-        V=IntMatrix.from_rows(v),
-    )
-    _check_snf(result)
-    return result
+            a = [list(col) for col in zip(*a)]
+        diag.append(g)
+        a = [row[1:] for row in a[1:]]
+    diag += [modulus] * (size - len(diag))
+    for i in range(size):
+        for j in range(i + 1, size):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    return diag
 
 
-def _check_snf(r: SnfResult) -> None:
-    s = r.S
-    diag = r.diagonal
-    for i in range(s.rows):
-        for j in range(s.cols):
-            if i != j and s[i, j] != 0:
-                raise InternalCheckError("SNF result not diagonal")
-    for a, b in zip(diag, diag[1:]):
-        if a < 0 or b < 0 or (a == 0 and b != 0) or (a != 0 and b % a != 0):
-            raise InternalCheckError(f"SNF diagonal {diag} violates the divisibility chain")
-    if (r.U @ r.matrix) @ r.V != s:
-        raise InternalCheckError("SNF transform identity U @ M @ V == S failed")
+def _clear_column(a: list[list[int]], modulus: int) -> None:
+    """Row operations over Z/modulus that zero column 0 below a[0][0] != 0.
+
+    An entry y that g = gcd(a[0][0], M) divides is cleared with y / g times
+    the inverse of a[0][0] / g modulo M / g. One that g does not divide is
+    first reduced against the pivot by Euclidean steps on the integer
+    representatives, each swapping the remainder into the pivot row."""
+    inverse = None
+    for r in range(1, len(a)):
+        if not a[r][0]:
+            continue
+        while a[r][0] % gcd(a[0][0], modulus):
+            q = a[r][0] // a[0][0]
+            a[0], a[r] = [(y - q * x) % modulus for x, y in zip(a[0], a[r])], a[0]
+            inverse = None
+        g = gcd(a[0][0], modulus)
+        if inverse is None:
+            inverse = pow(a[0][0] // g, -1, modulus // g)
+        f = a[r][0] // g * inverse
+        a[r] = [(y - f * x) % modulus for x, y in zip(a[0], a[r])]
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +392,8 @@ def squarefree_part(p: Polynomial) -> Polynomial:
 # Exponents p of the Mersenne primes 2^p - 1 that char_poly computes modulo.
 # They are proven primes, so no primality test is needed; 2^11213 - 1 covers
 # every Laplacian with at most graphs.MAX_VERTICES vertices.
-MERSENNE_EXPONENTS = (61, 89, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423,
-                      9689, 9941, 11213, 19937)
+MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253,
+                      4423, 9689, 9941, 11213, 19937)
 
 
 def _mersenne_prime(limit: int) -> int:

@@ -298,7 +298,7 @@ def _color_bound(candidates: int, masks: list[int]) -> int:
     return len(colors)
 
 
-def _max_orthogonal(masks: list[int], count: int, initial_bound: int) -> list[int]:
+def _max_orthogonal(masks: list[int], count: int) -> list[int]:
     """Lexicographically least maximum clique of the orthogonality graph.
 
     Include-first depth-first search in index order with strict size
@@ -307,7 +307,7 @@ def _max_orthogonal(masks: list[int], count: int, initial_bound: int) -> list[in
     size; popcount and coloring bounds only prune subtrees that cannot
     strictly improve."""
     best: list[int] = []
-    best_size = initial_bound
+    best_size = 0
 
     def dfs(current: list[int], candidates: int) -> None:
         nonlocal best, best_size
@@ -331,15 +331,16 @@ def _max_orthogonal(masks: list[int], count: int, initial_bound: int) -> list[in
             current.pop()
     dfs([], (1 << count) - 1)
     if count and not best:  # without edges the empty set is the maximum
-        raise InternalCheckError("orthogonal search lost its seeded lower bound")
+        raise InternalCheckError("orthogonal search returned no edge of a non-empty graph")
     return best
 
 
 def orthogonal_subset(g: Graph, mode: str = "exact", structural_hints: bool = True) -> OrthogonalSet:
     """Orthogonal edge set: maximum (exact mode, branch and bound over the
     orthogonality graph, lexicographically least among maximums) or maximal
-    (greedy mode, lexicographic scan). Structural hints seed the search with
-    clique matchings, induced matchings, and triangle-chain matchings."""
+    (greedy mode, lexicographic scan). Structural hints seed the greedy scan
+    with clique matchings, induced matchings, and triangle-chain matchings;
+    exact mode builds none, as its result does not depend on a seed."""
     _require_unsigned(g, "orthogonal edge search")
     require_connected(g, "orthogonal_subset")
     if mode not in ("exact", "greedy"):
@@ -352,18 +353,16 @@ def orthogonal_subset(g: Graph, mode: str = "exact", structural_hints: bool = Tr
             if i != j and table[i][j] == 0:
                 masks[i] |= 1 << j
 
-    hint_sets: list[list[int]] = []
-    if structural_hints:
-        hint_sets.extend(_clique_matching_hints(g))
-        hint_sets.append(_induced_matching_hint(g))
-        hint_sets.append(_triangle_chain_hint(g))
-    filtered = [_filter_orthogonal(h, masks) for h in hint_sets]
-    best_hint = max(filtered, key=len, default=[])
-
     if mode == "greedy":
-        chosen = _greedy_orthogonal(masks, count, best_hint)
+        hint_sets: list[list[int]] = []
+        if structural_hints:
+            hint_sets.extend(_clique_matching_hints(g))
+            hint_sets.append(_induced_matching_hint(g))
+            hint_sets.append(_triangle_chain_hint(g))
+        filtered = [_filter_orthogonal(h, masks) for h in hint_sets]
+        chosen = _greedy_orthogonal(masks, count, max(filtered, key=len, default=[]))
     else:
-        chosen = _max_orthogonal(masks, count, initial_bound=max(0, len(best_hint) - 1))
+        chosen = _max_orthogonal(masks, count)
 
     chosen_edges = tuple(edges[i] for i in chosen)
     certificate = tuple(

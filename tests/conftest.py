@@ -2,11 +2,13 @@
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from critgroup import (
     Graph,
     IntMatrix,
+    InternalCheckError,
     Polynomial,
     clebsch_complement,
     complement,
@@ -231,6 +233,144 @@ def determinant_divisor_diagonal(m: IntMatrix):
         previous = running
     diagonal.extend([0] * (bound - len(diagonal)))
     return diagonal
+
+
+@dataclass(frozen=True)
+class SnfResult:
+    """U @ matrix @ V == S with U, V unimodular and S diagonal, the diagonal
+    non-negative with each entry dividing the next."""
+
+    matrix: IntMatrix
+    U: IntMatrix
+    S: IntMatrix
+    V: IntMatrix
+
+    @property
+    def diagonal(self) -> tuple[int, ...]:
+        return tuple(self.S[i, i] for i in range(min(self.S.rows, self.S.cols)))
+
+    @property
+    def rank(self) -> int:
+        return sum(1 for d in self.diagonal if d != 0)
+
+
+def smith_normal_form(m: IntMatrix) -> SnfResult:
+    """Integer Smith normal form with unimodular transforms, checked by
+    U @ m @ V == S and the divisibility chain.
+
+    Pivot rule: the smallest non-zero absolute value in the working
+    submatrix, ties broken row-major. Deterministic for a given input.
+    """
+    rows, cols = m.rows, m.cols
+    s = [list(row) for row in m.entries]
+    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+
+    def swap_rows(i, j):
+        if i != j:
+            s[i], s[j] = s[j], s[i]
+            u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        if i != j:
+            for row in s:
+                row[i], row[j] = row[j], row[i]
+            for row in v:
+                row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, factor):
+        # row dst += factor * row src
+        srow, urow = s[src], u[src]
+        sdst, udst = s[dst], u[dst]
+        for j in range(cols):
+            sdst[j] += factor * srow[j]
+        for j in range(rows):
+            udst[j] += factor * urow[j]
+
+    def add_col(dst, src, factor):
+        for row in s:
+            row[dst] += factor * row[src]
+        for row in v:
+            row[dst] += factor * row[src]
+
+    def pivot_to(t):
+        """Move the smallest non-zero |entry| of s[t:][t:] to (t, t)."""
+        best = 0
+        pi = pj = -1
+        for i in range(t, rows):
+            for j in range(t, cols):
+                a = abs(s[i][j])
+                if a and (best == 0 or a < best):
+                    best, pi, pj = a, i, j
+        if best == 0:
+            return False
+        swap_rows(t, pi)
+        swap_cols(t, pj)
+        return True
+
+    limit = min(rows, cols)
+    for t in range(limit):
+        if not pivot_to(t):
+            break
+        while True:
+            # Euclidean elimination of row and column t
+            while True:
+                for i in range(t + 1, rows):
+                    if s[i][t]:
+                        add_row(i, t, -(s[i][t] // s[t][t]))
+                leftover = [i for i in range(t + 1, rows) if s[i][t]]
+                if leftover:
+                    # remainder strictly smaller than the pivot: promote it
+                    i = min(leftover, key=lambda x: abs(s[x][t]))
+                    swap_rows(t, i)
+                    continue
+                for j in range(t + 1, cols):
+                    if s[t][j]:
+                        add_col(j, t, -(s[t][j] // s[t][t]))
+                leftover = [j for j in range(t + 1, cols) if s[t][j]]
+                if leftover:
+                    j = min(leftover, key=lambda x: abs(s[t][x]))
+                    swap_cols(t, j)
+                    continue
+                break
+            # pivot must divide everything that remains
+            d = s[t][t]
+            offender = None
+            for i in range(t + 1, rows):
+                if any(x % d for x in s[i][t + 1 :]):
+                    offender = i
+                    break
+            if offender is None:
+                break
+            add_row(t, offender, 1)
+        if s[t][t] < 0:
+            for j in range(cols):
+                s[t][j] = -s[t][j]
+            for j in range(rows):
+                u[t][j] = -u[t][j]
+
+    result = SnfResult(
+        matrix=m,
+        U=IntMatrix.from_rows(u),
+        S=IntMatrix.from_rows(s),
+        V=IntMatrix.from_rows(v),
+    )
+    _check_snf(result)
+    return result
+
+
+def _check_snf(r: SnfResult) -> None:
+    s = r.S
+    diag = r.diagonal
+    for i in range(s.rows):
+        for j in range(s.cols):
+            if i != j and s[i, j] != 0:
+                raise InternalCheckError("SNF result not diagonal")
+    for a, b in zip(diag, diag[1:]):
+        if a < 0 or b < 0 or (a == 0 and b != 0) or (a != 0 and b % a != 0):
+            raise InternalCheckError(f"SNF diagonal {diag} violates the divisibility chain")
+    if (r.U @ r.matrix) @ r.V != s:
+        raise InternalCheckError("SNF transform identity U @ M @ V == S failed")
 
 
 def smith_order(snf, vector):

@@ -32,7 +32,6 @@ from critgroup import (
     petersen,
     scan_tight_denominators,
     signed_complete_unbalanced,
-    smith_normal_form,
     squarefree_part,
     subgroup_bound,
     switch,
@@ -49,6 +48,7 @@ from conftest import (
     random_sum_zero_vector,
     signed_complete_all_negative,
     signed_corpus,
+    smith_normal_form,
     spanning_trees_deletion_contraction,
     unsigned_srg_corpus,
     unsigned_two_eigenvalue_corpus,

@@ -240,6 +240,18 @@ def test_internal_check_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, "analyze", "--family", "paley", "--params", "29")
     assert code == 3 and out == ""
     assert err.startswith("error: internal check failed: ")
+    # a structural modulus that does not annihilate the group: theta1 theta2
+    # / 5 on Petersen cuts the 5-parts short, and the group certificate fails
+    groups = critgroup.groups
+    case, params = groups._two_eigenvalue_case(critgroup.petersen())
+    short = dataclasses.replace(params, eigenvalue_product=params.eigenvalue_product // 5)
+    monkeypatch.setattr(groups, "_two_eigenvalue_case", lambda g: (case, short))
+    groups._certified_group.cache_clear()
+    code, out, err = run(capsys, "group", "--family", "petersen")
+    assert code == 3 and out == ""
+    assert err.startswith("error: internal check failed: ")
+    monkeypatch.undo()
+    groups._certified_group.cache_clear()
 
 
 def test_error_exit_codes(capsys, tmp_path):

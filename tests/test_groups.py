@@ -1,12 +1,15 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 
+import critgroup.groups
 from critgroup import (
     AbelianGroup,
     DisconnectedGraphError,
     GraphError,
+    InternalCheckError,
     StructureError,
     clebsch_complement,
     complete,
@@ -29,7 +32,6 @@ from critgroup import (
     paley,
     petersen,
     signed_complete_unbalanced,
-    smith_normal_form,
     spanning_tree_count,
     star,
     subgroup_invariant_factors,
@@ -46,7 +48,9 @@ from conftest import (
     random_connected_graph,
     random_sum_zero_vector,
     signed_corpus,
+    smith_normal_form,
     smith_order,
+    spanning_trees_deletion_contraction,
     unsigned_two_eigenvalue_corpus,
 )
 
@@ -102,6 +106,63 @@ def test_critical_group_order_is_tree_count():
         assert critical_group(g).order == spanning_tree_count(g)
     assert spanning_tree_count(complete(6)) == 6**4
     assert spanning_tree_count(petersen()) == 2000
+
+
+def test_critical_group_matches_smith_oracle():
+    def oracle(g):
+        diag = smith_normal_form(laplacian(g)).diagonal
+        return AbelianGroup.from_diagonal(diag), diag.count(0)
+
+    rng = random.Random(2003)
+    graphs = connected_atlas(7)
+    graphs += [random_connected_graph(rng, rng.randint(8, 16), rng.choice([0.2, 0.5])) for _ in range(40)]
+    for g in graphs:
+        group, zeros = oracle(g)
+        assert zeros == 1
+        assert critical_group(g) == group, g
+        assert spanning_tree_count(g) == group.order
+        if g.n <= 5:
+            assert spanning_tree_count(g) == spanning_trees_deletion_contraction(g.n, g.sorted_edges())
+    signed = [gs for _, gs in signed_corpus()]
+    for g in graphs[-40:] + graphs[::25]:
+        edges = g.sorted_edges()
+        signed.append(make_signed_graph(g.n, edges, [e for e in edges if rng.random() < 0.5]))
+    for gs in signed:
+        group, zeros = oracle(gs)
+        if zeros:
+            with pytest.raises(StructureError):
+                critical_group(gs)
+        else:
+            assert critical_group(gs) == group, gs
+
+
+def test_critical_group_certificate_catches_short_modulus(monkeypatch):
+    # p annihilates the group; p / q for a prime q | p does not, and the
+    # certificate must notice rather than return a smaller group
+    groups = critgroup.groups
+    for g, q in ((petersen(), 2), (petersen(), 5), (paley(13), 13), (signed_corpus()[1][1], 3)):
+        case, params = groups._two_eigenvalue_case(g)
+        short = dataclasses.replace(params, eigenvalue_product=params.eigenvalue_product // q)
+        monkeypatch.setattr(groups, "_two_eigenvalue_case", lambda _, c=case, s=short: (c, s))
+        groups._certified_group.cache_clear()
+        with pytest.raises(InternalCheckError):
+            critical_group(g)
+        monkeypatch.undo()
+    # a chain with the right product but the wrong 5-rank: (2, 2, 10, 50)
+    # for Petersen's (2, 10, 10, 10)
+    real = groups.smith_diagonal
+
+    def wrong_chain(m, modulus):
+        diag = real(m, modulus)
+        return diag[:-3] + [2, 10, 50] if modulus == 10 else diag
+
+    monkeypatch.setattr(groups, "smith_diagonal", wrong_chain)
+    groups._certified_group.cache_clear()
+    with pytest.raises(InternalCheckError, match="rank modulo 5"):
+        critical_group(petersen())
+    monkeypatch.undo()
+    groups._certified_group.cache_clear()
+    assert critical_group(petersen()).invariant_factors == (2, 10, 10, 10)
 
 
 def test_critical_group_requires_connected():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import gcd
 
 import pytest
 
@@ -23,15 +24,17 @@ from critgroup import (
     petersen,
     polynomial_gcd,
     signed_complete_unbalanced,
-    smith_normal_form,
+    smith_diagonal,
     squarefree_part,
     star,
+    unit_pivot_core,
 )
 from conftest import (
     connected_atlas,
     determinant_divisor_diagonal,
     faddeev_leverrier,
     random_int_matrix,
+    smith_normal_form,
 )
 
 
@@ -123,6 +126,43 @@ def test_snf_goldens():
     assert list(res.diagonal) == [2, 2, 156]
     zero = IntMatrix.from_rows([[0, 0], [0, 0]])
     assert list(smith_normal_form(zero).diagonal) == [0, 0]
+
+
+def test_smith_diagonal_matches_determinant_divisors():
+    rng = random.Random(2001)
+    for case in range(500):
+        m = random_int_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), bound=rng.choice([1, 4, 9, 40]))
+        if case % 5 == 0:  # a repeated row: rank below the row count
+            m = IntMatrix.from_rows(m.entries + m.entries[:1])
+        modulus = rng.choice([1, 2, 12, 97, 720, rng.randint(2, 10**6), 3**20 * 2**5])
+        want = [gcd(d, modulus) for d in determinant_divisor_diagonal(m)]
+        assert smith_diagonal(m, modulus) == want, (m, modulus)
+    assert smith_diagonal(IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]), 312) == [2, 2, 156]
+    assert smith_diagonal(IntMatrix.from_rows([[0, 0], [0, 0]]), 6) == [6, 6]
+    with pytest.raises(GraphError):
+        smith_diagonal(IntMatrix.identity(2), 0)
+
+
+def test_unit_pivot_core_keeps_cokernel_and_determinant():
+    def nontrivial(diag):
+        return [d for d in diag if d != 1]
+
+    rng = random.Random(2002)
+    matrices = [random_int_matrix(rng, n, n, bound=2) for n in range(1, 7) for _ in range(30)]
+    matrices += [laplacian(g) for g in (cycle(9), petersen(), signed_complete_unbalanced(6))]
+    for m in matrices:
+        core = unit_pivot_core(m)
+        assert all(x not in (1, -1) for row in core for x in row)
+        if not core:
+            assert abs(determinant(m)) == 1
+            continue
+        core = IntMatrix.from_rows(core)
+        assert abs(determinant(core)) == abs(determinant(m))
+        assert nontrivial(smith_normal_form(core).diagonal) == nontrivial(smith_normal_form(m).diagonal)
+    # Z + Z/5: the full Laplacian of C5 keeps a singular 2 x 2 core
+    assert unit_pivot_core(laplacian(cycle(5))) == [[5, -5], [-5, 5]]
+    with pytest.raises(GraphError):
+        unit_pivot_core(IntMatrix.from_rows([[1, 2, 3]]))
 
 
 def random_positive_definite(rng: random.Random, n: int) -> IntMatrix:
@@ -246,6 +286,19 @@ def test_char_poly_paley_closed_form(q):
     quadratic = Polynomial.make([q * (q - 1) // 4, -q, 1])
     want = Polynomial.make([0, 1]) * _power(quadratic, (q - 1) // 2)
     assert char_poly(laplacian(paley(q))) == want
+
+
+def test_mersenne_exponents_table():
+    # OEIS A000043 from 61 to 19937
+    assert linalg.MERSENNE_EXPONENTS == (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
+                                         4253, 4423, 9689, 9941, 11213, 19937)
+    for p in linalg.MERSENNE_EXPONENTS:
+        if p <= 1279:  # Lucas-Lehmer: 2^p - 1 is prime iff s_(p-2) = 0
+            prime = 2 ** p - 1
+            s = 4
+            for _ in range(p - 2):
+                s = (s * s - 2) % prime
+            assert s == 0, p
 
 
 def test_char_poly_certificate_and_modulus_table(monkeypatch):

@@ -31,6 +31,7 @@ from critgroup import (
     subgroup_invariant_factors,
     verify_tail_heavy,
 )
+import critgroup.pairing
 from critgroup.pairing import _closed_form_params, _pairing_table
 from conftest import random_connected_graph, random_sum_zero_vector, unsigned_srg_corpus
 
@@ -228,6 +229,20 @@ def test_orthogonal_subset_modes_agree_on_exact_maximum():
     assert 1 <= greedy.size <= exact.size
     with pytest.raises(GraphError):
         orthogonal_subset(g, mode="fancy")
+
+
+def test_exact_search_builds_no_hints(monkeypatch):
+    def broken(g):
+        raise AssertionError("exact mode built a structural hint")
+
+    for name in ("_clique_matching_hints", "_induced_matching_hint", "_triangle_chain_hint"):
+        monkeypatch.setattr(critgroup.pairing, name, broken)
+    g = paley(29)
+    res = orthogonal_subset(g)
+    assert res.edges == ((1, 2), (3, 27), (5, 14), (6, 28), (7, 13), (12, 25), (18, 22))
+    report = verify_tail_heavy(g)
+    assert report.passed and report.size == 7
+    assert report.predicted.invariant_factors == (29,) * 6 + (203,)
 
 
 def test_orthogonal_subset_certificate_complete():
