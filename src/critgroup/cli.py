@@ -22,7 +22,6 @@ from .graphs import (
     GENERATOR_FAMILIES,
     Graph,
     SignedGraph,
-    detect_signed_two_eigenvalue,
     detect_srg,
     detect_two_eigenvalue,
     edge_key,
@@ -144,12 +143,12 @@ def _graph_summary(g: Graph | SignedGraph) -> dict:
 
 def _structure_block(g: Graph | SignedGraph) -> dict | None:
     if isinstance(g, SignedGraph):
-        params = detect_signed_two_eigenvalue(g)
+        params = detect_two_eigenvalue(g)
         if params is None:
             return None
         block = {
             "type": "signed_two_eigenvalue",
-            "case": params.case,
+            "case": "regular" if params.regular else "two_degree",
             "eigenvalue_sum": _jint(params.eigenvalue_sum),
             "eigenvalue_product": _jint(params.eigenvalue_product),
         }

@@ -493,7 +493,7 @@ class SrgParameters:
         return self.n * self.mu
 
 
-def _laplacian_quadratic(g: Graph | SignedGraph) -> tuple[int, int, int | None] | None:
+def _laplacian_quadratic(g: Graph | SignedGraph) -> tuple[int, int, int] | None:
     """(s, p, c) with L^2 - s L + p I = c J entrywise, L the (signed)
     Laplacian of the connected graph g, or None when no such identity holds
     or g has no edge.
@@ -505,9 +505,8 @@ def _laplacian_quadratic(g: Graph | SignedGraph) -> tuple[int, int, int | None] 
     s = t + c), and when every degree d gives the same p = c - d^2 - d + s d.
     The last follows from the first two on a connected graph: they make
     L^2 - s L - c J diagonal, and L commutes with it, so its diagonal is
-    constant along every edge. A signed graph needs c = 0. An unsigned graph
-    with every pair adjacent fits every c; c is then None and s, p are
-    those of c = 0.
+    constant along every edge. A signed graph needs c = 0. An unsigned
+    complete graph fits every c, so callers handle it first.
     """
     signed = isinstance(g, SignedGraph)
     base = g.graph if signed else g
@@ -535,80 +534,84 @@ def _laplacian_quadratic(g: Graph | SignedGraph) -> tuple[int, int, int | None] 
             return None
     if t is None:
         return None
-    s = t + (c or 0)
+    s = t + c
     d = base.degree_values[0]
-    return s, (c or 0) - d * d - d + s * d, c
-
-
-def detect_srg(g: Graph) -> SrgParameters | None:
-    """Parameters (n, k, lam, mu) if g is strongly regular, else None.
-
-    A connected k-regular graph is strongly regular exactly when its
-    Laplacian satisfies L^2 - s L + p I = mu J (`_laplacian_quadratic`);
-    then lam = 2k - s + mu. Complete graphs give mu = 0.
-    """
-    require_connected(g, "detect_srg")
-    if not g.is_regular():
-        return None
-    quadratic = _laplacian_quadratic(g)
-    if quadratic is None:
-        return None
-    s, _, mu = quadratic
-    mu = mu or 0
-    k = g.degree(1)
-    return SrgParameters(g.n, k, 2 * k - s + mu, mu)
+    return s, c - d * d - d + s * d, c
 
 
 @dataclass(frozen=True)
 class TwoEigenvalueParams:
     """Parameters of a connected graph whose Laplacian has exactly two
-    distinct non-zero eigenvalues theta1, theta2.
-
-    Such a graph is one whose Laplacian satisfies
+    distinct non-zero eigenvalues theta1, theta2 (exactly two distinct
+    eigenvalues for a signed graph), that is, whose Laplacian satisfies
 
         (L - theta1)(L - theta2) = L^2 - s L + p I = mu J
 
-    (van Dam and Haemers): every non-adjacent pair has mu common
-    neighbours, every adjacent pair has mu_bar = n + mu - s common
-    non-neighbours, eigenvalue_sum = s = theta1 + theta2 and
-    eigenvalue_product = p = theta1 theta2 = n mu. regular=True is the
-    strongly regular case (k1 == k2). Otherwise the degrees take exactly
-    the two values k1 < k2, and s = k1 + k2 + 1.
+    (van Dam and Haemers), mu = 0 for a signed graph: s = eigenvalue_sum,
+    p = eigenvalue_product. Non-adjacent pairs have mu common neighbours
+    (net signed count when signed); adjacent pairs of an unsigned graph have
+    mu_bar = n + mu - s common non-neighbours. Degrees are k1 <= k2, with
+    s = k1 + k2 + 1 when they differ and lam = 2k - s + mu, the (signed)
+    common-neighbour count on every edge, when they agree. case is srg,
+    two_degree, signed_regular, signed_complete or signed_two_degree.
     """
 
     n: int
-    regular: bool
+    case: str
     k1: int
     k2: int
     mu: int
-    mu_bar: int
     eigenvalue_sum: int
     eigenvalue_product: int
 
+    @property
+    def regular(self) -> bool:
+        return self.k1 == self.k2
 
-def detect_two_eigenvalue(g: Graph) -> TwoEigenvalueParams | None:
+    @property
+    def lam(self) -> int | None:
+        return 2 * self.k1 - self.eigenvalue_sum + self.mu if self.regular else None
+
+    @property
+    def mu_bar(self) -> int:
+        return self.n + self.mu - self.eigenvalue_sum
+
+
+def detect_two_eigenvalue(g: Graph | SignedGraph) -> TwoEigenvalueParams | None:
     """Parameters if the Laplacian of g has exactly two distinct non-zero
-    eigenvalues, else None: the identity L^2 - s L + p I = mu J of
-    `_laplacian_quadratic`, which for a regular graph says strongly
-    regular. Complete graphs, with a single non-zero eigenvalue, raise.
+    eigenvalues (exactly two distinct eigenvalues for a signed graph), else
+    None: the identity L^2 - s L + p I = mu J of `_laplacian_quadratic`,
+    which for a regular graph says strongly regular. Unsigned complete
+    graphs, with a single non-zero eigenvalue, raise.
     """
     require_connected(g, "detect_two_eigenvalue")
-    if g.is_complete():
+    signed = isinstance(g, SignedGraph)
+    base = g.graph if signed else g
+    if not signed and g.is_complete():
         raise StructureError("complete graphs have a single non-zero eigenvalue")
     quadratic = _laplacian_quadratic(g)
     if quadratic is None:
         return None
     s, p, mu = quadratic
-    return TwoEigenvalueParams(
-        n=g.n,
-        regular=g.is_regular(),
-        k1=g.degree_values[0],
-        k2=g.degree_values[-1],
-        mu=mu,
-        mu_bar=g.n + mu - s,
-        eigenvalue_sum=s,
-        eigenvalue_product=p,
-    )
+    k1, k2 = base.degree_values[0], base.degree_values[-1]
+    if not signed:
+        case = "srg" if k1 == k2 else "two_degree"
+    elif k1 != k2:
+        case = "signed_two_degree"
+    else:
+        case = "signed_complete" if base.is_complete() else "signed_regular"
+    return TwoEigenvalueParams(g.n, case, k1, k2, mu, s, p)
+
+
+def detect_srg(g: Graph) -> SrgParameters | None:
+    """Parameters (n, k, lam, mu) if g is strongly regular, else None: the
+    regular case of `detect_two_eigenvalue`, and complete graphs on two or
+    more vertices as (n, n-1, n-2, 0)."""
+    require_connected(g, "detect_srg")
+    if g.is_complete():
+        return SrgParameters(g.n, g.n - 1, g.n - 2, 0) if g.n > 1 else None
+    params = detect_two_eigenvalue(g) if g.is_regular() else None
+    return None if params is None else SrgParameters(g.n, params.k1, params.lam, params.mu)
 
 
 # ---------------------------------------------------------------------------
@@ -668,57 +671,6 @@ def net_common_neighbors(gs: SignedGraph, u: int, v: int) -> int:
         raise GraphError("net common neighbors needs two distinct vertices")
     adj = gs.graph.adjacency
     return sum(gs.sign(u, w) * gs.sign(w, v) for w in adj[u] & adj[v])
-
-
-@dataclass(frozen=True)
-class SignedTwoEigenvalueParams:
-    """Parameters of a signed graph whose Laplacian has exactly two distinct
-    eigenvalues, so that L^2 - s L + p I = 0 with s = eigenvalue_sum and
-    p = eigenvalue_product: net_common_neighbors(u, v) is 0 on non-adjacent
-    pairs and sign(u, v) (deg(u) + deg(v) - s) on edges.
-
-    case "regular": the underlying graph is k-regular, lam = 2k - s is the
-    signed count sign(u, v) net_common_neighbors(u, v) on every edge, and
-    p = k (k - lam - 1).
-
-    case "two_degree": degrees take exactly two values k1 < k2, with
-    s = k1 + k2 + 1 and p = k1 k2.
-    """
-
-    n: int
-    case: str
-    k1: int
-    k2: int
-    lam: int | None
-    eigenvalue_sum: int
-    eigenvalue_product: int
-
-    @property
-    def regular(self) -> bool:
-        return self.case == "regular"
-
-
-def detect_signed_two_eigenvalue(gs: SignedGraph) -> SignedTwoEigenvalueParams | None:
-    """Parameters if the signed Laplacian has exactly two distinct
-    eigenvalues, else None. A symmetric matrix has two distinct eigenvalues
-    exactly when a monic quadratic annihilates it, and
-    `_laplacian_quadratic` decides that identity with c = 0.
-    """
-    require_connected(gs, "detect_signed_two_eigenvalue")
-    quadratic = _laplacian_quadratic(gs)
-    if quadratic is None:
-        return None
-    s, p, _ = quadratic
-    k1, k2 = gs.graph.degree_values[0], gs.graph.degree_values[-1]
-    return SignedTwoEigenvalueParams(
-        n=gs.n,
-        case="regular" if k1 == k2 else "two_degree",
-        k1=k1,
-        k2=k2,
-        lam=2 * k1 - s if k1 == k2 else None,
-        eigenvalue_sum=s,
-        eigenvalue_product=p,
-    )
 
 
 @dataclass(frozen=True)

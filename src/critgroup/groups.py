@@ -18,9 +18,7 @@ from .errors import GraphError, InternalCheckError, StructureError
 from .graphs import (
     Graph,
     SignedGraph,
-    SignedTwoEigenvalueParams,
     TwoEigenvalueParams,
-    detect_signed_two_eigenvalue,
     detect_two_eigenvalue,
     edge_key,
     odd_triangle_switch,
@@ -72,6 +70,16 @@ class AbelianGroup:
         return not self.invariant_factors
 
 
+def _grounded_laplacian(g: Graph | SignedGraph) -> IntMatrix | None:
+    """L0: the Laplacian without the last vertex's row and column for an
+    unsigned graph (None for one vertex, whose group is trivial), the whole
+    signed Laplacian for a signed graph."""
+    lap = laplacian(g)
+    if isinstance(g, SignedGraph):
+        return lap
+    return IntMatrix.from_rows(row[:-1] for row in lap.entries[:-1]) if g.n > 1 else None
+
+
 @lru_cache(maxsize=CACHED_GRAPHS)
 def grounded_adjugate(g: Graph | SignedGraph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(kappa, A) with A = adj(L0) symmetric and kappa = det L0 > 0.
@@ -81,11 +89,9 @@ def grounded_adjugate(g: Graph | SignedGraph) -> tuple[int, tuple[tuple[int, ...
     whole signed Laplacian, rejected when balanced, for a signed graph.
     """
     require_connected(g, "grounded_adjugate")
-    lap = laplacian(g)
-    if isinstance(g, Graph):
-        if g.n == 1:
-            return 1, ()
-        lap = IntMatrix.from_rows(row[:-1] for row in lap.entries[:-1])
+    lap = _grounded_laplacian(g)
+    if lap is None:
+        return 1, ()
     try:
         kappa, adj = adjugate(lap)
     except GraphError:  # a zero pivot: the signed Laplacian is singular
@@ -125,21 +131,21 @@ def critical_group(g: Graph | SignedGraph) -> AbelianGroup:
     return _certified_group(g)
 
 
-def spanning_tree_count(g: Graph) -> int:
-    """Number of spanning trees: kappa = det L0, read off the cached
-    `critical_group` computation, whose certificate checks that the
-    invariant factors multiply to kappa."""
-    require_connected(g, "spanning_tree_count")
-    return _certified_group(g).order
+def spanning_tree_count(g: Graph | SignedGraph) -> int:
+    """Number of spanning trees of g, or of the underlying graph of a
+    signed graph: kappa = det L0, read off the cached `critical_group`
+    computation, whose certificate checks that the invariant factors
+    multiply to kappa."""
+    base = g.graph if isinstance(g, SignedGraph) else g
+    require_connected(base, "spanning_tree_count")
+    return _certified_group(base).order
 
 
 @lru_cache(maxsize=CACHED_GRAPHS)
 def _certified_group(g: Graph | SignedGraph) -> AbelianGroup:
-    lap = laplacian(g)
-    if isinstance(g, Graph):
-        if g.n == 1:
-            return AbelianGroup(())
-        lap = IntMatrix.from_rows(row[:-1] for row in lap.entries[:-1])
+    lap = _grounded_laplacian(g)
+    if lap is None:
+        return AbelianGroup(())
     rows = unit_pivot_core(lap)
     if not rows:
         return AbelianGroup(())
@@ -150,7 +156,7 @@ def _certified_group(g: Graph | SignedGraph) -> AbelianGroup:
             raise StructureError("balanced signed graph: the Laplacian cokernel is infinite")
         raise InternalCheckError("grounded Laplacian of a connected graph is singular")
     try:
-        modulus = _two_eigenvalue_case(g)[1].eigenvalue_product
+        modulus = _two_eigenvalue_params(g).eigenvalue_product
         primes = _prime_factors(modulus)
     except StructureError:
         modulus, primes = kappa, []
@@ -241,22 +247,13 @@ class Decomposition:
     triangle_vertex: int | None = None
 
 
-def _two_eigenvalue_case(
-    g: Graph | SignedGraph,
-) -> tuple[str, TwoEigenvalueParams | SignedTwoEigenvalueParams]:
-    """The case name shared by decompositions and exponent reports, with
-    the two-eigenvalue parameters of g."""
-    if isinstance(g, SignedGraph):
-        params = detect_signed_two_eigenvalue(g)
-        if params is None:
-            raise StructureError("signed graph lacks the two-eigenvalue structure")
-        if not params.regular:
-            return "signed_two_degree", params
-        return ("signed_complete" if g.graph.is_complete() else "signed_regular"), params
+def _two_eigenvalue_params(g: Graph | SignedGraph) -> TwoEigenvalueParams:
+    """The two-eigenvalue parameters of g; StructureError when it has none."""
     params = detect_two_eigenvalue(g)
     if params is None:
-        raise StructureError("graph lacks the two-eigenvalue structure")
-    return ("srg" if params.regular else "two_degree"), params
+        what = "signed graph" if isinstance(g, SignedGraph) else "graph"
+        raise StructureError(f"{what} lacks the two-eigenvalue structure")
+    return params
 
 
 def decomposition(g: Graph | SignedGraph, edge: tuple[int, int]) -> Decomposition:
@@ -277,7 +274,8 @@ def decomposition(g: Graph | SignedGraph, edge: tuple[int, int]) -> Decompositio
     base = g.graph if isinstance(g, SignedGraph) else g
     if (a, b) not in base.edges:
         raise GraphError(f"({u},{v}) is not an edge")
-    case, params = _two_eigenvalue_case(g)
+    params = _two_eigenvalue_params(g)
+    case = params.case
     if not params.regular:
         if base.degree(a) == base.degree(b):
             raise StructureError("decomposition needs an edge joining the two degree classes")
@@ -456,7 +454,7 @@ def verify_exponent_theorem(g: Graph | SignedGraph) -> ExponentReport:
     """Check that the critical group exponent equals the product of the two
     distinct non-zero Laplacian eigenvalues, with the two unsigned
     exceptional families expecting their adjusted values instead."""
-    kind, params = _two_eigenvalue_case(g)
+    params = _two_eigenvalue_params(g)
     group = critical_group(g)  # rejects balanced signed graphs
     bound = params.eigenvalue_product
     classification, expected = "match", bound
@@ -476,7 +474,7 @@ def verify_exponent_theorem(g: Graph | SignedGraph) -> ExponentReport:
     # is the first edge achieving the exponent, if any does
     achieved = ("edge_difference", max_edge) if max_order == group.exponent else None
     half_even = None
-    if kind == "signed_complete":
+    if params.case == "signed_complete":
         # edge classes have order at most 2 here; the order bound for e_u
         # comes from averaging three edge identities, which needs bound/2
         # to be integral
@@ -487,7 +485,7 @@ def verify_exponent_theorem(g: Graph | SignedGraph) -> ExponentReport:
             None,
         )
     return ExponentReport(
-        kind=kind,
+        kind=params.case,
         classification=classification,
         spectral_bound=bound,
         expected_exponent=expected,

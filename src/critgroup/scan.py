@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from math import isqrt
 
 from .errors import GraphError
-from .graphs import SrgParameters
+from .graphs import MAX_VERTICES, SrgParameters
 from .pairing import self_pairing_denominator
 
 # Parameter tuples with denominator equal to the full bound whose graphs are
@@ -79,9 +79,12 @@ def _multiplicities(n: int, k: int, lam: int, mu: int) -> tuple[tuple[int, int],
 def enumerate_feasible(n_max: int) -> list[FeasibleTuple]:
     """All arithmetically feasible primitive tuples with n <= n_max, sorted
     by (n, k, lam). Primitive means connected and co-connected:
-    2 <= k <= n-2 and 1 <= mu <= k."""
+    2 <= k <= n-2 and 1 <= mu <= k. The work grows as n_max^3, so n_max
+    is capped at MAX_VERTICES, the limit on any graph."""
     if n_max < 5:
         raise GraphError(f"need n_max >= 5, got {n_max}")
+    if n_max > MAX_VERTICES:
+        raise GraphError(f"n_max {n_max} exceeds the limit of {MAX_VERTICES}")
     out = []
     for n in range(5, n_max + 1):
         for k in range(2, n - 1):

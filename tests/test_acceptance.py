@@ -20,8 +20,8 @@ from critgroup import (
     critical_group,
     cycle,
     decomposition,
-    detect_signed_two_eigenvalue,
     detect_srg,
+    detect_two_eigenvalue,
     determinant,
     edge_pairing_closed_form,
     is_balanced,
@@ -181,7 +181,7 @@ def test_criterion_3_signed_exponent_theorem():
         if prod is None:
             continue
         hits += 1
-        if detect_signed_two_eigenvalue(gs) is None:
+        if detect_two_eigenvalue(gs) is None:
             failures.append((name, trial, "detection disagrees with filter"))
             continue
         r = verify_exponent_theorem(gs)

@@ -1,11 +1,18 @@
 import dataclasses
 import itertools
 import json
+import pathlib
 import random
 
 import critgroup.cli as cli
 import critgroup.groups
-from critgroup import InternalCheckError
+from critgroup import InternalCheckError, SignedGraph, format_graph, petersen
+from conftest import signed_corpus, unsigned_two_eigenvalue_corpus
+
+# analyze stdout for the two-eigenvalue corpora, each graph read from
+# <name>.txt in the working directory, recorded before the unsigned and
+# signed detectors were merged into one
+ANALYZE_GOLDENS = pathlib.Path(__file__).with_name("analyze_goldens.json")
 
 
 def run(capsys, *argv):
@@ -75,6 +82,32 @@ def test_analyze_signed_structure(capsys, tmp_path):
     assert structure["eigenvalue_product"] == "4"
     assert report["result"]["group"]["invariant_factors"] == ["4"]
     assert "spanning_trees" not in report["result"]["group"]
+
+
+def test_analyze_two_eigenvalue_goldens(capsys, tmp_path, monkeypatch):
+    goldens = json.loads(ANALYZE_GOLDENS.read_text(encoding="utf-8"))
+    corpus = unsigned_two_eigenvalue_corpus() + signed_corpus()
+    assert sorted(goldens) == sorted(name for name, _ in corpus)
+    monkeypatch.chdir(tmp_path)
+    for name, g in corpus:
+        path = f"{name}.txt"
+        (tmp_path / path).write_text(format_graph(g))
+        code, out, _ = run(capsys, "analyze", "--input", path)
+        assert code == 0 and out == goldens[name], name
+
+
+def test_all_positive_file_is_a_balanced_signed_graph(capsys, tmp_path):
+    # a sign token on any edge makes a signed graph, even with no "-" edge
+    path = tmp_path / "positive.txt"
+    path.write_text(format_graph(SignedGraph(petersen(), frozenset())))
+    code, report, _ = run_json(capsys, "analyze", "--input", str(path))
+    assert code == 0
+    assert report["result"]["graph"]["signed"] is True
+    assert report["result"]["graph"]["balanced"] is True
+    assert report["result"]["group"] is None
+    code, out, err = run(capsys, "group", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "balanced" in err
 
 
 def test_analyze_balanced_signed_group_note(capsys, tmp_path):
@@ -243,9 +276,9 @@ def test_internal_check_exit_code(capsys, monkeypatch):
     # a structural modulus that does not annihilate the group: theta1 theta2
     # / 5 on Petersen cuts the 5-parts short, and the group certificate fails
     groups = critgroup.groups
-    case, params = groups._two_eigenvalue_case(critgroup.petersen())
+    params = groups._two_eigenvalue_params(critgroup.petersen())
     short = dataclasses.replace(params, eigenvalue_product=params.eigenvalue_product // 5)
-    monkeypatch.setattr(groups, "_two_eigenvalue_case", lambda g: (case, short))
+    monkeypatch.setattr(groups, "_two_eigenvalue_params", lambda g: short)
     groups._certified_group.cache_clear()
     code, out, err = run(capsys, "group", "--family", "petersen")
     assert code == 3 and out == ""
@@ -323,6 +356,13 @@ def test_scan_output(capsys):
     assert by_tuple[(15, 6, 1, 3)]["needs_review"] is True
     assert "note" in report["result"]
     assert report["result"]["full_enumeration"] is False
+
+
+def test_scan_nmax_limit(capsys):
+    for nmax in ("1001", "100000"):
+        code, out, err = run(capsys, "scan", "--nmax", nmax)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "limit of 1000" in err
 
 
 def test_scan_full_listing(capsys):

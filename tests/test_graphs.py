@@ -7,6 +7,7 @@ from critgroup import (
     Graph,
     GraphError,
     GraphFormatError,
+    SignedGraph,
     StructureError,
     char_poly,
     clebsch_complement,
@@ -14,7 +15,6 @@ from critgroup import (
     complete,
     complete_multipartite,
     cycle,
-    detect_signed_two_eigenvalue,
     detect_srg,
     detect_two_eigenvalue,
     disjoint_union,
@@ -42,6 +42,7 @@ from conftest import (
     signed_corpus,
     signed_k6_pentagon,
     signed_two_degree_hexad,
+    unsigned_two_eigenvalue_corpus,
 )
 
 
@@ -204,7 +205,7 @@ def test_detection_matches_spectrum():
         for mask in signings:
             negative = [e for i, e in enumerate(edges) if mask >> i & 1]
             gs = make_signed_graph(g.n, edges, negative)
-            p = detect_signed_two_eigenvalue(gs)
+            p = detect_two_eigenvalue(gs)
             want = _spectral_quadratic(gs)
             assert (p and (p.eigenvalue_product, -p.eigenvalue_sum, 1)) == want, gs
 
@@ -246,24 +247,66 @@ def test_net_common_neighbors_hand_values():
 
 def test_signed_two_eigenvalue_detection_corpus():
     for name, gs in signed_corpus():
-        p = detect_signed_two_eigenvalue(gs)
+        p = detect_two_eigenvalue(gs)
         assert p is not None, name
         if name == "two_degree_hexad":
-            assert p.case == "two_degree"
+            assert p.case == "signed_two_degree"
             assert (p.k1, p.k2) == (3, 4)
             assert p.eigenvalue_product == 12
         else:
-            assert p.case == "regular"
-    assert detect_signed_two_eigenvalue(signed_k6_pentagon()).lam == 0
-    assert detect_signed_two_eigenvalue(signed_c4_one_negative()).eigenvalue_product == 2
+            assert p.case == ("signed_complete" if gs.graph.is_complete() else "signed_regular")
+    assert detect_two_eigenvalue(signed_k6_pentagon()).lam == 0
+    assert detect_two_eigenvalue(signed_c4_one_negative()).eigenvalue_product == 2
+
+
+def test_two_eigenvalue_record_fields():
+    # (case, k1, k2, mu, lam, s, p) for each graph of the two-eigenvalue
+    # corpora, recorded before the unsigned and signed records were merged
+    want = {
+        "paley5": ("srg", 2, 2, 1, 0, 5, 5),
+        "paley9": ("srg", 4, 4, 2, 1, 9, 18),
+        "paley13": ("srg", 6, 6, 3, 2, 13, 39),
+        "petersen": ("srg", 3, 3, 1, 0, 7, 10),
+        "clebsch_complement": ("srg", 10, 10, 6, 6, 20, 96),
+        "triangular_t5": ("srg", 6, 6, 4, 3, 13, 40),
+        "K2x2": ("srg", 2, 2, 2, 0, 6, 8),
+        "K3x3": ("srg", 3, 3, 3, 0, 9, 18),
+        "K4x4": ("srg", 4, 4, 4, 0, 12, 32),
+        "K2x2x2": ("srg", 4, 4, 4, 2, 10, 24),
+        "K3x3x3": ("srg", 6, 6, 6, 3, 15, 54),
+        "star2": ("two_degree", 1, 2, 1, None, 4, 3),
+        "star3": ("two_degree", 1, 3, 1, None, 5, 4),
+        "star4": ("two_degree", 1, 4, 1, None, 6, 5),
+        "star5": ("two_degree", 1, 5, 1, None, 7, 6),
+        "wheel_w4": ("two_degree", 3, 4, 3, None, 8, 15),
+        "split_2_3": ("two_degree", 2, 4, 2, None, 7, 10),
+        "join_K2_K2x2": ("two_degree", 4, 5, 4, None, 10, 24),
+        "unbalanced_K3": ("signed_complete", 2, 2, 0, -1, 5, 4),
+        "all_negative_K4": ("signed_complete", 3, 3, 0, -2, 8, 12),
+        "all_negative_K4_switched": ("signed_complete", 3, 3, 0, -2, 8, 12),
+        "all_negative_K5": ("signed_complete", 4, 4, 0, -3, 11, 24),
+        "all_negative_K6": ("signed_complete", 5, 5, 0, -4, 14, 40),
+        "K6_pentagon_signing": ("signed_complete", 5, 5, 0, 0, 10, 20),
+        "C4_one_negative": ("signed_regular", 2, 2, 0, 0, 4, 2),
+        "octahedron_signing": ("signed_regular", 4, 4, 0, 0, 8, 12),
+        "two_degree_hexad": ("signed_two_degree", 3, 4, 0, None, 8, 12),
+    }
+    corpus = unsigned_two_eigenvalue_corpus() + signed_corpus()
+    assert sorted(want) == sorted(name for name, _ in corpus)
+    for name, g in corpus:
+        p = detect_two_eigenvalue(g)
+        got = (p.case, p.k1, p.k2, p.mu, p.lam, p.eigenvalue_sum, p.eigenvalue_product)
+        assert got == want[name], name
+        assert p.n == g.n and p.regular == (p.k1 == p.k2), name
+        assert p.mu_bar == g.n + p.mu - p.eigenvalue_sum, name
 
 
 def test_signed_two_eigenvalue_detection_rejects():
     edges = complete(4).sorted_edges()
     one_neg = make_signed_graph(4, edges, [(1, 2)])
-    assert detect_signed_two_eigenvalue(one_neg) is None
+    assert detect_two_eigenvalue(one_neg) is None
     path = make_signed_graph(3, [(1, 2), (2, 3)], [(1, 2)])
-    assert detect_signed_two_eigenvalue(path) is None
+    assert detect_two_eigenvalue(path) is None
 
 
 def test_find_unbalanced_triangle():
@@ -317,6 +360,16 @@ def test_format_parse_round_trip_signed():
         text = format_graph(gs)
         back = parse_graph(text)
         assert back == gs, name
+
+
+def test_format_parse_round_trip_all_positive_signed():
+    # every edge carries a "+": the file parses back as a signed graph
+    gs = SignedGraph(petersen(), frozenset())
+    text = format_graph(gs)
+    assert all(line.endswith(" +") for line in text.splitlines()[1:])
+    back = parse_graph(text)
+    assert isinstance(back, SignedGraph) and back == gs
+    assert is_balanced(back).balanced
 
 
 def test_parse_graph_comments_and_blanks():

@@ -18,7 +18,6 @@ from critgroup import (
     critical_group,
     cycle,
     decomposition,
-    detect_signed_two_eigenvalue,
     detect_srg,
     detect_two_eigenvalue,
     edge_difference,
@@ -108,6 +107,19 @@ def test_critical_group_order_is_tree_count():
     assert spanning_tree_count(petersen()) == 2000
 
 
+def test_spanning_tree_count_of_signed_graph_counts_underlying_trees():
+    # signs do not change which edge sets are spanning trees, not even on a
+    # balanced signing, whose signed Laplacian is singular
+    assert spanning_tree_count(signed_complete_unbalanced(4)) == 16
+    balanced = make_signed_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)], [(1, 2), (2, 3)])
+    assert spanning_tree_count(balanced) == 4
+    for name, gs in signed_corpus():
+        want = spanning_trees_deletion_contraction(gs.n, gs.sorted_edges())
+        assert spanning_tree_count(gs) == want, name
+    with pytest.raises(DisconnectedGraphError):
+        spanning_tree_count(make_signed_graph(4, [(1, 2), (3, 4)], [(1, 2)]))
+
+
 def test_critical_group_matches_smith_oracle():
     def oracle(g):
         diag = smith_normal_form(laplacian(g)).diagonal
@@ -141,9 +153,9 @@ def test_critical_group_certificate_catches_short_modulus(monkeypatch):
     # certificate must notice rather than return a smaller group
     groups = critgroup.groups
     for g, q in ((petersen(), 2), (petersen(), 5), (paley(13), 13), (signed_corpus()[1][1], 3)):
-        case, params = groups._two_eigenvalue_case(g)
+        params = groups._two_eigenvalue_params(g)
         short = dataclasses.replace(params, eigenvalue_product=params.eigenvalue_product // q)
-        monkeypatch.setattr(groups, "_two_eigenvalue_case", lambda _, c=case, s=short: (c, s))
+        monkeypatch.setattr(groups, "_two_eigenvalue_params", lambda _, s=short: s)
         groups._certified_group.cache_clear()
         with pytest.raises(InternalCheckError):
             critical_group(g)
@@ -309,8 +321,8 @@ def test_decomposition_identity_via_matrix_arithmetic():
     for name in ("all_negative_K4", "K6_pentagon_signing", "two_degree_hexad"):
         gs = table[name]
         for edge in gs.sorted_edges():
-            params = detect_signed_two_eigenvalue(gs)
-            if params.case == "two_degree":
+            params = detect_two_eigenvalue(gs)
+            if params.case == "signed_two_degree":
                 u, v = edge
                 if gs.graph.degree(u) == gs.graph.degree(v):
                     continue
@@ -424,9 +436,9 @@ def test_witness_gcd_predicts_true_order_everywhere():
             assert dec.order % w.basis_gcd == 0
             assert true_order == dec.order // w.basis_gcd, (name, edge)
     for name, gs in signed_corpus():
-        params = detect_signed_two_eigenvalue(gs)
+        params = detect_two_eigenvalue(gs)
         for edge in gs.sorted_edges():
-            if params.case == "two_degree":
+            if params.case == "signed_two_degree":
                 u, v = edge
                 if gs.graph.degree(u) == gs.graph.degree(v):
                     continue

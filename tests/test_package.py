@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import io
 import pathlib
 
 import critgroup
@@ -123,3 +125,28 @@ def test_cache_scan_catches_each_construct():
         (3, "cache"), (5, "bare lru_cache"), (7, "lru_cache(maxsize=None)"),
         (9, "lru_cache(maxsize=None)"), (11, "cache"),
     ]
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _library_example(text):
+    """The Python block of the README's Library section."""
+    section = text.split("\n## Library\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_example_runs_as_documented():
+    # each print line carries its expected output as a trailing comment, so
+    # renaming or removing a public name cannot leave the README stale
+    code = _library_example(README.read_text(encoding="utf-8"))
+    expected = [
+        line.split("#", 1)[1].strip() if "#" in line else None
+        for line in code.splitlines()
+        if line.startswith("print(")
+    ]
+    assert expected and None not in expected
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, str(README), "exec"), {})
+    assert out.getvalue().splitlines() == expected

@@ -12,6 +12,7 @@ from critgroup import (
     scan_tight_denominators,
     self_pairing_denominator,
 )
+from critgroup.graphs import MAX_VERTICES
 
 
 def tuples(rows):
@@ -38,6 +39,15 @@ def test_enumerate_feasible_small():
 def test_enumerate_feasible_rejects_tiny():
     with pytest.raises(GraphError):
         enumerate_feasible(4)
+
+
+def test_enumerate_feasible_rejects_above_vertex_limit():
+    # the enumeration is cubic in n_max; past the graph limit it is refused
+    # before any work, however large the request
+    for n_max in (MAX_VERTICES + 1, 10**9):
+        for scan in (enumerate_feasible, scan_tight_denominators):
+            with pytest.raises(GraphError, match=f"limit of {MAX_VERTICES}"):
+                scan(n_max)
 
 
 def test_complement_parameters_pass_identity():
