@@ -22,13 +22,13 @@ from .graphs import (
     GENERATOR_FAMILIES,
     Graph,
     SignedGraph,
-    detect_srg,
     detect_two_eigenvalue,
     edge_key,
     format_graph,
     generate,
     is_balanced,
     read_graph_file,
+    require_connected,
 )
 from .groups import (
     critical_group,
@@ -96,20 +96,25 @@ def _family_params(raw: str | None):
 
 
 def _load_graph(args) -> tuple[Graph | SignedGraph, dict]:
+    """The input graph and its report descriptor. Every subcommand but
+    generate needs a connected graph and rejects any other here."""
     if args.input and args.family:
         raise GraphError("give either --input or --family, not both")
     if args.input:
         if args.params is not None:
             raise GraphError("--params applies to --family only")
         g = read_graph_file(args.input)
-        return g, {"source": "file", "path": args.input}
-    if args.family:
+        descriptor = {"source": "file", "path": args.input}
+    elif args.family:
         g = generate(args.family, _family_params(args.params))
         descriptor = {"source": "family", "family": args.family}
         if args.params is not None:
             descriptor["params"] = args.params
-        return g, descriptor
-    raise GraphError("an input graph is required: --input FILE or --family NAME")
+    else:
+        raise GraphError("an input graph is required: --input FILE or --family NAME")
+    if args.command != "generate":
+        require_connected(g, args.command)
+    return g, descriptor
 
 
 def _parse_edge(raw: str, flag: str) -> tuple[int, int]:
@@ -142,47 +147,30 @@ def _graph_summary(g: Graph | SignedGraph) -> dict:
 
 
 def _structure_block(g: Graph | SignedGraph) -> dict | None:
-    if isinstance(g, SignedGraph):
-        params = detect_two_eigenvalue(g)
-        if params is None:
+    """The structure record as a report block. K_n, n >= 2, has no record,
+    its one non-zero eigenvalue n standing for both, and is reported as
+    strongly regular with parameters (n, n-1, n-2, 0)."""
+    signed = isinstance(g, SignedGraph)
+    if not signed and g.is_complete():
+        if g.n == 1:
             return None
-        block = {
-            "type": "signed_two_eigenvalue",
-            "case": "regular" if params.regular else "two_degree",
-            "eigenvalue_sum": _jint(params.eigenvalue_sum),
-            "eigenvalue_product": _jint(params.eigenvalue_product),
-        }
-        if params.regular:
-            block["k"] = _jint(params.k1)
-            block["lam"] = _jint(params.lam)
+        n = g.n
+        fields = {"type": "strongly_regular", "n": n, "k": n - 1, "lam": n - 2, "mu": 0,
+                  "eigenvalue_sum": n, "eigenvalue_product": 0}
+    else:
+        p = detect_two_eigenvalue(g)
+        if p is None:
+            return None
+        sums = {"eigenvalue_sum": p.eigenvalue_sum, "eigenvalue_product": p.eigenvalue_product}
+        degrees = {"k": p.k1, "lam": p.lam} if p.regular else {"k1": p.k1, "k2": p.k2}
+        if signed:
+            case = "regular" if p.regular else "two_degree"
+            fields = {"type": "signed_two_eigenvalue", "case": case, **sums, **degrees}
+        elif p.regular:
+            fields = {"type": "strongly_regular", "n": p.n, **degrees, "mu": p.mu, **sums}
         else:
-            block["k1"] = _jint(params.k1)
-            block["k2"] = _jint(params.k2)
-        return block
-    srg = detect_srg(g)
-    if srg is not None:
-        return {
-            "type": "strongly_regular",
-            "n": _jint(srg.n),
-            "k": _jint(srg.k),
-            "lam": _jint(srg.lam),
-            "mu": _jint(srg.mu),
-            "eigenvalue_sum": _jint(srg.eigenvalue_sum),
-            "eigenvalue_product": _jint(srg.eigenvalue_product),
-        }
-    # every regular two-eigenvalue graph is strongly regular
-    params = None if g.is_regular() else detect_two_eigenvalue(g)
-    if params is not None:
-        return {
-            "type": "two_degree",
-            "k1": _jint(params.k1),
-            "k2": _jint(params.k2),
-            "mu": _jint(params.mu),
-            "mu_bar": _jint(params.mu_bar),
-            "eigenvalue_sum": _jint(params.eigenvalue_sum),
-            "eigenvalue_product": _jint(params.eigenvalue_product),
-        }
-    return None
+            fields = {"type": "two_degree", **degrees, "mu": p.mu, "mu_bar": p.mu_bar, **sums}
+    return {key: x if isinstance(x, str) else _jint(x) for key, x in fields.items()}
 
 
 def _spectrum_block(g: Graph | SignedGraph) -> dict:
@@ -254,21 +242,22 @@ def _cmd_pairing(args) -> tuple[dict, dict, int]:
     g, descriptor = _load_graph(args)
     if isinstance(g, SignedGraph):
         raise StructureError("the pairing is defined for unsigned graphs only")
-    group = critical_group(g)
-    result = {"m": _jint(group.exponent)}
     if (args.edge1 is None) != (args.edge2 is None):
         raise GraphError("give both --edge1 and --edge2, or neither")
-    try:
-        _closed_form_params(g)
-        result["closed_form"] = True
-    except StructureError:
-        result["closed_form"] = False
     if args.edge1 is not None:
         e1 = _parse_edge(args.edge1, "--edge1")
         e2 = _parse_edge(args.edge2, "--edge2")
         for u, v in (e1, e2):
             if edge_key(u, v) not in g.edges:
                 raise GraphError(f"({u},{v}) is not an edge")
+    group = critical_group(g)
+    result = {"m": _jint(group.exponent)}
+    try:
+        _closed_form_params(g)
+        result["closed_form"] = True
+    except StructureError:
+        result["closed_form"] = False
+    if args.edge1 is not None:
         d1, d2 = (edge_difference(g, *edge_key(*e)) for e in (e1, e2))
         value = str(monodromy_pairing(g, d1, d2))
         result["pairs"] = [{"edge1": _jedge(e1), "edge2": _jedge(e2), "value": value}]
@@ -335,7 +324,7 @@ def _cmd_verify(args) -> tuple[dict, dict, int]:
         "check": "tail-heavy",
         "parameters": {
             "n": _jint(report.params.n),
-            "k": _jint(report.params.k),
+            "k": _jint(report.params.k1),
             "lam": _jint(report.params.lam),
             "mu": _jint(report.params.mu),
         },
@@ -362,7 +351,7 @@ def _cmd_scan(args) -> tuple[dict, dict, int]:
         rows.append(
             {
                 "n": _jint(p.n),
-                "k": _jint(p.k),
+                "k": _jint(p.k1),
                 "lam": _jint(p.lam),
                 "mu": _jint(p.mu),
                 "multiplicities": [_jint(m) for m in ft.multiplicities],

@@ -87,6 +87,10 @@ class Graph:
     def is_connected(self) -> bool:
         return self._connected
 
+    @cached_property
+    def _quadratic(self) -> tuple[int, int, int] | None:
+        return _laplacian_quadratic(self)
+
 
 @dataclass(frozen=True)
 class SignedGraph:
@@ -115,6 +119,10 @@ class SignedGraph:
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return self.graph.sorted_edges()
+
+    @cached_property
+    def _quadratic(self) -> tuple[int, int, int] | None:
+        return _laplacian_quadratic(self)
 
 
 def make_graph(n: int, edges) -> Graph:
@@ -464,35 +472,6 @@ def format_graph(g: Graph | SignedGraph) -> str:
 # Structure detection
 
 
-@dataclass(frozen=True)
-class SrgParameters:
-    """Strongly regular graph parameters (n, k, lam, mu).
-
-    Complete graphs are included as (n, n-1, n-2, 0). For non-complete
-    parameters the counting identity (n-k-1)*mu = k*(k-lam-1) holds.
-    """
-
-    n: int
-    k: int
-    lam: int
-    mu: int
-
-    def __post_init__(self):
-        if (self.n - self.k - 1) * self.mu != self.k * (self.k - self.lam - 1):
-            raise StructureError(f"inconsistent SRG parameters {self.as_tuple()}")
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.n, self.k, self.lam, self.mu)
-
-    @property
-    def eigenvalue_sum(self) -> int:
-        return 2 * self.k - self.lam + self.mu
-
-    @property
-    def eigenvalue_product(self) -> int:
-        return self.n * self.mu
-
-
 def _laplacian_quadratic(g: Graph | SignedGraph) -> tuple[int, int, int] | None:
     """(s, p, c) with L^2 - s L + p I = c J entrywise, L the (signed)
     Laplacian of the connected graph g, or None when no such identity holds
@@ -576,20 +555,43 @@ class TwoEigenvalueParams:
     def mu_bar(self) -> int:
         return self.n + self.mu - self.eigenvalue_sum
 
+    @property
+    def exceptional_family(self) -> str | None:
+        """"star" for a star with at least two leaves, "complete_bipartite"
+        for K_{m,m} with m >= 2, else None: the two families where the
+        exponent is not the eigenvalue product.
+
+        A star is the two-degree case with k1 = 1. A leaf u with neighbour w
+        has at most one common neighbour with any other vertex, and mu >= 1
+        on a connected non-complete graph, so mu = 1 and every vertex
+        besides u is adjacent to w. The degrees are then 1 and n - 1, and
+        only w is adjacent to u, so every vertex but w is a leaf. K_{m,m}
+        is the strongly regular case with lam = 0 and mu = k. There
+        non-adjacent vertices share all k neighbours, so non-adjacency is an
+        equivalence relation and the graph is complete multipartite with
+        equal parts; lam = 0 forbids triangles, which leaves two parts.
+        """
+        if self.case == "two_degree" and self.k1 == 1:
+            return "star"
+        if self.case == "srg" and self.lam == 0 and self.mu == self.k1:
+            return "complete_bipartite"
+        return None
+
 
 def detect_two_eigenvalue(g: Graph | SignedGraph) -> TwoEigenvalueParams | None:
     """Parameters if the Laplacian of g has exactly two distinct non-zero
     eigenvalues (exactly two distinct eigenvalues for a signed graph), else
     None: the identity L^2 - s L + p I = mu J of `_laplacian_quadratic`,
-    which for a regular graph says strongly regular. Unsigned complete
-    graphs, with a single non-zero eigenvalue, raise.
+    which for a regular graph says strongly regular, computed once per
+    graph object. Unsigned complete graphs, with a single non-zero
+    eigenvalue, raise.
     """
     require_connected(g, "detect_two_eigenvalue")
     signed = isinstance(g, SignedGraph)
     base = g.graph if signed else g
     if not signed and g.is_complete():
         raise StructureError("complete graphs have a single non-zero eigenvalue")
-    quadratic = _laplacian_quadratic(g)
+    quadratic = g._quadratic
     if quadratic is None:
         return None
     s, p, mu = quadratic
@@ -601,17 +603,6 @@ def detect_two_eigenvalue(g: Graph | SignedGraph) -> TwoEigenvalueParams | None:
     else:
         case = "signed_complete" if base.is_complete() else "signed_regular"
     return TwoEigenvalueParams(g.n, case, k1, k2, mu, s, p)
-
-
-def detect_srg(g: Graph) -> SrgParameters | None:
-    """Parameters (n, k, lam, mu) if g is strongly regular, else None: the
-    regular case of `detect_two_eigenvalue`, and complete graphs on two or
-    more vertices as (n, n-1, n-2, 0)."""
-    require_connected(g, "detect_srg")
-    if g.is_complete():
-        return SrgParameters(g.n, g.n - 1, g.n - 2, 0) if g.n > 1 else None
-    params = detect_two_eigenvalue(g) if g.is_regular() else None
-    return None if params is None else SrgParameters(g.n, params.k1, params.lam, params.mu)
 
 
 # ---------------------------------------------------------------------------

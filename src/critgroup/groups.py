@@ -386,49 +386,6 @@ def witnesses(g: Graph | SignedGraph, edge: tuple[int, int], dec: Decomposition 
 
 
 # ---------------------------------------------------------------------------
-# Structural classifiers for the exceptional families
-
-
-def complete_multipartite_parts(g: Graph) -> list[int] | None:
-    """Part sizes if g is complete multipartite (at least two parts),
-    else None. Parts are the non-adjacency classes."""
-    adj = g.adjacency
-    assigned: dict[int, int] = {}
-    parts: list[set[int]] = []
-    for v in g.vertices():
-        if v in assigned:
-            continue
-        part = {v} | (set(g.vertices()) - adj[v] - {v})
-        for w in part:
-            if w in assigned:
-                return None
-            assigned[w] = len(parts)
-        parts.append(part)
-    for u in g.vertices():
-        for v in adj[u]:
-            if assigned[u] == assigned[v]:
-                return None
-    # non-adjacency must be exact: inside a part nothing is adjacent (by
-    # construction), across parts everything must be
-    expected = sum(
-        len(p) * len(q) for i, p in enumerate(parts) for q in parts[i + 1 :]
-    )
-    if len(g.edges) != expected or len(parts) < 2:
-        return None
-    return sorted(len(p) for p in parts)
-
-
-def is_balanced_complete_bipartite(g: Graph) -> bool:
-    parts = complete_multipartite_parts(g)
-    return parts is not None and len(parts) == 2 and parts[0] == parts[1] and parts[0] >= 2
-
-
-def is_star(g: Graph) -> bool:
-    parts = complete_multipartite_parts(g)
-    return parts is not None and len(parts) == 2 and parts[0] == 1 and parts[1] >= 2
-
-
-# ---------------------------------------------------------------------------
 # Theorem verifiers
 
 
@@ -453,18 +410,18 @@ class ExponentReport:
 def verify_exponent_theorem(g: Graph | SignedGraph) -> ExponentReport:
     """Check that the critical group exponent equals the product of the two
     distinct non-zero Laplacian eigenvalues, with the two unsigned
-    exceptional families expecting their adjusted values instead."""
+    exceptional families of `TwoEigenvalueParams.exceptional_family`
+    expecting their adjusted values instead."""
     params = _two_eigenvalue_params(g)
     group = critical_group(g)  # rejects balanced signed graphs
     bound = params.eigenvalue_product
     classification, expected = "match", bound
-    if isinstance(g, Graph):
-        if is_star(g):
-            classification, expected = "exceptional_star", 1
-        elif is_balanced_complete_bipartite(g):
-            if bound % 2:
-                raise InternalCheckError("complete bipartite bound should be even")
-            classification, expected = "exceptional_complete_bipartite", bound // 2
+    if params.exceptional_family == "star":
+        classification, expected = "exceptional_star", 1
+    elif params.exceptional_family == "complete_bipartite":
+        if bound % 2:
+            raise InternalCheckError("complete bipartite bound should be even")
+        classification, expected = "exceptional_complete_bipartite", bound // 2
     max_order, max_edge = 0, None
     for u, v in g.sorted_edges():
         order = element_order(g, edge_difference(g, u, v))

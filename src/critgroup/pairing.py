@@ -17,7 +17,14 @@ from fractions import Fraction
 from math import floor, gcd
 
 from .errors import GraphError, InternalCheckError, StructureError
-from .graphs import Graph, SignedGraph, SrgParameters, detect_srg, edge_key, require_connected
+from .graphs import (
+    Graph,
+    SignedGraph,
+    TwoEigenvalueParams,
+    detect_two_eigenvalue,
+    edge_key,
+    require_connected,
+)
 from .groups import (
     AbelianGroup,
     critical_group,
@@ -25,7 +32,6 @@ from .groups import (
     element_order,
     grounded_adjugate,
     grounded_potential,
-    is_balanced_complete_bipartite,
 )
 
 
@@ -94,16 +100,18 @@ def monodromy_pairing(g: Graph, d, d2, m: int | None = None) -> PairingValue:
     return PairingValue.reduce(Fraction(numerator, kappa), exponent=group.exponent)
 
 
-def _closed_form_params(g: Graph) -> SrgParameters:
+def _closed_form_params(g: Graph) -> TwoEigenvalueParams:
+    """The strongly regular record of g; StructureError for a signed graph,
+    a graph that is not strongly regular, and the complete graphs and
+    K_{m,m} that the closed form excludes."""
     _require_unsigned(g, "closed-form pairing")
-    params = detect_srg(g)
-    if params is None:
-        raise StructureError("closed-form pairing needs a strongly regular graph")
-    if g.is_complete() or is_balanced_complete_bipartite(g):
+    params = None if g.is_complete() else detect_two_eigenvalue(g)
+    if g.n > 1 and g.is_complete() or params and params.exceptional_family == "complete_bipartite":
         raise StructureError(
-            "closed-form pairing excludes complete and balanced complete "
-            "bipartite graphs"
+            "closed-form pairing excludes complete and balanced complete bipartite graphs"
         )
+    if params is None or not params.regular:
+        raise StructureError("closed-form pairing needs a strongly regular graph")
     return params
 
 
@@ -123,11 +131,11 @@ def edge_pairing_closed_form(g: Graph, e1: tuple[int, int], e2: tuple[int, int])
     return PairingValue.reduce(value)
 
 
-def self_pairing_denominator(params: SrgParameters) -> int:
-    """Denominator of the self-pairing 2(n-1)/(kn) of any edge class. It
-    always exceeds 1 and divides the product of the two distinct non-zero
-    Laplacian eigenvalues."""
-    n, k = params.n, params.k
+def self_pairing_denominator(params: TwoEigenvalueParams) -> int:
+    """Denominator of the self-pairing 2(n-1)/(kn) of any edge class of a
+    strongly regular graph of degree k = params.k1. It always exceeds 1 and
+    divides the product of the two distinct non-zero Laplacian eigenvalues."""
+    n, k = params.n, params.k1
     eta = k * n // gcd(2 * (n - 1), k * n)
     if eta <= 1:
         raise InternalCheckError(f"self-pairing denominator {eta} should exceed 1")
@@ -377,7 +385,7 @@ def orthogonal_subset(g: Graph, mode: str = "exact", structural_hints: bool = Tr
 # Tail-heavy subgroup verification
 
 
-def subgroup_bound(params: SrgParameters, r: int) -> AbelianGroup:
+def subgroup_bound(params: TwoEigenvalueParams, r: int) -> AbelianGroup:
     """Invariant factors of the subgroup forced by an orthogonal set of r
     edges: r - 1 copies of the self-pairing denominator below one full
     spectral bound."""
@@ -410,7 +418,7 @@ class TailHeavyReport:
     which suffices to falsify. strong_pattern records whether the tail even
     consists of full spectral-bound factors."""
 
-    params: SrgParameters
+    params: TwoEigenvalueParams
     denominator: int
     orthogonal_set: OrthogonalSet
     predicted: AbelianGroup

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from math import isqrt
 
 from .errors import GraphError
-from .graphs import MAX_VERTICES, SrgParameters
+from .graphs import MAX_VERTICES, TwoEigenvalueParams
 from .pairing import self_pairing_denominator
 
 # Parameter tuples with denominator equal to the full bound whose graphs are
@@ -40,7 +40,7 @@ class FeasibleTuple:
     denominator; needs_review marks tight tuples absent from the embedded
     known-existence list."""
 
-    params: SrgParameters
+    params: TwoEigenvalueParams
     multiplicities: tuple[int, int]
     conference: bool
     denominator: int
@@ -101,7 +101,7 @@ def enumerate_feasible(n_max: int) -> list[FeasibleTuple]:
                 if mult is None:
                     continue
                 pair, conference = mult
-                params = SrgParameters(n, k, lam, mu)
+                params = TwoEigenvalueParams(n, "srg", k, k, mu, 2 * k - lam + mu, n * mu)
                 denominator = self_pairing_denominator(params)
                 out.append(
                     FeasibleTuple(
@@ -124,6 +124,6 @@ def scan_tight_denominators(n_max: int) -> list[FeasibleTuple]:
         if not ft.denominator_equals_bound:
             continue
         p = ft.params
-        known = (p.n, p.k, p.lam, p.mu) in KNOWN_TIGHT_TUPLES
+        known = (p.n, p.k1, p.lam, p.mu) in KNOWN_TIGHT_TUPLES
         out.append(replace(ft, needs_review=not known))
     return out

@@ -68,22 +68,28 @@ def unsigned_two_eigenvalue_corpus():
 
 
 def unsigned_srg_corpus():
-    from critgroup import detect_srg
+    from critgroup import detect_two_eigenvalue
 
-    return [(name, g) for name, g in unsigned_two_eigenvalue_corpus() if detect_srg(g)]
+    return [
+        (name, g) for name, g in unsigned_two_eigenvalue_corpus()
+        if detect_two_eigenvalue(g).regular
+    ]
 
 
-def detect_srg_safe(g):
-    from critgroup import detect_srg
+def strongly_regular_or_complete(g):
+    from critgroup import detect_two_eigenvalue
 
-    return g.is_complete() or detect_srg(g) is not None
+    if g.is_complete():
+        return True
+    params = detect_two_eigenvalue(g)
+    return params is not None and params.regular
 
 
 def applicable_edges(g):
     signed = hasattr(g, "negative_edges")
     base = g.graph if signed else g
     for u, v in g.sorted_edges():
-        if base.degree(u) == base.degree(v) and not detect_srg_safe(base):
+        if base.degree(u) == base.degree(v) and not strongly_regular_or_complete(base):
             continue  # two-degree cases only decompose cross-degree edges
         yield (u, v)
 

@@ -20,7 +20,6 @@ from critgroup import (
     critical_group,
     cycle,
     decomposition,
-    detect_srg,
     detect_two_eigenvalue,
     determinant,
     edge_pairing_closed_form,
@@ -101,8 +100,8 @@ def test_criterion_2_exponent_theorem_corpus():
         if not r.matched:
             failures.append((name, "not matched"))
             continue
-        srg = detect_srg(g)
-        if srg is not None and r.spectral_bound != srg.n * srg.mu:
+        params = detect_two_eigenvalue(g)
+        if params.regular and r.spectral_bound != params.n * params.mu:
             failures.append((name, "bound is not n*mu"))
         bipartite_exc = name in ("K2x2", "K3x3", "K4x4")
         star_exc = name.startswith("star")
@@ -257,8 +256,8 @@ def test_criterion_6_pairing_properties():
     # self-pairing of every edge element of every strongly regular corpus
     # member, against the closed fraction 2(n-1)/(kn) mod 1
     for name, g in unsigned_srg_corpus():
-        p = detect_srg(g)
-        want = Fraction(2 * (p.n - 1), p.k * p.n) % 1
+        p = detect_two_eigenvalue(g)
+        want = Fraction(2 * (p.n - 1), p.k1 * p.n) % 1
         for e in g.sorted_edges():
             val = monodromy_pairing(g, edge_chip(g.n, e), edge_chip(g.n, e))
             if val.value != want or val.is_zero():
@@ -286,7 +285,7 @@ def test_criterion_7_tail_heavy_subgroups():
     direct = monodromy_pairing(g, edge_chip(16, e1), edge_chip(16, e2))
     if not direct.is_zero():
         failures.append("clebsch pair not orthogonal (direct solve)")
-    predicted = subgroup_bound(detect_srg(g), 2)
+    predicted = subgroup_bound(detect_two_eigenvalue(g), 2)
     if predicted.invariant_factors != (16, 96):
         failures.append(("predicted", predicted.invariant_factors))
     if not check_subgroup_divisibility(predicted, critical_group(g)):
@@ -305,12 +304,12 @@ def test_criterion_7_tail_heavy_subgroups():
 def test_criterion_8_parameter_scan():
     failures = []
     rows = scan_tight_denominators(100)
-    unflagged = {(r.params.n, r.params.k, r.params.lam, r.params.mu)
+    unflagged = {(r.params.n, r.params.k1, r.params.lam, r.params.mu)
                  for r in rows if not r.needs_review}
     if unflagged != KNOWN_TIGHT:
         failures.append(("unflagged", unflagged))
     for r in rows:
-        key = (r.params.n, r.params.k, r.params.lam, r.params.mu)
+        key = (r.params.n, r.params.k1, r.params.lam, r.params.mu)
         if key not in KNOWN_TIGHT and not r.needs_review:
             failures.append(("silently included", key))
         if not r.denominator_equals_bound:

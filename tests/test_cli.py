@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import pathlib
@@ -13,6 +14,11 @@ from conftest import signed_corpus, unsigned_two_eigenvalue_corpus
 # <name>.txt in the working directory, recorded before the unsigned and
 # signed detectors were merged into one
 ANALYZE_GOLDENS = pathlib.Path(__file__).with_name("analyze_goldens.json")
+# exit code, stdout digest and stderr of every report that reads the
+# structure record or its two exceptional families, recorded while the
+# strongly regular record and the complete-multipartite classifiers still
+# existed beside it; keyed by the joined arguments of `structure_ops`
+STRUCTURE_GOLDENS = pathlib.Path(__file__).with_name("structure_goldens.json")
 
 
 def run(capsys, *argv):
@@ -24,6 +30,53 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     return code, json.loads(out), err
+
+
+def structure_ops():
+    """CLI argument lists around the two exceptional families: analyze on
+    complete graphs, stars and K_{m,m}; the exponent and tail-heavy checks
+    on those and on the unsigned two-eigenvalue corpus, read from
+    <name>.txt; pairing tables; the parameter scan."""
+    families = (
+        [("complete", str(n)) for n in range(1, 7)]
+        + [("star", str(p)) for p in range(1, 6)]
+        + [("complete_multipartite", f"{m},{m}") for m in range(1, 6)]
+        + [("complete_multipartite", "2,3")]
+    )
+    ops = [["analyze", "--family", name, "--params", params] for name, params in families]
+    sources = [["--input", f"{name}.txt"] for name, _ in unsigned_two_eigenvalue_corpus()]
+    sources += [["--family", name, "--params", params] for name, params in families]
+    for source in sources:
+        ops.append(["verify", *source, "--check", "exponent"])
+        for mode in ("exact", "greedy"):
+            ops.append(["verify", *source, "--check", "tail-heavy", "--mode", mode])
+    ops += [
+        ["pairing", "--family", "petersen"],
+        ["pairing", "--family", "star", "--params", "3"],
+        ["pairing", "--family", "complete", "--params", "4"],
+        ["pairing", "--family", "complete_multipartite", "--params", "3,3"],
+    ]
+    for fmt in ("json", "text"):
+        ops.append(["scan", "--nmax", "100", "--format", fmt])
+        ops.append(["scan", "--nmax", "60", "--full", "--format", fmt])
+    return ops
+
+
+def structure_record(code, out, err):
+    """What a structure golden keeps of one run: the elapsed line, the one
+    part of a report that changes between runs, is dropped."""
+    return {
+        "exit": code,
+        "stdout_sha256": hashlib.sha256(out.encode()).hexdigest(),
+        "stderr": "".join(
+            line for line in err.splitlines(keepends=True) if not line.startswith("elapsed: ")
+        ),
+    }
+
+
+def write_corpus_files(directory):
+    for name, g in unsigned_two_eigenvalue_corpus():
+        (directory / f"{name}.txt").write_text(format_graph(g))
 
 
 def test_group_golden(capsys):
@@ -94,6 +147,36 @@ def test_analyze_two_eigenvalue_goldens(capsys, tmp_path, monkeypatch):
         (tmp_path / path).write_text(format_graph(g))
         code, out, _ = run(capsys, "analyze", "--input", path)
         assert code == 0 and out == goldens[name], name
+
+
+def test_structure_goldens(capsys, tmp_path, monkeypatch):
+    goldens = json.loads(STRUCTURE_GOLDENS.read_text(encoding="utf-8"))
+    ops = structure_ops()
+    assert sorted(goldens) == sorted(" ".join(argv) for argv in ops)
+    monkeypatch.chdir(tmp_path)
+    write_corpus_files(tmp_path)
+    for argv in ops:
+        assert structure_record(*run(capsys, *argv)) == goldens[" ".join(argv)], argv
+
+
+def test_disconnected_input_is_rejected_by_every_graph_command(capsys, tmp_path):
+    # one message naming the subcommand, whichever function would meet the
+    # graph first; generate prints the graph as it is
+    commands = (
+        ["analyze"], ["group"], ["pairing"], ["pairing", "--edge1", "1,2", "--edge2", "4,5"],
+        ["orthogonal"], ["orthogonal", "--mode", "greedy"],
+        ["verify", "--check", "exponent"], ["verify", "--check", "spectral-bound"],
+        ["verify", "--check", "tail-heavy"],
+    )
+    path = tmp_path / "disconnected.txt"
+    for text in ("n 5\n1 2\n2 3\n4 5\n", "n 5\n1 2 -\n1 3 +\n2 3 +\n4 5 -\n"):
+        path.write_text(text)
+        for command in commands:
+            code, out, err = run(capsys, *command, "--input", str(path))
+            assert (code, out) == (2, ""), command
+            assert err == f"error: {command[0]} requires a connected graph\n", command
+        code, report, _ = run_json(capsys, "generate", "--input", str(path))
+        assert code == 0 and report["result"]["file"] == text
 
 
 def test_all_positive_file_is_a_balanced_signed_graph(capsys, tmp_path):
@@ -287,7 +370,7 @@ def test_internal_check_exit_code(capsys, monkeypatch):
     groups._certified_group.cache_clear()
 
 
-def test_error_exit_codes(capsys, tmp_path):
+def test_error_exit_codes(capsys, tmp_path, monkeypatch):
     # unknown family
     code, _, err = run(capsys, "group", "--family", "nope")
     assert code == 2 and "error:" in err
@@ -343,6 +426,14 @@ def test_error_exit_codes(capsys, tmp_path):
         code, out, err = run(capsys, "group", "--family", family, "--params", params)
         assert code == 2 and out == ""
         assert err.startswith("error:") and "limit" in err
+    # one edge flag without the other is a usage error found before the
+    # group is built
+    built = []
+    monkeypatch.setattr(cli, "critical_group", built.append)
+    code, out, err = run(capsys, "pairing", "--family", "paley", "--params", "149",
+                         "--edge1", "1,2")
+    assert (code, out, built) == (2, "", [])
+    assert err == "error: give both --edge1 and --edge2, or neither\n"
 
 
 def test_scan_output(capsys):

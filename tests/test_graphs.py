@@ -15,7 +15,6 @@ from critgroup import (
     complete,
     complete_multipartite,
     cycle,
-    detect_srg,
     detect_two_eigenvalue,
     disjoint_union,
     find_unbalanced_triangle,
@@ -35,6 +34,7 @@ from critgroup import (
     star,
     switch,
 )
+from critgroup.cli import _structure_block
 from conftest import (
     connected_atlas,
     signed_c4_one_negative,
@@ -132,24 +132,30 @@ def test_srg_detection_golden_parameters():
         (complete_multipartite([2, 2, 2]), (6, 4, 2, 4)),
     ]
     for g, expected in cases:
-        p = detect_srg(g)
-        assert p is not None
-        assert (p.n, p.k, p.lam, p.mu) == expected
+        p = detect_two_eigenvalue(g)
+        assert p is not None and p.regular and p.case == "srg"
+        assert (p.n, p.k1, p.lam, p.mu) == expected
 
 
 def test_srg_detection_rejects_non_srg():
-    assert detect_srg(cycle(6)) is None
-    assert detect_srg(make_graph(4, [(1, 2), (2, 3), (3, 4)])) is None
-    assert detect_srg(star(3)) is None
+    assert detect_two_eigenvalue(cycle(6)) is None
+    assert detect_two_eigenvalue(make_graph(4, [(1, 2), (2, 3), (3, 4)])) is None
+    p = detect_two_eigenvalue(star(3))
+    assert not p.regular and p.lam is None
 
 
 def test_srg_complete_graph_has_mu_zero():
-    p = detect_srg(complete(4))
-    assert p is not None and p.mu == 0
+    # the record leaves out complete graphs, which have one non-zero
+    # eigenvalue; analyze reports K_n as strongly regular (n, n-1, n-2, 0)
+    with pytest.raises(StructureError):
+        detect_two_eigenvalue(complete(4))
+    block = _structure_block(complete(4))
+    assert block["type"] == "strongly_regular"
+    assert (block["n"], block["k"], block["lam"], block["mu"]) == ("4", "3", "2", "0")
 
 
 def test_srg_eigenvalue_product():
-    p = detect_srg(petersen())
+    p = detect_two_eigenvalue(petersen())
     assert p.eigenvalue_sum == 2 * 3 - 0 + 1
     assert p.eigenvalue_product == 10 * 1
 
@@ -192,7 +198,7 @@ def test_detection_matches_spectrum():
         want = _spectral_quadratic(g)
         p = detect_two_eigenvalue(g)
         assert (p and (p.eigenvalue_product, -p.eigenvalue_sum, 1)) == want, g
-        assert (detect_srg(g) is not None) == (want is not None and g.is_regular()), g
+        assert (p is not None and p.regular) == (want is not None and g.is_regular()), g
     rng = random.Random(1998)
     for g in atlas:
         if g.n > 6:

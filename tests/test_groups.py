@@ -14,17 +14,13 @@ from critgroup import (
     clebsch_complement,
     complete,
     complete_multipartite,
-    complete_multipartite_parts,
     critical_group,
     cycle,
     decomposition,
-    detect_srg,
     detect_two_eigenvalue,
     edge_difference,
     element_order,
     graph_join,
-    is_balanced_complete_bipartite,
-    is_star,
     laplacian,
     make_graph,
     make_signed_graph,
@@ -43,7 +39,6 @@ from critgroup import (
 from conftest import (
     applicable_edges,
     connected_atlas,
-    detect_srg_safe,
     random_connected_graph,
     random_sum_zero_vector,
     signed_corpus,
@@ -448,18 +443,26 @@ def test_witness_gcd_predicts_true_order_everywhere():
             assert true_order == dec.order // w.basis_gcd, (name, edge)
 
 
-def test_complete_multipartite_classifiers():
-    assert complete_multipartite_parts(complete_multipartite([2, 3, 4])) == [2, 3, 4]
-    assert complete_multipartite_parts(complete(5)) == [1, 1, 1, 1, 1]
-    assert complete_multipartite_parts(petersen()) is None
-    assert complete_multipartite_parts(cycle(4)) == [2, 2]
-    assert is_balanced_complete_bipartite(complete_multipartite([3, 3]))
-    assert not is_balanced_complete_bipartite(complete_multipartite([2, 3]))
-    assert not is_balanced_complete_bipartite(complete_multipartite([2, 2, 2]))
-    assert is_star(star(4))
-    assert not is_star(cycle(4))
-    # K2 counts as complete, not as a star
-    assert not is_star(make_graph(2, [(1, 2)]))
+def test_exceptional_family_matches_networkx_oracle():
+    # the record's rule against isomorphism with a star of at least two
+    # leaves or with K_{m,m}, m >= 2, on every connected graph with at most
+    # seven vertices (K2 counts as complete, neither family)
+    import networkx as nx
+
+    seen = set()
+    for g in connected_atlas(7):
+        graph = nx.Graph(g.sorted_edges())
+        n, m = g.n, g.n // 2
+        if n >= 3 and nx.is_isomorphic(graph, nx.star_graph(n - 1)):
+            want = "star"
+        elif n >= 4 and nx.is_isomorphic(graph, nx.complete_bipartite_graph(m, m)):
+            want = "complete_bipartite"
+        else:
+            want = None
+        params = None if g.is_complete() else detect_two_eigenvalue(g)
+        assert (params and params.exceptional_family) == want, g
+        seen.add(want)
+    assert seen == {"star", "complete_bipartite", None}
 
 
 def test_exponent_theorem_matches():

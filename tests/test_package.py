@@ -2,6 +2,8 @@ import ast
 import contextlib
 import io
 import pathlib
+import re
+import shlex
 
 import critgroup
 
@@ -150,3 +152,22 @@ def test_readme_library_example_runs_as_documented():
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {})
     assert out.getvalue().splitlines() == expected
+
+
+def _readme_cli_examples(text):
+    """(argv, output) for each one-line `critgroup` command block that an
+    output block directly follows."""
+    pattern = r"```sh\ncritgroup ([^\n]*)\n```\n\n```(?:json)?\n(.*?)```"
+    return [(shlex.split(command), output) for command, output in re.findall(pattern, text, re.S)]
+
+
+def test_readme_cli_examples_are_real_output():
+    import critgroup.cli
+
+    examples = _readme_cli_examples(README.read_text(encoding="utf-8"))
+    assert len(examples) == 3
+    for argv, output in examples:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert critgroup.cli.main(argv) == 0, argv
+        assert out.getvalue() == output, argv

@@ -15,7 +15,7 @@ from critgroup import (
     complete_multipartite,
     critical_group,
     cycle,
-    detect_srg,
+    detect_two_eigenvalue,
     edge_difference,
     edge_pairing_closed_form,
     element_order,
@@ -176,29 +176,21 @@ def test_clebsch_orthogonal_pair():
 
 def test_self_pairing_nonzero_on_corpus():
     for name, g in unsigned_srg_corpus():
-        params = detect_srg(g)
-        if params.mu == 0 or (
-            complete_multipartite_parts_is_balanced_bipartite(g)
-        ):
+        params = detect_two_eigenvalue(g)
+        if params.mu == 0 or params.exceptional_family:
             continue
-        n, k = params.n, params.k
+        n, k = params.n, params.k1
         for u, v in g.sorted_edges():
             val = edge_pairing_closed_form(g, (u, v), (u, v)).value
             assert val == Fraction(2 * (n - 1), k * n) % 1
             assert val != 0
 
 
-def complete_multipartite_parts_is_balanced_bipartite(g):
-    from critgroup import is_balanced_complete_bipartite
-
-    return is_balanced_complete_bipartite(g)
-
-
 def test_self_pairing_denominator_goldens():
-    assert self_pairing_denominator(detect_srg(clebsch_complement())) == 16
-    assert self_pairing_denominator(detect_srg(paley(5))) == 5
-    assert self_pairing_denominator(detect_srg(petersen())) == 5
-    assert self_pairing_denominator(detect_srg(paley(9))) == 9
+    assert self_pairing_denominator(detect_two_eigenvalue(clebsch_complement())) == 16
+    assert self_pairing_denominator(detect_two_eigenvalue(paley(5))) == 5
+    assert self_pairing_denominator(detect_two_eigenvalue(petersen())) == 5
+    assert self_pairing_denominator(detect_two_eigenvalue(paley(9))) == 9
 
 
 def test_self_pairing_denominator_invariants():
@@ -255,11 +247,12 @@ def test_orthogonal_subset_certificate_complete():
 
 
 def test_subgroup_bound_goldens():
-    assert subgroup_bound(detect_srg(clebsch_complement()), 2).invariant_factors == (16, 96)
-    assert subgroup_bound(detect_srg(paley(5)), 1).invariant_factors == (5,)
-    assert subgroup_bound(detect_srg(petersen()), 3).invariant_factors == (5, 5, 10)
+    assert subgroup_bound(detect_two_eigenvalue(clebsch_complement()), 2).invariant_factors == (
+        16, 96)
+    assert subgroup_bound(detect_two_eigenvalue(paley(5)), 1).invariant_factors == (5,)
+    assert subgroup_bound(detect_two_eigenvalue(petersen()), 3).invariant_factors == (5, 5, 10)
     with pytest.raises(GraphError):
-        subgroup_bound(detect_srg(petersen()), 0)
+        subgroup_bound(detect_two_eigenvalue(petersen()), 0)
 
 
 def test_check_subgroup_divisibility():

@@ -5,7 +5,7 @@ from critgroup import (
     GraphError,
     clebsch_complement,
     complement,
-    detect_srg,
+    detect_two_eigenvalue,
     enumerate_feasible,
     paley,
     petersen,
@@ -16,7 +16,7 @@ from critgroup.graphs import MAX_VERTICES
 
 
 def tuples(rows):
-    return [(r.params.n, r.params.k, r.params.lam, r.params.mu) for r in rows]
+    return [(r.params.n, r.params.k1, r.params.lam, r.params.mu) for r in rows]
 
 
 def test_known_tight_tuples_frozen():
@@ -64,8 +64,8 @@ def test_corpus_parameters_are_feasible():
     rows = enumerate_feasible(16)
     ts = tuples(rows)
     for g in (petersen(), paley(5), paley(9), paley(13), clebsch_complement(), complement(petersen())):
-        p = detect_srg(g)
-        assert (p.n, p.k, p.lam, p.mu) in ts
+        p = detect_two_eigenvalue(g)
+        assert (p.n, p.k1, p.lam, p.mu) in ts
 
 
 def test_multiplicities():
