@@ -452,8 +452,16 @@ def parse_graph(text: str) -> Graph | SignedGraph:
 
 
 def read_graph_file(path: str) -> Graph | SignedGraph:
-    with open(path, encoding="utf-8") as handle:
-        return parse_graph(handle.read())
+    """Parse a graph file, which must be UTF-8 text; GraphFormatError names
+    the line of the first byte that is not."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise GraphFormatError(f"not UTF-8 text (byte 0x{data[exc.start]:02x})", line) from None
+    return parse_graph(text)
 
 
 def format_graph(g: Graph | SignedGraph) -> str:

@@ -12,6 +12,7 @@ the self-pairing denominator.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd
@@ -186,16 +187,20 @@ def _pairing_table(g: Graph) -> tuple[list[tuple[int, int]], list[list[Fraction]
 
 
 def _clique_matching_hints(g: Graph) -> list[list[int]]:
-    """Matchings inside greedily grown cliques, as edge index lists."""
+    """Matchings inside greedily grown cliques, as edge index lists. Each
+    clique takes the least vertex adjacent to all its members, kept as
+    their common neighbourhood."""
     edges = g.sorted_edges()
     index = {e: i for i, e in enumerate(edges)}
     adj = g.adjacency
     hints = []
     for start in g.vertices():
         clique = [start]
-        for w in g.vertices():
-            if w != start and all(w in adj[c] for c in clique):
-                clique.append(w)
+        common = set(adj[start])
+        while common:
+            w = min(common)
+            clique.append(w)
+            common &= adj[w]
         matching = [
             index[edge_key(clique[i], clique[i + 1])]
             for i in range(0, len(clique) - 1, 2)
@@ -208,17 +213,13 @@ def _clique_matching_hints(g: Graph) -> list[list[int]]:
 def _induced_matching_hint(g: Graph) -> list[int]:
     """Greedy induced matching: chosen edges share no vertices and no
     cross edges, so they induce a 1-regular subgraph."""
-    edges = g.sorted_edges()
     adj = g.adjacency
     chosen: list[int] = []
     used: set[int] = set()
-    for i, (u, v) in enumerate(edges):
-        if u in used or v in used:
-            continue
-        if any(w in adj[u] or w in adj[v] for w in used):
-            continue
-        chosen.append(i)
-        used.update((u, v))
+    for i, (u, v) in enumerate(g.sorted_edges()):
+        if not used & (adj[u] | adj[v] | {u, v}):
+            chosen.append(i)
+            used.update((u, v))
     return chosen
 
 
@@ -226,67 +227,49 @@ def _triangle_chain_hint(g: Graph) -> list[int]:
     """Matching along a greedily grown induced chain of triangles: triangles
     T_i = {u_i, v_i, w_i} sharing only the consecutive vertices w_i = u_{i+1},
     with no other edges among the chain vertices. The edges (u_i, v_i) of
-    such a chain pair to zero."""
+    such a chain pair to zero.
+
+    Each step adds the least triangle (tail, v, w) off the chain whose v
+    and w have tail as their only chain neighbour. That is the same as
+    re-testing every vertex pair of the extended chain: the chain is
+    induced before the step, and v and w are adjacent to each other and to
+    tail, so only an edge from v or w to another chain vertex can break it."""
     edges = g.sorted_edges()
     index = {e: i for i, e in enumerate(edges)}
     adj = g.adjacency
-
-    def induced_ok(vertices: list[int], allowed: set[tuple[int, int]]) -> bool:
-        for i, a in enumerate(vertices):
-            for b in vertices[i + 1 :]:
-                if edge_key(a, b) in g.edges and edge_key(a, b) not in allowed:
-                    return False
-        return True
-
     best: list[int] = []
     for u0, v0 in edges:
         for w0 in sorted(adj[u0] & adj[v0]):
-            chain = [u0, v0, w0]
-            allowed = {edge_key(u0, v0), edge_key(u0, w0), edge_key(v0, w0)}
-            matching = [index[edge_key(u0, v0)]]
+            chain = {u0, v0, w0}
+            matching = [index[(u0, v0)]]
             tail = w0
-            grown = True
-            while grown:
-                grown = False
-                for v in sorted(adj[tail]):
-                    if v in chain:
-                        continue
-                    for w in sorted(adj[tail] & adj[v]):
-                        if w in chain:
-                            continue
-                        trial_allowed = allowed | {
-                            edge_key(tail, v), edge_key(tail, w), edge_key(v, w)
-                        }
-                        if induced_ok(chain + [v, w], trial_allowed):
-                            matching.append(index[edge_key(tail, v)])
-                            chain.extend((v, w))
-                            allowed = trial_allowed
-                            tail = w
-                            grown = True
-                            break
-                    if grown:
-                        break
+            while True:
+                free = {x for x in adj[tail] - chain if adj[x] & chain == {tail}}
+                step = min(((v, w) for v in free for w in free & adj[v]), default=None)
+                if step is None:
+                    break
+                matching.append(index[edge_key(tail, step[0])])
+                chain.update(step)
+                tail = step[1]
             if len(matching) > len(best):
                 best = matching
     return best
 
 
-def _filter_orthogonal(candidate: list[int], masks: list[int]) -> list[int]:
-    kept: list[int] = []
-    for i in sorted(candidate):
-        if all(masks[j] >> i & 1 for j in kept):
-            kept.append(i)
-    return kept
-
-
-def _greedy_orthogonal(masks: list[int], count: int, seed: list[int]) -> list[int]:
-    chosen = list(seed)
-    for i in range(count):
-        if i in chosen:
-            continue
-        if all(masks[j] >> i & 1 for j in chosen):
+def _greedy_orthogonal(
+    masks: list[int], order: Iterable[int], chosen: Iterable[int] = ()
+) -> list[int]:
+    """Greedy scan: extend the pairwise orthogonal chosen by each index of
+    order, in turn, that pairs to zero with every index taken so far."""
+    chosen = list(chosen)
+    allowed = -1  # indices orthogonal to all of chosen; no mask has its own bit
+    for j in chosen:
+        allowed &= masks[j]
+    for i in order:
+        if allowed >> i & 1:
             chosen.append(i)
-    return sorted(chosen)
+            allowed &= masks[i]
+    return chosen
 
 
 def _color_bound(candidates: int, masks: list[int]) -> int:
@@ -362,13 +345,11 @@ def orthogonal_subset(g: Graph, mode: str = "exact", structural_hints: bool = Tr
                 masks[i] |= 1 << j
 
     if mode == "greedy":
-        hint_sets: list[list[int]] = []
+        hints = []
         if structural_hints:
-            hint_sets.extend(_clique_matching_hints(g))
-            hint_sets.append(_induced_matching_hint(g))
-            hint_sets.append(_triangle_chain_hint(g))
-        filtered = [_filter_orthogonal(h, masks) for h in hint_sets]
-        chosen = _greedy_orthogonal(masks, count, max(filtered, key=len, default=[]))
+            hints = [*_clique_matching_hints(g), _induced_matching_hint(g), _triangle_chain_hint(g)]
+        seed = max((_greedy_orthogonal(masks, sorted(h)) for h in hints), key=len, default=[])
+        chosen = sorted(_greedy_orthogonal(masks, range(count), seed))
     else:
         chosen = _max_orthogonal(masks, count)
 

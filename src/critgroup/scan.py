@@ -11,7 +11,7 @@ of suppressing it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import GraphError
 from .graphs import MAX_VERTICES, TwoEigenvalueParams
@@ -79,8 +79,13 @@ def _multiplicities(n: int, k: int, lam: int, mu: int) -> tuple[tuple[int, int],
 def enumerate_feasible(n_max: int) -> list[FeasibleTuple]:
     """All arithmetically feasible primitive tuples with n <= n_max, sorted
     by (n, k, lam). Primitive means connected and co-connected:
-    2 <= k <= n-2 and 1 <= mu <= k. The work grows as n_max^3, so n_max
-    is capped at MAX_VERTICES, the limit on any graph."""
+    2 <= k <= n-2 and 1 <= mu <= k. n_max is capped at MAX_VERTICES, the
+    limit on any graph.
+
+    With m = n-k-1 and d = k-1-lam the parameter identity reads
+    mu * m = k * d, so mu is an integer exactly when m / gcd(k, m) divides
+    d; an integer mu then lies in 1..k exactly when 1 <= d <= m. Only those
+    d are visited, in descending order so that lam ascends."""
     if n_max < 5:
         raise GraphError(f"need n_max >= 5, got {n_max}")
     if n_max > MAX_VERTICES:
@@ -90,13 +95,11 @@ def enumerate_feasible(n_max: int) -> list[FeasibleTuple]:
         for k in range(2, n - 1):
             if (n * k) % 2:
                 continue
-            for lam in range(k):
-                numerator = k * (k - lam - 1)
-                if numerator % (n - k - 1):
-                    continue
-                mu = numerator // (n - k - 1)
-                if not 1 <= mu <= k:
-                    continue
+            m = n - k - 1
+            step = m // gcd(k, m)
+            for d in range(min(k - 1, m) // step * step, 0, -step):
+                lam = k - 1 - d
+                mu = k * d // m
                 mult = _multiplicities(n, k, lam, mu)
                 if mult is None:
                     continue

@@ -412,6 +412,168 @@ def faddeev_leverrier(m: IntMatrix) -> Polynomial:
     return Polynomial.make(reversed(coeffs))
 
 
+def enumerate_feasible_filter(n_max):
+    """Feasible tuples by generate and filter: every (n, k, lam) is tried
+    and kept when the parameter identity gives an integer mu in 1..k and
+    the multiplicities are integral. Same rows and order as
+    `enumerate_feasible`."""
+    from critgroup import FeasibleTuple, TwoEigenvalueParams, self_pairing_denominator
+    from critgroup.scan import _multiplicities
+
+    out = []
+    for n in range(5, n_max + 1):
+        for k in range(2, n - 1):
+            if (n * k) % 2:
+                continue
+            for lam in range(k):
+                numerator = k * (k - lam - 1)
+                if numerator % (n - k - 1):
+                    continue
+                mu = numerator // (n - k - 1)
+                if not 1 <= mu <= k:
+                    continue
+                mult = _multiplicities(n, k, lam, mu)
+                if mult is None:
+                    continue
+                pair, conference = mult
+                params = TwoEigenvalueParams(n, "srg", k, k, mu, 2 * k - lam + mu, n * mu)
+                denominator = self_pairing_denominator(params)
+                out.append(FeasibleTuple(
+                    params=params,
+                    multiplicities=pair,
+                    conference=conference,
+                    denominator=denominator,
+                    denominator_equals_bound=denominator == params.eigenvalue_product,
+                ))
+    return out
+
+
+# Greedy orthogonal seeds by re-testing: each hint below builds its edge
+# index list the direct way, pair by pair, and the seed is filtered and
+# extended by two separate scans. Same results as the hints of
+# `critgroup.pairing`, which read neighbourhood sets instead.
+
+
+def clique_matching_hints_retest(g):
+    from critgroup import edge_key
+
+    edges = g.sorted_edges()
+    index = {e: i for i, e in enumerate(edges)}
+    adj = g.adjacency
+    hints = []
+    for start in g.vertices():
+        clique = [start]
+        for w in g.vertices():
+            if w != start and all(w in adj[c] for c in clique):
+                clique.append(w)
+        matching = [
+            index[edge_key(clique[i], clique[i + 1])]
+            for i in range(0, len(clique) - 1, 2)
+        ]
+        if len(matching) >= 2:
+            hints.append(matching)
+    return hints
+
+
+def induced_matching_hint_retest(g):
+    edges = g.sorted_edges()
+    adj = g.adjacency
+    chosen = []
+    used = set()
+    for i, (u, v) in enumerate(edges):
+        if u in used or v in used:
+            continue
+        if any(w in adj[u] or w in adj[v] for w in used):
+            continue
+        chosen.append(i)
+        used.update((u, v))
+    return chosen
+
+
+def triangle_chain_hint_retest(g):
+    """Each trial triangle re-tests every vertex pair of the extended chain
+    against the edges the chain's triangles allow."""
+    from critgroup import edge_key
+
+    edges = g.sorted_edges()
+    index = {e: i for i, e in enumerate(edges)}
+    adj = g.adjacency
+
+    def induced_ok(vertices, allowed):
+        for i, a in enumerate(vertices):
+            for b in vertices[i + 1:]:
+                if edge_key(a, b) in g.edges and edge_key(a, b) not in allowed:
+                    return False
+        return True
+
+    best = []
+    for u0, v0 in edges:
+        for w0 in sorted(adj[u0] & adj[v0]):
+            chain = [u0, v0, w0]
+            allowed = {edge_key(u0, v0), edge_key(u0, w0), edge_key(v0, w0)}
+            matching = [index[edge_key(u0, v0)]]
+            tail = w0
+            grown = True
+            while grown:
+                grown = False
+                for v in sorted(adj[tail]):
+                    if v in chain:
+                        continue
+                    for w in sorted(adj[tail] & adj[v]):
+                        if w in chain:
+                            continue
+                        trial_allowed = allowed | {
+                            edge_key(tail, v), edge_key(tail, w), edge_key(v, w)
+                        }
+                        if induced_ok(chain + [v, w], trial_allowed):
+                            matching.append(index[edge_key(tail, v)])
+                            chain.extend((v, w))
+                            allowed = trial_allowed
+                            tail = w
+                            grown = True
+                            break
+                    if grown:
+                        break
+            if len(matching) > len(best):
+                best = matching
+    return best
+
+
+def structural_hints_retest(g):
+    """The hint lists in the order the greedy search reads them: clique
+    matchings, the induced matching, the triangle chain."""
+    return [
+        *clique_matching_hints_retest(g),
+        induced_matching_hint_retest(g),
+        triangle_chain_hint_retest(g),
+    ]
+
+
+def greedy_orthogonal_retest(g, hints):
+    """Edges of the greedy orthogonal set: each hint filtered to a pairwise
+    orthogonal subset, the longest (first among equals) extended by a scan
+    over all edge indices."""
+    from critgroup.pairing import _pairing_table
+
+    edges, table = _pairing_table(g)
+
+    def orthogonal(i, j):
+        return i != j and table[i][j] == 0
+
+    filtered = []
+    for hint in hints:
+        kept = []
+        for i in sorted(hint):
+            if all(orthogonal(j, i) for j in kept):
+                kept.append(i)
+        filtered.append(kept)
+    chosen = list(max(filtered, key=len, default=[]))
+    for i in range(len(edges)):
+        if i not in chosen and all(orthogonal(j, i) for j in chosen):
+            chosen.append(i)
+    return tuple(edges[i] for i in sorted(chosen))
+
+
 # ---------------------------------------------------------------------------
 # Seeded randomness helpers
 

@@ -19,6 +19,9 @@ ANALYZE_GOLDENS = pathlib.Path(__file__).with_name("analyze_goldens.json")
 # strongly regular record and the complete-multipartite classifiers still
 # existed beside it; keyed by the joined arguments of `structure_ops`
 STRUCTURE_GOLDENS = pathlib.Path(__file__).with_name("structure_goldens.json")
+# stdout SHA-256 of the benchmark's family ops, keyed by their joined
+# arguments; the benchmark owns this file and the tests only read it
+BENCH_DIGESTS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "digests.json"
 
 
 def run(capsys, *argv):
@@ -157,6 +160,18 @@ def test_structure_goldens(capsys, tmp_path, monkeypatch):
     write_corpus_files(tmp_path)
     for argv in ops:
         assert structure_record(*run(capsys, *argv)) == goldens[" ".join(argv)], argv
+
+
+def test_bench_digests_of_greedy_and_scan_ops(capsys):
+    # the greedy orthogonal search and the parameter scan reproduce the
+    # benchmark's recorded reports byte for byte
+    digests = json.loads(BENCH_DIGESTS.read_text(encoding="utf-8"))
+    labels = [label for label in digests if "--mode greedy" in label or label.startswith("scan")]
+    assert len(labels) == 11
+    for label in labels:
+        code, out, _ = run(capsys, *label.split())
+        assert code == 0, label
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[label], label
 
 
 def test_disconnected_input_is_rejected_by_every_graph_command(capsys, tmp_path):
@@ -434,6 +449,18 @@ def test_error_exit_codes(capsys, tmp_path, monkeypatch):
                          "--edge1", "1,2")
     assert (code, out, built) == (2, "", [])
     assert err == "error: give both --edge1 and --edge2, or neither\n"
+
+
+def test_input_that_is_not_utf8_exits_2(capsys, tmp_path):
+    # bad input, not a failed verifier: exit 2 with an error line and no
+    # traceback, for every command that reads --input
+    path = tmp_path / "utf16.txt"
+    path.write_bytes("n 3\n1 2\n2 3\n".encode("utf-16"))
+    for argv in (["group"], ["analyze"], ["pairing"], ["orthogonal"],
+                 ["verify", "--check", "exponent"], ["generate"]):
+        code, out, err = run(capsys, *argv, "--input", str(path))
+        assert (code, out) == (2, ""), argv
+        assert err == "error: line 1: not UTF-8 text (byte 0xff)\n", argv
 
 
 def test_scan_output(capsys):

@@ -29,6 +29,7 @@ from critgroup import (
     paley,
     parse_graph,
     petersen,
+    read_graph_file,
     signed_complete_unbalanced,
     squarefree_part,
     star,
@@ -399,6 +400,22 @@ def test_parse_graph_error_line_numbers():
             parse_graph(text)
         assert info.value.line == line
         assert f"line {line}" in str(info.value)
+
+
+def test_read_graph_file_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "g.txt"
+    for data, line, byte in (
+        (b"\xff\xfen 3\n1 2\n", 1, "0xff"),  # a UTF-16 byte-order mark
+        (b"n 3\n1 2\n2 3 \xc3\n", 3, "0xc3"),  # a truncated sequence
+    ):
+        path.write_bytes(data)
+        with pytest.raises(GraphFormatError) as info:
+            read_graph_file(str(path))
+        assert info.value.line == line
+        assert str(info.value) == f"line {line}: not UTF-8 text (byte {byte})"
+    # CRLF line ends read as before
+    path.write_bytes(b"n 3\r\n1 2\r\n2 3 -\r\n")
+    assert read_graph_file(str(path)) == parse_graph("n 3\n1 2\n2 3 -\n")
 
 
 def test_parse_graph_requires_header():

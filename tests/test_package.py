@@ -1,4 +1,5 @@
 import ast
+import collections
 import contextlib
 import io
 import pathlib
@@ -126,6 +127,59 @@ def test_cache_scan_catches_each_construct():
     assert found == [
         (3, "cache"), (5, "bare lru_cache"), (7, "lru_cache(maxsize=None)"),
         (9, "lru_cache(maxsize=None)"), (11, "cache"),
+    ]
+
+
+def _orphaned_helpers(sources):
+    """(module, name) for every module-level private function or class
+    that no code outside its own body names, across all the given
+    {module: source} texts. A name counts as a reference as a variable,
+    an attribute or an imported name."""
+    def names(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+            elif isinstance(sub, ast.alias):
+                yield sub.name
+
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    counts = collections.Counter(name for tree in trees.values() for name in names(tree))
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                if counts[node.name] == collections.Counter(names(node))[node.name]:
+                    yield module, node.name
+
+
+def test_private_helpers_are_referenced():
+    # a refactor that stops calling a helper deletes it too
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert sorted(_orphaned_helpers(sources)) == []
+
+
+def test_orphan_scan_catches_each_construct():
+    sources = {
+        "a.py": (
+            "def _orphan(): return 1\n"
+            "def _recursive(n): return _recursive(n - 1) if n else 0\n"
+            "class _Unused: pass\n"
+            "def _called(): return 2\n"
+            "def _imported(): return 3\n"
+            "def _by_attribute(): return 4\n"
+            "def public(): return _called()\n"
+            "def __dunder__(): return 5\n"
+        ),
+        "b.py": (
+            "from a import _imported\n"
+            "import a\n"
+            "x = a._by_attribute\n"
+        ),
+    }
+    assert sorted(_orphaned_helpers(sources)) == [
+        ("a.py", "_Unused"), ("a.py", "_orphan"), ("a.py", "_recursive"),
     ]
 
 

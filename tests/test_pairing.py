@@ -33,7 +33,14 @@ from critgroup import (
 )
 import critgroup.pairing
 from critgroup.pairing import _closed_form_params, _pairing_table
-from conftest import random_connected_graph, random_sum_zero_vector, unsigned_srg_corpus
+from conftest import (
+    connected_atlas,
+    greedy_orthogonal_retest,
+    random_connected_graph,
+    random_sum_zero_vector,
+    structural_hints_retest,
+    unsigned_srg_corpus,
+)
 
 
 def test_pairing_table_matches_closed_form_on_srg_fixtures():
@@ -235,6 +242,41 @@ def test_exact_search_builds_no_hints(monkeypatch):
     report = verify_tail_heavy(g)
     assert report.passed and report.size == 7
     assert report.predicted.invariant_factors == (29,) * 6 + (203,)
+
+
+@pytest.fixture(scope="module")
+def seed_corpus():
+    """(graph, its hint lists by the re-testing oracles) for every connected
+    graph on at most 7 vertices and 100 seeded random connected graphs on
+    at most 14."""
+    rng = random.Random(9)
+    randoms = [
+        random_connected_graph(rng, rng.randint(4, 14), rng.choice((0.3, 0.5, 0.7)))
+        for _ in range(100)
+    ]
+    return [(g, structural_hints_retest(g)) for g in connected_atlas(7) + randoms]
+
+
+def test_hints_match_retest_oracles(seed_corpus):
+    assert len(seed_corpus) == 995 + 100
+    for g, want in seed_corpus:
+        got = [
+            *critgroup.pairing._clique_matching_hints(g),
+            critgroup.pairing._induced_matching_hint(g),
+            critgroup.pairing._triangle_chain_hint(g),
+        ]
+        assert got == want, (g.n, g.sorted_edges())
+    # chains of zero to three triangles all occur
+    assert {len(hints[-1]) for _, hints in seed_corpus} == {0, 1, 2, 3}
+
+
+def test_greedy_orthogonal_matches_retest_oracle(seed_corpus):
+    for g, hints in seed_corpus:
+        for structural_hints, seeds in ((True, hints), (False, [])):
+            got = orthogonal_subset(g, mode="greedy", structural_hints=structural_hints)
+            assert got.edges == greedy_orthogonal_retest(g, seeds), (
+                structural_hints, g.n, g.sorted_edges()
+            )
 
 
 def test_orthogonal_subset_certificate_complete():

@@ -13,6 +13,7 @@ from critgroup import (
     self_pairing_denominator,
 )
 from critgroup.graphs import MAX_VERTICES
+from conftest import enumerate_feasible_filter
 
 
 def tuples(rows):
@@ -34,6 +35,14 @@ def test_enumerate_feasible_small():
     assert (6, 3, 0, 2) not in ts
     # parameter identity k(k - lam - 1) = (n - k - 1) mu rules this out
     assert (10, 4, 0, 1) not in ts
+
+
+def test_enumerate_feasible_matches_generate_and_filter():
+    # only the admissible lam are visited; trying every lam and filtering
+    # must give the same rows in the same order
+    want = enumerate_feasible_filter(150)
+    assert len(want) == 801
+    assert enumerate_feasible(150) == want
 
 
 def test_enumerate_feasible_rejects_tiny():
