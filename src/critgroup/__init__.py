@@ -4,176 +4,62 @@ Computes Laplacian cokernels over the integers, explicit order-achieving
 decompositions, the monodromy pairing, orthogonal edge sets and the
 subgroup bounds they force, plus a feasibility scan over strongly regular
 parameter tuples. Everything is exact; no floating point anywhere.
+
+Public names resolve on first access (PEP 562), so importing the package,
+or one module of it, loads only the modules that are used.
 """
 
-from .errors import (
-    DisconnectedGraphError,
-    GraphError,
-    GraphFormatError,
-    InternalCheckError,
-    StructureError,
-)
-from .graphs import (
-    GENERATOR_FAMILIES,
-    BalanceResult,
-    Graph,
-    SignedGraph,
-    TwoEigenvalueParams,
-    UnbalancedTriangle,
-    clebsch_complement,
-    complement,
-    complete,
-    complete_multipartite,
-    cycle,
-    detect_two_eigenvalue,
-    disjoint_union,
-    edge_key,
-    find_unbalanced_triangle,
-    format_graph,
-    generate,
-    graph_join,
-    is_balanced,
-    make_graph,
-    make_signed_graph,
-    net_common_neighbors,
-    paley,
-    parse_graph,
-    petersen,
-    read_graph_file,
-    signed_complete_unbalanced,
-    star,
-    switch,
-)
-from .groups import (
-    AbelianGroup,
-    Decomposition,
-    ExponentReport,
-    SpectralBoundReport,
-    Witnesses,
-    critical_group,
-    decomposition,
-    edge_difference,
-    element_order,
-    spanning_tree_count,
-    subgroup_invariant_factors,
-    verify_exponent_theorem,
-    verify_spectral_bound,
-    vertex_indicator,
-    witnesses,
-)
-from .linalg import (
-    IntMatrix,
-    Polynomial,
-    adjugate,
-    char_poly,
-    determinant,
-    distinct_nonzero_eigenvalue_product,
-    gershgorin_bound,
-    integer_roots,
-    laplacian,
-    polynomial_gcd,
-    smith_diagonal,
-    squarefree_part,
-    unit_pivot_core,
-)
-from .pairing import (
-    OrthogonalSet,
-    PairingValue,
-    TailHeavyReport,
-    check_subgroup_divisibility,
-    edge_pairing_closed_form,
-    monodromy_pairing,
-    orthogonal_subset,
-    self_pairing_denominator,
-    subgroup_bound,
-    verify_tail_heavy,
-)
-from .scan import (
-    KNOWN_TIGHT_TUPLES,
-    SCAN_NOTE,
-    FeasibleTuple,
-    enumerate_feasible,
-    scan_tight_denominators,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbelianGroup",
-    "BalanceResult",
-    "Decomposition",
-    "DisconnectedGraphError",
-    "ExponentReport",
-    "FeasibleTuple",
-    "GENERATOR_FAMILIES",
-    "Graph",
-    "GraphError",
-    "GraphFormatError",
-    "IntMatrix",
-    "InternalCheckError",
-    "KNOWN_TIGHT_TUPLES",
-    "OrthogonalSet",
-    "PairingValue",
-    "Polynomial",
-    "SCAN_NOTE",
-    "SignedGraph",
-    "SpectralBoundReport",
-    "StructureError",
-    "TailHeavyReport",
-    "TwoEigenvalueParams",
-    "UnbalancedTriangle",
-    "Witnesses",
-    "adjugate",
-    "char_poly",
-    "check_subgroup_divisibility",
-    "clebsch_complement",
-    "complement",
-    "complete",
-    "complete_multipartite",
-    "critical_group",
-    "cycle",
-    "decomposition",
-    "detect_two_eigenvalue",
-    "determinant",
-    "disjoint_union",
-    "distinct_nonzero_eigenvalue_product",
-    "edge_difference",
-    "edge_key",
-    "edge_pairing_closed_form",
-    "element_order",
-    "enumerate_feasible",
-    "find_unbalanced_triangle",
-    "format_graph",
-    "generate",
-    "gershgorin_bound",
-    "graph_join",
-    "integer_roots",
-    "is_balanced",
-    "laplacian",
-    "make_graph",
-    "make_signed_graph",
-    "monodromy_pairing",
-    "net_common_neighbors",
-    "orthogonal_subset",
-    "paley",
-    "parse_graph",
-    "petersen",
-    "polynomial_gcd",
-    "read_graph_file",
-    "scan_tight_denominators",
-    "self_pairing_denominator",
-    "signed_complete_unbalanced",
-    "smith_diagonal",
-    "spanning_tree_count",
-    "squarefree_part",
-    "star",
-    "subgroup_bound",
-    "subgroup_invariant_factors",
-    "switch",
-    "unit_pivot_core",
-    "verify_exponent_theorem",
-    "verify_spectral_bound",
-    "verify_tail_heavy",
-    "vertex_indicator",
-    "witnesses",
-]
+_MODULE_EXPORTS = {
+    "errors": (
+        "DisconnectedGraphError", "GraphError", "GraphFormatError", "InternalCheckError",
+        "StructureError",
+    ),
+    "graphs": (
+        "GENERATOR_FAMILIES", "BalanceResult", "Graph", "SignedGraph", "TwoEigenvalueParams",
+        "UnbalancedTriangle", "clebsch_complement", "complement", "complete",
+        "complete_multipartite", "cycle", "detect_two_eigenvalue", "disjoint_union", "edge_key",
+        "find_unbalanced_triangle", "format_graph", "generate", "graph_join", "is_balanced",
+        "make_graph", "make_signed_graph", "net_common_neighbors", "paley", "parse_graph",
+        "petersen", "read_graph_file", "signed_complete_unbalanced", "star", "switch",
+    ),
+    "groups": (
+        "AbelianGroup", "Decomposition", "ExponentReport", "SpectralBoundReport", "Witnesses",
+        "critical_group", "decomposition", "edge_difference", "element_order",
+        "grounded_inverse", "spanning_tree_count", "subgroup_invariant_factors",
+        "verify_exponent_theorem", "verify_spectral_bound", "vertex_indicator", "witnesses",
+    ),
+    "linalg": (
+        "IntMatrix", "Polynomial", "adjugate", "char_poly", "determinant",
+        "distinct_nonzero_eigenvalue_product", "gershgorin_bound", "integer_roots", "laplacian",
+        "polynomial_gcd", "smith_diagonal", "squarefree_part", "unit_pivot_core",
+    ),
+    "pairing": (
+        "OrthogonalSet", "PairingValue", "TailHeavyReport", "check_subgroup_divisibility",
+        "edge_pairing_closed_form", "monodromy_pairing", "orthogonal_subset",
+        "self_pairing_denominator", "subgroup_bound", "verify_tail_heavy",
+    ),
+    "scan": (
+        "KNOWN_TIGHT_TUPLES", "SCAN_NOTE", "FeasibleTuple", "enumerate_feasible",
+        "scan_tight_denominators",
+    ),
+}
+_EXPORTS = {name: module for module, names in _MODULE_EXPORTS.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
+from math import gcd
 
 from .errors import GraphError, InternalCheckError, StructureError
 from .graphs import (
@@ -59,8 +59,10 @@ def _jint(x: int) -> str:
     return str(int(x))
 
 
-def _jfrac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+def _jresidue(a: int, modulus: int) -> str:
+    """The rational a / modulus in lowest terms, as "p/q"."""
+    h = gcd(a, modulus)
+    return f"{a // h}/{modulus // h}"
 
 
 def _jedge(e) -> list[str]:
@@ -262,9 +264,9 @@ def _cmd_pairing(args) -> tuple[dict, dict, int]:
         value = str(monodromy_pairing(g, d1, d2))
         result["pairs"] = [{"edge1": _jedge(e1), "edge2": _jedge(e2), "value": value}]
     else:
-        edges, table = _pairing_table(g)
+        edges, exponent, table = _pairing_table(g)
         result["pairs"] = [
-            {"edge1": _jedge(e1), "edge2": _jedge(edges[j]), "value": _jfrac(row[j])}
+            {"edge1": _jedge(e1), "edge2": _jedge(edges[j]), "value": _jresidue(row[j], exponent)}
             for i, (e1, row) in enumerate(zip(edges, table))
             for j in range(i, len(edges))
         ]

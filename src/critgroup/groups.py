@@ -5,7 +5,9 @@ cokernel of its Laplacian; for an unbalanced signed graph the cokernel is
 already finite and is taken whole. Invariant factors come from a Smith
 diagonal modulo the spectral bound (or the spanning-tree count) of the core
 left by unit-pivot elimination, certified against the determinant of that
-core; orders of cokernel classes come from the grounded adjugate.
+core. Orders of cokernel classes come from X = E L0^-1, E the exponent:
+read off the Laplacian identity L^2 - s L + p I = c J when the graph has
+one, else from the grounded adjugate, and certified by L0 X = E I.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .graphs import (
     TwoEigenvalueParams,
     detect_two_eigenvalue,
     edge_key,
+    is_balanced,
     odd_triangle_switch,
     require_connected,
     switch,
@@ -35,7 +38,7 @@ from .linalg import (
     unit_pivot_core,
 )
 
-# Graphs whose group and grounded adjugate stay cached; one CLI run reads one.
+# Graphs whose group and grounded inverse stay cached; one CLI run reads one.
 CACHED_GRAPHS = 8
 
 
@@ -80,38 +83,109 @@ def _grounded_laplacian(g: Graph | SignedGraph) -> IntMatrix | None:
     return IntMatrix.from_rows(row[:-1] for row in lap.entries[:-1]) if g.n > 1 else None
 
 
+def _laplacian_rows(g: Graph | SignedGraph) -> list[tuple[int, frozenset[int], frozenset[int]]]:
+    """Row v of the (signed) Laplacian at index v - 1, read off the
+    adjacency: (degree, positive neighbours, negative neighbours), for the
+    entries d_v, -1 and +1."""
+    if isinstance(g, Graph):
+        return [(len(nbrs), nbrs, frozenset()) for nbrs in g.adjacency.values()]
+    negative = Graph(g.n, g.negative_edges).adjacency
+    return [(len(nbrs), nbrs - negative[v], negative[v]) for v, nbrs in g.graph.adjacency.items()]
+
+
+def _laplacian_mul(rows, x) -> list[int]:
+    """L x, over the rows of `_laplacian_rows` (or a leading part of them)."""
+    at = [0, *x].__getitem__  # vertex v is entry v - 1
+    return [
+        d * x[i] - sum(map(at, pos)) + sum(map(at, neg))
+        for i, (d, pos, neg) in enumerate(rows)
+    ]
+
+
+def _scaled_potential(rows, s: int, target) -> list[int]:
+    """f = s t - L t, with L t the combination of the Laplacian columns at
+    the non-zero entries of t. When L^2 - s L + p I = c J and c J t = 0,
+    L f = (s L - L^2) t = p t: f is p times a potential of t."""
+    out = [s * t for t in target]
+    for v, t in enumerate(target):
+        if t:
+            d, pos, neg = rows[v]
+            out[v] -= d * t
+            for w in pos:
+                out[w - 1] += t
+            for w in neg:
+                out[w - 1] -= t
+    return out
+
+
 @lru_cache(maxsize=CACHED_GRAPHS)
-def grounded_adjugate(g: Graph | SignedGraph) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(kappa, A) with A = adj(L0) symmetric and kappa = det L0 > 0.
+def grounded_inverse(g: Graph | SignedGraph) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(E, X) with E the exponent of the critical group and X = E L0^-1, an
+    integer symmetric matrix: E annihilates the cokernel of L0.
 
     L0 is the Laplacian with the last vertex grounded for an unsigned graph
-    (kappa is the spanning-tree count; A is empty for one vertex) and the
-    whole signed Laplacian, rejected when balanced, for a signed graph.
+    (X is empty for one vertex) and the whole signed Laplacian, rejected
+    when balanced, for a signed graph. With the identity
+    L^2 - s L + p I = c J and p != 0, column j of p L0^-1 is f = s t - L t
+    for t = e_j - e_n, shifted by f_n so that the ground entry is zero and
+    then dropped (t = e_j and no shift for a signed graph, where c = 0:
+    p L^-1 = s I - L). Otherwise X = E adj(L0) / kappa. Either way each
+    division must be exact, and the certificate L0 X = E I is checked over
+    the adjacency, else InternalCheckError. Cached per graph.
     """
-    require_connected(g, "grounded_adjugate")
-    lap = _grounded_laplacian(g)
-    if lap is None:
-        return 1, ()
-    try:
-        kappa, adj = adjugate(lap)
-    except GraphError:  # a zero pivot: the signed Laplacian is singular
+    require_connected(g, "grounded_inverse")
+    signed = isinstance(g, SignedGraph)
+    if signed and is_balanced(g).balanced:
         raise StructureError("balanced signed graph: cokernel classes have infinite order")
-    if lap @ adj != IntMatrix.identity(lap.rows).scale(kappa):
-        raise InternalCheckError("grounded adjugate identity L0 @ A == kappa * I failed")
-    return kappa, adj.entries
+    if g.n == 1:
+        return 1, ()
+    exponent = _certified_group(g).exponent
+    rows = _laplacian_rows(g)
+    size = g.n if signed else g.n - 1
+    try:
+        params = _two_eigenvalue_params(g)
+    except StructureError:
+        params = None
+    if params is None or params.eigenvalue_product == 0:
+        divisor, columns = adjugate(_grounded_laplacian(g))
+        columns = columns.entries
+    else:
+        divisor, columns = params.eigenvalue_product, []
+        for j in range(size):
+            target = [0] * g.n
+            target[j] = 1
+            if not signed:
+                target[-1] = -1
+            f = _scaled_potential(rows, params.eigenvalue_sum, target)
+            if not signed:
+                ground = f.pop()
+                f = [x - ground for x in f]
+            columns.append(f)
+    inverse = []
+    for j, column in enumerate(columns):
+        scaled = [exponent * x for x in column]
+        if any(x % divisor for x in scaled):
+            raise InternalCheckError(f"E L0^-1 is not integral: {divisor} does not divide column {j + 1}")
+        inverse.append(tuple(x // divisor for x in scaled))
+    grounded_rows = rows[:size]
+    for j, column in enumerate(inverse):
+        image = _laplacian_mul(grounded_rows, column if signed else (*column, 0))
+        image[j] -= exponent
+        if any(image):
+            raise InternalCheckError(f"grounded inverse identity L0 X == E I failed at column {j + 1}")
+    return exponent, tuple(inverse)
 
 
-def grounded_potential(g: Graph | SignedGraph, vector) -> tuple[int, list[int]]:
-    """(kappa, A d0), where d0 is `vector` without the grounded coordinate:
-    kappa times the potential f0 solving L0 f0 = d0. A is symmetric, so
-    A d0 is the sum of d_j times row j of A."""
-    kappa, adj = grounded_adjugate(g)
-    image = [0] * len(adj)
-    for x, row in zip(vector, adj):
+def _grounded_image(inverse, vector) -> list[int]:
+    """X d0 for X from `grounded_inverse`, where d0 is `vector` without the
+    grounded coordinate: X is symmetric, so X d0 is the sum of d_j times
+    row j of X."""
+    image = [0] * len(inverse)
+    for x, row in zip(vector, inverse):
         if x:
             for i, a in enumerate(row):
                 image[i] += x * a
-    return kappa, image
+    return image
 
 
 def critical_group(g: Graph | SignedGraph) -> AbelianGroup:
@@ -208,8 +282,8 @@ def vertex_indicator(g: Graph | SignedGraph, u: int) -> tuple[int, ...]:
 def element_order(g: Graph | SignedGraph, vector) -> int:
     """Order of the class of `vector` in the critical group.
 
-    The smallest t with t * d0 in the lattice of L0 makes t * A d0 / kappa
-    integral, so the order is kappa / gcd(kappa, A d0). For an unsigned
+    The smallest t with t * d0 in the lattice of L0 makes t * X d0 / E
+    integral, so the order is E / gcd(E, X d0). For an unsigned
     graph the grounded equation is the only one left once d sums to zero.
     """
     vector = list(vector)
@@ -218,8 +292,8 @@ def element_order(g: Graph | SignedGraph, vector) -> int:
     if isinstance(g, Graph) and sum(vector) != 0:
         raise GraphError("unsigned critical group classes need sum-zero vectors")
     require_connected(g, "element_order")
-    kappa, image = grounded_potential(g, vector)
-    return kappa // gcd(kappa, *image)
+    exponent, inverse = grounded_inverse(g)
+    return exponent // gcd(exponent, *_grounded_image(inverse, vector))
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +374,10 @@ def decomposition(g: Graph | SignedGraph, edge: tuple[int, int]) -> Decompositio
     elif isinstance(g, SignedGraph) and g.sign(a, b) == -1:
         switch_set = frozenset({b})
     work = switch(g, switch_set) if switch_set else g
-    lap = laplacian(work)
-    coefficients = [params.eigenvalue_sum * t - x for t, x in zip(target, lap.mul_vec(target))]
-    # lap is symmetric, so combining its rows is multiplying by it
-    if lap.mul_vec(coefficients) != [params.eigenvalue_product * t for t in target]:
+    rows = _laplacian_rows(work)
+    coefficients = _scaled_potential(rows, params.eigenvalue_sum, target)
+    # the Laplacian is symmetric, so combining its rows is multiplying by it
+    if _laplacian_mul(rows, coefficients) != [params.eigenvalue_product * t for t in target]:
         raise InternalCheckError(
             f"decomposition identity failed for case {case} at edge {(a, b)}"
         )

@@ -2,9 +2,10 @@
 tail-heavy subgroup verifier.
 
 The pairing of two classes [D], [D2] is D2.f mod 1 where L f = D; with the
-last vertex grounded, f0 = A D0 / kappa for the grounded adjugate A. It is
-well-defined, bilinear, and symmetric, and for strongly regular graphs it
-has a closed form read off the order-achieving decomposition coefficients.
+last vertex grounded, f0 = X D0 / E for X = E L0^-1 and E the group
+exponent (`groups.grounded_inverse`). It is well-defined, bilinear, and
+symmetric, and for strongly regular graphs it has a closed form read off
+the order-achieving decomposition coefficients.
 A set of edges whose classes e_u - e_v pairwise pair to zero forces a
 tail-heavy subgroup: one factor of the full spectral bound plus copies of
 the self-pairing denominator.
@@ -28,11 +29,11 @@ from .graphs import (
 )
 from .groups import (
     AbelianGroup,
+    _grounded_image,
     critical_group,
     decomposition,
     element_order,
-    grounded_adjugate,
-    grounded_potential,
+    grounded_inverse,
 )
 
 
@@ -48,14 +49,8 @@ class PairingValue:
             raise GraphError(f"pairing value {self.value} not reduced mod 1")
 
     @classmethod
-    def reduce(cls, value: Fraction, exponent: int | None = None) -> PairingValue:
-        canonical = value - floor(value)
-        if exponent is not None and exponent % canonical.denominator:
-            raise InternalCheckError(
-                f"pairing denominator {canonical.denominator} does not divide "
-                f"the group exponent {exponent}"
-            )
-        return cls(canonical)
+    def reduce(cls, value: Fraction) -> PairingValue:
+        return cls(value - floor(value))
 
     def is_zero(self) -> bool:
         return self.value == 0
@@ -70,11 +65,11 @@ def _require_unsigned(g, what: str) -> None:
 
 
 def monodromy_pairing(g: Graph, d, d2, m: int | None = None) -> PairingValue:
-    """Pairing of the classes of the sum-zero vectors d and d2: d2 . A d0
-    / kappa mod 1 for the grounded adjugate A.
+    """Pairing of the classes of the sum-zero vectors d and d2: d2 . X d0
+    / E mod 1 for X = E L0^-1, E the group exponent.
 
     m must be a positive multiple of the order of [d] and defaults to the
-    group exponent; it enters only the check that m * A d0 / kappa is an
+    group exponent; it enters only the check that m * X d0 / E is an
     integer potential, so every valid m gives the same value.
     """
     _require_unsigned(g, "the monodromy pairing")
@@ -86,19 +81,19 @@ def monodromy_pairing(g: Graph, d, d2, m: int | None = None) -> PairingValue:
             raise GraphError(f"{name} vector length {len(vec)} != n = {g.n}")
         if sum(vec) != 0:
             raise GraphError(f"{name} vector must have zero coordinate sum")
-    group = critical_group(g)
+    exponent, inverse = grounded_inverse(g)
     if m is None:
-        m = group.exponent
+        m = exponent
     else:
         if m <= 0:
             raise GraphError(f"m must be positive, got {m}")
         if m % element_order(g, d):
             raise GraphError(f"m = {m} does not annihilate the first class")
-    kappa, image = grounded_potential(g, d)
-    if any(m * x % kappa for x in image):
+    image = _grounded_image(inverse, d)
+    if any(m * x % exponent for x in image):
         raise InternalCheckError("annihilated classes admit integer potentials")
     numerator = sum(x * y for x, y in zip(d2, image))
-    return PairingValue.reduce(Fraction(numerator, kappa), exponent=group.exponent)
+    return PairingValue.reduce(Fraction(numerator, exponent))
 
 
 def _closed_form_params(g: Graph) -> TwoEigenvalueParams:
@@ -168,22 +163,21 @@ class OrthogonalSet:
         return len(self.edges)
 
 
-def _pairing_table(g: Graph) -> tuple[list[tuple[int, int]], list[list[Fraction]]]:
-    """All pairwise pairing values between edge classes, by edge index in
-    lexicographic order. With A the grounded adjugate, edge (u, v) has
-    w = A (e_u - e_v)0 = A[u] - A[v], and pairs with edge (x, y) to
-    (w_x - w_y) / kappa mod 1; the grounded vertex has a zero row and entry."""
+def _pairing_table(g: Graph) -> tuple[list[tuple[int, int]], int, list[list[int]]]:
+    """(edges, E, table): the edges in lexicographic order, the group
+    exponent E, and for each pair of edge indices the numerator a in
+    [0, E) of their pairing a / E. With X = E L0^-1, edge (u, v) has
+    w = X (e_u - e_v)0 = X[u] - X[v], and pairs with edge (x, y) to
+    (w_x - w_y) / E mod 1; the grounded vertex has a zero row and entry."""
     edges = g.sorted_edges()
-    exponent = critical_group(g).exponent
-    kappa, adj = grounded_adjugate(g)
-    rows = [*adj, (0,) * (g.n - 1)]
+    exponent, inverse = grounded_inverse(g)
+    rows = [*inverse, (0,) * (g.n - 1)]
+    ends = [(x - 1, y - 1) for x, y in edges]
     table = []
     for u, v in edges:
         w = [a - b for a, b in zip(rows[u - 1], rows[v - 1])] + [0]
-        table.append([Fraction((w[x - 1] - w[y - 1]) % kappa, kappa) for x, y in edges])
-    if any(exponent % value.denominator for row in table for value in row):
-        raise InternalCheckError("a pairing denominator does not divide the group exponent")
-    return edges, table
+        table.append([(w[x] - w[y]) % exponent for x, y in ends])
+    return edges, exponent, table
 
 
 def _clique_matching_hints(g: Graph) -> list[list[int]]:
@@ -336,13 +330,15 @@ def orthogonal_subset(g: Graph, mode: str = "exact", structural_hints: bool = Tr
     require_connected(g, "orthogonal_subset")
     if mode not in ("exact", "greedy"):
         raise GraphError(f"mode must be exact or greedy, got {mode!r}")
-    edges, table = _pairing_table(g)
+    edges, exponent, table = _pairing_table(g)
     count = len(edges)
-    masks = [0] * count
-    for i in range(count):
-        for j in range(count):
-            if i != j and table[i][j] == 0:
-                masks[i] |= 1 << j
+    masks = []
+    for i, row in enumerate(table):
+        mask = 0
+        for j, value in enumerate(row):
+            if not value:
+                mask |= 1 << j
+        masks.append(mask & ~(1 << i))
 
     if mode == "greedy":
         hints = []
@@ -355,7 +351,7 @@ def orthogonal_subset(g: Graph, mode: str = "exact", structural_hints: bool = Tr
 
     chosen_edges = tuple(edges[i] for i in chosen)
     certificate = tuple(
-        (edges[i], edges[j], PairingValue(table[i][j]))
+        (edges[i], edges[j], PairingValue(Fraction(table[i][j], exponent)))
         for pos, i in enumerate(chosen)
         for j in chosen[pos + 1 :]
     )

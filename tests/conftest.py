@@ -394,6 +394,23 @@ def smith_order(snf, vector):
     return order
 
 
+def grounded_inverse_oracle(g):
+    """(E, E adj(L0) / kappa), with E the largest entry of the Smith normal
+    form oracle of L0: the Laplacian grounded at the last vertex, or the
+    whole Laplacian of a signed graph."""
+    from critgroup import adjugate, laplacian
+
+    lap = laplacian(g)
+    if not hasattr(g, "negative_edges"):
+        if g.n == 1:
+            return 1, ()
+        lap = IntMatrix.from_rows(row[:-1] for row in lap.entries[:-1])
+    exponent = max(smith_normal_form(lap).diagonal)
+    kappa, adj = adjugate(lap)
+    assert all(exponent * a % kappa == 0 for row in adj.entries for a in row)
+    return exponent, tuple(tuple(exponent * a // kappa for a in row) for row in adj.entries)
+
+
 def faddeev_leverrier(m: IntMatrix) -> Polynomial:
     """Characteristic polynomial det(xI - m) by the O(n^4) Faddeev-LeVerrier
     recurrence: with M_1 = m, c_k = -tr(M_k) / k and M_{k+1} = m (M_k + c_k I).
@@ -555,7 +572,7 @@ def greedy_orthogonal_retest(g, hints):
     over all edge indices."""
     from critgroup.pairing import _pairing_table
 
-    edges, table = _pairing_table(g)
+    edges, _, table = _pairing_table(g)
 
     def orthogonal(i, j):
         return i != j and table[i][j] == 0

@@ -21,6 +21,7 @@ from critgroup import (
     edge_difference,
     element_order,
     graph_join,
+    grounded_inverse,
     laplacian,
     make_graph,
     make_signed_graph,
@@ -39,8 +40,10 @@ from critgroup import (
 from conftest import (
     applicable_edges,
     connected_atlas,
+    grounded_inverse_oracle,
     random_connected_graph,
     random_sum_zero_vector,
+    signed_complete_all_negative,
     signed_corpus,
     smith_normal_form,
     smith_order,
@@ -259,6 +262,70 @@ def test_element_order_matches_smith_oracle_signed():
         for u, v in gs.sorted_edges():
             d = edge_difference(gs, u, v)
             assert element_order(gs, d) == smith_order(snf, d)
+
+
+def test_grounded_inverse_matches_adjugate_oracle():
+    # the structure route (two-eigenvalue graphs, signed ones included) and
+    # the kappa route (everything else) against E adj(L0) / kappa
+    rng = random.Random(1010)
+    graphs = connected_atlas(7)
+    graphs += [random_connected_graph(rng, rng.randint(8, 20), rng.choice([0.2, 0.5])) for _ in range(30)]
+    graphs += [g for _, g in unsigned_two_eigenvalue_corpus()]
+    graphs += [star(p) for p in range(1, 11)] + [complete_multipartite([m, m]) for m in range(1, 6)]
+    graphs += [complete(n) for n in range(1, 8)] + [paley(17), cycle(12)]
+    graphs += [g for _, g in signed_corpus()]
+    graphs += [signed_complete_all_negative(n) for n in range(3, 16)]
+    graphs += [signed_complete_unbalanced(n) for n in range(3, 9)]
+    structured = 0
+    for g in graphs:
+        assert grounded_inverse(g) == grounded_inverse_oracle(g), g
+        try:
+            structured += detect_two_eigenvalue(g) is not None
+        except StructureError:  # complete graphs
+            pass
+    assert structured >= 75
+
+
+def test_grounded_inverse_rejects():
+    with pytest.raises(StructureError, match="balanced signed graph: cokernel classes have infinite order"):
+        grounded_inverse(make_signed_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)], [(1, 2), (2, 3)]))
+    with pytest.raises(DisconnectedGraphError):
+        grounded_inverse(make_graph(4, [(1, 2), (3, 4)]))
+
+
+def test_grounded_inverse_certificate_catches_wrong_structure_record(monkeypatch, capsys):
+    # a wrong eigenvalue sum, or a doubled product that still annihilates
+    # the group, leaves critical_group right and must trip L0 X == E I
+    import critgroup.cli
+
+    groups = critgroup.groups
+
+    def clear():
+        groups._certified_group.cache_clear()
+        groups.grounded_inverse.cache_clear()
+
+    for g in (petersen(), paley(13), star(4), signed_corpus()[3][1], signed_corpus()[7][1]):
+        params = groups._two_eigenvalue_params(g)
+        group = critical_group(g)
+        for wrong in (dataclasses.replace(params, eigenvalue_sum=params.eigenvalue_sum + 1),
+                      dataclasses.replace(params, eigenvalue_product=2 * params.eigenvalue_product)):
+            monkeypatch.setattr(groups, "_two_eigenvalue_params", lambda _, w=wrong: w)
+            clear()
+            assert critical_group(g) == group
+            with pytest.raises(InternalCheckError, match="E L0\\^-1 is not integral|L0 X == E I"):
+                grounded_inverse(g)
+            monkeypatch.undo()
+    params = groups._two_eigenvalue_params(petersen())
+    wrong = dataclasses.replace(params, eigenvalue_sum=params.eigenvalue_sum + 1)
+    monkeypatch.setattr(groups, "_two_eigenvalue_params", lambda _: wrong)
+    clear()
+    code = critgroup.cli.main(["pairing", "--family", "petersen", "--edge1", "1,8", "--edge2", "1,9"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("error: internal check failed: ")
+    monkeypatch.undo()
+    clear()
+    assert grounded_inverse(petersen()) == grounded_inverse_oracle(petersen())
 
 
 def test_decomposition_srg_case():

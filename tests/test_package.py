@@ -2,9 +2,14 @@ import ast
 import collections
 import contextlib
 import io
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
+
+import pytest
 
 import critgroup
 
@@ -19,6 +24,25 @@ def test_all_is_sorted_unique_and_resolves():
     assert len(names) == len(set(names))
     for name in names:
         assert hasattr(critgroup, name), name
+
+
+def test_public_names_load_their_module_on_first_access():
+    # importing the package loads none of its modules; a public name loads
+    # its own module and what that module imports
+    probe = (
+        "import sys, critgroup\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.startswith('critgroup.'))\n"
+        "print(loaded()); critgroup.paley; print(loaded())\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(critgroup.__file__).parents[1]),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines() == ["[]", "['critgroup.errors', 'critgroup.graphs']"]
+    assert set(critgroup.__all__) <= set(dir(critgroup))
+    with pytest.raises(AttributeError):
+        critgroup.grounded_adjugate
 
 
 def _float_uses(tree):
