@@ -33,9 +33,9 @@ _MODULE_EXPORTS = {
         "verify_exponent_theorem", "verify_spectral_bound", "vertex_indicator", "witnesses",
     ),
     "linalg": (
-        "IntMatrix", "Polynomial", "adjugate", "char_poly", "determinant",
-        "distinct_nonzero_eigenvalue_product", "gershgorin_bound", "integer_roots", "laplacian",
-        "polynomial_gcd", "smith_diagonal", "squarefree_part", "unit_pivot_core",
+        "IntMatrix", "Polynomial", "adjugate", "char_poly", "determinant", "gershgorin_bound",
+        "laplacian", "laplacian_spectrum", "polynomial_gcd", "smith_diagonal", "squarefree_part",
+        "unit_pivot_core",
     ),
     "pairing": (
         "OrthogonalSet", "PairingValue", "TailHeavyReport", "check_subgroup_divisibility",

@@ -37,12 +37,7 @@ from .groups import (
     verify_exponent_theorem,
     verify_spectral_bound,
 )
-from .linalg import (
-    char_poly,
-    gershgorin_bound,
-    integer_roots,
-    laplacian,
-)
+from .linalg import laplacian_spectrum
 from .pairing import (
     _closed_form_params,
     _pairing_table,
@@ -176,18 +171,14 @@ def _structure_block(g: Graph | SignedGraph) -> dict | None:
 
 
 def _spectrum_block(g: Graph | SignedGraph) -> dict:
-    lap = laplacian(g)
-    poly = char_poly(lap)
-    roots, remainder = integer_roots(poly, gershgorin_bound(lap))
+    roots, factor = laplacian_spectrum(g)
     block = {
         "integer_eigenvalues": [
             {"value": _jint(r), "multiplicity": _jint(m)} for r, m in roots
         ]
     }
-    if remainder.degree > 0:
-        block["irrational_factor_coefficients"] = [
-            _jint(c) for c in remainder.coeffs
-        ]
+    if factor.degree > 0:
+        block["irrational_factor_coefficients"] = [_jint(c) for c in factor.coeffs]
     return block
 
 

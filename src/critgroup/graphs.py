@@ -334,16 +334,18 @@ def graph_join(g1: Graph, g2: Graph) -> Graph:
 # parameters of a family, checked before anything of that size is built.
 MAX_VERTICES = 1000
 
-GENERATOR_FAMILIES = (
-    "complete",
-    "complete_multipartite",
-    "star",
-    "cycle",
-    "paley",
-    "petersen",
-    "clebsch_complement",
-    "signed_complete_unbalanced",
-)
+# Each family's builder and parameter count; None takes the whole list.
+_FAMILIES = {
+    "complete": (complete, 1),
+    "complete_multipartite": (complete_multipartite, None),
+    "star": (star, 1),
+    "cycle": (cycle, 1),
+    "paley": (paley, 1),
+    "petersen": (petersen, 0),
+    "clebsch_complement": (clebsch_complement, 0),
+    "signed_complete_unbalanced": (signed_complete_unbalanced, 1),
+}
+GENERATOR_FAMILIES = tuple(_FAMILIES)
 
 
 def generate(family: str, params=None) -> Graph | SignedGraph:
@@ -352,43 +354,22 @@ def generate(family: str, params=None) -> Graph | SignedGraph:
     Every family's vertex count is the sum of its parameters, plus one for
     the centre of a star, so it is checked against MAX_VERTICES first.
     """
-    params = params if params is not None else []
+    params = list(params) if params is not None else []
     vertices = sum(params) + (family == "star")
     if vertices > MAX_VERTICES:
         raise GraphError(
             f"family {family} would have {vertices} vertices; the limit is {MAX_VERTICES}"
         )
-
-    def want(k):
-        if len(params) != k:
-            raise GraphError(f"family {family} takes {k} parameter(s), got {len(params)}")
-
-    if family == "complete":
-        want(1)
-        return complete(params[0])
-    if family == "complete_multipartite":
+    if family not in _FAMILIES:
+        raise GraphError(f"unknown family {family!r}; known: {', '.join(GENERATOR_FAMILIES)}")
+    builder, arity = _FAMILIES[family]
+    if arity is None:
         if not params:
-            raise GraphError("complete_multipartite needs part sizes")
-        return complete_multipartite(list(params))
-    if family == "star":
-        want(1)
-        return star(params[0])
-    if family == "cycle":
-        want(1)
-        return cycle(params[0])
-    if family == "paley":
-        want(1)
-        return paley(params[0])
-    if family == "petersen":
-        want(0)
-        return petersen()
-    if family == "clebsch_complement":
-        want(0)
-        return clebsch_complement()
-    if family == "signed_complete_unbalanced":
-        want(1)
-        return signed_complete_unbalanced(params[0])
-    raise GraphError(f"unknown family {family!r}; known: {', '.join(GENERATOR_FAMILIES)}")
+            raise GraphError(f"{family} needs part sizes")
+        return builder(params)
+    if len(params) != arity:
+        raise GraphError(f"family {family} takes {arity} parameter(s), got {len(params)}")
+    return builder(*params)
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,10 @@ from .linalg import (
     IntMatrix,
     adjugate,
     determinant,
-    distinct_nonzero_eigenvalue_product,
     laplacian,
+    laplacian_spectrum,
     smith_diagonal,
+    squarefree_part,
     unit_pivot_core,
 )
 
@@ -126,12 +127,14 @@ def grounded_inverse(g: Graph | SignedGraph) -> tuple[int, tuple[tuple[int, ...]
     L0 is the Laplacian with the last vertex grounded for an unsigned graph
     (X is empty for one vertex) and the whole signed Laplacian, rejected
     when balanced, for a signed graph. With the identity
-    L^2 - s L + p I = c J and p != 0, column j of p L0^-1 is f = s t - L t
-    for t = e_j - e_n, shifted by f_n so that the ground entry is zero and
-    then dropped (t = e_j and no shift for a signed graph, where c = 0:
-    p L^-1 = s I - L). Otherwise X = E adj(L0) / kappa. Either way each
-    division must be exact, and the certificate L0 X = E I is checked over
-    the adjacency, else InternalCheckError. Cached per graph.
+    L^2 - s L + p I = c J of a structure record, where p != 0 (p = 0 forces
+    L = s (I - J / n), the Laplacian of K_n, which has no record), column j
+    of p L0^-1 is f = s t - L t for t = e_j - e_n, shifted by f_n so that
+    the ground entry is zero and then dropped (t = e_j and no shift for a
+    signed graph, where c = 0: p L^-1 = s I - L). Otherwise
+    X = E adj(L0) / kappa. Either way each division must be exact, and the
+    certificate L0 X = E I is checked over the adjacency, else
+    InternalCheckError. Cached per graph.
     """
     require_connected(g, "grounded_inverse")
     signed = isinstance(g, SignedGraph)
@@ -146,7 +149,7 @@ def grounded_inverse(g: Graph | SignedGraph) -> tuple[int, tuple[tuple[int, ...]
         params = _two_eigenvalue_params(g)
     except StructureError:
         params = None
-    if params is None or params.eigenvalue_product == 0:
+    if params is None:
         divisor, columns = adjugate(_grounded_laplacian(g))
         columns = columns.entries
     else:
@@ -542,19 +545,20 @@ class SpectralBoundReport:
 
 def verify_spectral_bound(g: Graph | SignedGraph) -> SpectralBoundReport:
     """The group exponent must divide the product of the distinct non-zero
-    Laplacian eigenvalues (an integer for any graph Laplacian). The
-    Laplacian of a single vertex is zero: its group is trivial and the
-    empty product is 1."""
+    Laplacian eigenvalues, an integer for any graph Laplacian. From
+    `laplacian_spectrum` it is the product of the distinct positive integer
+    eigenvalues times (-1)^deg q q(0), the product of the roots of q, the
+    square-free part of the monic factor carrying the rest. A single
+    vertex has none: the empty product is 1."""
     group = critical_group(g)
-    lap = laplacian(g)
-    if lap.is_zero():
-        return SpectralBoundReport(group.exponent, 1, True)
-    product = distinct_nonzero_eigenvalue_product(lap)
-    if product.denominator != 1 or product <= 0:
+    roots, factor = laplacian_spectrum(g)
+    q = squarefree_part(factor)
+    product = prod(r for r, _ in roots if r) * (-1) ** q.degree * q.coeffs[0]
+    if q.leading() != 1 or product <= 0:
         raise InternalCheckError(
-            f"distinct eigenvalue product {product} should be a positive integer"
+            f"distinct eigenvalue product {product} should be positive, "
+            f"from the monic square-free factor {q.coeffs}"
         )
-    product = int(product)
     return SpectralBoundReport(group.exponent, product, product % group.exponent == 0)
 
 

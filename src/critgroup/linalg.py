@@ -5,7 +5,10 @@ and residues modulo an integer. Smith diagonals come from exact elimination
 on +-1 pivots followed by elimination modulo a multiple of the exponent of
 the cokernel. Characteristic polynomials come from a Hessenberg reduction
 modulo a Mersenne prime larger than twice the coefficient bound, checked
-against an exact determinant at one point. No floating point anywhere.
+against an exact determinant at one point. The Laplacian spectrum, the one
+that `analyze` prints and `verify spectral-bound` multiplies, is that
+polynomial with its integer roots divided out (`laplacian_spectrum`). No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -52,23 +55,6 @@ class IntMatrix:
         i, j = pos
         return self.entries[i][j]
 
-    def transpose(self) -> IntMatrix:
-        return IntMatrix(tuple(zip(*self.entries)))
-
-    def __matmul__(self, other: IntMatrix) -> IntMatrix:
-        if self.cols != other.rows:
-            raise GraphError(f"cannot multiply {self.shape()} by {other.shape()}")
-        cols = other.transpose().entries
-        return IntMatrix(
-            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.entries)
-        )
-
-    def mul_vec(self, vec):
-        """Matrix times column vector; works for int or Fraction entries."""
-        if len(vec) != self.cols:
-            raise GraphError(f"vector length {len(vec)} != {self.cols} columns")
-        return [sum(a * x for a, x in zip(row, vec)) for row in self.entries]
-
     def scale(self, c: int) -> IntMatrix:
         return IntMatrix(tuple(tuple(c * x for x in row) for row in self.entries))
 
@@ -86,9 +72,6 @@ class IntMatrix:
         if self.rows != self.cols:
             raise GraphError("trace of a non-square matrix")
         return sum(self.entries[i][i] for i in range(self.rows))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
 
 
 def laplacian(g: Graph | SignedGraph) -> IntMatrix:
@@ -311,15 +294,6 @@ class Polynomial:
     def derivative(self) -> Polynomial:
         return Polynomial.make(i * c for i, c in enumerate(self.coeffs) if i)
 
-    def __mul__(self, other: Polynomial) -> Polynomial:
-        if self.is_zero() or other.is_zero():
-            return Polynomial(())
-        prod = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                prod[i + j] += a * b
-        return Polynomial.make(prod)
-
     def divmod(self, other: Polynomial) -> tuple[Polynomial, Polynomial]:
         """Division over the rationals."""
         if other.is_zero():
@@ -356,15 +330,6 @@ class Polynomial:
         if ints[-1] < 0:
             ints = [-c for c in ints]
         return Polynomial.make(ints)
-
-    def strip_zero_roots(self) -> tuple[Polynomial, int]:
-        """Factor out the largest power of x; returns (quotient, power)."""
-        if self.is_zero():
-            raise GraphError("zero polynomial")
-        v = 0
-        while self.coeffs[v] == 0:
-            v += 1
-        return Polynomial.make(self.coeffs[v:]), v
 
 
 def polynomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -478,53 +443,37 @@ def char_poly(m: IntMatrix) -> Polynomial:
     return poly
 
 
-def distinct_nonzero_eigenvalue_product(m: IntMatrix) -> Fraction:
-    """Product of the distinct non-zero eigenvalues, exactly.
-
-    Strip the zero roots off the characteristic polynomial, take the
-    square-free part q, and read the product off as
-    (-1)^deg(q) * q(0) / lead(q).
-    """
-    if m.is_zero():
-        raise GraphError("zero matrix has no non-zero eigenvalues")
-    p, _ = char_poly(m).strip_zero_roots()
-    if p.degree == 0:
-        raise GraphError("matrix has no non-zero eigenvalues")
-    q = squarefree_part(p)
-    sign = -1 if q.degree % 2 else 1
-    return Fraction(sign * q.coeffs[0], q.leading())
-
-
-def integer_roots(p: Polynomial, bound: int) -> tuple[list[tuple[int, int]], Polynomial]:
-    """Integer roots in [-bound, bound] with multiplicities, plus the
-    deflated remainder.
-
-    The caller supplies the search bound; for a symmetric matrix the
-    Gershgorin row-sum bound covers every eigenvalue, so this finds the
-    complete rational spectrum of a characteristic polynomial.
-    """
-    if p.is_zero():
-        raise GraphError("zero polynomial")
-    core, power = p.strip_zero_roots()
-    roots = [(0, power)] if power else []
-    core = core.primitive_integer()
-    for root in range(-bound, bound + 1):
-        if root == 0:
-            continue
-        mult = 0
-        while core.degree > 0 and core.evaluate(root) == 0:
-            core, rem = core.divmod(Polynomial.make([-root, 1]))
-            core = core.primitive_integer()
-            if not rem.is_zero():
-                raise InternalCheckError("deflation by a verified root failed")
-            mult += 1
-        if mult:
-            roots.append((root, mult))
-    roots.sort()
-    return roots, core
-
-
 def gershgorin_bound(m: IntMatrix) -> int:
     """Every eigenvalue of a square integer matrix lies within this bound
     in absolute value: the largest absolute row sum."""
     return max(sum(abs(x) for x in row) for row in m.entries)
+
+
+def laplacian_spectrum(g: Graph | SignedGraph) -> tuple[list[tuple[int, int]], Polynomial]:
+    """The integer eigenvalues of the (signed) Laplacian of g with their
+    multiplicities, ascending, and the monic integer factor of its
+    characteristic polynomial that carries the other eigenvalues.
+
+    A (signed) Laplacian is positive semidefinite, so every eigenvalue lies
+    in [0, gershgorin_bound]. Each integer r there, 0 included, is divided
+    out of the monic `char_poly` by synthetic division by x - r for as long
+    as the remainder is zero. The factor left has no integer root, hence no
+    rational one.
+    """
+    lap = laplacian(g)
+    coeffs = list(char_poly(lap).coeffs)
+    roots = []
+    for r in range(gershgorin_bound(lap) + 1):
+        multiplicity = 0
+        while len(coeffs) > 1:
+            acc, quotient = 0, []
+            for c in reversed(coeffs):  # Horner: quotient high to low, then p(r)
+                acc = acc * r + c
+                quotient.append(acc)
+            if quotient.pop():
+                break
+            coeffs = quotient[::-1]
+            multiplicity += 1
+        if multiplicity:
+            roots.append((r, multiplicity))
+    return roots, Polynomial(tuple(coeffs))

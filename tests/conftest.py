@@ -25,6 +25,61 @@ from critgroup import (
 )
 
 
+# ---------------------------------------------------------------------------
+# Matrix and polynomial arithmetic the package itself does not need
+
+
+def transpose(m: IntMatrix) -> IntMatrix:
+    return IntMatrix(tuple(zip(*m.entries)))
+
+
+def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    assert a.cols == b.rows, f"cannot multiply {a.shape()} by {b.shape()}"
+    cols = transpose(b).entries
+    return IntMatrix(tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
+                           for row in a.entries))
+
+
+def mul_vec(m: IntMatrix, vec):
+    """Matrix times column vector; works for int or Fraction entries."""
+    assert len(vec) == m.cols, f"vector length {len(vec)} != {m.cols} columns"
+    return [sum(a * x for a, x in zip(row, vec)) for row in m.entries]
+
+
+def is_zero_matrix(m: IntMatrix) -> bool:
+    return all(x == 0 for row in m.entries for x in row)
+
+
+def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
+    if p.is_zero() or q.is_zero():
+        return Polynomial(())
+    out = [0] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return Polynomial.make(out)
+
+
+def strip_zero_roots(p: Polynomial) -> tuple[Polynomial, int]:
+    """p with its largest power of x factored out, and that power."""
+    assert not p.is_zero()
+    v = 0
+    while p.coeffs[v] == 0:
+        v += 1
+    return Polynomial.make(p.coeffs[v:]), v
+
+
+def distinct_nonzero_root_product(p: Polynomial) -> Fraction:
+    """Product of the distinct non-zero roots of a characteristic
+    polynomial, read off the whole of it: strip its zero roots, take the
+    square-free part q, and return (-1)^deg(q) q(0) / lead(q); 1 for x^n,
+    the polynomial of a zero matrix."""
+    from critgroup import squarefree_part
+
+    q = squarefree_part(strip_zero_roots(p)[0])
+    return Fraction((-1) ** q.degree * q.coeffs[0], q.leading())
+
+
 def empty_graph(n):
     return make_graph(n, [])
 
@@ -375,7 +430,7 @@ def _check_snf(r: SnfResult) -> None:
     for a, b in zip(diag, diag[1:]):
         if a < 0 or b < 0 or (a == 0 and b != 0) or (a != 0 and b % a != 0):
             raise InternalCheckError(f"SNF diagonal {diag} violates the divisibility chain")
-    if (r.U @ r.matrix) @ r.V != s:
+    if matmul(matmul(r.U, r.matrix), r.V) != s:
         raise InternalCheckError("SNF transform identity U @ M @ V == S failed")
 
 
@@ -385,7 +440,7 @@ def smith_order(snf, vector):
     d_i / gcd(d_i, c_i) over the non-zero diagonal entries d_i."""
     from math import gcd, lcm
 
-    c = snf.U.mul_vec(list(vector))
+    c = mul_vec(snf.U, list(vector))
     order = 1
     for d, ci in zip(snf.diagonal, c):
         assert d or ci == 0, "class outside the torsion part"
@@ -425,7 +480,7 @@ def faddeev_leverrier(m: IntMatrix) -> Polynomial:
         c = -(t // k)
         coeffs.append(c)
         if k < n:
-            work = m @ work.add(ident.scale(c))
+            work = matmul(m, work.add(ident.scale(c)))
     return Polynomial.make(reversed(coeffs))
 
 

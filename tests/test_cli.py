@@ -162,12 +162,15 @@ def test_structure_goldens(capsys, tmp_path, monkeypatch):
         assert structure_record(*run(capsys, *argv)) == goldens[" ".join(argv)], argv
 
 
-def test_bench_digests_of_greedy_and_scan_ops(capsys):
-    # the greedy orthogonal search and the parameter scan reproduce the
-    # benchmark's recorded reports byte for byte
+def test_bench_digests_of_greedy_scan_spectrum_ops(capsys):
+    # the greedy orthogonal search, the parameter scan, analyze and the
+    # spectral-bound check reproduce the benchmark's recorded reports byte
+    # for byte
     digests = json.loads(BENCH_DIGESTS.read_text(encoding="utf-8"))
-    labels = [label for label in digests if "--mode greedy" in label or label.startswith("scan")]
-    assert len(labels) == 11
+    labels = [label for label in digests
+              if "--mode greedy" in label or "--check spectral-bound" in label
+              or label.startswith(("scan", "analyze"))]
+    assert len(labels) == 28
     for label in labels:
         code, out, _ = run(capsys, *label.split())
         assert code == 0, label

@@ -43,6 +43,7 @@ from conftest import (
     signed_corpus,
     signed_k6_pentagon,
     signed_two_degree_hexad,
+    strip_zero_roots,
     unsigned_two_eigenvalue_corpus,
 )
 
@@ -184,7 +185,7 @@ def _spectral_quadratic(g):
     (q0, q1, 1) when it has degree 2, else None."""
     poly = char_poly(laplacian(g))
     if isinstance(g, Graph):
-        poly, _ = poly.strip_zero_roots()
+        poly, _ = strip_zero_roots(poly)
     q = squarefree_part(poly)
     return q.coeffs if q.degree == 2 else None
 

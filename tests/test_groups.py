@@ -41,6 +41,7 @@ from conftest import (
     applicable_edges,
     connected_atlas,
     grounded_inverse_oracle,
+    mul_vec,
     random_connected_graph,
     random_sum_zero_vector,
     signed_complete_all_negative,
@@ -339,7 +340,7 @@ def test_decomposition_srg_case():
     assert sorted(dec.coefficients) == [-3, -1, -1, 0, 0, 0, 0, 1, 1, 3]
     lap = laplacian(g)
     target = edge_difference(g, 1, 8)
-    assert lap.mul_vec(list(dec.coefficients)) == [10 * t for t in target]
+    assert mul_vec(lap, list(dec.coefficients)) == [10 * t for t in target]
 
 
 def test_decomposition_two_degree_case():
@@ -390,7 +391,7 @@ def test_decomposition_identity_via_matrix_arithmetic():
                     continue
             dec = decomposition(gs, edge)
             lap = laplacian(dec.graph)
-            got = lap.mul_vec(list(dec.coefficients))
+            got = mul_vec(lap, list(dec.coefficients))
             assert got == [dec.order * t for t in dec.target], (name, edge)
 
 
@@ -610,6 +611,21 @@ def test_spectral_bound_report():
     assert (report.exponent, report.product, report.passed) == (6, 12, True)
     report = verify_spectral_bound(petersen())
     assert (report.exponent, report.product, report.passed) == (10, 10, True)
+
+
+def test_spectral_bound_rejects_non_monic_factor(monkeypatch, capsys):
+    # a factor 2x - 3 would give the non-integral product 3/2; the bound
+    # must refuse it rather than multiply its constant term in
+    import critgroup.cli
+
+    monkeypatch.setattr(critgroup.groups, "laplacian_spectrum",
+                        lambda g: ([(0, 1)], critgroup.Polynomial.make([-3, 2])))
+    with pytest.raises(InternalCheckError, match="monic"):
+        verify_spectral_bound(petersen())
+    code = critgroup.cli.main(["verify", "--family", "petersen", "--check", "spectral-bound"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("error: internal check failed: ")
 
 
 def test_spectral_bound_random_graphs():

@@ -14,10 +14,9 @@ from critgroup import (
     complete,
     cycle,
     determinant,
-    distinct_nonzero_eigenvalue_product,
     gershgorin_bound,
-    integer_roots,
     laplacian,
+    laplacian_spectrum,
     linalg,
     make_signed_graph,
     paley,
@@ -28,13 +27,23 @@ from critgroup import (
     squarefree_part,
     star,
     unit_pivot_core,
+    verify_spectral_bound,
 )
 from conftest import (
     connected_atlas,
     determinant_divisor_diagonal,
+    distinct_nonzero_root_product,
     faddeev_leverrier,
+    is_zero_matrix,
+    matmul,
+    mul_vec,
+    poly_mul,
+    random_connected_graph,
     random_int_matrix,
+    signed_corpus,
     smith_normal_form,
+    transpose,
+    unsigned_two_eigenvalue_corpus,
 )
 
 
@@ -42,11 +51,11 @@ def test_matrix_construction_and_ops():
     m = IntMatrix.from_rows([[1, 2], [3, 4]])
     assert m.shape() == (2, 2)
     assert m[(0, 1)] == 2
-    assert m.transpose().entries == ((1, 3), (2, 4))
+    assert transpose(m).entries == ((1, 3), (2, 4))
     ident = IntMatrix.identity(2)
-    assert (m @ ident).entries == m.entries
-    assert m.add(m.scale(-1)).is_zero()
-    assert m.mul_vec([1, 0]) == [1, 3]
+    assert matmul(m, ident).entries == m.entries
+    assert is_zero_matrix(m.add(m.scale(-1)))
+    assert mul_vec(m, [1, 0]) == [1, 3]
     with pytest.raises(GraphError):
         IntMatrix.from_rows([[1, 2], [3]])
     with pytest.raises(GraphError):
@@ -59,7 +68,7 @@ def test_laplacian_values():
     assert lap.entries == ((2, 1, -1), (1, 2, -1), (-1, -1, 2))
     lap = laplacian(star(3))
     assert lap.entries[0] == (3, -1, -1, -1)
-    assert sum(lap.mul_vec([1, 1, 1, 1])) == 0
+    assert sum(mul_vec(lap, [1, 1, 1, 1])) == 0
 
 
 def test_determinant_goldens():
@@ -99,7 +108,7 @@ def test_snf_structure_random():
         m = random_int_matrix(rng, rows, cols)
         res = smith_normal_form(m)
         # transforms multiply out to the diagonal form
-        assert ((res.U @ m) @ res.V).entries == res.S.entries
+        assert matmul(matmul(res.U, m), res.V).entries == res.S.entries
         assert abs(determinant(res.U)) == 1
         assert abs(determinant(res.V)) == 1
         diag = list(res.diagonal)
@@ -180,8 +189,8 @@ def test_adjugate_matches_determinant_and_identity():
         m = random_positive_definite(rng, n)
         det, adj = adjugate(m)
         assert det == determinant(m) > 0
-        assert m @ adj == IntMatrix.identity(n).scale(det)
-        assert adj == adj.transpose()
+        assert matmul(m, adj) == IntMatrix.identity(n).scale(det)
+        assert adj == transpose(adj)
     lap = laplacian(cycle(4))
     reduced = IntMatrix.from_rows(row[:-1] for row in lap.entries[:-1])
     assert adjugate(reduced) == (4, IntMatrix.from_rows([[3, 2, 1], [2, 4, 2], [1, 2, 3]]))
@@ -199,7 +208,7 @@ def test_adjugate_rejects():
 def test_polynomial_arithmetic():
     p = Polynomial.make([1, 2, 1])  # (x+1)^2
     q = Polynomial.make([1, 1])
-    assert (q * q).coeffs == p.coeffs
+    assert poly_mul(q, q).coeffs == p.coeffs
     quot, rem = p.divmod(q)
     assert rem.is_zero()
     assert quot.coeffs == (1, 1)
@@ -213,16 +222,16 @@ def test_polynomial_arithmetic():
 def test_polynomial_gcd_and_squarefree():
     lin = Polynomial.make([1, 1])
     other = Polynomial.make([-4, 1])
-    p = lin * lin * other
+    p = poly_mul(poly_mul(lin, lin), other)
     g = polynomial_gcd(p, p.derivative())
     assert g.degree == 1
     sf = squarefree_part(p)
-    assert sf.coeffs == (lin * other).coeffs
+    assert sf.coeffs == poly_mul(lin, other).coeffs
     rng = random.Random(3)
     for _ in range(20):
         coeffs = [rng.randint(-4, 4) for _ in range(rng.randint(1, 4))] + [1]
         p = Polynomial.make(coeffs)
-        assert squarefree_part(p * p).coeffs == squarefree_part(p).coeffs
+        assert squarefree_part(poly_mul(p, p)).coeffs == squarefree_part(p).coeffs
 
 
 def test_char_poly_goldens():
@@ -275,7 +284,7 @@ def test_char_poly_matches_faddeev_leverrier():
 def _power(p, e):
     result = Polynomial.make([1])
     for _ in range(e):
-        result = result * p
+        result = poly_mul(result, p)
     return result
 
 
@@ -284,7 +293,7 @@ def test_char_poly_paley_closed_form(q):
     # a conference graph has Laplacian eigenvalues 0 and (q +- sqrt(q))/2,
     # each of multiplicity (q - 1)/2
     quadratic = Polynomial.make([q * (q - 1) // 4, -q, 1])
-    want = Polynomial.make([0, 1]) * _power(quadratic, (q - 1) // 2)
+    want = poly_mul(Polynomial.make([0, 1]), _power(quadratic, (q - 1) // 2))
     assert char_poly(laplacian(paley(q))) == want
 
 
@@ -313,19 +322,42 @@ def test_char_poly_certificate_and_modulus_table(monkeypatch):
 
 
 def test_integer_roots():
-    roots, rem = integer_roots(Polynomial.make([0, 9, -6, 1]), 10)
+    roots, factor = laplacian_spectrum(complete(3))  # x^3 - 6x^2 + 9x
     assert roots == [(0, 1), (3, 2)]
-    assert rem.degree == 0
-    lap = laplacian(petersen())
-    roots, rem = integer_roots(char_poly(lap), gershgorin_bound(lap))
+    assert factor.degree == 0
+    roots, factor = laplacian_spectrum(petersen())
     assert roots == [(0, 1), (2, 5), (5, 4)]
-    assert rem.degree == 0
-    # C5: only the zero root is rational, the rest stays in the remainder
-    lap = laplacian(cycle(5))
-    roots, rem = integer_roots(char_poly(lap), gershgorin_bound(lap))
+    assert factor.degree == 0
+    # C5: only the zero root is rational, the rest stays in the factor
+    roots, factor = laplacian_spectrum(cycle(5))
     assert roots == [(0, 1)]
-    assert rem.degree == 4
-    assert rem.coeffs == (25, -50, 35, -10, 1)
+    assert factor.degree == 4
+    assert factor.coeffs == (25, -50, 35, -10, 1)
+
+
+def test_laplacian_spectrum_matches_char_poly():
+    # the integer roots times the factor rebuild the characteristic
+    # polynomial, the factor keeps no root the Laplacian could have, and
+    # the spectral bound agrees with the square-free part of the
+    # zero-stripped polynomial
+    rng = random.Random(4242)
+    graphs = [complete(1), *connected_atlas(7)]
+    graphs += [g for _, g in signed_corpus() + unsigned_two_eigenvalue_corpus()]
+    graphs += [random_connected_graph(rng, rng.randint(3, 14), rng.choice([0.3, 0.5, 0.7]))
+               for _ in range(30)]
+    for g in graphs:
+        lap = laplacian(g)
+        poly = char_poly(lap)
+        roots, factor = laplacian_spectrum(g)
+        rebuilt = factor
+        for r, m in roots:
+            for _ in range(m):
+                rebuilt = poly_mul(rebuilt, Polynomial.make([-r, 1]))
+        assert rebuilt == poly, g
+        assert [r for r, _ in roots] == sorted({r for r, _ in roots})
+        assert factor.leading() == 1
+        assert all(factor.evaluate(r) for r in range(gershgorin_bound(lap) + 1)), g
+        assert verify_spectral_bound(g).product == distinct_nonzero_root_product(poly), g
 
 
 def test_gershgorin_bound():
@@ -336,11 +368,13 @@ def test_gershgorin_bound():
 
 
 def test_distinct_nonzero_eigenvalue_product():
-    assert distinct_nonzero_eigenvalue_product(laplacian(petersen())) == 10
-    assert distinct_nonzero_eigenvalue_product(laplacian(cycle(5))) == 5
-    assert distinct_nonzero_eigenvalue_product(laplacian(complete(4))) == 4
-    assert distinct_nonzero_eigenvalue_product(laplacian(signed_complete_unbalanced(3))) == 4
+    assert verify_spectral_bound(petersen()).product == 10
+    assert verify_spectral_bound(cycle(5)).product == 5
+    assert verify_spectral_bound(complete(4)).product == 4
+    assert verify_spectral_bound(signed_complete_unbalanced(3)).product == 4
     # irrational pairs contribute through the squarefree constant term:
     # C5 has eigenvalues (5 +- sqrt(5))/2, odd C4 has 2 +- sqrt(2)
     unb_c4 = make_signed_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)], [(1, 2)])
-    assert distinct_nonzero_eigenvalue_product(laplacian(unb_c4)) == 2
+    assert verify_spectral_bound(unb_c4).product == 2
+    # one vertex: no non-zero eigenvalue, the empty product
+    assert verify_spectral_bound(complete(1)).product == 1

@@ -36,6 +36,7 @@ from critgroup.pairing import _closed_form_params, _pairing_table
 from conftest import (
     connected_atlas,
     greedy_orthogonal_retest,
+    mul_vec,
     random_connected_graph,
     random_sum_zero_vector,
     structural_hints_retest,
@@ -135,7 +136,7 @@ def test_monodromy_symmetry_bilinearity_representatives():
         from critgroup import laplacian
 
         lap = laplacian(g)
-        shift = lap.mul_vec([rng.randint(-3, 3) for _ in range(n)])
+        shift = mul_vec(lap, [rng.randint(-3, 3) for _ in range(n)])
         moved = [a + b for a, b in zip(d2, shift)]
         assert monodromy_pairing(g, d1, moved).value == p12
         # the denominator divides the order of either argument
