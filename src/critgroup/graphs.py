@@ -7,7 +7,6 @@ edges; every other edge is positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -16,6 +15,7 @@ from .errors import (
     GraphError,
     GraphFormatError,
     StructureError,
+    _record,
 )
 
 
@@ -26,7 +26,7 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
+@_record
 class Graph:
     """Simple undirected graph on vertices 1..n."""
 
@@ -92,7 +92,7 @@ class Graph:
         return _laplacian_quadratic(self)
 
 
-@dataclass(frozen=True)
+@_record
 class SignedGraph:
     """Signed graph: underlying simple graph plus the set of negative edges."""
 
@@ -507,7 +507,7 @@ def _laplacian_quadratic(g: Graph | SignedGraph) -> tuple[int, int, int] | None:
     return s, c - d * d - d + s * d, c
 
 
-@dataclass(frozen=True)
+@_record
 class TwoEigenvalueParams:
     """Parameters of a connected graph whose Laplacian has exactly two
     distinct non-zero eigenvalues theta1, theta2 (exactly two distinct
@@ -616,7 +616,7 @@ def switch(gs: SignedGraph, vertex_set) -> SignedGraph:
     return SignedGraph(gs.graph, frozenset(negatives))
 
 
-@dataclass(frozen=True)
+@_record
 class BalanceResult:
     """Outcome of a balance check. For a balanced graph, switching at
     switching_set makes every edge positive."""
@@ -653,7 +653,7 @@ def net_common_neighbors(gs: SignedGraph, u: int, v: int) -> int:
     return sum(gs.sign(u, w) * gs.sign(w, v) for w in adj[u] & adj[v])
 
 
-@dataclass(frozen=True)
+@_record
 class UnbalancedTriangle:
     """Unbalanced triangle (u, v, w) of a signed complete graph, normalized
     by switching so that in `graph` the edge (u,v) is the unique negative

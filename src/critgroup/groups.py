@@ -12,11 +12,10 @@ one, else from the grounded adjugate, and certified by L0 X = E I.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import gcd, isqrt, prod
 
-from .errors import GraphError, InternalCheckError, StructureError
+from .errors import GraphError, InternalCheckError, StructureError, _record
 from .graphs import (
     Graph,
     SignedGraph,
@@ -43,7 +42,7 @@ from .linalg import (
 CACHED_GRAPHS = 8
 
 
-@dataclass(frozen=True)
+@_record
 class AbelianGroup:
     """Finite abelian group as an ascending chain of invariant factors,
     each at least 2 and each dividing the next. The trivial group is ()."""
@@ -303,7 +302,7 @@ def element_order(g: Graph | SignedGraph, vector) -> int:
 # Order-achieving decompositions
 
 
-@dataclass(frozen=True)
+@_record
 class Decomposition:
     """An exact identity  sum_x coefficients[x] * L_x == order * target,
     where L_x are Laplacian rows of `graph` (the input after any
@@ -400,7 +399,7 @@ def decomposition(g: Graph | SignedGraph, edge: tuple[int, int]) -> Decompositio
 # Witnesses
 
 
-@dataclass(frozen=True)
+@_record
 class Witnesses:
     """Coefficient witnesses of a decomposition.
 
@@ -466,7 +465,7 @@ def witnesses(g: Graph | SignedGraph, edge: tuple[int, int], dec: Decomposition 
 # Theorem verifiers
 
 
-@dataclass(frozen=True)
+@_record
 class ExponentReport:
     """Outcome of checking the group exponent against the product of the
     two distinct non-zero Laplacian eigenvalues."""
@@ -533,7 +532,7 @@ def verify_exponent_theorem(g: Graph | SignedGraph) -> ExponentReport:
     )
 
 
-@dataclass(frozen=True)
+@_record
 class SpectralBoundReport:
     """Outcome of checking that the group exponent divides the product of
     the distinct non-zero Laplacian eigenvalues."""

@@ -14,15 +14,14 @@ floating point anywhere.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import GraphError, InternalCheckError
+from .errors import GraphError, InternalCheckError, _record
 from .graphs import Graph, SignedGraph
 
 
-@dataclass(frozen=True)
+@_record
 class IntMatrix:
     """Immutable integer matrix; entries stored row-major as nested tuples."""
 
@@ -260,7 +259,7 @@ def _clear_column(a: list[list[int]], modulus: int) -> None:
 # Polynomials (coefficients low to high)
 
 
-@dataclass(frozen=True)
+@_record
 class Polynomial:
     """Dense univariate polynomial over exact numbers (int / Fraction)."""
 
@@ -341,12 +340,46 @@ def polynomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return a.primitive_integer()
 
 
+# The prime squarefree_part tests coprimality modulo; a repeated root modulo
+# it without one over Z needs it to divide the discriminant.
+SQUAREFREE_PRIME = 2**61 - 1
+
+
+def _coprime_modulo(a, b, prime: int) -> bool:
+    """Whether the integer polynomials with coefficient lists a and b (low
+    to high) are coprime over Z/prime, by Euclid's algorithm there."""
+    def trim(c):
+        while c and not c[-1]:
+            c.pop()
+        return c
+
+    a, b = trim([x % prime for x in a]), trim([x % prime for x in b])
+    while b:
+        inverse = pow(b[-1], -1, prime)
+        while len(a) >= len(b):  # a = a mod b
+            f = a[-1] * inverse % prime
+            shift = len(a) - len(b)
+            a[shift:] = [(x - f * y) % prime for x, y in zip(a[shift:], b)]
+            trim(a)
+        a, b = b, a
+    return len(a) == 1
+
+
 def squarefree_part(p: Polynomial) -> Polynomial:
-    """p with all repeated roots collapsed to multiplicity one."""
+    """p with all repeated roots collapsed to multiplicity one.
+
+    A monic integer p that is coprime to p' modulo one prime is returned as
+    it is: a square factor f^2 of p, f monic over Z by Gauss's lemma, would
+    leave f of the same degree dividing both modulo every prime. Otherwise,
+    or when p is not monic over Z, the gcd with p' is taken over Q.
+    """
     if p.is_zero():
         raise GraphError("zero polynomial")
     if p.degree == 0:
         return Polynomial.make([1])
+    if all(type(c) is int for c in p.coeffs) and p.leading() == 1:
+        if _coprime_modulo(p.coeffs, p.derivative().coeffs, SQUAREFREE_PRIME):
+            return p
     g = polynomial_gcd(p, p.derivative())
     q, r = p.divmod(g)
     if not r.is_zero():
@@ -370,15 +403,22 @@ def _mersenne_prime(limit: int) -> int:
 
 
 def _hessenberg_char_poly(rows, prime: int) -> list[int]:
-    """Coefficients (low to high) of det(xI - m) modulo `prime`.
+    """Coefficients (low to high) of det(xI - m) modulo the Mersenne prime
+    `prime` = 2^e - 1.
 
     Reduces m to upper Hessenberg form H by similarity transforms over
     Z/prime (Cohen, A Course in Computational Algebraic Number Theory,
     Alg. 2.2.9), then reads the characteristic polynomials p_r of the
     leading r x r blocks of H off the recurrence
     p_r = (x - h_rr) p_{r-1} - sum_i (h_{r,r-1} ... h_{i+1,i}) h_ir p_{i-1}.
+
+    The row eliminations, O(n^3) of the work, reduce without division: a
+    row entry a - u b is a + u (prime - b), in [0, prime^2), and since
+    2^e = 1 modulo prime, t = (t & prime) + (t >> e) brings it below
+    2 prime, one subtraction below prime.
     """
     n = len(rows)
+    e = prime.bit_length()
     h = [[x % prime for x in row] for row in rows]
     for j in range(n - 2):
         k = j + 1
@@ -390,13 +430,16 @@ def _hessenberg_char_poly(rows, prime: int) -> list[int]:
             for row in h:
                 row[pivot], row[k] = row[k], row[pivot]
         inverse = pow(h[k][j], -1, prime)
-        pivot_tail = h[k][j:]
+        negated_tail = [prime - b for b in h[k][j:]]
         factors = []
         for i in range(k + 1, n):
             u = h[i][j] * inverse % prime
             if u:
                 row = h[i]
-                h[i] = row[:j] + [(a - u * b) % prime for a, b in zip(row[j:], pivot_tail)]
+                h[i] = row[:j] + [
+                    r - prime if (r := ((t := a + u * c) & prime) + (t >> e)) >= prime else r
+                    for a, c in zip(row[j:], negated_tail)
+                ]
                 factors.append((i, u))
         # undo the row operations on the right: column k += u * column i
         for row in h:

@@ -14,11 +14,10 @@ the self-pairing denominator.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd
 
-from .errors import GraphError, InternalCheckError, StructureError
+from .errors import GraphError, InternalCheckError, StructureError, _record
 from .graphs import (
     Graph,
     SignedGraph,
@@ -37,7 +36,7 @@ from .groups import (
 )
 
 
-@dataclass(frozen=True)
+@_record
 class PairingValue:
     """Canonical representative of a pairing value: an exact fraction
     reduced to lowest terms in [0, 1)."""
@@ -146,7 +145,7 @@ def self_pairing_denominator(params: TwoEigenvalueParams) -> int:
 # Orthogonal edge sets
 
 
-@dataclass(frozen=True)
+@_record
 class OrthogonalSet:
     """Edges whose classes e_u - e_v pairwise pair to zero, with the
     pairwise values as certificate."""
@@ -386,7 +385,7 @@ def check_subgroup_divisibility(h: AbelianGroup, g: AbelianGroup) -> bool:
     return all(gf[offset + i] % hf[i] == 0 for i in range(len(hf)))
 
 
-@dataclass(frozen=True)
+@_record
 class TailHeavyReport:
     """Outcome of the tail-heavy subgroup check on a strongly regular graph.
 

@@ -10,10 +10,9 @@ of suppressing it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from math import gcd, isqrt
 
-from .errors import GraphError
+from .errors import GraphError, _record, replace
 from .graphs import MAX_VERTICES, TwoEigenvalueParams
 from .pairing import self_pairing_denominator
 
@@ -30,7 +29,7 @@ SCAN_NOTE = (
 )
 
 
-@dataclass(frozen=True)
+@_record
 class FeasibleTuple:
     """A parameter tuple passing the arithmetic feasibility conditions.
 
@@ -106,16 +105,8 @@ def enumerate_feasible(n_max: int) -> list[FeasibleTuple]:
                 pair, conference = mult
                 params = TwoEigenvalueParams(n, "srg", k, k, mu, 2 * k - lam + mu, n * mu)
                 denominator = self_pairing_denominator(params)
-                out.append(
-                    FeasibleTuple(
-                        params=params,
-                        multiplicities=pair,
-                        conference=conference,
-                        denominator=denominator,
-                        denominator_equals_bound=denominator
-                        == params.eigenvalue_product,
-                    )
-                )
+                tight = denominator == params.eigenvalue_product
+                out.append(FeasibleTuple(params, pair, conference, denominator, tight, False))
     return out
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -8,6 +7,7 @@ import random
 import critgroup.cli as cli
 import critgroup.groups
 from critgroup import InternalCheckError, SignedGraph, format_graph, petersen
+from critgroup.errors import replace
 from conftest import signed_corpus, unsigned_two_eigenvalue_corpus
 
 # analyze stdout for the two-eigenvalue corpora, each graph read from
@@ -349,7 +349,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     real = critgroup.groups.verify_exponent_theorem
 
     def failing(g):
-        return dataclasses.replace(real(g), matched=False)
+        return replace(real(g), matched=False)
 
     monkeypatch.setattr(cli, "verify_exponent_theorem", failing)
     code, out, err = run(capsys, "verify", "--family", "petersen", "--check", "exponent")
@@ -378,7 +378,7 @@ def test_internal_check_exit_code(capsys, monkeypatch):
     # / 5 on Petersen cuts the 5-parts short, and the group certificate fails
     groups = critgroup.groups
     params = groups._two_eigenvalue_params(critgroup.petersen())
-    short = dataclasses.replace(params, eigenvalue_product=params.eigenvalue_product // 5)
+    short = replace(params, eigenvalue_product=params.eigenvalue_product // 5)
     monkeypatch.setattr(groups, "_two_eigenvalue_params", lambda g: short)
     groups._certified_group.cache_clear()
     code, out, err = run(capsys, "group", "--family", "petersen")

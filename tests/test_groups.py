@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -37,6 +36,7 @@ from critgroup import (
     verify_spectral_bound,
     witnesses,
 )
+from critgroup.errors import replace
 from conftest import (
     applicable_edges,
     connected_atlas,
@@ -153,7 +153,7 @@ def test_critical_group_certificate_catches_short_modulus(monkeypatch):
     groups = critgroup.groups
     for g, q in ((petersen(), 2), (petersen(), 5), (paley(13), 13), (signed_corpus()[1][1], 3)):
         params = groups._two_eigenvalue_params(g)
-        short = dataclasses.replace(params, eigenvalue_product=params.eigenvalue_product // q)
+        short = replace(params, eigenvalue_product=params.eigenvalue_product // q)
         monkeypatch.setattr(groups, "_two_eigenvalue_params", lambda _, s=short: s)
         groups._certified_group.cache_clear()
         with pytest.raises(InternalCheckError):
@@ -308,8 +308,8 @@ def test_grounded_inverse_certificate_catches_wrong_structure_record(monkeypatch
     for g in (petersen(), paley(13), star(4), signed_corpus()[3][1], signed_corpus()[7][1]):
         params = groups._two_eigenvalue_params(g)
         group = critical_group(g)
-        for wrong in (dataclasses.replace(params, eigenvalue_sum=params.eigenvalue_sum + 1),
-                      dataclasses.replace(params, eigenvalue_product=2 * params.eigenvalue_product)):
+        for wrong in (replace(params, eigenvalue_sum=params.eigenvalue_sum + 1),
+                      replace(params, eigenvalue_product=2 * params.eigenvalue_product)):
             monkeypatch.setattr(groups, "_two_eigenvalue_params", lambda _, w=wrong: w)
             clear()
             assert critical_group(g) == group
@@ -317,7 +317,7 @@ def test_grounded_inverse_certificate_catches_wrong_structure_record(monkeypatch
                 grounded_inverse(g)
             monkeypatch.undo()
     params = groups._two_eigenvalue_params(petersen())
-    wrong = dataclasses.replace(params, eigenvalue_sum=params.eigenvalue_sum + 1)
+    wrong = replace(params, eigenvalue_sum=params.eigenvalue_sum + 1)
     monkeypatch.setattr(groups, "_two_eigenvalue_params", lambda _: wrong)
     clear()
     code = critgroup.cli.main(["pairing", "--family", "petersen", "--edge1", "1,8", "--edge2", "1,9"])

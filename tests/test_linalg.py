@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -232,6 +233,51 @@ def test_polynomial_gcd_and_squarefree():
         coeffs = [rng.randint(-4, 4) for _ in range(rng.randint(1, 4))] + [1]
         p = Polynomial.make(coeffs)
         assert squarefree_part(poly_mul(p, p)).coeffs == squarefree_part(p).coeffs
+
+
+def _squarefree_over_q(p):
+    """The rational route: p / gcd(p, p') made primitive."""
+    q, r = p.divmod(polynomial_gcd(p, p.derivative()))
+    assert r.is_zero()
+    return q.primitive_integer()
+
+
+def test_squarefree_modular_shortcut_matches_rational_route(monkeypatch):
+    rng = random.Random(2024)
+    graphs = [*connected_atlas(7), *(g for _, g in signed_corpus())]
+    graphs += [random_connected_graph(rng, rng.randint(4, 16), rng.choice([0.2, 0.4, 0.6]))
+               for _ in range(30)]
+    factors = [laplacian_spectrum(g)[1] for g in graphs]
+    factors = [f for f in factors if f.degree > 0]
+    assert len(factors) > 100
+    prime = linalg.SQUAREFREE_PRIME
+    shortcut = 0
+    for f in factors:
+        coprime = linalg._coprime_modulo(f.coeffs, f.derivative().coeffs, prime)
+        # the prime divides none of these discriminants, so the residues
+        # see exactly the repeated roots the rational gcd sees
+        assert coprime == (polynomial_gcd(f, f.derivative()).degree == 0), f
+        assert squarefree_part(f) == _squarefree_over_q(f), f
+        shortcut += coprime
+    assert 0 < shortcut < len(factors)
+    # the fallback: a repeated root, and two roots that coincide modulo the
+    # prime, x (x - prime); both must reach the rational gcd
+    repeated = poly_mul(poly_mul(Polynomial.make([-1, 1]), Polynomial.make([-1, 1])),
+                        Polynomial.make([2, 1]))
+    coincide = Polynomial.make([0, -prime, 1])
+    calls = []
+    real_gcd = linalg.polynomial_gcd
+    monkeypatch.setattr(linalg, "polynomial_gcd", lambda a, b: calls.append(a) or real_gcd(a, b))
+    for p, want in ((repeated, Polynomial.make([-2, 1, 1])), (coincide, coincide)):
+        assert not linalg._coprime_modulo(p.coeffs, p.derivative().coeffs, prime)
+        assert squarefree_part(p) == want == _squarefree_over_q(p)
+    # not monic over Z: the rational route too, whatever the residues say
+    not_monic = Polynomial.make([-2, 0, 2])
+    fractions = Polynomial.make([Fraction(-1), 0, Fraction(1)])
+    for p in (not_monic, fractions):
+        assert squarefree_part(p) == Polynomial.make([-1, 0, 1])
+    assert calls == [repeated, coincide, not_monic, fractions]
+    assert linalg._coprime_modulo([5], [], prime) and not linalg._coprime_modulo([], [], prime)
 
 
 def test_char_poly_goldens():

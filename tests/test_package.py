@@ -8,10 +8,12 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import critgroup
+from critgroup.errors import replace
 
 SOURCES = sorted(pathlib.Path(critgroup.__file__).parent.glob("*.py"))
 EXACT_MATH = {"gcd", "isqrt", "floor", "lcm", "comb", "prod"}
@@ -43,6 +45,140 @@ def test_public_names_load_their_module_on_first_access():
     assert set(critgroup.__all__) <= set(dir(critgroup))
     with pytest.raises(AttributeError):
         critgroup.grounded_adjugate
+
+
+SLOW_START_MODULES = {"dataclasses", "inspect"}
+
+
+def _slow_start_imports(tree):
+    """(line, module) for every import of a module on SLOW_START_MODULES."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            if name and name.split(".")[0] in SLOW_START_MODULES:
+                yield node.lineno, name
+
+
+def test_no_slow_start_imports():
+    # dataclasses pulls in inspect, ast, dis and tokenize, tens of
+    # milliseconds of every CLI start; the records use errors._record
+    found = [
+        f"{path.name}:{line}: import {name}"
+        for path in SOURCES
+        for line, name in _slow_start_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+    source = "import inspect\nfrom dataclasses import dataclass\nimport ast\nfrom . import x\n"
+    assert sorted(_slow_start_imports(ast.parse(source))) == [(1, "inspect"), (2, "dataclasses")]
+
+
+def test_cli_start_loads_no_slow_start_module():
+    # the stdlib modules `import critgroup.cli` loads beyond a bare
+    # interpreter's, without a bytecode cache as on a fresh checkout
+    probe = "import sys; print(' '.join(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(critgroup.__file__).parents[1]),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+
+    def loaded(code):
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        return set(out.split())
+
+    extra = loaded("import critgroup.cli; " + probe) - loaded(probe)
+    assert "critgroup.cli" in extra
+    assert not extra & SLOW_START_MODULES, sorted(extra)
+
+
+def _sample_records():
+    """One instance of every record class of the package."""
+    from critgroup import (
+        AbelianGroup, PairingValue, Polynomial, SpectralBoundReport, char_poly, decomposition,
+        detect_two_eigenvalue, enumerate_feasible, find_unbalanced_triangle, is_balanced,
+        laplacian, make_signed_graph, orthogonal_subset, petersen, signed_complete_unbalanced,
+        verify_exponent_theorem, verify_tail_heavy, witnesses,
+    )
+
+    g = petersen()
+    edge = g.sorted_edges()[0]
+    signed = make_signed_graph(3, [(1, 2), (2, 3)], [(1, 2)])
+    return [
+        g, signed, detect_two_eigenvalue(g), is_balanced(signed),
+        find_unbalanced_triangle(signed_complete_unbalanced(4)), AbelianGroup((2, 4)),
+        decomposition(g, edge), witnesses(g, edge), verify_exponent_theorem(g),
+        SpectralBoundReport(10, 10, True), laplacian(g), char_poly(laplacian(g)),
+        Polynomial.make([1, 2, 1]), PairingValue(Fraction(1, 3)), orthogonal_subset(g),
+        verify_tail_heavy(g), enumerate_feasible(10)[0],
+    ]
+
+
+RECORDS = _sample_records()
+
+
+def test_every_record_class_has_a_sample():
+    import critgroup.cli  # noqa: F401  loads every module
+
+    modules = [sys.modules[f"critgroup.{path.stem}"] for path in SOURCES if path.stem != "__init__"]
+    classes = {value for module in modules for value in vars(module).values()
+               if isinstance(value, type) and value.__module__ == module.__name__
+               and "_fields" in vars(value)}
+    assert classes == {type(r) for r in RECORDS}
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_record_semantics(record):
+    cls, names = type(record), type(record)._fields
+    values = tuple(getattr(record, name) for name in names)
+    for name in (*names, "other"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert tuple(getattr(record, name) for name in names) == values
+    # equal and equally hashed copies, positional, by keyword and replaced
+    for copy in (cls(*values), cls(**dict(zip(names, values))), replace(record)):
+        assert copy == record and not copy != record
+        assert hash(copy) == hash(record) == hash(values)
+    assert repr(cls(*values)) == repr(record)
+    assert repr(record) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in zip(names, values))})"
+    # never equal to a plain tuple or a record of another class
+    assert record != values and values != record
+    assert all(other != record and record != other
+               for other in RECORDS if type(other) is not cls)
+    with pytest.raises(TypeError):
+        cls(*values, None)
+    with pytest.raises(TypeError):
+        cls()
+    with pytest.raises(TypeError):
+        cls(*values, **{names[0]: values[0]})
+    with pytest.raises(TypeError):
+        replace(record, not_a_field=1)
+
+
+def test_record_repr_defaults_and_validation():
+    from critgroup import AbelianGroup, FeasibleTuple, GraphError, Polynomial, SpectralBoundReport
+
+    group = AbelianGroup((2, 4))
+    assert repr(group) == "AbelianGroup(invariant_factors=(2, 4))"
+    # the same field values in another class are not equal
+    assert group != Polynomial((2, 4)) and Polynomial((2, 4)) != group
+    assert repr(SpectralBoundReport(3, 6, True)) == "SpectralBoundReport(exponent=3, product=6, passed=True)"
+    with pytest.raises(GraphError, match="violate divisibility"):
+        replace(group, invariant_factors=(4, 6))
+    with pytest.raises(GraphError):
+        AbelianGroup(invariant_factors=(1,))
+    assert replace(group, invariant_factors=(2, 8)) == AbelianGroup((2, 8))
+    # a class-level default fills an omitted trailing field, by position or keyword
+    ft = FeasibleTuple(None, (1, 2), False, 3, True)
+    assert ft.needs_review is False
+    assert ft == FeasibleTuple(None, (1, 2), False, 3, True, False)
+    assert ft == FeasibleTuple(denominator=3, params=None, multiplicities=(1, 2),
+                               conference=False, denominator_equals_bound=True)
+    assert replace(ft, needs_review=True).needs_review is True
 
 
 def _float_uses(tree):
