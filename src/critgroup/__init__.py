@@ -34,8 +34,7 @@ _MODULE_EXPORTS = {
     ),
     "linalg": (
         "IntMatrix", "Polynomial", "adjugate", "char_poly", "determinant", "gershgorin_bound",
-        "laplacian", "laplacian_spectrum", "polynomial_gcd", "smith_diagonal", "squarefree_part",
-        "unit_pivot_core",
+        "laplacian", "laplacian_spectrum", "smith_diagonal", "squarefree_part", "unit_pivot_core",
     ),
     "pairing": (
         "OrthogonalSet", "PairingValue", "TailHeavyReport", "check_subgroup_divisibility",

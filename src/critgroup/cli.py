@@ -256,9 +256,10 @@ def _cmd_pairing(args) -> tuple[dict, dict, int]:
         result["pairs"] = [{"edge1": _jedge(e1), "edge2": _jedge(e2), "value": value}]
     else:
         edges, exponent, table = _pairing_table(g)
+        labels = [_jedge(e) for e in edges]
         result["pairs"] = [
-            {"edge1": _jedge(e1), "edge2": _jedge(edges[j]), "value": _jresidue(row[j], exponent)}
-            for i, (e1, row) in enumerate(zip(edges, table))
+            {"edge1": labels[i], "edge2": labels[j], "value": _jresidue(row[j], exponent)}
+            for i, row in enumerate(table)
             for j in range(i, len(edges))
         ]
     return result, descriptor, 0

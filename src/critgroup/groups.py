@@ -22,7 +22,6 @@ from .graphs import (
     TwoEigenvalueParams,
     detect_two_eigenvalue,
     edge_key,
-    is_balanced,
     odd_triangle_switch,
     require_connected,
     switch,
@@ -136,12 +135,10 @@ def grounded_inverse(g: Graph | SignedGraph) -> tuple[int, tuple[tuple[int, ...]
     InternalCheckError. Cached per graph.
     """
     require_connected(g, "grounded_inverse")
-    signed = isinstance(g, SignedGraph)
-    if signed and is_balanced(g).balanced:
-        raise StructureError("balanced signed graph: cokernel classes have infinite order")
+    exponent = _certified_group(g).exponent  # StructureError when balanced
     if g.n == 1:
         return 1, ()
-    exponent = _certified_group(g).exponent
+    signed = isinstance(g, SignedGraph)
     rows = _laplacian_rows(g)
     size = g.n if signed else g.n - 1
     try:
@@ -551,12 +548,14 @@ def verify_spectral_bound(g: Graph | SignedGraph) -> SpectralBoundReport:
     vertex has none: the empty product is 1."""
     group = critical_group(g)
     roots, factor = laplacian_spectrum(g)
+    if factor.leading() != 1:
+        raise InternalCheckError(f"the factor {factor.coeffs} of the characteristic polynomial is not monic")
     q = squarefree_part(factor)
     product = prod(r for r, _ in roots if r) * (-1) ** q.degree * q.coeffs[0]
-    if q.leading() != 1 or product <= 0:
+    if product <= 0:
         raise InternalCheckError(
             f"distinct eigenvalue product {product} should be positive, "
-            f"from the monic square-free factor {q.coeffs}"
+            f"from the square-free factor {q.coeffs}"
         )
     return SpectralBoundReport(group.exponent, product, product % group.exponent == 0)
 

@@ -1,21 +1,21 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Everything here is exact: arbitrary-precision integers, fractions.Fraction,
-and residues modulo an integer. Smith diagonals come from exact elimination
-on +-1 pivots followed by elimination modulo a multiple of the exponent of
-the cokernel. Characteristic polynomials come from a Hessenberg reduction
-modulo a Mersenne prime larger than twice the coefficient bound, checked
-against an exact determinant at one point. The Laplacian spectrum, the one
-that `analyze` prints and `verify spectral-bound` multiplies, is that
-polynomial with its integer roots divided out (`laplacian_spectrum`). No
-floating point anywhere.
+Everything here is exact: arbitrary-precision integers and residues modulo
+an integer. Smith diagonals come from exact elimination on +-1 pivots
+followed by elimination modulo a multiple of the exponent of the cokernel.
+Characteristic polynomials come from a Hessenberg reduction modulo a
+Mersenne prime larger than twice the coefficient bound, checked against an
+exact determinant at one point. The Laplacian spectrum, the one that
+`analyze` prints and `verify spectral-bound` multiplies, is that polynomial
+with its integer roots divided out (`laplacian_spectrum`); square-free
+parts come from a gcd modulo a prime, certified by exact division over the
+integers (`squarefree_part`). No fractions and no floating point anywhere.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import GraphError, InternalCheckError, _record
 from .graphs import Graph, SignedGraph
@@ -261,7 +261,7 @@ def _clear_column(a: list[list[int]], modulus: int) -> None:
 
 @_record
 class Polynomial:
-    """Dense univariate polynomial over exact numbers (int / Fraction)."""
+    """Dense univariate polynomial with integer coefficients."""
 
     coeffs: tuple
 
@@ -293,61 +293,26 @@ class Polynomial:
     def derivative(self) -> Polynomial:
         return Polynomial.make(i * c for i, c in enumerate(self.coeffs) if i)
 
-    def divmod(self, other: Polynomial) -> tuple[Polynomial, Polynomial]:
-        """Division over the rationals."""
-        if other.is_zero():
-            raise GraphError("polynomial division by zero")
-        rem = [Fraction(c) for c in self.coeffs]
-        lead = Fraction(other.leading())
-        quot = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        while len(rem) >= len(other.coeffs) and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) < len(other.coeffs):
-                break
-            shift = len(rem) - len(other.coeffs)
-            factor = rem[-1] / lead
-            quot[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] -= factor * Fraction(c)
-        return Polynomial.make(quot), Polynomial.make(rem)
 
-    def primitive_integer(self) -> Polynomial:
-        """Clear denominators, divide out the content, make the leading
-        coefficient positive."""
-        if self.is_zero():
-            return self
-        coeffs = [Fraction(c) for c in self.coeffs]
-        denom = 1
-        for c in coeffs:
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        ints = [int(c * denom) for c in coeffs]
-        content = 0
-        for c in ints:
-            content = gcd(content, c)
-        ints = [c // content for c in ints]
-        if ints[-1] < 0:
-            ints = [-c for c in ints]
-        return Polynomial.make(ints)
+# Exponents p of the Mersenne primes 2^p - 1 that char_poly and
+# squarefree_part compute modulo. They are proven primes, so no primality
+# test is needed; 2^11213 - 1 covers every Laplacian with at most
+# graphs.MAX_VERTICES vertices.
+MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253,
+                      4423, 9689, 9941, 11213, 19937)
 
 
-def polynomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Gcd over the rationals, returned as a primitive integer polynomial
-    with positive leading coefficient."""
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r.primitive_integer()
-    return a.primitive_integer()
+def _mersenne_prime(limit: int) -> int:
+    """The smallest Mersenne prime of the table above `limit`."""
+    for p in MERSENNE_EXPONENTS:
+        if 2**p - 1 > limit:
+            return 2**p - 1
+    raise GraphError("characteristic polynomial coefficients exceed the largest modulus")
 
 
-# The prime squarefree_part tests coprimality modulo; a repeated root modulo
-# it without one over Z needs it to divide the discriminant.
-SQUAREFREE_PRIME = 2**61 - 1
-
-
-def _coprime_modulo(a, b, prime: int) -> bool:
-    """Whether the integer polynomials with coefficient lists a and b (low
-    to high) are coprime over Z/prime, by Euclid's algorithm there."""
+def _gcd_modulo(a, b, prime: int) -> list[int]:
+    """The monic gcd over Z/prime of the integer polynomials with
+    coefficient lists a and b (low to high), by Euclid's algorithm there."""
     def trim(c):
         while c and not c[-1]:
             c.pop()
@@ -362,44 +327,55 @@ def _coprime_modulo(a, b, prime: int) -> bool:
             a[shift:] = [(x - f * y) % prime for x, y in zip(a[shift:], b)]
             trim(a)
         a, b = b, a
-    return len(a) == 1
+    inverse = pow(a[-1], -1, prime)
+    return [x * inverse % prime for x in a]
+
+
+def _divide_monic(a, b) -> list[int] | None:
+    """The quotient of the integer coefficient lists a / b (low to high), b
+    monic, or None when the division leaves a remainder."""
+    rem, m = list(a), len(b) - 1
+    quotient = [0] * (len(rem) - m)
+    for shift in range(len(quotient) - 1, -1, -1):
+        f = quotient[shift] = rem[shift + m]
+        if f:
+            for i in range(m):
+                rem[shift + i] -= f * b[i]
+    return None if any(rem[:m]) else quotient
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:
-    """p with all repeated roots collapsed to multiplicity one.
+    """p / gcd(p, p'): the monic integer polynomial p with every repeated
+    root collapsed to multiplicity one. Anything but a monic integer
+    polynomial is a GraphError.
 
-    A monic integer p that is coprime to p' modulo one prime is returned as
-    it is: a square factor f^2 of p, f monic over Z by Gauss's lemma, would
-    leave f of the same degree dividing both modulo every prime. Otherwise,
-    or when p is not monic over Z, the gcd with p' is taken over Q.
+    gcd(p, p') is monic over Z by Gauss's lemma, so it divides the gcd of
+    the residues modulo every prime. If that gcd is constant modulo
+    2^61 - 1, p is returned as it is. Otherwise the gcd is taken modulo the
+    first table prime above 2B, B = 2^deg p ceil(||p||_2) the Mignotte bound
+    on the coefficients of a divisor of p, and lifted to symmetric residues.
+    The lift is kept only if it divides both p and p' over Z: a common
+    divisor at least as large as the true gcd is the true gcd. A failed lift
+    moves on to the next prime. 2^19937 - 1 exceeds 2B for every factor of a
+    Laplacian characteristic polynomial up to graphs.MAX_VERTICES, so the
+    table running out is an InternalCheckError.
     """
-    if p.is_zero():
-        raise GraphError("zero polynomial")
-    if p.degree == 0:
-        return Polynomial.make([1])
-    if all(type(c) is int for c in p.coeffs) and p.leading() == 1:
-        if _coprime_modulo(p.coeffs, p.derivative().coeffs, SQUAREFREE_PRIME):
-            return p
-    g = polynomial_gcd(p, p.derivative())
-    q, r = p.divmod(g)
-    if not r.is_zero():
-        raise InternalCheckError("gcd does not divide the polynomial")
-    return q.primitive_integer()
-
-
-# Exponents p of the Mersenne primes 2^p - 1 that char_poly computes modulo.
-# They are proven primes, so no primality test is needed; 2^11213 - 1 covers
-# every Laplacian with at most graphs.MAX_VERTICES vertices.
-MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253,
-                      4423, 9689, 9941, 11213, 19937)
-
-
-def _mersenne_prime(limit: int) -> int:
-    """The smallest Mersenne prime of the table above `limit`."""
-    for p in MERSENNE_EXPONENTS:
-        if 2**p - 1 > limit:
-            return 2**p - 1
-    raise GraphError("characteristic polynomial coefficients exceed the largest modulus")
+    coeffs = p.coeffs
+    if not coeffs or any(type(c) is not int for c in coeffs) or coeffs[-1] != 1:
+        raise GraphError("square-free part of a polynomial that is not monic over the integers")
+    derivative = p.derivative().coeffs
+    if len(_gcd_modulo(coeffs, derivative, 2**MERSENNE_EXPONENTS[0] - 1)) == 1:
+        return p
+    bound = 2**p.degree * (isqrt(sum(c * c for c in coeffs) - 1) + 1)
+    for e in MERSENNE_EXPONENTS:
+        prime = 2**e - 1
+        if prime <= 2 * bound:
+            continue
+        gcd_p = [c - prime if c > prime // 2 else c for c in _gcd_modulo(coeffs, derivative, prime)]
+        quotient = _divide_monic(coeffs, gcd_p)
+        if quotient is not None and _divide_monic(derivative, gcd_p) is not None:
+            return Polynomial(tuple(quotient))
+    raise InternalCheckError(f"no table prime lifts gcd(p, p') to a common divisor, deg p = {p.degree}")
 
 
 def _hessenberg_char_poly(rows, prime: int) -> list[int]:

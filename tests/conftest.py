@@ -1,6 +1,7 @@
 """Shared corpus builders and independent oracles for the test suite."""
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,14 +70,48 @@ def strip_zero_roots(p: Polynomial) -> tuple[Polynomial, int]:
     return Polynomial.make(p.coeffs[v:]), v
 
 
+def _rational_divmod(a, b) -> tuple[list, list]:
+    """Quotient and remainder of coefficient lists (low to high) over Q."""
+    rem = [Fraction(c) for c in a]
+    quotient = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for shift in range(len(quotient) - 1, -1, -1):
+        f = quotient[shift] = rem[shift + len(b) - 1] / b[-1]
+        for i, c in enumerate(b):
+            rem[shift + i] -= f * c
+    rem = rem[:len(b) - 1]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quotient, rem
+
+
+def _primitive(coeffs) -> list[int]:
+    """Rational coefficients scaled to coprime integers, leading one positive."""
+    denominator = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    ints = [int(c * denominator) for c in coeffs]
+    content = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
+    return [c // content for c in ints]
+
+
+def rational_squarefree_part(p: Polynomial) -> Polynomial:
+    """The slow oracle for squarefree_part: p / gcd(p, p') by Euclid's
+    algorithm over Q, each remainder made primitive, and the quotient made
+    primitive with a positive leading coefficient."""
+    a, b = list(p.coeffs), list(p.derivative().coeffs)
+    while b:
+        _, r = _rational_divmod(a, b)
+        a, b = b, _primitive(r) if r else []
+    quotient, r = _rational_divmod(p.coeffs, a)
+    assert not r, f"gcd {a} does not divide {p.coeffs}"
+    return Polynomial.make(_primitive(quotient))
+
+
 def distinct_nonzero_root_product(p: Polynomial) -> Fraction:
     """Product of the distinct non-zero roots of a characteristic
     polynomial, read off the whole of it: strip its zero roots, take the
-    square-free part q, and return (-1)^deg(q) q(0) / lead(q); 1 for x^n,
-    the polynomial of a zero matrix."""
-    from critgroup import squarefree_part
-
-    q = squarefree_part(strip_zero_roots(p)[0])
+    square-free part q by the rational oracle, and return
+    (-1)^deg(q) q(0) / lead(q); 1 for x^n, the polynomial of a zero
+    matrix."""
+    q = rational_squarefree_part(strip_zero_roots(p)[0])
     return Fraction((-1) ** q.degree * q.coeffs[0], q.leading())
 
 

@@ -288,8 +288,11 @@ def test_grounded_inverse_matches_adjugate_oracle():
 
 
 def test_grounded_inverse_rejects():
-    with pytest.raises(StructureError, match="balanced signed graph: cokernel classes have infinite order"):
-        grounded_inverse(make_signed_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)], [(1, 2), (2, 3)]))
+    # a balanced signed graph, one vertex included, has an infinite cokernel
+    for balanced in (make_signed_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)], [(1, 2), (2, 3)]),
+                     make_signed_graph(1, [], [])):
+        with pytest.raises(StructureError, match="balanced signed graph: the Laplacian cokernel is infinite"):
+            grounded_inverse(balanced)
     with pytest.raises(DisconnectedGraphError):
         grounded_inverse(make_graph(4, [(1, 2), (3, 4)]))
 

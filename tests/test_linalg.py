@@ -22,7 +22,6 @@ from critgroup import (
     make_signed_graph,
     paley,
     petersen,
-    polynomial_gcd,
     signed_complete_unbalanced,
     smith_diagonal,
     squarefree_part,
@@ -41,6 +40,7 @@ from conftest import (
     poly_mul,
     random_connected_graph,
     random_int_matrix,
+    rational_squarefree_part,
     signed_corpus,
     smith_normal_form,
     transpose,
@@ -210,12 +210,6 @@ def test_polynomial_arithmetic():
     p = Polynomial.make([1, 2, 1])  # (x+1)^2
     q = Polynomial.make([1, 1])
     assert poly_mul(q, q).coeffs == p.coeffs
-    quot, rem = p.divmod(q)
-    assert rem.is_zero()
-    assert quot.coeffs == (1, 1)
-    quot, rem = Polynomial.make([1, 0, 1]).divmod(q)
-    assert rem.degree < 1
-    assert not rem.is_zero()
     assert Polynomial.make([0, 0]).is_zero()
     assert Polynomial.make([5]).degree == 0
 
@@ -224,8 +218,6 @@ def test_polynomial_gcd_and_squarefree():
     lin = Polynomial.make([1, 1])
     other = Polynomial.make([-4, 1])
     p = poly_mul(poly_mul(lin, lin), other)
-    g = polynomial_gcd(p, p.derivative())
-    assert g.degree == 1
     sf = squarefree_part(p)
     assert sf.coeffs == poly_mul(lin, other).coeffs
     rng = random.Random(3)
@@ -235,49 +227,82 @@ def test_polynomial_gcd_and_squarefree():
         assert squarefree_part(poly_mul(p, p)).coeffs == squarefree_part(p).coeffs
 
 
-def _squarefree_over_q(p):
-    """The rational route: p / gcd(p, p') made primitive."""
-    q, r = p.divmod(polynomial_gcd(p, p.derivative()))
-    assert r.is_zero()
-    return q.primitive_integer()
-
-
-def test_squarefree_modular_shortcut_matches_rational_route(monkeypatch):
+def test_squarefree_part_matches_rational_oracle(monkeypatch):
     rng = random.Random(2024)
     graphs = [*connected_atlas(7), *(g for _, g in signed_corpus())]
     graphs += [random_connected_graph(rng, rng.randint(4, 16), rng.choice([0.2, 0.4, 0.6]))
                for _ in range(30)]
+    graphs += [cycle(n) for n in range(3, 41)]
+    graphs += [paley(q) for q in (5, 9, 13, 17, 25, 29)]
     factors = [laplacian_spectrum(g)[1] for g in graphs]
     factors = [f for f in factors if f.degree > 0]
     assert len(factors) > 100
-    prime = linalg.SQUAREFREE_PRIME
-    shortcut = 0
+    divisions = []
+    real_divide = linalg._divide_monic
+    monkeypatch.setattr(linalg, "_divide_monic", lambda a, b: divisions.append(b) or real_divide(a, b))
+    lifted = 0
     for f in factors:
-        coprime = linalg._coprime_modulo(f.coeffs, f.derivative().coeffs, prime)
-        # the prime divides none of these discriminants, so the residues
-        # see exactly the repeated roots the rational gcd sees
-        assert coprime == (polynomial_gcd(f, f.derivative()).degree == 0), f
-        assert squarefree_part(f) == _squarefree_over_q(f), f
-        shortcut += coprime
-    assert 0 < shortcut < len(factors)
-    # the fallback: a repeated root, and two roots that coincide modulo the
-    # prime, x (x - prime); both must reach the rational gcd
+        before = len(divisions)
+        assert squarefree_part(f) == rational_squarefree_part(f), f
+        lifted += len(divisions) > before
+    # both exits: a gcd constant modulo 2^61 - 1, and a lifted gcd
+    assert 0 < lifted < len(factors)
+    # a repeated root, and two roots that coincide modulo 2^61 - 1, x (x - P):
+    # both leave a non-constant gcd there and take the lift
+    prime = 2**61 - 1
     repeated = poly_mul(poly_mul(Polynomial.make([-1, 1]), Polynomial.make([-1, 1])),
                         Polynomial.make([2, 1]))
     coincide = Polynomial.make([0, -prime, 1])
-    calls = []
-    real_gcd = linalg.polynomial_gcd
-    monkeypatch.setattr(linalg, "polynomial_gcd", lambda a, b: calls.append(a) or real_gcd(a, b))
     for p, want in ((repeated, Polynomial.make([-2, 1, 1])), (coincide, coincide)):
-        assert not linalg._coprime_modulo(p.coeffs, p.derivative().coeffs, prime)
-        assert squarefree_part(p) == want == _squarefree_over_q(p)
-    # not monic over Z: the rational route too, whatever the residues say
-    not_monic = Polynomial.make([-2, 0, 2])
-    fractions = Polynomial.make([Fraction(-1), 0, Fraction(1)])
-    for p in (not_monic, fractions):
-        assert squarefree_part(p) == Polynomial.make([-1, 0, 1])
-    assert calls == [repeated, coincide, not_monic, fractions]
-    assert linalg._coprime_modulo([5], [], prime) and not linalg._coprime_modulo([], [], prime)
+        assert len(linalg._gcd_modulo(p.coeffs, p.derivative().coeffs, prime)) > 1
+        before = len(divisions)
+        assert squarefree_part(p) == want == rational_squarefree_part(p)
+        assert len(divisions) > before
+    assert linalg._gcd_modulo([5], [], prime) == [1]
+
+
+def test_squarefree_part_rejects_and_certifies(monkeypatch, capsys):
+    import critgroup.cli
+
+    # only a monic integer polynomial has a square-free part here
+    for p in (Polynomial.make([-2, 0, 2]), Polynomial.make([Fraction(-1), 0, Fraction(1)]),
+              Polynomial(())):
+        with pytest.raises(GraphError, match="not monic over the integers"):
+            squarefree_part(p)
+    # C_40's factor has repeated roots and needs a prime above 2^61 - 1
+    factor = laplacian_spectrum(cycle(40))[1]
+    assert rational_squarefree_part(factor) != factor
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "MERSENNE_EXPONENTS", (61,))
+        with pytest.raises(InternalCheckError, match="no table prime"):
+            squarefree_part(factor)
+    # an unlucky prime, whose gcd is too large, moves the lift on: times
+    # (x - 1) it still divides (x - 1)^2 (x + 2) but not its derivative,
+    # times (x - 3) it divides neither
+    real_gcd, calls = linalg._gcd_modulo, []
+
+    def unlucky(a, b, prime):
+        calls.append(prime)
+        g = real_gcd(a, b, prime)
+        if len(calls) in (2, 3):  # the first two lifts, after the coprimality test
+            r = 1 if len(calls) == 2 else 3
+            g = [(x - r * y) % prime for x, y in zip([0, *g], [*g, 0])]
+        return g
+
+    repeated = poly_mul(poly_mul(Polynomial.make([-1, 1]), Polynomial.make([-1, 1])),
+                        Polynomial.make([2, 1]))
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "_gcd_modulo", unlucky)
+        assert squarefree_part(repeated) == Polynomial.make([-2, 1, 1])
+    assert calls == [2**e - 1 for e in (61, 61, 89, 107)]
+    # a lift that never divides is never returned
+    monkeypatch.setattr(linalg, "_divide_monic", lambda a, b: None)
+    with pytest.raises(InternalCheckError, match="no table prime"):
+        squarefree_part(factor)
+    code = critgroup.cli.main(["verify", "--family", "cycle", "--params", "40", "--check", "spectral-bound"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("error: internal check failed:")
 
 
 def test_char_poly_goldens():

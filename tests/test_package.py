@@ -50,8 +50,8 @@ def test_public_names_load_their_module_on_first_access():
 SLOW_START_MODULES = {"dataclasses", "inspect"}
 
 
-def _slow_start_imports(tree):
-    """(line, module) for every import of a module on SLOW_START_MODULES."""
+def _imports_of(tree, modules):
+    """(line, module) for every import of one of `modules` or a submodule."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
@@ -60,7 +60,7 @@ def _slow_start_imports(tree):
         else:
             continue
         for name in names:
-            if name and name.split(".")[0] in SLOW_START_MODULES:
+            if name and name.split(".")[0] in modules:
                 yield node.lineno, name
 
 
@@ -70,11 +70,22 @@ def test_no_slow_start_imports():
     found = [
         f"{path.name}:{line}: import {name}"
         for path in SOURCES
-        for line, name in _slow_start_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for line, name in _imports_of(ast.parse(path.read_text(encoding="utf-8")), SLOW_START_MODULES)
     ]
     assert found == []
     source = "import inspect\nfrom dataclasses import dataclass\nimport ast\nfrom . import x\n"
-    assert sorted(_slow_start_imports(ast.parse(source))) == [(1, "inspect"), (2, "dataclasses")]
+    assert sorted(_imports_of(ast.parse(source), SLOW_START_MODULES)) == [
+        (1, "inspect"), (2, "dataclasses")]
+
+
+def test_linalg_imports_no_rational_arithmetic():
+    # linalg computes over the integers and residues modulo primes; the
+    # rational square-free route is a test oracle (conftest)
+    modules = {"fractions", "decimal"}
+    linalg = pathlib.Path(critgroup.__file__).parent / "linalg.py"
+    assert list(_imports_of(ast.parse(linalg.read_text(encoding="utf-8")), modules)) == []
+    source = "from fractions import Fraction\nimport math, decimal\nfrom .errors import GraphError\n"
+    assert sorted(_imports_of(ast.parse(source), modules)) == [(1, "fractions"), (2, "decimal")]
 
 
 def test_cli_start_loads_no_slow_start_module():
