@@ -33,8 +33,8 @@ _MODULE_EXPORTS = {
         "verify_exponent_theorem", "verify_spectral_bound", "vertex_indicator", "witnesses",
     ),
     "linalg": (
-        "IntMatrix", "Polynomial", "adjugate", "char_poly", "determinant", "gershgorin_bound",
-        "laplacian", "laplacian_spectrum", "smith_diagonal", "squarefree_part", "unit_pivot_core",
+        "Polynomial", "adjugate", "char_poly", "determinant", "gershgorin_bound", "laplacian",
+        "laplacian_spectrum", "smith_diagonal", "squarefree_part", "unit_pivot_core",
     ),
     "pairing": (
         "OrthogonalSet", "PairingValue", "TailHeavyReport", "check_subgroup_divisibility",

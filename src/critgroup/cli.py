@@ -1,8 +1,8 @@
 """Command-line surface: graph ingestion, analysis, verification reports.
 
 Reports are deterministic: identical invocations produce byte-identical
-stdout. Timing goes to stderr. All integers are serialized as decimal
-strings and rationals as "p/q" so consumers never face overflow or floats.
+stdout. Timing goes to stderr. Integers are serialized as decimal strings
+and pairing values as "p/q", so consumers never face overflow or floats.
 
 Exit codes: 0 a report was written, 1 a verifier ran and the property
 failed, 2 bad input or a graph the command does not apply to (an `error:`
@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 import time
-from math import gcd
 
 from .errors import GraphError, InternalCheckError, StructureError
 from .graphs import (
@@ -39,6 +38,7 @@ from .groups import (
 )
 from .linalg import laplacian_spectrum
 from .pairing import (
+    PairingValue,
     _closed_form_params,
     _pairing_table,
     monodromy_pairing,
@@ -52,12 +52,6 @@ SCHEMA = "critgroup/1"
 
 def _jint(x: int) -> str:
     return str(int(x))
-
-
-def _jresidue(a: int, modulus: int) -> str:
-    """The rational a / modulus in lowest terms, as "p/q"."""
-    h = gcd(a, modulus)
-    return f"{a // h}/{modulus // h}"
 
 
 def _jedge(e) -> list[str]:
@@ -257,8 +251,9 @@ def _cmd_pairing(args) -> tuple[dict, dict, int]:
     else:
         edges, exponent, table = _pairing_table(g)
         labels = [_jedge(e) for e in edges]
+        values = {a: str(PairingValue.of(a, exponent)) for a in {x for row in table for x in row}}
         result["pairs"] = [
-            {"edge1": labels[i], "edge2": labels[j], "value": _jresidue(row[j], exponent)}
+            {"edge1": labels[i], "edge2": labels[j], "value": values[row[j]]}
             for i, row in enumerate(table)
             for j in range(i, len(edges))
         ]

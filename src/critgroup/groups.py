@@ -27,7 +27,6 @@ from .graphs import (
     switch,
 )
 from .linalg import (
-    IntMatrix,
     adjugate,
     determinant,
     laplacian,
@@ -72,14 +71,14 @@ class AbelianGroup:
         return not self.invariant_factors
 
 
-def _grounded_laplacian(g: Graph | SignedGraph) -> IntMatrix | None:
+def _grounded_laplacian(g: Graph | SignedGraph) -> list[list[int]]:
     """L0: the Laplacian without the last vertex's row and column for an
-    unsigned graph (None for one vertex, whose group is trivial), the whole
+    unsigned graph (empty for one vertex, whose group is trivial), the whole
     signed Laplacian for a signed graph."""
     lap = laplacian(g)
     if isinstance(g, SignedGraph):
         return lap
-    return IntMatrix.from_rows(row[:-1] for row in lap.entries[:-1]) if g.n > 1 else None
+    return [row[:-1] for row in lap[:-1]]
 
 
 def _laplacian_rows(g: Graph | SignedGraph) -> list[tuple[int, frozenset[int], frozenset[int]]]:
@@ -147,7 +146,6 @@ def grounded_inverse(g: Graph | SignedGraph) -> tuple[int, tuple[tuple[int, ...]
         params = None
     if params is None:
         divisor, columns = adjugate(_grounded_laplacian(g))
-        columns = columns.entries
     else:
         divisor, columns = params.eigenvalue_product, []
         for j in range(size):
@@ -217,12 +215,9 @@ def spanning_tree_count(g: Graph | SignedGraph) -> int:
 @lru_cache(maxsize=CACHED_GRAPHS)
 def _certified_group(g: Graph | SignedGraph) -> AbelianGroup:
     lap = _grounded_laplacian(g)
-    if lap is None:
+    core = unit_pivot_core(lap) if lap else []
+    if not core:  # one vertex, or every row eliminated on a unit pivot
         return AbelianGroup(())
-    rows = unit_pivot_core(lap)
-    if not rows:
-        return AbelianGroup(())
-    core = IntMatrix.from_rows(rows)
     kappa = abs(determinant(core))
     if not kappa:
         if isinstance(g, SignedGraph):
@@ -577,8 +572,10 @@ def subgroup_invariant_factors(group: AbelianGroup, generators) -> AbelianGroup:
     gens = [list(v) for v in generators]
     if any(len(v) != len(factors) for v in gens):
         raise GraphError("generator length does not match the number of factors")
+    if any(type(x) is not int for v in gens for x in v):
+        raise GraphError("generator coordinates must be integers")
     if not gens or not factors:
         return AbelianGroup(())
     e = group.exponent
-    scaled = IntMatrix.from_rows([x * (e // d) for x, d in zip(v, factors)] for v in gens)
+    scaled = [[x * (e // d) for x, d in zip(v, factors)] for v in gens]
     return AbelianGroup.from_diagonal(sorted(e // s for s in smith_diagonal(scaled, e)))

@@ -1,8 +1,9 @@
 """Exact integer linear algebra.
 
 Everything here is exact: arbitrary-precision integers and residues modulo
-an integer. Smith diagonals come from exact elimination on +-1 pivots
-followed by elimination modulo a multiple of the exponent of the cokernel.
+an integer. A matrix is a list of integer rows, which no routine mutates.
+Smith diagonals come from exact elimination on +-1 pivots followed by
+elimination modulo a multiple of the exponent of the cokernel.
 Characteristic polynomials come from a Hessenberg reduction modulo a
 Mersenne prime larger than twice the coefficient bound, checked against an
 exact determinant at one point. The Laplacian spectrum, the one that
@@ -21,61 +22,9 @@ from .errors import GraphError, InternalCheckError, _record
 from .graphs import Graph, SignedGraph
 
 
-@_record
-class IntMatrix:
-    """Immutable integer matrix; entries stored row-major as nested tuples."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if not self.entries or not self.entries[0]:
-            raise GraphError("matrix needs at least one row and one column")
-        width = len(self.entries[0])
-        if any(len(row) != width for row in self.entries):
-            raise GraphError("ragged rows")
-
-    @classmethod
-    def from_rows(cls, rows) -> IntMatrix:
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
-
-    @classmethod
-    def identity(cls, n: int) -> IntMatrix:
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0])
-
-    def __getitem__(self, pos: tuple[int, int]) -> int:
-        i, j = pos
-        return self.entries[i][j]
-
-    def scale(self, c: int) -> IntMatrix:
-        return IntMatrix(tuple(tuple(c * x for x in row) for row in self.entries))
-
-    def add(self, other: IntMatrix) -> IntMatrix:
-        if self.shape() != other.shape():
-            raise GraphError("shape mismatch")
-        return IntMatrix(
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries))
-        )
-
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
-
-    def trace(self) -> int:
-        if self.rows != self.cols:
-            raise GraphError("trace of a non-square matrix")
-        return sum(self.entries[i][i] for i in range(self.rows))
-
-
-def laplacian(g: Graph | SignedGraph) -> IntMatrix:
-    """Laplacian D - A; for signed graphs the adjacency entries carry the
-    edge signs, so a negative edge contributes +1 off-diagonal."""
+def laplacian(g: Graph | SignedGraph) -> list[list[int]]:
+    """Laplacian D - A as a list of rows; the adjacency of a signed graph
+    carries the edge signs, so a negative edge gives +1 off-diagonal."""
     signed = isinstance(g, SignedGraph)
     base = g.graph if signed else g
     n = base.n
@@ -86,15 +35,15 @@ def laplacian(g: Graph | SignedGraph) -> IntMatrix:
         s = -1 if signed and (u, v) in g.negative_edges else 1
         m[u - 1][v - 1] = -s
         m[v - 1][u - 1] = -s
-    return IntMatrix.from_rows(m)
+    return m
 
 
-def determinant(m: IntMatrix) -> int:
+def determinant(m) -> int:
     """Fraction-free Bareiss elimination; exact for integer matrices."""
-    if m.rows != m.cols:
+    n = len(m)
+    if not m or any(len(row) != n for row in m):
         raise GraphError("determinant of a non-square matrix")
-    n = m.rows
-    a = [list(row) for row in m.entries]
+    a = [list(row) for row in m]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -115,7 +64,7 @@ def determinant(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def adjugate(m: IntMatrix) -> tuple[int, IntMatrix]:
+def adjugate(m) -> tuple[int, list[list[int]]]:
     """Determinant and adjugate of a square matrix: m @ adj == det * I.
 
     The Bareiss loop of `determinant` run over every row of [m | I]
@@ -125,10 +74,10 @@ def adjugate(m: IntMatrix) -> tuple[int, IntMatrix]:
     pivot. Without row swaps every leading principal minor must be
     non-zero, as for a positive definite matrix.
     """
-    if m.rows != m.cols:
+    n = len(m)
+    if not m or any(len(row) != n for row in m):
         raise GraphError("adjugate of a non-square matrix")
-    n = m.rows
-    a = [list(row) + [0] * n for row in m.entries]
+    a = [list(row) + [0] * n for row in m]
     prev = 1
     for k in range(n):
         pivot_row = a[k]
@@ -142,14 +91,14 @@ def adjugate(m: IntMatrix) -> tuple[int, IntMatrix]:
                 for j in range(k + 1, n + k + 1):
                     row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
         prev = pivot
-    return prev, IntMatrix.from_rows(row[n:] for row in a)
+    return prev, [row[n:] for row in a]
 
 
 # ---------------------------------------------------------------------------
 # Smith diagonal
 
 
-def unit_pivot_core(m: IntMatrix) -> list[list[int]]:
+def unit_pivot_core(m) -> list[list[int]]:
     """The square matrix left after eliminating m on +-1 pivots.
 
     Eliminating row i and column j on a pivot m_ij = +-1 (taking the Schur
@@ -159,10 +108,10 @@ def unit_pivot_core(m: IntMatrix) -> list[list[int]]:
     c the non-zero counts of its row and column, ties to the least (i, j).
     The core is empty when every row is eliminated.
     """
-    if m.rows != m.cols:
+    if not m or any(len(row) != len(m) for row in m):
         raise GraphError("unit-pivot elimination of a non-square matrix")
-    rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(m.entries)}
-    columns = set(range(m.cols))
+    rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(m)}
+    columns = set(range(len(m)))
     while True:
         counts = Counter(j for row in rows.values() for j in row)
         units = (((len(row) - 1) * (counts[j] - 1), i, j)
@@ -188,7 +137,7 @@ def unit_pivot_core(m: IntMatrix) -> list[list[int]]:
     return [[row.get(j, 0) for j in order] for row in rows.values()]
 
 
-def smith_diagonal(m: IntMatrix, modulus: int) -> list[int]:
+def smith_diagonal(m, modulus: int) -> list[int]:
     """Smith diagonal of m over Z/modulus, as a divisibility chain of
     divisors of the modulus: entry i is gcd(d_i, modulus) for the integer
     Smith diagonal d_1 | d_2 | ... of m, so a zero d_i gives the modulus.
@@ -203,8 +152,10 @@ def smith_diagonal(m: IntMatrix, modulus: int) -> list[int]:
     """
     if modulus < 1:
         raise GraphError(f"modulus must be positive, got {modulus}")
-    a = [[x % modulus for x in row] for row in m.entries]
-    size = min(m.rows, m.cols)
+    if not m or any(len(row) != len(m[0]) for row in m):
+        raise GraphError("Smith diagonal of an empty matrix or of ragged rows")
+    a = [[x % modulus for x in row] for row in m]
+    size = min(len(m), len(m[0]))
     diag = []
     while a and a[0]:
         units = ((i, j) for i, row in enumerate(a) for j, x in enumerate(row)
@@ -353,7 +304,8 @@ def squarefree_part(p: Polynomial) -> Polynomial:
     the residues modulo every prime. If that gcd is constant modulo
     2^61 - 1, p is returned as it is. Otherwise the gcd is taken modulo the
     first table prime above 2B, B = 2^deg p ceil(||p||_2) the Mignotte bound
-    on the coefficients of a divisor of p, and lifted to symmetric residues.
+    on the coefficients of a divisor of p (reused if that is 2^61 - 1), and
+    lifted to symmetric residues.
     The lift is kept only if it divides both p and p' over Z: a common
     divisor at least as large as the true gcd is the true gcd. A failed lift
     moves on to the next prime. 2^19937 - 1 exceeds 2B for every factor of a
@@ -364,14 +316,17 @@ def squarefree_part(p: Polynomial) -> Polynomial:
     if not coeffs or any(type(c) is not int for c in coeffs) or coeffs[-1] != 1:
         raise GraphError("square-free part of a polynomial that is not monic over the integers")
     derivative = p.derivative().coeffs
-    if len(_gcd_modulo(coeffs, derivative, 2**MERSENNE_EXPONENTS[0] - 1)) == 1:
+    first = 2**MERSENNE_EXPONENTS[0] - 1
+    first_gcd = _gcd_modulo(coeffs, derivative, first)
+    if len(first_gcd) == 1:
         return p
     bound = 2**p.degree * (isqrt(sum(c * c for c in coeffs) - 1) + 1)
     for e in MERSENNE_EXPONENTS:
         prime = 2**e - 1
         if prime <= 2 * bound:
             continue
-        gcd_p = [c - prime if c > prime // 2 else c for c in _gcd_modulo(coeffs, derivative, prime)]
+        residues = first_gcd if prime == first else _gcd_modulo(coeffs, derivative, prime)
+        gcd_p = [c - prime if c > prime // 2 else c for c in residues]
         quotient = _divide_monic(coeffs, gcd_p)
         if quotient is not None and _divide_monic(derivative, gcd_p) is not None:
             return Polynomial(tuple(quotient))
@@ -436,7 +391,7 @@ def _hessenberg_char_poly(rows, prime: int) -> list[int]:
     return polys[n]
 
 
-def char_poly(m: IntMatrix) -> Polynomial:
+def char_poly(m) -> Polynomial:
     """Characteristic polynomial det(xI - m), monic with integer
     coefficients, by Hessenberg reduction modulo one prime.
 
@@ -446,26 +401,27 @@ def char_poly(m: IntMatrix) -> Polynomial:
     is checked: monic of degree n, the x^(n-1) coefficient is -trace(m), and
     p(g + 1) equals det((g + 1) I - m) computed exactly.
     """
-    if m.rows != m.cols:
+    n = len(m)
+    if not m or any(len(row) != n for row in m):
         raise GraphError("characteristic polynomial of a non-square matrix")
-    n = m.rows
     g = gershgorin_bound(m)
     prime = _mersenne_prime(2 * (1 + g) ** n)
     half = prime // 2
-    coeffs = [c - prime if c > half else c for c in _hessenberg_char_poly(m.entries, prime)]
+    coeffs = [c - prime if c > half else c for c in _hessenberg_char_poly(m, prime)]
     poly = Polynomial.make(coeffs)
-    if poly.degree != n or poly.leading() != 1 or coeffs[n - 1] != -m.trace():
+    if poly.degree != n or poly.leading() != 1 or coeffs[n - 1] != -sum(row[i] for i, row in enumerate(m)):
         raise InternalCheckError("characteristic polynomial is not monic with the trace coefficient")
     x0 = g + 1
-    if poly.evaluate(x0) != determinant(IntMatrix.identity(n).scale(x0).add(m.scale(-1))):
+    shifted = [[(x0 if i == j else 0) - x for j, x in enumerate(row)] for i, row in enumerate(m)]
+    if poly.evaluate(x0) != determinant(shifted):
         raise InternalCheckError(f"characteristic polynomial disagrees with det(xI - m) at x = {x0}")
     return poly
 
 
-def gershgorin_bound(m: IntMatrix) -> int:
+def gershgorin_bound(m) -> int:
     """Every eigenvalue of a square integer matrix lies within this bound
     in absolute value: the largest absolute row sum."""
-    return max(sum(abs(x) for x in row) for row in m.entries)
+    return max(sum(abs(x) for x in row) for row in m)
 
 
 def laplacian_spectrum(g: Graph | SignedGraph) -> tuple[list[tuple[int, int]], Polynomial]:

@@ -5,7 +5,8 @@ The pairing of two classes [D], [D2] is D2.f mod 1 where L f = D; with the
 last vertex grounded, f0 = X D0 / E for X = E L0^-1 and E the group
 exponent (`groups.grounded_inverse`). It is well-defined, bilinear, and
 symmetric, and for strongly regular graphs it has a closed form read off
-the order-achieving decomposition coefficients.
+the order-achieving decomposition coefficients. A value is kept as a
+reduced residue a/m mod 1 (`PairingValue.of`).
 A set of edges whose classes e_u - e_v pairwise pair to zero forces a
 tail-heavy subgroup: one factor of the full spectral bound plus copies of
 the self-pairing denominator.
@@ -14,8 +15,7 @@ the self-pairing denominator.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from fractions import Fraction
-from math import floor, gcd
+from math import gcd
 
 from .errors import GraphError, InternalCheckError, StructureError, _record
 from .graphs import (
@@ -38,24 +38,27 @@ from .groups import (
 
 @_record
 class PairingValue:
-    """Canonical representative of a pairing value: an exact fraction
-    reduced to lowest terms in [0, 1)."""
+    """A pairing value in [0, 1) in lowest terms: numerator / denominator
+    with 0 <= numerator < denominator and the two coprime."""
 
-    value: Fraction
+    numerator: int
+    denominator: int
 
     def __post_init__(self):
-        if not 0 <= self.value < 1:
-            raise GraphError(f"pairing value {self.value} not reduced mod 1")
+        if not 0 <= self.numerator < self.denominator or gcd(self.numerator, self.denominator) > 1:
+            raise GraphError(f"pairing value {self} not reduced mod 1")
 
     @classmethod
-    def reduce(cls, value: Fraction) -> PairingValue:
-        return cls(value - floor(value))
+    def of(cls, a: int, m: int) -> PairingValue:
+        """a / m mod 1, for integers a and m > 0."""
+        h = gcd(a, m)
+        return cls(a % m // h, m // h)
 
     def is_zero(self) -> bool:
-        return self.value == 0
+        return not self.numerator
 
     def __str__(self) -> str:
-        return f"{self.value.numerator}/{self.value.denominator}"
+        return f"{self.numerator}/{self.denominator}"
 
 
 def _require_unsigned(g, what: str) -> None:
@@ -92,7 +95,7 @@ def monodromy_pairing(g: Graph, d, d2, m: int | None = None) -> PairingValue:
     if any(m * x % exponent for x in image):
         raise InternalCheckError("annihilated classes admit integer potentials")
     numerator = sum(x * y for x, y in zip(d2, image))
-    return PairingValue.reduce(Fraction(numerator, exponent))
+    return PairingValue.of(numerator, exponent)
 
 
 def _closed_form_params(g: Graph) -> TwoEigenvalueParams:
@@ -122,8 +125,7 @@ def edge_pairing_closed_form(g: Graph, e1: tuple[int, int], e2: tuple[int, int])
         if (a, b) not in g.edges:
             raise GraphError(f"({a},{b}) is not an edge")
     coeff = decomposition(g, (u, v)).coefficients
-    value = Fraction(coeff[x - 1] - coeff[y - 1], params.eigenvalue_product)
-    return PairingValue.reduce(value)
+    return PairingValue.of(coeff[x - 1] - coeff[y - 1], params.eigenvalue_product)
 
 
 def self_pairing_denominator(params: TwoEigenvalueParams) -> int:
@@ -350,7 +352,7 @@ def orthogonal_subset(g: Graph, mode: str = "exact", structural_hints: bool = Tr
 
     chosen_edges = tuple(edges[i] for i in chosen)
     certificate = tuple(
-        (edges[i], edges[j], PairingValue(Fraction(table[i][j], exponent)))
+        (edges[i], edges[j], PairingValue.of(table[i][j], exponent))
         for pos, i in enumerate(chosen)
         for j in chosen[pos + 1 :]
     )

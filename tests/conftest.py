@@ -8,7 +8,6 @@ from fractions import Fraction
 
 from critgroup import (
     Graph,
-    IntMatrix,
     InternalCheckError,
     Polynomial,
     clebsch_complement,
@@ -27,28 +26,37 @@ from critgroup import (
 
 
 # ---------------------------------------------------------------------------
-# Matrix and polynomial arithmetic the package itself does not need
+# Matrix (a list of integer rows) and polynomial arithmetic the package
+# itself does not need
 
 
-def transpose(m: IntMatrix) -> IntMatrix:
-    return IntMatrix(tuple(zip(*m.entries)))
+def transpose(m):
+    return [list(col) for col in zip(*m)]
 
 
-def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    assert a.cols == b.rows, f"cannot multiply {a.shape()} by {b.shape()}"
-    cols = transpose(b).entries
-    return IntMatrix(tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
-                           for row in a.entries))
+def matmul(a, b):
+    assert len(a[0]) == len(b), f"cannot multiply {len(a)} x {len(a[0])} by {len(b)} x {len(b[0])}"
+    cols = transpose(b)
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
-def mul_vec(m: IntMatrix, vec):
+def mul_vec(m, vec):
     """Matrix times column vector; works for int or Fraction entries."""
-    assert len(vec) == m.cols, f"vector length {len(vec)} != {m.cols} columns"
-    return [sum(a * x for a, x in zip(row, vec)) for row in m.entries]
+    assert len(vec) == len(m[0]), f"vector length {len(vec)} != {len(m[0])} columns"
+    return [sum(a * x for a, x in zip(row, vec)) for row in m]
 
 
-def is_zero_matrix(m: IntMatrix) -> bool:
-    return all(x == 0 for row in m.entries for x in row)
+def identity(n: int, scale: int = 1):
+    return [[scale if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def is_zero_matrix(m) -> bool:
+    return all(x == 0 for row in m for x in row)
+
+
+def fraction(value) -> Fraction:
+    """A PairingValue as the Fraction numerator / denominator."""
+    return Fraction(value.numerator, value.denominator)
 
 
 def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -301,13 +309,13 @@ def spanning_trees_deletion_contraction(n, edges):
     )
 
 
-def determinant_divisor_diagonal(m: IntMatrix):
+def determinant_divisor_diagonal(m):
     """Smith diagonal via determinant divisors: d_i = g_i / g_{i-1} where
     g_i is the gcd of all i x i minors. Scanning each size stops early once
     the running gcd reaches its floor g_{i-1}."""
     from math import gcd
 
-    rows, cols = m.shape()
+    rows, cols = len(m), len(m[0])
     bound = min(rows, cols)
     diagonal = []
     previous = 1
@@ -315,9 +323,7 @@ def determinant_divisor_diagonal(m: IntMatrix):
         running = 0
         for row_idx in itertools.combinations(range(rows), size):
             for col_idx in itertools.combinations(range(cols), size):
-                minor = IntMatrix.from_rows(
-                    [[m[(i, j)] for j in col_idx] for i in row_idx]
-                )
+                minor = [[m[i][j] for j in col_idx] for i in row_idx]
                 running = gcd(running, determinant(minor))
                 if running == previous:
                     break
@@ -336,29 +342,29 @@ class SnfResult:
     """U @ matrix @ V == S with U, V unimodular and S diagonal, the diagonal
     non-negative with each entry dividing the next."""
 
-    matrix: IntMatrix
-    U: IntMatrix
-    S: IntMatrix
-    V: IntMatrix
+    matrix: list
+    U: list
+    S: list
+    V: list
 
     @property
     def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.S[i, i] for i in range(min(self.S.rows, self.S.cols)))
+        return tuple(self.S[i][i] for i in range(min(len(self.S), len(self.S[0]))))
 
     @property
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
 
 
-def smith_normal_form(m: IntMatrix) -> SnfResult:
+def smith_normal_form(m) -> SnfResult:
     """Integer Smith normal form with unimodular transforms, checked by
     U @ m @ V == S and the divisibility chain.
 
     Pivot rule: the smallest non-zero absolute value in the working
     submatrix, ties broken row-major. Deterministic for a given input.
     """
-    rows, cols = m.rows, m.cols
-    s = [list(row) for row in m.entries]
+    rows, cols = len(m), len(m[0])
+    s = [list(row) for row in m]
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
 
@@ -445,12 +451,7 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
             for j in range(rows):
                 u[t][j] = -u[t][j]
 
-    result = SnfResult(
-        matrix=m,
-        U=IntMatrix.from_rows(u),
-        S=IntMatrix.from_rows(s),
-        V=IntMatrix.from_rows(v),
-    )
+    result = SnfResult(matrix=m, U=u, S=s, V=v)
     _check_snf(result)
     return result
 
@@ -458,9 +459,9 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
 def _check_snf(r: SnfResult) -> None:
     s = r.S
     diag = r.diagonal
-    for i in range(s.rows):
-        for j in range(s.cols):
-            if i != j and s[i, j] != 0:
+    for i, row in enumerate(s):
+        for j, x in enumerate(row):
+            if i != j and x != 0:
                 raise InternalCheckError("SNF result not diagonal")
     for a, b in zip(diag, diag[1:]):
         if a < 0 or b < 0 or (a == 0 and b != 0) or (a != 0 and b % a != 0):
@@ -494,28 +495,27 @@ def grounded_inverse_oracle(g):
     if not hasattr(g, "negative_edges"):
         if g.n == 1:
             return 1, ()
-        lap = IntMatrix.from_rows(row[:-1] for row in lap.entries[:-1])
+        lap = [row[:-1] for row in lap[:-1]]
     exponent = max(smith_normal_form(lap).diagonal)
     kappa, adj = adjugate(lap)
-    assert all(exponent * a % kappa == 0 for row in adj.entries for a in row)
-    return exponent, tuple(tuple(exponent * a // kappa for a in row) for row in adj.entries)
+    assert all(exponent * a % kappa == 0 for row in adj for a in row)
+    return exponent, tuple(tuple(exponent * a // kappa for a in row) for row in adj)
 
 
-def faddeev_leverrier(m: IntMatrix) -> Polynomial:
+def faddeev_leverrier(m) -> Polynomial:
     """Characteristic polynomial det(xI - m) by the O(n^4) Faddeev-LeVerrier
     recurrence: with M_1 = m, c_k = -tr(M_k) / k and M_{k+1} = m (M_k + c_k I).
     For an integer matrix every division is exact."""
-    n = m.rows
-    ident = IntMatrix.identity(n)
+    n = len(m)
     coeffs = [1]  # coefficient of x^n
     work = m
     for k in range(1, n + 1):
-        t = work.trace()
+        t = sum(row[i] for i, row in enumerate(work))
         assert t % k == 0, "Faddeev-LeVerrier division was not exact"
         c = -(t // k)
         coeffs.append(c)
         if k < n:
-            work = matmul(m, work.add(ident.scale(c)))
+            work = matmul(m, [[x + c * (i == j) for j, x in enumerate(row)] for i, row in enumerate(work)])
     return Polynomial.make(reversed(coeffs))
 
 
@@ -699,10 +699,8 @@ def random_sum_zero_vector(rng: random.Random, n: int, bound: int = 9):
     return vec
 
 
-def random_int_matrix(rng: random.Random, rows: int, cols: int, bound: int = 9) -> IntMatrix:
-    return IntMatrix.from_rows(
-        [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
-    )
+def random_int_matrix(rng: random.Random, rows: int, cols: int, bound: int = 9) -> list[list[int]]:
+    return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
 
 
 def frac(a, b=1):

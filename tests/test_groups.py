@@ -650,6 +650,12 @@ def test_subgroup_invariant_factors():
     assert factors([(0, 1, 0), (0, 0, 1)]) == (4, 8)
     # the whole group, generated redundantly
     assert factors([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]) == (2, 4, 8)
+    # coordinates are integers, never truncated to one
+    for gens in ([(0.5, 1, 0)], [(0, 0, 2.0)], [(1, 0, 0), (0, "1", 0)]):
+        with pytest.raises(GraphError, match="must be integers"):
+            factors(gens)
+    with pytest.raises(GraphError, match="must be integers"):
+        subgroup_invariant_factors(AbelianGroup((2, 10)), [(0.5, 1)])
 
 
 def test_subgroup_invariant_factors_random_cyclic():

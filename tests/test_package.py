@@ -8,7 +8,6 @@ import re
 import shlex
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
@@ -47,7 +46,7 @@ def test_public_names_load_their_module_on_first_access():
         critgroup.grounded_adjugate
 
 
-SLOW_START_MODULES = {"dataclasses", "inspect"}
+SLOW_START_MODULES = {"dataclasses", "inspect", "fractions", "decimal", "numbers"}
 
 
 def _imports_of(tree, modules):
@@ -66,7 +65,10 @@ def _imports_of(tree, modules):
 
 def test_no_slow_start_imports():
     # dataclasses pulls in inspect, ast, dis and tokenize, tens of
-    # milliseconds of every CLI start; the records use errors._record
+    # milliseconds of every CLI start; the records use errors._record.
+    # fractions pulls in decimal and numbers: the package computes over the
+    # integers and residues modulo an integer, and the rational routes are
+    # test oracles (conftest)
     found = [
         f"{path.name}:{line}: import {name}"
         for path in SOURCES
@@ -76,16 +78,9 @@ def test_no_slow_start_imports():
     source = "import inspect\nfrom dataclasses import dataclass\nimport ast\nfrom . import x\n"
     assert sorted(_imports_of(ast.parse(source), SLOW_START_MODULES)) == [
         (1, "inspect"), (2, "dataclasses")]
-
-
-def test_linalg_imports_no_rational_arithmetic():
-    # linalg computes over the integers and residues modulo primes; the
-    # rational square-free route is a test oracle (conftest)
-    modules = {"fractions", "decimal"}
-    linalg = pathlib.Path(critgroup.__file__).parent / "linalg.py"
-    assert list(_imports_of(ast.parse(linalg.read_text(encoding="utf-8")), modules)) == []
     source = "from fractions import Fraction\nimport math, decimal\nfrom .errors import GraphError\n"
-    assert sorted(_imports_of(ast.parse(source), modules)) == [(1, "fractions"), (2, "decimal")]
+    assert sorted(_imports_of(ast.parse(source), SLOW_START_MODULES)) == [
+        (1, "fractions"), (2, "decimal")]
 
 
 def test_cli_start_loads_no_slow_start_module():
@@ -121,8 +116,8 @@ def _sample_records():
         g, signed, detect_two_eigenvalue(g), is_balanced(signed),
         find_unbalanced_triangle(signed_complete_unbalanced(4)), AbelianGroup((2, 4)),
         decomposition(g, edge), witnesses(g, edge), verify_exponent_theorem(g),
-        SpectralBoundReport(10, 10, True), laplacian(g), char_poly(laplacian(g)),
-        Polynomial.make([1, 2, 1]), PairingValue(Fraction(1, 3)), orthogonal_subset(g),
+        SpectralBoundReport(10, 10, True), char_poly(laplacian(g)),
+        Polynomial.make([1, 2, 1]), PairingValue(1, 3), orthogonal_subset(g),
         verify_tail_heavy(g), enumerate_feasible(10)[0],
     ]
 

@@ -35,6 +35,7 @@ import critgroup.pairing
 from critgroup.pairing import _closed_form_params, _pairing_table
 from conftest import (
     connected_atlas,
+    fraction,
     greedy_orthogonal_retest,
     mul_vec,
     random_connected_graph,
@@ -55,19 +56,22 @@ def test_pairing_table_matches_closed_form_on_srg_fixtures():
         for i, e1 in enumerate(edges):
             for j in range(i, len(edges)):
                 assert table[i][j] == table[j][i]
-                value = Fraction(table[i][j], exponent)
-                assert value == edge_pairing_closed_form(g, e1, edges[j]).value
+                value = PairingValue.of(table[i][j], exponent)
+                assert value == edge_pairing_closed_form(g, e1, edges[j])
         checked += 1
     assert checked >= 8
 
 
 def test_pairing_value_normalization():
-    assert str(PairingValue.reduce(Fraction(7, 5))) == "2/5"
-    assert PairingValue.reduce(Fraction(-1, 3)).value == Fraction(2, 3)
-    assert PairingValue.reduce(Fraction(4, 2)).is_zero()
-    assert str(PairingValue.reduce(Fraction(0))) == "0/1"
-    with pytest.raises(GraphError):
-        PairingValue(Fraction(3, 2))
+    assert str(PairingValue.of(7, 5)) == "2/5"
+    assert PairingValue.of(-1, 3) == PairingValue(2, 3)
+    assert PairingValue.of(6, 20) == PairingValue(3, 10)
+    assert PairingValue.of(4, 2).is_zero()
+    assert str(PairingValue.of(0, 7)) == "0/1"
+    # only a reduced residue in [0, 1) is a pairing value
+    for numerator, denominator in ((3, 2), (-1, 3), (2, 4), (0, 5)):
+        with pytest.raises(GraphError):
+            PairingValue(numerator, denominator)
 
 
 def test_monodromy_validation():
@@ -90,9 +94,9 @@ def test_monodromy_petersen_self_pairing():
     g = petersen()
     d = edge_difference(g, 1, 8)
     v = monodromy_pairing(g, d, d)
-    assert v.value == Fraction(3, 5)
+    assert v == PairingValue(3, 5)
     # 2(n-1)/(kn) = 18/30 = 3/5
-    assert v.value == Fraction(2 * 9, 3 * 10)
+    assert fraction(v) == Fraction(2 * 9, 3 * 10)
 
 
 def test_monodromy_m_independence():
@@ -101,7 +105,7 @@ def test_monodromy_m_independence():
     d2 = edge_difference(g, 2, 6)
     base = monodromy_pairing(g, d, d2)
     for m in (10, 20, 30, 50):
-        assert monodromy_pairing(g, d, d2, m=m).value == base.value
+        assert monodromy_pairing(g, d, d2, m=m) == base
 
 
 def test_monodromy_zero_element():
@@ -125,12 +129,12 @@ def test_monodromy_symmetry_bilinearity_representatives():
         d1 = random_sum_zero_vector(rng, n)
         d2 = random_sum_zero_vector(rng, n)
         d3 = random_sum_zero_vector(rng, n)
-        p12 = monodromy_pairing(g, d1, d2).value
+        p12 = fraction(monodromy_pairing(g, d1, d2))
         # symmetry
-        assert monodromy_pairing(g, d2, d1).value == p12
+        assert fraction(monodromy_pairing(g, d2, d1)) == p12
         # additivity in the second slot
-        p13 = monodromy_pairing(g, d1, d3).value
-        total = monodromy_pairing(g, d1, [a + b for a, b in zip(d2, d3)]).value
+        p13 = fraction(monodromy_pairing(g, d1, d3))
+        total = fraction(monodromy_pairing(g, d1, [a + b for a, b in zip(d2, d3)]))
         assert total == (p12 + p13) % 1
         # representative independence: shift d2 by a Laplacian row image
         from critgroup import laplacian
@@ -138,7 +142,7 @@ def test_monodromy_symmetry_bilinearity_representatives():
         lap = laplacian(g)
         shift = mul_vec(lap, [rng.randint(-3, 3) for _ in range(n)])
         moved = [a + b for a, b in zip(d2, shift)]
-        assert monodromy_pairing(g, d1, moved).value == p12
+        assert fraction(monodromy_pairing(g, d1, moved)) == p12
         # the denominator divides the order of either argument
         order = element_order(g, d1)
         assert (p12 * order).denominator == 1
@@ -163,14 +167,14 @@ def test_closed_form_matches_general_petersen():
         for e2 in edges:
             closed = edge_pairing_closed_form(g, e1, e2)
             general = monodromy_pairing(g, d1, edge_difference(g, *e2))
-            assert closed.value == general.value, (e1, e2)
+            assert closed == general, (e1, e2)
 
 
 def test_closed_form_edge_orientation():
     g = paley(9)
     e1, e2 = g.sorted_edges()[0], g.sorted_edges()[4]
     v = edge_pairing_closed_form(g, e1, e2)
-    assert edge_pairing_closed_form(g, tuple(reversed(e1)), e2).value == v.value
+    assert edge_pairing_closed_form(g, tuple(reversed(e1)), e2) == v
 
 
 def test_clebsch_orthogonal_pair():
@@ -190,9 +194,9 @@ def test_self_pairing_nonzero_on_corpus():
             continue
         n, k = params.n, params.k1
         for u, v in g.sorted_edges():
-            val = edge_pairing_closed_form(g, (u, v), (u, v)).value
-            assert val == Fraction(2 * (n - 1), k * n) % 1
-            assert val != 0
+            val = edge_pairing_closed_form(g, (u, v), (u, v))
+            assert fraction(val) == Fraction(2 * (n - 1), k * n) % 1
+            assert not val.is_zero()
 
 
 def test_self_pairing_denominator_goldens():
@@ -378,7 +382,7 @@ def test_pairing_depends_only_on_local_pattern():
             g.has_edge(v, x),
             g.has_edge(v, y),
         )
-        value = edge_pairing_closed_form(g, e1, e2).value
+        value = edge_pairing_closed_form(g, e1, e2)
         seen.setdefault(pattern, set()).add(value)
     for pattern, values in seen.items():
         assert len(values) == 1, pattern
