@@ -46,7 +46,8 @@ def test_public_names_load_their_module_on_first_access():
         critgroup.grounded_adjugate
 
 
-SLOW_START_MODULES = {"dataclasses", "inspect", "fractions", "decimal", "numbers"}
+SLOW_START_MODULES = {"dataclasses", "inspect"}
+RATIONAL_MODULES = {"fractions", "decimal", "numbers"}
 
 
 def _imports_of(tree, modules):
@@ -65,10 +66,7 @@ def _imports_of(tree, modules):
 
 def test_no_slow_start_imports():
     # dataclasses pulls in inspect, ast, dis and tokenize, tens of
-    # milliseconds of every CLI start; the records use errors._record.
-    # fractions pulls in decimal and numbers: the package computes over the
-    # integers and residues modulo an integer, and the rational routes are
-    # test oracles (conftest)
+    # milliseconds of every CLI start; the records use errors._record
     found = [
         f"{path.name}:{line}: import {name}"
         for path in SOURCES
@@ -78,8 +76,20 @@ def test_no_slow_start_imports():
     source = "import inspect\nfrom dataclasses import dataclass\nimport ast\nfrom . import x\n"
     assert sorted(_imports_of(ast.parse(source), SLOW_START_MODULES)) == [
         (1, "inspect"), (2, "dataclasses")]
+
+
+def test_linalg_imports_no_rational_arithmetic():
+    # linalg, like every package module, computes over the integers and
+    # residues modulo an integer; the rational routes are test oracles
+    # (conftest). fractions also pulls decimal and numbers into each CLI start
+    found = [
+        f"{path.name}:{line}: import {name}"
+        for path in SOURCES
+        for line, name in _imports_of(ast.parse(path.read_text(encoding="utf-8")), RATIONAL_MODULES)
+    ]
+    assert found == []
     source = "from fractions import Fraction\nimport math, decimal\nfrom .errors import GraphError\n"
-    assert sorted(_imports_of(ast.parse(source), SLOW_START_MODULES)) == [
+    assert sorted(_imports_of(ast.parse(source), RATIONAL_MODULES)) == [
         (1, "fractions"), (2, "decimal")]
 
 
@@ -97,7 +107,7 @@ def test_cli_start_loads_no_slow_start_module():
 
     extra = loaded("import critgroup.cli; " + probe) - loaded(probe)
     assert "critgroup.cli" in extra
-    assert not extra & SLOW_START_MODULES, sorted(extra)
+    assert not extra & (SLOW_START_MODULES | RATIONAL_MODULES), sorted(extra)
 
 
 def _sample_records():
