@@ -20,17 +20,16 @@ _MODULE_EXPORTS = {
     ),
     "graphs": (
         "GENERATOR_FAMILIES", "BalanceResult", "Graph", "SignedGraph", "TwoEigenvalueParams",
-        "UnbalancedTriangle", "clebsch_complement", "complement", "complete",
-        "complete_multipartite", "cycle", "detect_two_eigenvalue", "disjoint_union", "edge_key",
-        "find_unbalanced_triangle", "format_graph", "generate", "graph_join", "is_balanced",
-        "make_graph", "make_signed_graph", "net_common_neighbors", "paley", "parse_graph",
+        "clebsch_complement", "complement", "complete", "complete_multipartite", "cycle",
+        "detect_two_eigenvalue", "disjoint_union", "edge_key", "format_graph", "generate",
+        "graph_join", "is_balanced", "make_graph", "make_signed_graph", "paley", "parse_graph",
         "petersen", "read_graph_file", "signed_complete_unbalanced", "star", "switch",
     ),
     "groups": (
-        "AbelianGroup", "Decomposition", "ExponentReport", "SpectralBoundReport", "Witnesses",
+        "AbelianGroup", "Decomposition", "ExponentReport", "SpectralBoundReport",
         "critical_group", "decomposition", "edge_difference", "element_order",
         "grounded_inverse", "spanning_tree_count", "subgroup_invariant_factors",
-        "verify_exponent_theorem", "verify_spectral_bound", "vertex_indicator", "witnesses",
+        "verify_exponent_theorem", "verify_spectral_bound", "vertex_indicator",
     ),
     "linalg": (
         "Polynomial", "adjugate", "char_poly", "determinant", "gershgorin_bound", "laplacian",

@@ -645,28 +645,6 @@ def is_balanced(gs: SignedGraph) -> BalanceResult:
     return BalanceResult(True, frozenset(v for v, s in potential.items() if s == -1))
 
 
-def net_common_neighbors(gs: SignedGraph, u: int, v: int) -> int:
-    """Sum of sign(u,w)*sign(w,v) over common neighbors w of u and v."""
-    if u == v:
-        raise GraphError("net common neighbors needs two distinct vertices")
-    adj = gs.graph.adjacency
-    return sum(gs.sign(u, w) * gs.sign(w, v) for w in adj[u] & adj[v])
-
-
-@_record
-class UnbalancedTriangle:
-    """Unbalanced triangle (u, v, w) of a signed complete graph, normalized
-    by switching so that in `graph` the edge (u,v) is the unique negative
-    edge of the triangle. switch_set records the switching applied to the
-    input."""
-
-    u: int
-    v: int
-    w: int
-    graph: SignedGraph
-    switch_set: frozenset[int]
-
-
 def odd_triangle_switch(gs: SignedGraph, a: int, b: int, c: int) -> frozenset[int]:
     """Switching set inside {a, b, c} that makes (a, b) the unique negative
     edge of the unbalanced triangle abc."""
@@ -681,23 +659,3 @@ def odd_triangle_switch(gs: SignedGraph, a: int, b: int, c: int) -> frozenset[in
         raise StructureError(f"triangle ({a},{b},{c}) is balanced")
     return table[pattern]
 
-
-def find_unbalanced_triangle(gs: SignedGraph) -> UnbalancedTriangle:
-    """Locate an unbalanced triangle in a signed complete graph.
-
-    The star at vertex 1 is a spanning tree whose fundamental cycles are the
-    triangles (1, u, v); the graph is balanced iff every one of them is. In
-    the first odd triangle, (u, v) is its first negative edge in sorted
-    order, so it is switched only when all three edges are negative.
-    """
-    g = gs.graph
-    if not g.is_complete() or g.n < 3:
-        raise StructureError("need a complete graph on >= 3 vertices")
-    for x, y in g.sorted_edges():
-        if x != 1 and gs.sign(x, y) != gs.sign(1, x) * gs.sign(1, y):
-            u, v = next(e for e in ((1, x), (1, y), (x, y)) if gs.sign(*e) == -1)
-            w = ({1, x, y} - {u, v}).pop()
-            switch_set = odd_triangle_switch(gs, u, v, w)
-            work = switch(gs, switch_set) if switch_set else gs
-            return UnbalancedTriangle(u, v, w, work, switch_set)
-    raise StructureError("signed graph is balanced, no unbalanced triangle")

@@ -388,72 +388,6 @@ def decomposition(g: Graph | SignedGraph, edge: tuple[int, int]) -> Decompositio
 
 
 # ---------------------------------------------------------------------------
-# Witnesses
-
-
-@_record
-class Witnesses:
-    """Coefficient witnesses of a decomposition.
-
-    zero_vertex: a vertex besides the edge endpoints whose coefficient is
-    zero, so the remaining rows form a basis directly (unsigned only).
-    unit_vertex: a vertex besides the endpoints whose coefficient is +-1
-    in that basis, certifying that the basis gcd is 1.
-    eliminated_vertex: when no zero_vertex exists, the vertex eliminated
-    through sum(L_x) = 0 to reach a basis.
-    basis_gcd: gcd of the coefficients in the chosen row basis; the exact
-    order of the decomposition target is order / basis_gcd.
-
-    Missing witnesses are legitimate and mark the exceptional families.
-    """
-
-    zero_vertex: int | None
-    unit_vertex: int | None
-    eliminated_vertex: int | None
-    basis_gcd: int
-    basis_coefficients: tuple[int, ...]
-
-
-def witnesses(g: Graph | SignedGraph, edge: tuple[int, int], dec: Decomposition | None = None) -> Witnesses:
-    if dec is None:
-        dec = decomposition(g, edge)
-    a, b = dec.edge
-    coeff = dec.coefficients
-    n = len(coeff)
-
-    if isinstance(dec.graph, SignedGraph):
-        # full-rank rows: already a basis
-        unit = next(
-            (x for x in range(1, n + 1) if x not in (a, b) and abs(coeff[x - 1]) == 1),
-            None,
-        )
-        basis = coeff
-        g0 = reduce(gcd, (abs(c) for c in basis), 0)
-        return Witnesses(None, unit, None, g0, basis)
-
-    zero = next(
-        (x for x in range(1, n + 1) if x not in (a, b) and coeff[x - 1] == 0),
-        None,
-    )
-    if zero is not None:
-        basis = coeff
-        eliminated = None
-    else:
-        # rows satisfy sum(L_x) = 0; eliminate the least third vertex
-        eliminated = next(x for x in range(1, n + 1) if x not in (a, b))
-        shift = coeff[eliminated - 1]
-        basis = tuple(
-            c - shift if x != eliminated else 0 for x, c in enumerate(coeff, start=1)
-        )
-    unit = next(
-        (x for x in range(1, n + 1) if x not in (a, b) and abs(basis[x - 1]) == 1),
-        None,
-    )
-    g0 = reduce(gcd, (abs(c) for c in basis), 0)
-    return Witnesses(zero, unit, eliminated, g0, basis)
-
-
-# ---------------------------------------------------------------------------
 # Theorem verifiers
 
 

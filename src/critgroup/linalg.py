@@ -421,6 +421,9 @@ def char_poly(m) -> Polynomial:
 def gershgorin_bound(m) -> int:
     """Every eigenvalue of a square integer matrix lies within this bound
     in absolute value: the largest absolute row sum."""
+    n = len(m)
+    if not m or any(len(row) != n for row in m):
+        raise GraphError("Gershgorin bound of a non-square matrix")
     return max(sum(abs(x) for x in row) for row in m)
 
 

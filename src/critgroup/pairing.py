@@ -51,6 +51,8 @@ class PairingValue:
     @classmethod
     def of(cls, a: int, m: int) -> PairingValue:
         """a / m mod 1, for integers a and m > 0."""
+        if m <= 0:
+            raise GraphError(f"pairing denominator must be positive, got {m}")
         h = gcd(a, m)
         return cls(a % m // h, m // h)
 

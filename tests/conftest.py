@@ -10,11 +10,13 @@ from critgroup import (
     Graph,
     InternalCheckError,
     Polynomial,
+    SignedGraph,
     clebsch_complement,
     complement,
     complete,
     complete_multipartite,
     cycle,
+    decomposition,
     determinant,
     graph_join,
     make_graph,
@@ -500,6 +502,66 @@ def grounded_inverse_oracle(g):
     kappa, adj = adjugate(lap)
     assert all(exponent * a % kappa == 0 for row in adj for a in row)
     return exponent, tuple(tuple(exponent * a // kappa for a in row) for row in adj)
+
+
+@dataclass(frozen=True)
+class Witnesses:
+    """Coefficient witnesses of a decomposition, the paper's argument that
+    its edge class reaches the spectral bound.
+
+    zero_vertex: a vertex besides the edge endpoints whose coefficient is
+    zero, so the remaining rows form a basis directly (unsigned only).
+    unit_vertex: a vertex besides the endpoints whose coefficient is +-1
+    in that basis, certifying that the basis gcd is 1.
+    eliminated_vertex: when no zero_vertex exists, the vertex eliminated
+    through sum(L_x) = 0 to reach a basis.
+    basis_gcd: gcd of the coefficients in the chosen row basis; the exact
+    order of the decomposition target is order / basis_gcd.
+
+    Missing witnesses are legitimate and mark the exceptional families.
+    """
+
+    zero_vertex: int | None
+    unit_vertex: int | None
+    eliminated_vertex: int | None
+    basis_gcd: int
+    basis_coefficients: tuple[int, ...]
+
+
+def witnesses(g, edge, dec=None) -> Witnesses:
+    if dec is None:
+        dec = decomposition(g, edge)
+    a, b = dec.edge
+    coeff = dec.coefficients
+    n = len(coeff)
+
+    if isinstance(dec.graph, SignedGraph):
+        # full-rank rows: already a basis
+        unit = next(
+            (x for x in range(1, n + 1) if x not in (a, b) and abs(coeff[x - 1]) == 1),
+            None,
+        )
+        return Witnesses(None, unit, None, math.gcd(*coeff), coeff)
+
+    zero = next(
+        (x for x in range(1, n + 1) if x not in (a, b) and coeff[x - 1] == 0),
+        None,
+    )
+    if zero is not None:
+        basis = coeff
+        eliminated = None
+    else:
+        # rows satisfy sum(L_x) = 0; eliminate the least third vertex
+        eliminated = next(x for x in range(1, n + 1) if x not in (a, b))
+        shift = coeff[eliminated - 1]
+        basis = tuple(
+            c - shift if x != eliminated else 0 for x, c in enumerate(coeff, start=1)
+        )
+    unit = next(
+        (x for x in range(1, n + 1) if x not in (a, b) and abs(basis[x - 1]) == 1),
+        None,
+    )
+    return Witnesses(zero, unit, eliminated, math.gcd(*basis), basis)
 
 
 def faddeev_leverrier(m) -> Polynomial:

@@ -17,7 +17,6 @@ from critgroup import (
     cycle,
     detect_two_eigenvalue,
     disjoint_union,
-    find_unbalanced_triangle,
     format_graph,
     generate,
     graph_join,
@@ -25,7 +24,6 @@ from critgroup import (
     laplacian,
     make_graph,
     make_signed_graph,
-    net_common_neighbors,
     paley,
     parse_graph,
     petersen,
@@ -39,7 +37,6 @@ from critgroup.cli import _structure_block
 from conftest import (
     connected_atlas,
     signed_c4_one_negative,
-    signed_complete_all_negative,
     signed_corpus,
     signed_k6_pentagon,
     signed_two_degree_hexad,
@@ -246,13 +243,6 @@ def test_balance_detection():
     assert not switch(gs, result.switching_set).negative_edges
 
 
-def test_net_common_neighbors_hand_values():
-    gs = signed_complete_unbalanced(3)  # negative edge (1,2)
-    # vertices 1,2 share neighbor 3 with signs +,+ seen from the pair
-    assert net_common_neighbors(gs, 1, 2) == 1
-    assert net_common_neighbors(gs, 1, 3) == -1  # via 2: sign(1,2)*sign(3,2) = -1
-
-
 def test_signed_two_eigenvalue_detection_corpus():
     for name, gs in signed_corpus():
         p = detect_two_eigenvalue(gs)
@@ -315,30 +305,6 @@ def test_signed_two_eigenvalue_detection_rejects():
     assert detect_two_eigenvalue(one_neg) is None
     path = make_signed_graph(3, [(1, 2), (2, 3)], [(1, 2)])
     assert detect_two_eigenvalue(path) is None
-
-
-def test_find_unbalanced_triangle():
-    for gs in (signed_complete_unbalanced(4), signed_complete_unbalanced(6)):
-        t = find_unbalanced_triangle(gs)
-        # normalized: (u,v) is the unique negative edge of the triangle
-        assert t.graph.sign(t.u, t.v) == -1
-        assert t.graph.sign(t.u, t.w) == 1
-        assert t.graph.sign(t.v, t.w) == 1
-        # switch_set records how to get from the input to the normal form
-        assert switch(gs, t.switch_set).negative_edges == t.graph.negative_edges
-    with pytest.raises(StructureError):
-        find_unbalanced_triangle(make_signed_graph(3, [(1, 2), (1, 3), (2, 3)], []))
-    with pytest.raises(StructureError):
-        find_unbalanced_triangle(signed_c4_one_negative())
-
-
-def test_find_unbalanced_triangle_all_negative():
-    # an all-negative triangle keeps (1, 2) and switches its third vertex
-    gs = signed_complete_all_negative(4)
-    t = find_unbalanced_triangle(gs)
-    assert (t.u, t.v, t.w, t.switch_set) == (1, 2, 3, frozenset({3}))
-    assert t.graph == switch(gs, {3})
-    assert sorted(t.graph.negative_edges) == [(1, 2), (1, 4), (2, 4)]
 
 
 def test_generate_dispatcher():

@@ -34,7 +34,6 @@ from critgroup import (
     vertex_indicator,
     verify_exponent_theorem,
     verify_spectral_bound,
-    witnesses,
 )
 from critgroup.errors import replace
 from conftest import (
@@ -50,6 +49,7 @@ from conftest import (
     smith_order,
     spanning_trees_deletion_contraction,
     unsigned_two_eigenvalue_corpus,
+    witnesses,
 )
 
 
@@ -400,14 +400,21 @@ def test_decomposition_identity_via_matrix_arithmetic():
 
 def test_decomposition_normalizing_switches():
     table = dict(signed_corpus())
-    # complete case: the chosen triangle ends up with (u, v) as its unique
-    # negative edge
-    dec = decomposition(table["all_negative_K4"], (1, 2))
-    assert dec.case == "signed_complete"
-    u, v = dec.edge
-    w = dec.triangle_vertex
-    assert dec.graph.sign(u, v) == -1
-    assert dec.graph.sign(u, w) == 1 and dec.graph.sign(v, w) == 1
+    # complete case, every edge: the chosen triangle ends up with (u, v) as
+    # its unique negative edge, from each of the four odd sign patterns
+    patterns = set()
+    for name, gs in table.items():
+        if detect_two_eigenvalue(gs).case != "signed_complete":
+            continue
+        for edge in gs.sorted_edges():
+            dec = decomposition(gs, edge)
+            u, v = dec.edge
+            w = dec.triangle_vertex
+            assert (dec.graph.sign(u, v), dec.graph.sign(u, w), dec.graph.sign(v, w)) == (
+                -1, 1, 1), (name, edge)
+            assert switch(gs, dec.switch_set) == dec.graph, (name, edge)
+            patterns.add((gs.sign(u, v), gs.sign(u, w), gs.sign(v, w)))
+    assert patterns == {(-1, 1, 1), (1, -1, 1), (1, 1, -1), (-1, -1, -1)}
     # regular non-complete case: the working edge is switched positive
     dec = decomposition(table["octahedron_signing"], (2, 3))
     assert dec.case == "signed_regular"

@@ -114,18 +114,16 @@ def _sample_records():
     """One instance of every record class of the package."""
     from critgroup import (
         AbelianGroup, PairingValue, Polynomial, SpectralBoundReport, char_poly, decomposition,
-        detect_two_eigenvalue, enumerate_feasible, find_unbalanced_triangle, is_balanced,
-        laplacian, make_signed_graph, orthogonal_subset, petersen, signed_complete_unbalanced,
-        verify_exponent_theorem, verify_tail_heavy, witnesses,
+        detect_two_eigenvalue, enumerate_feasible, is_balanced, laplacian, make_signed_graph,
+        orthogonal_subset, petersen, verify_exponent_theorem, verify_tail_heavy,
     )
 
     g = petersen()
     edge = g.sorted_edges()[0]
     signed = make_signed_graph(3, [(1, 2), (2, 3)], [(1, 2)])
     return [
-        g, signed, detect_two_eigenvalue(g), is_balanced(signed),
-        find_unbalanced_triangle(signed_complete_unbalanced(4)), AbelianGroup((2, 4)),
-        decomposition(g, edge), witnesses(g, edge), verify_exponent_theorem(g),
+        g, signed, detect_two_eigenvalue(g), is_balanced(signed), AbelianGroup((2, 4)),
+        decomposition(g, edge), verify_exponent_theorem(g),
         SpectralBoundReport(10, 10, True), char_poly(laplacian(g)),
         Polynomial.make([1, 2, 1]), PairingValue(1, 3), orthogonal_subset(g),
         verify_tail_heavy(g), enumerate_feasible(10)[0],
@@ -306,28 +304,35 @@ def test_cache_scan_catches_each_construct():
     ]
 
 
-def _orphaned_helpers(sources):
-    """(module, name) for every module-level private function or class
-    that no code outside its own body names, across all the given
-    {module: source} texts. A name counts as a reference as a variable,
-    an attribute or an imported name."""
-    def names(node):
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
-                yield sub.id
-            elif isinstance(sub, ast.Attribute):
-                yield sub.attr
-            elif isinstance(sub, ast.alias):
-                yield sub.name
+def _names(node):
+    """Every name the code under `node` refers to: as a variable, an
+    attribute or an imported name."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
 
+
+def _unreferenced(sources, wanted):
+    """(module, name) for every module-level function or class whose name
+    `wanted` accepts and that no code outside its own body names, across
+    all the given {module: source} texts."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    counts = collections.Counter(name for tree in trees.values() for name in names(tree))
+    counts = collections.Counter(name for tree in trees.values() for name in _names(tree))
     for module, tree in trees.items():
         for node in tree.body:
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and node.name.startswith("_") and not node.name.startswith("__")):
-                if counts[node.name] == collections.Counter(names(node))[node.name]:
+                    and wanted(node.name)):
+                if counts[node.name] == collections.Counter(_names(node))[node.name]:
                     yield module, node.name
+
+
+def _orphaned_helpers(sources):
+    """The private functions and classes that nothing else names."""
+    return _unreferenced(sources, lambda name: name.startswith("_") and not name.startswith("__"))
 
 
 def test_private_helpers_are_referenced():
@@ -366,6 +371,48 @@ def _library_example(text):
     """The Python block of the README's Library section."""
     section = text.split("\n## Library\n", 1)[1]
     return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def _library_only(sources):
+    """The public functions and classes that nothing else names."""
+    return _unreferenced(sources, lambda name: not name.startswith("_"))
+
+
+# public names that only library users and the tests reach: the paper's
+# closed form, two graph constructions and the subgroup factors
+LIBRARY_ONLY = {"complement", "edge_pairing_closed_form", "graph_join", "subgroup_invariant_factors"}
+
+
+def test_public_names_are_reached():
+    # a new public function or class needs a caller in the package or the
+    # README example, or a deliberate entry in LIBRARY_ONLY
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    sources["README example"] = _library_example(README.read_text(encoding="utf-8"))
+    assert {name for _, name in _library_only(sources)} == LIBRARY_ONLY
+
+
+def test_library_only_scan_catches_each_construct():
+    sources = {
+        "a.py": (
+            "def unused(): return 1\n"
+            "def recursive(n): return recursive(n - 1) if n else 0\n"
+            "class Lonely: pass\n"
+            "def called(): return 2\n"
+            "def imported(): return 3\n"
+            "def by_attribute(): return 4\n"
+            "def in_example(): return 5\n"
+            "def _helper(): return called()\n"
+        ),
+        "b.py": (
+            "from a import imported\n"
+            "import a\n"
+            "x = a.by_attribute\n"
+        ),
+        "README example": "from a import in_example\nprint(in_example())\n",
+    }
+    assert sorted(_library_only(sources)) == [
+        ("a.py", "Lonely"), ("a.py", "recursive"), ("a.py", "unused"),
+    ]
 
 
 def test_readme_library_example_runs_as_documented():

@@ -72,6 +72,10 @@ def test_pairing_value_normalization():
     for numerator, denominator in ((3, 2), (-1, 3), (2, 4), (0, 5)):
         with pytest.raises(GraphError):
             PairingValue(numerator, denominator)
+    # a / m needs m > 0, and the error names m
+    for a, m in ((1, 0), (2, -3)):
+        with pytest.raises(GraphError, match=f"got {m}$"):
+            PairingValue.of(a, m)
 
 
 def test_monodromy_validation():
