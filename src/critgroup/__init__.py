@@ -1,9 +1,9 @@
 """Exact-arithmetic critical groups of graphs and signed graphs.
 
-Computes Laplacian cokernels over the integers, explicit order-achieving
-decompositions, the monodromy pairing, orthogonal edge sets and the
-subgroup bounds they force, plus a feasibility scan over strongly regular
-parameter tuples. Everything is exact; no floating point anywhere.
+Computes Laplacian cokernels over the integers, element orders, the
+monodromy pairing, orthogonal edge sets and the subgroup bounds they
+force, plus a feasibility scan over strongly regular parameter tuples.
+Everything is exact; no floating point anywhere.
 
 Public names resolve on first access (PEP 562), so importing the package,
 or one module of it, loads only the modules that are used.
@@ -20,16 +20,16 @@ _MODULE_EXPORTS = {
     ),
     "graphs": (
         "GENERATOR_FAMILIES", "BalanceResult", "Graph", "SignedGraph", "TwoEigenvalueParams",
-        "clebsch_complement", "complement", "complete", "complete_multipartite", "cycle",
-        "detect_two_eigenvalue", "disjoint_union", "edge_key", "format_graph", "generate",
-        "graph_join", "is_balanced", "make_graph", "make_signed_graph", "paley", "parse_graph",
-        "petersen", "read_graph_file", "signed_complete_unbalanced", "star", "switch",
+        "clebsch_complement", "complete", "complete_multipartite", "cycle",
+        "detect_two_eigenvalue", "edge_key", "format_graph", "generate", "is_balanced",
+        "make_graph", "make_signed_graph", "paley", "parse_graph", "petersen",
+        "read_graph_file", "signed_complete_unbalanced", "star",
     ),
     "groups": (
-        "AbelianGroup", "Decomposition", "ExponentReport", "SpectralBoundReport",
-        "critical_group", "decomposition", "edge_difference", "element_order",
-        "grounded_inverse", "spanning_tree_count", "subgroup_invariant_factors",
-        "verify_exponent_theorem", "verify_spectral_bound", "vertex_indicator",
+        "AbelianGroup", "ExponentReport", "SpectralBoundReport", "critical_group",
+        "edge_difference", "element_order", "grounded_inverse", "spanning_tree_count",
+        "subgroup_invariant_factors", "verify_exponent_theorem", "verify_spectral_bound",
+        "vertex_indicator",
     ),
     "linalg": (
         "Polynomial", "adjugate", "char_poly", "determinant", "gershgorin_bound", "laplacian",
@@ -37,8 +37,8 @@ _MODULE_EXPORTS = {
     ),
     "pairing": (
         "OrthogonalSet", "PairingValue", "TailHeavyReport", "check_subgroup_divisibility",
-        "edge_pairing_closed_form", "monodromy_pairing", "orthogonal_subset",
-        "self_pairing_denominator", "subgroup_bound", "verify_tail_heavy",
+        "monodromy_pairing", "orthogonal_subset", "self_pairing_denominator",
+        "subgroup_bound", "verify_tail_heavy",
     ),
     "scan": (
         "KNOWN_TIGHT_TUPLES", "SCAN_NOTE", "FeasibleTuple", "enumerate_feasible",

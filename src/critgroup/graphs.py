@@ -305,31 +305,6 @@ def signed_complete_unbalanced(n: int) -> SignedGraph:
     return SignedGraph(complete(n), frozenset({(1, 2)}))
 
 
-def complement(g: Graph) -> Graph:
-    edges = [e for e in combinations(g.vertices(), 2) if e not in g.edges]
-    return make_graph(g.n, edges)
-
-
-def disjoint_union(graphs: list[Graph]) -> Graph:
-    """Disjoint union; the i-th graph's labels are shifted past its predecessors."""
-    n = 0
-    edges = []
-    for g in graphs:
-        edges.extend((u + n, v + n) for u, v in g.edges)
-        n += g.n
-    if n < 1:
-        raise GraphError("disjoint union of nothing")
-    return Graph(n, frozenset(edges))
-
-
-def graph_join(g1: Graph, g2: Graph) -> Graph:
-    """Join: disjoint union plus all edges between the two vertex sets.
-    g2's labels are shifted by g1.n."""
-    base = disjoint_union([g1, g2])
-    extra = [(u, v + g1.n) for u in g1.vertices() for v in g2.vertices()]
-    return Graph(base.n, base.edges | frozenset(extra))
-
-
 # Largest vertex count accepted from outside input, a file header or the
 # parameters of a family, checked before anything of that size is built.
 MAX_VERTICES = 1000
@@ -595,31 +570,14 @@ def detect_two_eigenvalue(g: Graph | SignedGraph) -> TwoEigenvalueParams | None:
 
 
 # ---------------------------------------------------------------------------
-# Signed graph operations
-
-
-def switch(gs: SignedGraph, vertex_set) -> SignedGraph:
-    """Switch at a vertex set: flip the sign of every edge with exactly one
-    endpoint in the set. An involution; preserves balance and the critical
-    group up to isomorphism."""
-    s = frozenset(vertex_set)
-    bad = s - set(gs.vertices())
-    if bad:
-        raise GraphError(f"switching set contains non-vertices {sorted(bad)}")
-    negatives = set()
-    for u, v in gs.graph.edges:
-        sign = -1 if (u, v) in gs.negative_edges else 1
-        if (u in s) != (v in s):
-            sign = -sign
-        if sign == -1:
-            negatives.add((u, v))
-    return SignedGraph(gs.graph, frozenset(negatives))
+# Balance
 
 
 @_record
 class BalanceResult:
     """Outcome of a balance check. For a balanced graph, switching at
-    switching_set makes every edge positive."""
+    switching_set (flipping the sign of every edge with exactly one endpoint
+    in it) makes every edge positive."""
 
     balanced: bool
     switching_set: frozenset[int] | None
@@ -627,9 +585,10 @@ class BalanceResult:
 
 def is_balanced(gs: SignedGraph) -> BalanceResult:
     """Spanning-tree sign propagation from vertex 1."""
+    if not isinstance(gs, SignedGraph):
+        raise StructureError("is_balanced is defined for signed graphs only")
     require_connected(gs, "is_balanced")
     potential = {1: 1}
-    order = [1]
     stack = [1]
     adj = gs.graph.adjacency
     while stack:
@@ -637,25 +596,8 @@ def is_balanced(gs: SignedGraph) -> BalanceResult:
         for w in sorted(adj[u]):
             if w not in potential:
                 potential[w] = potential[u] * gs.sign(u, w)
-                order.append(w)
                 stack.append(w)
     for u, v in gs.graph.edges:
         if gs.sign(u, v) != potential[u] * potential[v]:
             return BalanceResult(False, None)
     return BalanceResult(True, frozenset(v for v, s in potential.items() if s == -1))
-
-
-def odd_triangle_switch(gs: SignedGraph, a: int, b: int, c: int) -> frozenset[int]:
-    """Switching set inside {a, b, c} that makes (a, b) the unique negative
-    edge of the unbalanced triangle abc."""
-    pattern = (gs.sign(a, b), gs.sign(a, c), gs.sign(b, c))
-    table = {
-        (-1, 1, 1): frozenset(),
-        (1, -1, 1): frozenset({a}),
-        (1, 1, -1): frozenset({b}),
-        (-1, -1, -1): frozenset({c}),
-    }
-    if pattern not in table:
-        raise StructureError(f"triangle ({a},{b},{c}) is balanced")
-    return table[pattern]
-

@@ -1,4 +1,4 @@
-"""Critical groups, order-achieving decompositions, and exponent verifiers.
+"""Critical groups, element orders, and exponent verifiers.
 
 The critical group of a connected graph is the torsion part of the integer
 cokernel of its Laplacian; for an unbalanced signed graph the cokernel is
@@ -7,7 +7,9 @@ diagonal modulo the spectral bound (or the spanning-tree count) of the core
 left by unit-pivot elimination, certified against the determinant of that
 core. Orders of cokernel classes come from X = E L0^-1, E the exponent:
 read off the Laplacian identity L^2 - s L + p I = c J when the graph has
-one, else from the grounded adjugate, and certified by L0 X = E I.
+one, else from the grounded adjugate, and certified by L0 X = E I. With
+the identity, column j of p L0^-1 is the paper's order-achieving
+decomposition of e_j - e_n.
 """
 
 from __future__ import annotations
@@ -21,10 +23,7 @@ from .graphs import (
     SignedGraph,
     TwoEigenvalueParams,
     detect_two_eigenvalue,
-    edge_key,
-    odd_triangle_switch,
     require_connected,
-    switch,
 )
 from .linalg import (
     adjugate,
@@ -49,6 +48,8 @@ class AbelianGroup:
 
     def __post_init__(self):
         factors = self.invariant_factors
+        if any(type(f) is not int for f in factors):
+            raise GraphError(f"invariant factors must be integers, got {factors}")
         if any(f < 2 for f in factors):
             raise GraphError(f"invariant factors must be >= 2, got {factors}")
         for a, b in zip(factors, factors[1:]):
@@ -103,7 +104,11 @@ def _laplacian_mul(rows, x) -> list[int]:
 def _scaled_potential(rows, s: int, target) -> list[int]:
     """f = s t - L t, with L t the combination of the Laplacian columns at
     the non-zero entries of t. When L^2 - s L + p I = c J and c J t = 0,
-    L f = (s L - L^2) t = p t: f is p times a potential of t."""
+    L f = (s L - L^2) t = p t: f is p times a potential of t. With s and p
+    the sum and product of the two distinct non-zero eigenvalues, f is the
+    paper's order-achieving decomposition of t. The test suite builds it
+    for every edge class, with the switching, the triangle normal form and
+    the closed-form pairing, in tests/conftest.py."""
     out = [s * t for t in target]
     for v, t in enumerate(target):
         if t:
@@ -114,6 +119,15 @@ def _scaled_potential(rows, s: int, target) -> list[int]:
             for w in neg:
                 out[w - 1] -= t
     return out
+
+
+def _two_eigenvalue_params(g: Graph | SignedGraph) -> TwoEigenvalueParams:
+    """The two-eigenvalue parameters of g; StructureError when it has none."""
+    params = detect_two_eigenvalue(g)
+    if params is None:
+        what = "signed graph" if isinstance(g, SignedGraph) else "graph"
+        raise StructureError(f"{what} lacks the two-eigenvalue structure")
+    return params
 
 
 @lru_cache(maxsize=CACHED_GRAPHS)
@@ -128,7 +142,8 @@ def grounded_inverse(g: Graph | SignedGraph) -> tuple[int, tuple[tuple[int, ...]
     L = s (I - J / n), the Laplacian of K_n, which has no record), column j
     of p L0^-1 is f = s t - L t for t = e_j - e_n, shifted by f_n so that
     the ground entry is zero and then dropped (t = e_j and no shift for a
-    signed graph, where c = 0: p L^-1 = s I - L). Otherwise
+    signed graph, where c = 0: p L^-1 = s I - L). That f is the paper's
+    order-achieving decomposition of e_j - e_n. Otherwise
     X = E adj(L0) / kappa. Either way each division must be exact, and the
     certificate L0 X = E I is checked over the adjacency, else
     InternalCheckError. Cached per graph.
@@ -283,108 +298,13 @@ def element_order(g: Graph | SignedGraph, vector) -> int:
     vector = list(vector)
     if len(vector) != g.n:
         raise GraphError(f"vector length {len(vector)} != n = {g.n}")
+    if any(type(x) is not int for x in vector):
+        raise GraphError("vector coordinates must be integers")
     if isinstance(g, Graph) and sum(vector) != 0:
         raise GraphError("unsigned critical group classes need sum-zero vectors")
     require_connected(g, "element_order")
     exponent, inverse = grounded_inverse(g)
     return exponent // gcd(exponent, *_grounded_image(inverse, vector))
-
-
-# ---------------------------------------------------------------------------
-# Order-achieving decompositions
-
-
-@_record
-class Decomposition:
-    """An exact identity  sum_x coefficients[x] * L_x == order * target,
-    where L_x are Laplacian rows of `graph` (the input after any
-    normalizing switching) and target is e_u - e_v, or e_u + e_v in the
-    signed complete case.
-
-    Scaling down by the gcd of the coefficients in a row basis gives the
-    exact order of the target class, which the identity bounds by `order`.
-    """
-
-    case: str
-    graph: Graph | SignedGraph
-    edge: tuple[int, int]
-    coefficients: tuple[int, ...]
-    order: int
-    target: tuple[int, ...]
-    switch_set: frozenset[int]
-    triangle_vertex: int | None = None
-
-
-def _two_eigenvalue_params(g: Graph | SignedGraph) -> TwoEigenvalueParams:
-    """The two-eigenvalue parameters of g; StructureError when it has none."""
-    params = detect_two_eigenvalue(g)
-    if params is None:
-        what = "signed graph" if isinstance(g, SignedGraph) else "graph"
-        raise StructureError(f"{what} lacks the two-eigenvalue structure")
-    return params
-
-
-def decomposition(g: Graph | SignedGraph, edge: tuple[int, int]) -> Decomposition:
-    """Explicit row combination showing order * target lies in the
-    Laplacian row lattice.
-
-    The two distinct non-zero eigenvalues theta1, theta2 of the Laplacian L
-    satisfy (L - theta1)(L - theta2) target = 0, so the coefficients
-    c = (theta1 + theta2) target - L target give L c = theta1 theta2 target.
-    The edge (a, b) is taken ascending, or lower degree first in the
-    two-degree cases. A signed graph is first switched so that (a, b) is
-    positive, or, in the complete case, the unique negative edge of the
-    first unbalanced triangle (a, b, w); there the target is e_a + e_b.
-    The identity is re-verified exactly before the result is returned.
-    """
-    u, v = edge
-    a, b = edge_key(u, v)
-    base = g.graph if isinstance(g, SignedGraph) else g
-    if (a, b) not in base.edges:
-        raise GraphError(f"({u},{v}) is not an edge")
-    params = _two_eigenvalue_params(g)
-    case = params.case
-    if not params.regular:
-        if base.degree(a) == base.degree(b):
-            raise StructureError("decomposition needs an edge joining the two degree classes")
-        if base.degree(a) > base.degree(b):
-            a, b = b, a
-    target = list(edge_difference(g, a, b))
-    switch_set = frozenset()
-    third = None
-    if case == "signed_complete":
-        third = next(
-            (w for w in g.vertices()
-             if w not in (a, b) and g.sign(a, b) * g.sign(a, w) * g.sign(b, w) == -1),
-            None,
-        )
-        if third is None:
-            raise StructureError(
-                f"every triangle through edge ({a},{b}) is balanced; "
-                "the signed complete decomposition needs an unbalanced one"
-            )
-        switch_set = odd_triangle_switch(g, a, b, third)
-        target[b - 1] = 1
-    elif isinstance(g, SignedGraph) and g.sign(a, b) == -1:
-        switch_set = frozenset({b})
-    work = switch(g, switch_set) if switch_set else g
-    rows = _laplacian_rows(work)
-    coefficients = _scaled_potential(rows, params.eigenvalue_sum, target)
-    # the Laplacian is symmetric, so combining its rows is multiplying by it
-    if _laplacian_mul(rows, coefficients) != [params.eigenvalue_product * t for t in target]:
-        raise InternalCheckError(
-            f"decomposition identity failed for case {case} at edge {(a, b)}"
-        )
-    return Decomposition(
-        case=case,
-        graph=work,
-        edge=(a, b),
-        coefficients=tuple(coefficients),
-        order=params.eigenvalue_product,
-        target=tuple(target),
-        switch_set=switch_set,
-        triangle_vertex=third,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ tail-heavy subgroup verifier.
 The pairing of two classes [D], [D2] is D2.f mod 1 where L f = D; with the
 last vertex grounded, f0 = X D0 / E for X = E L0^-1 and E the group
 exponent (`groups.grounded_inverse`). It is well-defined, bilinear, and
-symmetric, and for strongly regular graphs it has a closed form read off
-the order-achieving decomposition coefficients. A value is kept as a
-reduced residue a/m mod 1 (`PairingValue.of`).
+symmetric; a value is kept as a reduced residue a/m mod 1
+(`PairingValue.of`). The paper's closed form on the edge classes of a
+strongly regular graph, read off the order-achieving decomposition, is a
+test oracle (tests/conftest.py); `_closed_form_params` says where it holds.
 A set of edges whose classes e_u - e_v pairwise pair to zero forces a
 tail-heavy subgroup: one factor of the full spectral bound plus copies of
 the self-pairing denominator.
@@ -30,7 +31,6 @@ from .groups import (
     AbelianGroup,
     _grounded_image,
     critical_group,
-    decomposition,
     element_order,
     grounded_inverse,
 )
@@ -83,14 +83,16 @@ def monodromy_pairing(g: Graph, d, d2, m: int | None = None) -> PairingValue:
     for name, vec in (("first", d), ("second", d2)):
         if len(vec) != g.n:
             raise GraphError(f"{name} vector length {len(vec)} != n = {g.n}")
+        if any(type(x) is not int for x in vec):
+            raise GraphError(f"{name} vector coordinates must be integers")
         if sum(vec) != 0:
             raise GraphError(f"{name} vector must have zero coordinate sum")
     exponent, inverse = grounded_inverse(g)
     if m is None:
         m = exponent
     else:
-        if m <= 0:
-            raise GraphError(f"m must be positive, got {m}")
+        if type(m) is not int or m <= 0:
+            raise GraphError(f"m must be a positive integer, got {m}")
         if m % element_order(g, d):
             raise GraphError(f"m = {m} does not annihilate the first class")
     image = _grounded_image(inverse, d)
@@ -113,21 +115,6 @@ def _closed_form_params(g: Graph) -> TwoEigenvalueParams:
     if params is None or not params.regular:
         raise StructureError("closed-form pairing needs a strongly regular graph")
     return params
-
-
-def edge_pairing_closed_form(g: Graph, e1: tuple[int, int], e2: tuple[int, int]) -> PairingValue:
-    """Pairing of the edge classes e_u - e_v and e_x - e_y (endpoints taken
-    in ascending order), read off the decomposition coefficients of e1: the
-    coefficient at x minus the coefficient at y, divided by the order bound.
-    Only the adjacency pattern among the four endpoints enters."""
-    params = _closed_form_params(g)
-    u, v = edge_key(*e1)
-    x, y = edge_key(*e2)
-    for a, b in ((u, v), (x, y)):
-        if (a, b) not in g.edges:
-            raise GraphError(f"({a},{b}) is not an edge")
-    coeff = decomposition(g, (u, v)).coefficients
-    return PairingValue.of(coeff[x - 1] - coeff[y - 1], params.eigenvalue_product)
 
 
 def self_pairing_denominator(params: TwoEigenvalueParams) -> int:

@@ -8,23 +8,26 @@ from fractions import Fraction
 
 from critgroup import (
     Graph,
+    GraphError,
     InternalCheckError,
+    PairingValue,
     Polynomial,
     SignedGraph,
+    StructureError,
     clebsch_complement,
-    complement,
     complete,
     complete_multipartite,
     cycle,
-    decomposition,
     determinant,
-    graph_join,
+    edge_key,
     make_graph,
     make_signed_graph,
     paley,
     petersen,
     star,
 )
+from critgroup.groups import _laplacian_mul, _laplacian_rows, _scaled_potential, _two_eigenvalue_params
+from critgroup.pairing import _closed_form_params
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +128,36 @@ def distinct_nonzero_root_product(p: Polynomial) -> Fraction:
     return Fraction((-1) ** q.degree * q.coeffs[0], q.leading())
 
 
+# ---------------------------------------------------------------------------
+# Graph constructions and switching the package itself does not need
+
+
 def empty_graph(n):
     return make_graph(n, [])
+
+
+def complement(g):
+    return make_graph(g.n, [e for e in itertools.combinations(g.vertices(), 2) if e not in g.edges])
+
+
+def graph_join(g1, g2):
+    """Both graphs, g2's labels shifted past g1's, plus every edge between
+    the two vertex sets."""
+    shift = g1.n
+    edges = [*g1.edges, *((u + shift, v + shift) for u, v in g2.edges)]
+    edges += [(u, v + shift) for u in g1.vertices() for v in g2.vertices()]
+    return make_graph(shift + g2.n, edges)
+
+
+def switch(gs, vertex_set):
+    """Switching at a vertex set flips the sign of every edge with exactly
+    one endpoint in it: an involution that preserves balance and the
+    critical group up to isomorphism."""
+    s = frozenset(vertex_set)
+    if s - set(gs.vertices()):
+        raise GraphError(f"switching set contains non-vertices {sorted(s - set(gs.vertices()))}")
+    cut = {(u, v) for u, v in gs.graph.edges if (u in s) != (v in s)}
+    return SignedGraph(gs.graph, gs.negative_edges ^ cut)
 
 
 def triangular_t5():
@@ -235,7 +266,7 @@ def signed_two_degree_hexad():
 def signed_corpus():
     """Unbalanced signed two-eigenvalue graphs covering all three signed
     decomposition cases."""
-    from critgroup import signed_complete_unbalanced, switch
+    from critgroup import signed_complete_unbalanced
 
     return [
         ("unbalanced_K3", signed_complete_unbalanced(3)),
@@ -502,6 +533,76 @@ def grounded_inverse_oracle(g):
     kappa, adj = adjugate(lap)
     assert all(exponent * a % kappa == 0 for row in adj for a in row)
     return exponent, tuple(tuple(exponent * a // kappa for a in row) for row in adj)
+
+
+@dataclass(frozen=True)
+class Decomposition:
+    """The identity sum_x coefficients[x] L_x = order * target over the
+    Laplacian rows L_x of `graph`, the input switched at `switch_set`;
+    target is e_u - e_v for the edge (u, v), or e_u + e_v in the signed
+    complete case, where triangle_vertex names the unbalanced triangle."""
+
+    case: str
+    graph: object
+    edge: tuple
+    coefficients: tuple
+    order: int
+    target: tuple
+    switch_set: frozenset
+    triangle_vertex: int | None = None
+
+
+def decomposition(g, edge) -> Decomposition:
+    """The paper's order-achieving decomposition of an edge class:
+    c = (theta1 + theta2) t - L t gives L c = theta1 theta2 t, because
+    (L - theta1)(L - theta2) kills t. The edge (a, b) is taken ascending, or
+    lower degree first in the two-degree cases. A signed graph is first
+    switched so that (a, b) is positive or, in the complete case, the unique
+    negative edge of the first unbalanced triangle (a, b, w); there
+    t = e_a + e_b. The identity is checked before the result is returned."""
+    base = g.graph if isinstance(g, SignedGraph) else g
+    a, b = edge_key(*edge)
+    if (a, b) not in base.edges:
+        raise GraphError(f"({edge[0]},{edge[1]}) is not an edge")
+    params = _two_eigenvalue_params(g)
+    if not params.regular:
+        if base.degree(a) == base.degree(b):
+            raise StructureError("decomposition needs an edge joining the two degree classes")
+        if base.degree(a) > base.degree(b):
+            a, b = b, a
+    switch_set, third = frozenset(), None
+    if params.case == "signed_complete":
+        third = next((w for w in g.vertices() if w not in (a, b)
+                      and g.sign(a, b) * g.sign(a, w) * g.sign(b, w) == -1), None)
+        if third is None:
+            raise StructureError(f"every triangle through edge ({a},{b}) is balanced; "
+                                 "the signed complete decomposition needs an unbalanced one")
+        # by the signs of ab and aw: the set that leaves ab alone negative
+        flip = {(-1, 1): (), (1, -1): (a,), (1, 1): (b,), (-1, -1): (third,)}
+        switch_set = frozenset(flip[g.sign(a, b), g.sign(a, third)])
+    elif isinstance(g, SignedGraph) and g.sign(a, b) == -1:
+        switch_set = frozenset({b})
+    work = switch(g, switch_set) if switch_set else g
+    target = [0] * g.n
+    target[a - 1], target[b - 1] = 1, 1 if third else -1
+    rows = _laplacian_rows(work)
+    coefficients = _scaled_potential(rows, params.eigenvalue_sum, target)
+    if _laplacian_mul(rows, coefficients) != [params.eigenvalue_product * t for t in target]:
+        raise InternalCheckError(f"decomposition identity failed for case {params.case} at edge {(a, b)}")
+    return Decomposition(params.case, work, (a, b), tuple(coefficients),
+                         params.eigenvalue_product, tuple(target), switch_set, third)
+
+
+def edge_pairing_closed_form(g, e1, e2) -> PairingValue:
+    """The paper's closed form for the pairing of two edge classes of a
+    strongly regular graph: the decomposition coefficient of e1 at x minus
+    the one at y, for e2 = (x, y) ascending, over the order bound."""
+    params = _closed_form_params(g)
+    x, y = edge_key(*e2)
+    if (x, y) not in g.edges:
+        raise GraphError(f"({x},{y}) is not an edge")
+    coeff = decomposition(g, e1).coefficients
+    return PairingValue.of(coeff[x - 1] - coeff[y - 1], params.eigenvalue_product)
 
 
 @dataclass(frozen=True)

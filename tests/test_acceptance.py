@@ -19,10 +19,8 @@ from critgroup import (
     complete_multipartite,
     critical_group,
     cycle,
-    decomposition,
     detect_two_eigenvalue,
     determinant,
-    edge_pairing_closed_form,
     is_balanced,
     laplacian,
     make_signed_graph,
@@ -33,7 +31,6 @@ from critgroup import (
     signed_complete_unbalanced,
     squarefree_part,
     subgroup_bound,
-    switch,
     verify_exponent_theorem,
     verify_spectral_bound,
     verify_tail_heavy,
@@ -41,7 +38,9 @@ from critgroup import (
 from conftest import (
     applicable_edges,
     connected_atlas,
+    decomposition,
     determinant_divisor_diagonal,
+    edge_pairing_closed_form,
     fraction,
     matmul,
     mul_vec,
@@ -52,6 +51,7 @@ from conftest import (
     signed_corpus,
     smith_normal_form,
     spanning_trees_deletion_contraction,
+    switch,
     unsigned_srg_corpus,
     unsigned_two_eigenvalue_corpus,
 )

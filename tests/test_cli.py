@@ -1,8 +1,12 @@
 import hashlib
+import importlib.util
 import itertools
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import critgroup.cli as cli
 import critgroup.groups
@@ -22,6 +26,8 @@ STRUCTURE_GOLDENS = pathlib.Path(__file__).with_name("structure_goldens.json")
 # stdout SHA-256 of the benchmark's family ops, keyed by their joined
 # arguments; the benchmark owns this file and the tests only read it
 BENCH_DIGESTS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "digests.json"
+# the benchmark's traced runner, read here and never edited
+TRACED_CLI = BENCH_DIGESTS.with_name("traced_cli.py")
 
 
 def run(capsys, *argv):
@@ -175,6 +181,33 @@ def test_bench_digests_of_greedy_scan_spectrum_ops(capsys):
         code, out, _ = run(capsys, *label.split())
         assert code == 0, label
         assert hashlib.sha256(out.encode()).hexdigest() == digests[label], label
+
+
+def test_traced_runner_matches_the_cli(tmp_path, monkeypatch):
+    # one op of each kind the benchmark runs gives the same exit code and
+    # stdout through bench/traced_cli.py as through the CLI, and its span
+    # file parses; the runner looks up every traced module right after
+    # `import critgroup.cli`, so this fails if cli stops loading one
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("traced_cli", TRACED_CLI)
+    traced_cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced_cli)
+    ops = [["group"], ["analyze"], ["pairing"], ["pairing", "--edge1", "1,8", "--edge2", "2,6"],
+           ["orthogonal", "--mode", "greedy"], ["verify", "--check", "tail-heavy", "--mode", "greedy"],
+           ["verify", "--check", "exponent"], ["verify", "--check", "spectral-bound"]]
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1]),
+           "PYTHONHASHSEED": "0"}
+    for i, argv in enumerate([[*op, "--family", "petersen"] for op in ops] + [["scan", "--nmax", "60"]]):
+        spans = tmp_path / f"spans-{i}.json"
+        plain = subprocess.run([sys.executable, "-m", "critgroup.cli", *argv], env=env,
+                               capture_output=True, text=True)
+        traced = subprocess.run([sys.executable, str(TRACED_CLI), *argv], capture_output=True,
+                                env={**env, "CRITGROUP_BENCH_SPANS": str(spans)}, text=True)
+        assert plain.returncode == 0, (argv, plain.stderr)
+        assert (traced.returncode, traced.stdout) == (plain.returncode, plain.stdout), (
+            argv, traced.stderr)
+        metrics = traced_cli.summarize(json.loads(spans.read_text(encoding="utf-8")))
+        assert set(metrics) == set(traced_cli.metric_units()) - {"trace.overhead_s"}, argv
 
 
 def test_disconnected_input_is_rejected_by_every_graph_command(capsys, tmp_path):

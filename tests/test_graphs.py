@@ -11,15 +11,12 @@ from critgroup import (
     StructureError,
     char_poly,
     clebsch_complement,
-    complement,
     complete,
     complete_multipartite,
     cycle,
     detect_two_eigenvalue,
-    disjoint_union,
     format_graph,
     generate,
-    graph_join,
     is_balanced,
     laplacian,
     make_graph,
@@ -31,16 +28,18 @@ from critgroup import (
     signed_complete_unbalanced,
     squarefree_part,
     star,
-    switch,
 )
 from critgroup.cli import _structure_block
 from conftest import (
+    complement,
     connected_atlas,
+    graph_join,
     signed_c4_one_negative,
     signed_corpus,
     signed_k6_pentagon,
     signed_two_degree_hexad,
     strip_zero_roots,
+    switch,
     unsigned_two_eigenvalue_corpus,
 )
 
@@ -226,6 +225,8 @@ def test_switch_is_involution_and_preserves_balance_class():
         twice = switch(switch(gs, subset), subset)
         assert twice.negative_edges == gs.negative_edges
         assert is_balanced(switch(gs, subset)).balanced == is_balanced(gs).balanced
+    with pytest.raises(GraphError, match="non-vertices"):
+        switch(gs, {0, 6})
 
 
 def test_balance_detection():
@@ -241,6 +242,8 @@ def test_balance_detection():
     assert result.balanced
     assert gs.negative_edges
     assert not switch(gs, result.switching_set).negative_edges
+    with pytest.raises(StructureError):
+        is_balanced(petersen())  # an unsigned graph has no signs
 
 
 def test_signed_two_eigenvalue_detection_corpus():
@@ -393,7 +396,7 @@ def test_parse_graph_requires_header():
 
 
 def test_union_and_join():
-    u = disjoint_union([complete(2), complete(3)])
+    u = make_graph(5, [(1, 2), (3, 4), (3, 5), (4, 5)])  # K2 beside K3
     assert u.n == 5 and not u.is_connected()
     j = graph_join(complete(2), make_graph(3, []))
     assert j.n == 5

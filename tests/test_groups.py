@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,11 +16,9 @@ from critgroup import (
     complete_multipartite,
     critical_group,
     cycle,
-    decomposition,
     detect_two_eigenvalue,
     edge_difference,
     element_order,
-    graph_join,
     grounded_inverse,
     laplacian,
     make_graph,
@@ -30,7 +29,6 @@ from critgroup import (
     spanning_tree_count,
     star,
     subgroup_invariant_factors,
-    switch,
     vertex_indicator,
     verify_exponent_theorem,
     verify_spectral_bound,
@@ -39,6 +37,8 @@ from critgroup.errors import replace
 from conftest import (
     applicable_edges,
     connected_atlas,
+    decomposition,
+    graph_join,
     grounded_inverse_oracle,
     mul_vec,
     random_connected_graph,
@@ -48,6 +48,7 @@ from conftest import (
     smith_normal_form,
     smith_order,
     spanning_trees_deletion_contraction,
+    switch,
     unsigned_two_eigenvalue_corpus,
     witnesses,
 )
@@ -66,6 +67,8 @@ def test_abelian_group_validation():
         AbelianGroup((1, 2))
     with pytest.raises(GraphError):
         AbelianGroup((2, 3))
+    with pytest.raises(GraphError, match="integers"):
+        AbelianGroup((2.0, 4))  # its order would be 8.0
     assert AbelianGroup.from_diagonal([1, 1, 3, 0, 6]).invariant_factors == (3, 6)
 
 
@@ -210,6 +213,9 @@ def test_element_order_basics():
         element_order(g, [1] + [0] * 9)  # not sum-zero
     with pytest.raises(GraphError):
         element_order(g, [1, -1])  # wrong length
+    for vector in ([1.0, 0, 0, 0, 0, 0, 0, -1.0, 0, 0], [Fraction(1)] + [0] * 6 + [-1, 0, 0]):
+        with pytest.raises(GraphError, match="integers"):
+            element_order(g, vector)
     gs = signed_complete_unbalanced(3)
     assert element_order(gs, vertex_indicator(gs, 1)) == 4
     assert element_order(gs, [1, 1, 0]) == 2
@@ -386,12 +392,7 @@ def test_decomposition_identity_via_matrix_arithmetic():
     table = dict(signed_corpus())
     for name in ("all_negative_K4", "K6_pentagon_signing", "two_degree_hexad"):
         gs = table[name]
-        for edge in gs.sorted_edges():
-            params = detect_two_eigenvalue(gs)
-            if params.case == "signed_two_degree":
-                u, v = edge
-                if gs.graph.degree(u) == gs.graph.degree(v):
-                    continue
+        for edge in applicable_edges(gs):
             dec = decomposition(gs, edge)
             lap = laplacian(dec.graph)
             got = mul_vec(lap, list(dec.coefficients))
@@ -509,12 +510,7 @@ def test_witness_gcd_predicts_true_order_everywhere():
             assert dec.order % w.basis_gcd == 0
             assert true_order == dec.order // w.basis_gcd, (name, edge)
     for name, gs in signed_corpus():
-        params = detect_two_eigenvalue(gs)
-        for edge in gs.sorted_edges():
-            if params.case == "signed_two_degree":
-                u, v = edge
-                if gs.graph.degree(u) == gs.graph.degree(v):
-                    continue
+        for edge in applicable_edges(gs):
             dec = decomposition(gs, edge)
             w = witnesses(gs, edge, dec)
             true_order = element_order(dec.graph, list(dec.target))

@@ -113,17 +113,16 @@ def test_cli_start_loads_no_slow_start_module():
 def _sample_records():
     """One instance of every record class of the package."""
     from critgroup import (
-        AbelianGroup, PairingValue, Polynomial, SpectralBoundReport, char_poly, decomposition,
+        AbelianGroup, PairingValue, Polynomial, SpectralBoundReport, char_poly,
         detect_two_eigenvalue, enumerate_feasible, is_balanced, laplacian, make_signed_graph,
         orthogonal_subset, petersen, verify_exponent_theorem, verify_tail_heavy,
     )
 
     g = petersen()
-    edge = g.sorted_edges()[0]
     signed = make_signed_graph(3, [(1, 2), (2, 3)], [(1, 2)])
     return [
         g, signed, detect_two_eigenvalue(g), is_balanced(signed), AbelianGroup((2, 4)),
-        decomposition(g, edge), verify_exponent_theorem(g),
+        verify_exponent_theorem(g),
         SpectralBoundReport(10, 10, True), char_poly(laplacian(g)),
         Polynomial.make([1, 2, 1]), PairingValue(1, 3), orthogonal_subset(g),
         verify_tail_heavy(g), enumerate_feasible(10)[0],
@@ -378,9 +377,9 @@ def _library_only(sources):
     return _unreferenced(sources, lambda name: not name.startswith("_"))
 
 
-# public names that only library users and the tests reach: the paper's
-# closed form, two graph constructions and the subgroup factors
-LIBRARY_ONLY = {"complement", "edge_pairing_closed_form", "graph_join", "subgroup_invariant_factors"}
+# public names that only library users and the tests reach: the subgroup
+# factors
+LIBRARY_ONLY = {"subgroup_invariant_factors"}
 
 
 def test_public_names_are_reached():

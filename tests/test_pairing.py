@@ -17,7 +17,6 @@ from critgroup import (
     cycle,
     detect_two_eigenvalue,
     edge_difference,
-    edge_pairing_closed_form,
     element_order,
     enumerate_feasible,
     make_signed_graph,
@@ -35,6 +34,7 @@ import critgroup.pairing
 from critgroup.pairing import _closed_form_params, _pairing_table
 from conftest import (
     connected_atlas,
+    edge_pairing_closed_form,
     fraction,
     greedy_orthogonal_retest,
     mul_vec,
@@ -89,6 +89,10 @@ def test_monodromy_validation():
         monodromy_pairing(g, d, d, m=0)
     with pytest.raises(GraphError):
         monodromy_pairing(g, d, d, m=3)  # 3 does not annihilate d
+    with pytest.raises(GraphError, match="integer"):
+        monodromy_pairing(g, d, [float(x) for x in d])
+    with pytest.raises(GraphError, match="integer"):
+        monodromy_pairing(g, d, d, m=20.0)
     with pytest.raises(StructureError):
         gs = signed_complete_unbalanced(3)
         monodromy_pairing(gs, [1, -1, 0], [1, -1, 0])

@@ -4,7 +4,6 @@ from critgroup import (
     KNOWN_TIGHT_TUPLES,
     GraphError,
     clebsch_complement,
-    complement,
     detect_two_eigenvalue,
     enumerate_feasible,
     paley,
@@ -13,7 +12,7 @@ from critgroup import (
     self_pairing_denominator,
 )
 from critgroup.graphs import MAX_VERTICES
-from conftest import enumerate_feasible_filter
+from conftest import complement, enumerate_feasible_filter
 
 
 def tuples(rows):
