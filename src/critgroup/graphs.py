@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations
+from math import isqrt
 
 from .errors import (
     DisconnectedGraphError,
@@ -122,7 +123,7 @@ class SignedGraph:
 
     @cached_property
     def _quadratic(self) -> tuple[int, int, int] | None:
-        return _laplacian_quadratic(self)
+        return _laplacian_quadratic(self, None, 0)
 
 
 def make_graph(n: int, edges) -> Graph:
@@ -436,10 +437,11 @@ def format_graph(g: Graph | SignedGraph) -> str:
 # Structure detection
 
 
-def _laplacian_quadratic(g: Graph | SignedGraph) -> tuple[int, int, int] | None:
+def _laplacian_quadratic(g: Graph | SignedGraph, t: int | None = None, c: int | None = None
+                         ) -> tuple[int, int, int] | None:
     """(s, p, c) with L^2 - s L + p I = c J entrywise, L the (signed)
     Laplacian of the connected graph g, or None when no such identity holds
-    or g has no edge.
+    or g has no edge. A t = s - c or a c given is checked, not found.
 
     Off the diagonal, L^2 has ncn(u, v) - sign(u, v) (d_u + d_v), where ncn
     is the signed common-neighbour count; on it, d^2 + d. So the identity
@@ -449,37 +451,57 @@ def _laplacian_quadratic(g: Graph | SignedGraph) -> tuple[int, int, int] | None:
     The last follows from the first two on a connected graph: they make
     L^2 - s L - c J diagonal, and L commutes with it, so its diagonal is
     constant along every edge. A signed graph needs c = 0. An unsigned
-    complete graph fits every c, so callers handle it first.
+    complete graph fits every c, so callers handle it first. One pass over
+    the vertex pairs, on adjacency bitmasks.
     """
     signed = isinstance(g, SignedGraph)
     base = g.graph if signed else g
-    adj = base.adjacency
-    degree = {v: len(nbrs) for v, nbrs in adj.items()}
-    negative = Graph(g.n, g.negative_edges if signed else frozenset()).adjacency
-    c = 0 if signed else None
-    t = None
-    for u, v in combinations(base.vertices(), 2):
-        if signed:
-            common = adj[u] & adj[v]
-            # w contributes -1 when exactly one of uw, wv is negative
-            ncn = len(common) - 2 * len(common & (negative[u] ^ negative[v]))
-        else:
-            ncn = len(adj[u] & adj[v])
-        if v in adj[u]:
-            value = degree[u] + degree[v] - (-ncn if v in negative[u] else ncn)
-            if t is None:
-                t = value
-            elif t != value:
+    n = g.n
+    adj, neg = [0] * (n + 1), [0] * (n + 1)
+    for u, v in base.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    for u, v in g.negative_edges if signed else ():
+        neg[u] |= 1 << v
+        neg[v] |= 1 << u
+    degree = [a.bit_count() for a in adj]
+    for u in range(1, n):
+        au, nu, du = adj[u], neg[u], degree[u]
+        for v in range(u + 1, n + 1):
+            common = au & adj[v]
+            ncn = common.bit_count()
+            if nu | neg[v]:  # w counts -1 when exactly one of uw, wv is negative
+                ncn -= 2 * (common & (nu ^ neg[v])).bit_count()
+            if au >> v & 1:
+                value = du + degree[v] - (-ncn if nu >> v & 1 else ncn)
+                if t is None:
+                    t = value
+                elif t != value:
+                    return None
+            elif c is None:
+                c = ncn
+            elif c != ncn:
                 return None
-        elif c is None:
-            c = ncn
-        elif c != ncn:
-            return None
     if t is None:
         return None
     s = t + c
     d = base.degree_values[0]
     return s, c - d * d - d + s * d, c
+
+
+def _multiplicities(count: int, s: int, p: int, trace: int) -> tuple[tuple[int, int], bool] | None:
+    """((m1, m2), conference): the multiplicities of the real roots
+    theta1 < theta2 of x^2 - s x + p from m1 + m2 = count and
+    theta1 m1 + theta2 m2 = trace, else None, and whether the roots are
+    irrational, which forces m1 = m2. Rational roots are integers."""
+    disc = s * s - 4 * p
+    if disc <= 0:
+        return None
+    root = isqrt(disc)
+    if root * root != disc:
+        return None if count % 2 or s * count != 2 * trace else ((count // 2, count // 2), True)
+    m2, rest = divmod(trace - (s - root) // 2 * count, root)
+    return None if rest or not 0 <= m2 <= count else ((count - m2, m2), False)
 
 
 @_record
@@ -497,6 +519,7 @@ class TwoEigenvalueParams:
     s = k1 + k2 + 1 when they differ and lam = 2k - s + mu, the (signed)
     common-neighbour count on every edge, when they agree. case is srg,
     two_degree, signed_regular, signed_complete or signed_two_degree.
+    edge_count = |E| = tr L / 2 fixes the multiplicities.
     """
 
     n: int
@@ -506,6 +529,21 @@ class TwoEigenvalueParams:
     mu: int
     eigenvalue_sum: int
     eigenvalue_product: int
+    edge_count: int
+
+    @property
+    def roots(self) -> tuple[int, int] | None:
+        """theta1 <= theta2 when they are integers (`_multiplicities`), else None."""
+        s, disc = self.eigenvalue_sum, self.eigenvalue_sum ** 2 - 4 * self.eigenvalue_product
+        root = isqrt(max(disc, 0))
+        return ((s - root) // 2, (s + root) // 2) if root * root == disc else None
+
+    @property
+    def multiplicities(self) -> tuple[tuple[int, int], bool] | None:
+        """`_multiplicities` of the record: n - 1 eigenvalues (n when
+        signed) besides the zero one, with trace tr L = 2 |E|."""
+        count = self.n - (not self.case.startswith("signed"))
+        return _multiplicities(count, self.eigenvalue_sum, self.eigenvalue_product, 2 * self.edge_count)
 
     @property
     def regular(self) -> bool:
@@ -566,7 +604,7 @@ def detect_two_eigenvalue(g: Graph | SignedGraph) -> TwoEigenvalueParams | None:
         case = "signed_two_degree"
     else:
         case = "signed_complete" if base.is_complete() else "signed_regular"
-    return TwoEigenvalueParams(g.n, case, k1, k2, mu, s, p)
+    return TwoEigenvalueParams(g.n, case, k1, k2, mu, s, p, len(base.edges))
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 The critical group of a connected graph is the torsion part of the integer
 cokernel of its Laplacian; for an unbalanced signed graph the cokernel is
-already finite and is taken whole. Invariant factors come from a Smith
-diagonal modulo the spectral bound (or the spanning-tree count) of the core
-left by unit-pivot elimination, certified against the determinant of that
-core. Orders of cokernel classes come from X = E L0^-1, E the exponent:
+already finite and is taken whole. On a graph with a two-eigenvalue
+record, re-checked on the graph, the invariant factors are read off the
+record; only its bad primes need a Smith diagonal. Other graphs take a
+Smith diagonal modulo the spanning-tree count of the core left by
+unit-pivot elimination. Orders of cokernel classes come from X = E L0^-1:
 read off the Laplacian identity L^2 - s L + p I = c J when the graph has
 one, else from the grounded adjugate, and certified by L0 X = E I. With
 the identity, column j of p L0^-1 is the paper's order-achieving
@@ -15,6 +16,7 @@ decomposition of e_j - e_n.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
+from itertools import count
 from math import gcd, isqrt, prod
 
 from .errors import GraphError, InternalCheckError, StructureError, _record
@@ -22,6 +24,7 @@ from .graphs import (
     Graph,
     SignedGraph,
     TwoEigenvalueParams,
+    _laplacian_quadratic,
     detect_two_eigenvalue,
     require_connected,
 )
@@ -205,13 +208,13 @@ def critical_group(g: Graph | SignedGraph) -> AbelianGroup:
     Laplacian grounded at the last vertex, or the whole signed Laplacian of
     an unbalanced signed graph (a balanced one, singular, is rejected).
 
-    L0 is eliminated on +-1 pivots (`unit_pivot_core`); kappa = |det| of the
-    core is the group order. The core's Smith diagonal is taken modulo the
-    eigenvalue product p when detection finds L^2 - s L + p I = c J, as
-    p x = L (s - L) x whenever J x = 0, else modulo kappa (`smith_diagonal`).
-    Certificate, else InternalCheckError: the factors form a divisibility
-    chain with product kappa and, modulo p, for each prime q | p exactly
-    |core| - rank_q(core) of them are divisible by q. Cached per graph.
+    With a record L^2 - s L + p I = c J, p annihilates the group (p x =
+    L (s - L) x when J x = 0) and the factors are read off the record
+    (`_record_diagonal`). Otherwise L0 is eliminated on +-1 pivots
+    (`unit_pivot_core`), kappa = |det| of the core is the group order, and
+    the core's Smith diagonal is taken modulo kappa. Certificate, else
+    InternalCheckError: the factors form a divisibility chain with product
+    kappa. Cached per graph.
     """
     require_connected(g, "critical_group")
     return _certified_group(g)
@@ -229,27 +232,73 @@ def spanning_tree_count(g: Graph | SignedGraph) -> int:
 
 @lru_cache(maxsize=CACHED_GRAPHS)
 def _certified_group(g: Graph | SignedGraph) -> AbelianGroup:
-    lap = _grounded_laplacian(g)
-    core = unit_pivot_core(lap) if lap else []
-    if not core:  # one vertex, or every row eliminated on a unit pivot
-        return AbelianGroup(())
-    kappa = abs(determinant(core))
-    if not kappa:
-        if isinstance(g, SignedGraph):
-            raise StructureError("balanced signed graph: the Laplacian cokernel is infinite")
-        raise InternalCheckError("grounded Laplacian of a connected graph is singular")
     try:
-        modulus = _two_eigenvalue_params(g).eigenvalue_product
-        primes = _prime_factors(modulus)
+        params = _two_eigenvalue_params(g)
     except StructureError:
-        modulus, primes = kappa, []
-    diag = smith_diagonal(core, modulus)
+        params = None
+    if params is not None:
+        kappa, diag = _record_diagonal(g, params)
+    else:
+        lap = _grounded_laplacian(g)
+        core = unit_pivot_core(lap) if lap else []
+        if not core:  # one vertex, or every row eliminated on a unit pivot
+            return AbelianGroup(())
+        kappa = abs(determinant(core))
+        if not kappa:
+            if isinstance(g, SignedGraph):
+                raise StructureError("balanced signed graph: the Laplacian cokernel is infinite")
+            raise InternalCheckError("grounded Laplacian of a connected graph is singular")
+        diag = smith_diagonal(core, kappa)
     if prod(diag) != kappa or any(b % a for a, b in zip(diag, diag[1:])):
         raise InternalCheckError(f"Smith diagonal {diag} is not a chain with product {kappa}")
-    for q in primes:  # q divides as many factors as the rank of the core drops modulo q
-        if sum(1 for d in diag if d % q == 0) != smith_diagonal(core, q).count(q):
-            raise InternalCheckError(f"Smith diagonal {diag} disagrees with the rank modulo {q}")
     return AbelianGroup.from_diagonal(diag)
+
+
+def _record_diagonal(g: Graph | SignedGraph, params: TwoEigenvalueParams) -> tuple[int, list[int]]:
+    """kappa and the invariant factors read off a record that passes its
+    re-check: kappa from the spectrum and, for each prime q | p with
+    v = v_q(p), the q-part (Z/q^v)^(v_q(kappa) / v) when v = 1 (p
+    annihilates the group) or q is good: q divides neither s^2 - 4p nor,
+    unsigned, n. Then the roots are distinct modulo q, one of them
+    divisible by q^v exactly, and the sum-zero lattice splits q-adically
+    into the two eigenspaces of L. The other, bad primes take
+    `smith_diagonal` of L0 modulo the product B of their q^v, with the
+    rank modulo each q checked."""
+    signed = isinstance(g, SignedGraph)
+    s, p = params.eigenvalue_sum, params.eigenvalue_product
+    if signed and not p:  # L^2 = s L: 0 is an eigenvalue
+        raise StructureError("balanced signed graph: the Laplacian cokernel is infinite")
+    c, edges = params.mu, (g.graph if signed else g).edges  # re-check the record, not by detection
+    if ((params.n, params.edge_count, params.case.startswith("signed")) != (g.n, len(edges), signed)
+            or signed and c or _laplacian_quadratic(g, s - c, c) != (s, p, c)):
+        raise InternalCheckError(f"the structure record {params} fails L^2 - s L + p I = c J on the graph")
+    if params.multiplicities is None:
+        raise InternalCheckError(f"the structure record {params} has no integral multiplicities")
+    m1, m2 = params.multiplicities[0]
+    t1, t2 = params.roots or (1, p)  # irrational roots: m1 = m2, and t1 t2 = p
+    kappa, rest = divmod(t1 ** m1 * t2 ** m2, 1 if signed else g.n)
+    if rest:
+        raise InternalCheckError(f"n = {g.n} does not divide the eigenvalue product of {params}")
+    modulus, bad, parts = 1, [], []
+    for q in _prime_factors(p):
+        v, e = (next(i for i in count() if m % q ** (i + 1)) for m in (p, kappa))  # v_q(p), v_q(kappa)
+        if v == 1 or (s * s - 4 * p) % q and (signed or g.n % q):
+            if e % v:
+                raise InternalCheckError(f"v_{q}(kappa) = {e} is not a multiple of v_{q}(p) = {v}")
+            parts.append((q ** v, e // v))
+        else:
+            modulus, bad = modulus * q ** v, [*bad, q]
+    diag = []
+    if bad:
+        lap = _grounded_laplacian(g)
+        diag = smith_diagonal(lap, modulus)
+        for q in bad:  # q divides as many factors as the rank of L0 drops modulo q
+            if sum(1 for d in diag if d % q == 0) != smith_diagonal(lap, q).count(q):
+                raise InternalCheckError(f"Smith diagonal {diag} disagrees with the rank modulo {q}")
+    for power, copies in parts:  # the top `copies` factors of the chain gain the q-part
+        diag = [1] * (copies - len(diag)) + diag
+        diag[len(diag) - copies:] = [d * power for d in diag[len(diag) - copies:]]
+    return kappa, diag
 
 
 def _prime_factors(m: int) -> list[int]:

@@ -6,11 +6,12 @@ Smith diagonals come from exact elimination on +-1 pivots followed by
 elimination modulo a multiple of the exponent of the cokernel.
 Characteristic polynomials come from a Hessenberg reduction modulo a
 Mersenne prime larger than twice the coefficient bound, checked against an
-exact determinant at one point. The Laplacian spectrum, the one that
-`analyze` prints and `verify spectral-bound` multiplies, is that polynomial
-with its integer roots divided out (`laplacian_spectrum`); square-free
-parts come from a gcd modulo a prime, certified by exact division over the
-integers (`squarefree_part`). No fractions and no floating point anywhere.
+exact determinant at one point. The Laplacian spectrum that `analyze`
+prints and `verify spectral-bound` multiplies is read off a two-eigenvalue
+record, else is that polynomial with its integer roots divided out
+(`laplacian_spectrum`); square-free parts come from a gcd modulo a prime,
+certified by exact division over the integers (`squarefree_part`).
+No fractions and no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from collections import Counter
 from math import gcd, isqrt
 
 from .errors import GraphError, InternalCheckError, _record
-from .graphs import Graph, SignedGraph
+from .graphs import Graph, SignedGraph, detect_two_eigenvalue
 
 
 def laplacian(g: Graph | SignedGraph) -> list[list[int]]:
@@ -432,12 +433,30 @@ def laplacian_spectrum(g: Graph | SignedGraph) -> tuple[list[tuple[int, int]], P
     multiplicities, ascending, and the monic integer factor of its
     characteristic polynomial that carries the other eigenvalues.
 
-    A (signed) Laplacian is positive semidefinite, so every eigenvalue lies
-    in [0, gershgorin_bound]. Each integer r there, 0 included, is divided
-    out of the monic `char_poly` by synthetic division by x - r for as long
-    as the remainder is zero. The factor left has no integer root, hence no
-    rational one.
+    With a two-eigenvalue record (`detect_two_eigenvalue`) they are read
+    off it: 0 once when unsigned, then theta1 < theta2 with the record's
+    multiplicities when they are integers, else the factor
+    (x^2 - s x + p)^m. Otherwise a (signed) Laplacian is positive
+    semidefinite, so every eigenvalue lies in [0, gershgorin_bound]. Each
+    integer r there, 0 included, is divided out of the monic `char_poly`
+    by synthetic division by x - r for as long as the remainder is zero.
+    The factor left has no integer root, hence no rational one.
     """
+    try:
+        params = detect_two_eigenvalue(g)
+    except GraphError:  # disconnected, or complete with one non-zero eigenvalue
+        params = None
+    if params is not None:
+        if params.multiplicities is None:
+            raise InternalCheckError(f"the structure record {params} has no integral multiplicities")
+        (m1, m2), conference = params.multiplicities
+        roots = [] if params.case.startswith("signed") else [(0, 1)]
+        if not conference:
+            return roots + list(zip(params.roots, (m1, m2))), Polynomial((1,))
+        s, p, coeffs = params.eigenvalue_sum, params.eigenvalue_product, [1]
+        for _ in range(m1):  # times x^2 - s x + p
+            coeffs = [p * a - s * b + c for a, b, c in zip(coeffs + [0, 0], [0, *coeffs, 0], [0, 0, *coeffs])]
+        return roots, Polynomial(tuple(coeffs))
     lap = laplacian(g)
     coeffs = list(char_poly(lap).coeffs)
     roots = []

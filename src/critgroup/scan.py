@@ -10,10 +10,10 @@ of suppressing it.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import gcd
 
 from .errors import GraphError, _record, replace
-from .graphs import MAX_VERTICES, TwoEigenvalueParams
+from .graphs import MAX_VERTICES, TwoEigenvalueParams, _multiplicities
 from .pairing import self_pairing_denominator
 
 # Parameter tuples with denominator equal to the full bound whose graphs are
@@ -33,8 +33,9 @@ SCAN_NOTE = (
 class FeasibleTuple:
     """A parameter tuple passing the arithmetic feasibility conditions.
 
-    multiplicities pairs the counts of the two adjacency eigenvalues
-    (larger eigenvalue first); conference marks the irrational-eigenvalue
+    multiplicities and conference are `params.multiplicities`: the counts
+    of the Laplacian eigenvalues theta1 < theta2, that is of the adjacency
+    eigenvalues k - theta, larger first, and the irrational-eigenvalue
     case, where the two counts agree. denominator is the self-pairing
     denominator; needs_review marks tight tuples absent from the embedded
     known-existence list."""
@@ -45,34 +46,6 @@ class FeasibleTuple:
     denominator: int
     denominator_equals_bound: bool
     needs_review: bool = False
-
-
-def _multiplicities(n: int, k: int, lam: int, mu: int) -> tuple[tuple[int, int], bool] | None:
-    """Adjacency eigenvalue multiplicities, or None when not integral.
-
-    The non-trivial adjacency eigenvalues are (lam - mu +- sqrt(disc))/2
-    with disc = (lam-mu)^2 + 4(k-mu); their multiplicities
-    (n-1 -+ q)/2 with q = (2k + (n-1)(lam-mu))/sqrt(disc) must be
-    non-negative integers. Irrational eigenvalues force equal
-    multiplicities: q = 0 and n odd (the conference case)."""
-    disc = (lam - mu) ** 2 + 4 * (k - mu)
-    t = 2 * k + (n - 1) * (lam - mu)
-    s = isqrt(disc)
-    if s * s == disc:
-        if s == 0 or t % s:
-            return None
-        q = t // s
-        if (n - 1 - q) % 2:
-            return None
-        m_plus = (n - 1 - q) // 2
-        m_minus = (n - 1 + q) // 2
-        if m_plus < 0 or m_minus < 0:
-            return None
-        return (m_plus, m_minus), False
-    if t != 0 or (n - 1) % 2:
-        return None
-    half = (n - 1) // 2
-    return (half, half), True
 
 
 def enumerate_feasible(n_max: int) -> list[FeasibleTuple]:
@@ -99,11 +72,12 @@ def enumerate_feasible(n_max: int) -> list[FeasibleTuple]:
             for d in range(min(k - 1, m) // step * step, 0, -step):
                 lam = k - 1 - d
                 mu = k * d // m
-                mult = _multiplicities(n, k, lam, mu)
+                s = 2 * k - lam + mu
+                mult = _multiplicities(n - 1, s, n * mu, n * k)  # TwoEigenvalueParams.multiplicities
                 if mult is None:
                     continue
                 pair, conference = mult
-                params = TwoEigenvalueParams(n, "srg", k, k, mu, 2 * k - lam + mu, n * mu)
+                params = TwoEigenvalueParams(n, "srg", k, k, mu, s, n * mu, n * k // 2)
                 denominator = self_pairing_denominator(params)
                 tight = denominator == params.eigenvalue_product
                 out.append(FeasibleTuple(params, pair, conference, denominator, tight, False))

@@ -281,6 +281,20 @@ def signed_corpus():
     ]
 
 
+def signed_corpus_switchings(count=20, seed=2718):
+    """Seeded switchings of the signed corpus: same group, other records'
+    sign patterns."""
+    rng = random.Random(seed)
+    graphs = [gs for _, gs in signed_corpus()]
+    return [switch(gs, {v for v in gs.vertices() if rng.random() < 0.5})
+            for gs in rng.choices(graphs, k=count)]
+
+
+# Paley orders q = 1 mod 4 up to 125: primes and the prime powers 9, 25,
+# 49, 81, 121 and 125, where Smith still runs modulo the bad primes.
+PALEY_ORDERS = (5, 9, 13, 17, 25, 29, 37, 41, 49, 53, 61, 73, 81, 89, 97, 101, 109, 113, 121, 125)
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive small-graph corpora (connected, up to isomorphism)
 
@@ -682,13 +696,43 @@ def faddeev_leverrier(m) -> Polynomial:
     return Polynomial.make(reversed(coeffs))
 
 
+def adjacency_multiplicities(n, k, lam, mu):
+    """Adjacency eigenvalue multiplicities of a strongly regular tuple
+    (larger eigenvalue first) and the conference flag, or None when not
+    integral: the oracle for `TwoEigenvalueParams.multiplicities`, which
+    reads them off the Laplacian roots and the trace instead.
+
+    The non-trivial adjacency eigenvalues are (lam - mu +- sqrt(disc))/2
+    with disc = (lam-mu)^2 + 4(k-mu); their multiplicities
+    (n-1 -+ q)/2 with q = (2k + (n-1)(lam-mu))/sqrt(disc) must be
+    non-negative integers. Irrational eigenvalues force equal
+    multiplicities: q = 0 and n odd (the conference case)."""
+    disc = (lam - mu) ** 2 + 4 * (k - mu)
+    t = 2 * k + (n - 1) * (lam - mu)
+    s = math.isqrt(disc)
+    if s * s == disc:
+        if s == 0 or t % s:
+            return None
+        q = t // s
+        if (n - 1 - q) % 2:
+            return None
+        m_plus = (n - 1 - q) // 2
+        m_minus = (n - 1 + q) // 2
+        if m_plus < 0 or m_minus < 0:
+            return None
+        return (m_plus, m_minus), False
+    if t != 0 or (n - 1) % 2:
+        return None
+    half = (n - 1) // 2
+    return (half, half), True
+
+
 def enumerate_feasible_filter(n_max):
     """Feasible tuples by generate and filter: every (n, k, lam) is tried
     and kept when the parameter identity gives an integer mu in 1..k and
-    the multiplicities are integral. Same rows and order as
-    `enumerate_feasible`."""
+    the multiplicities are integral (`adjacency_multiplicities`). Same rows
+    and order as `enumerate_feasible`."""
     from critgroup import FeasibleTuple, TwoEigenvalueParams, self_pairing_denominator
-    from critgroup.scan import _multiplicities
 
     out = []
     for n in range(5, n_max + 1):
@@ -702,11 +746,11 @@ def enumerate_feasible_filter(n_max):
                 mu = numerator // (n - k - 1)
                 if not 1 <= mu <= k:
                     continue
-                mult = _multiplicities(n, k, lam, mu)
+                mult = adjacency_multiplicities(n, k, lam, mu)
                 if mult is None:
                     continue
                 pair, conference = mult
-                params = TwoEigenvalueParams(n, "srg", k, k, mu, 2 * k - lam + mu, n * mu)
+                params = TwoEigenvalueParams(n, "srg", k, k, mu, 2 * k - lam + mu, n * mu, n * k // 2)
                 denominator = self_pairing_denominator(params)
                 out.append(FeasibleTuple(
                     params=params,

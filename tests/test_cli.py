@@ -168,15 +168,13 @@ def test_structure_goldens(capsys, tmp_path, monkeypatch):
         assert structure_record(*run(capsys, *argv)) == goldens[" ".join(argv)], argv
 
 
-def test_bench_digests_of_greedy_scan_spectrum_ops(capsys):
-    # the greedy orthogonal search, the parameter scan, analyze and the
-    # spectral-bound check reproduce the benchmark's recorded reports byte
-    # for byte
+def test_bench_digests_of_family_ops(capsys):
+    # every family op of the benchmark (group, analyze, pairing tables,
+    # orthogonal searches, the verdicts and the scan) reproduces its
+    # recorded report byte for byte
     digests = json.loads(BENCH_DIGESTS.read_text(encoding="utf-8"))
-    labels = [label for label in digests
-              if "--mode greedy" in label or "--check spectral-bound" in label
-              or label.startswith(("scan", "analyze"))]
-    assert len(labels) == 28
+    labels = list(digests)
+    assert len(labels) == 79
     for label in labels:
         code, out, _ = run(capsys, *label.split())
         assert code == 0, label
@@ -402,9 +400,11 @@ def test_internal_check_exit_code(capsys, monkeypatch):
     assert code == 3 and out == ""
     assert err == "error: internal check failed: stubbed identity failed\n"
     # a characteristic-polynomial modulus below the coefficient bound wraps
-    # the coefficients, and the one-point certificate fails the command
+    # the coefficients, and the one-point certificate fails the command;
+    # this graph has no two-eigenvalue record, so its spectrum needs
+    # char_poly, and its coefficients reach 83 bits
     monkeypatch.setattr(critgroup.linalg, "_mersenne_prime", lambda limit: 2 ** 61 - 1)
-    code, out, err = run(capsys, "analyze", "--family", "paley", "--params", "29")
+    code, out, err = run(capsys, "analyze", "--family", "signed_complete_unbalanced", "--params", "20")
     assert code == 3 and out == ""
     assert err.startswith("error: internal check failed: ")
     # a structural modulus that does not annihilate the group: theta1 theta2

@@ -8,6 +8,7 @@ import critgroup.groups
 from critgroup import (
     AbelianGroup,
     DisconnectedGraphError,
+    Graph,
     GraphError,
     InternalCheckError,
     StructureError,
@@ -26,6 +27,7 @@ from critgroup import (
     paley,
     petersen,
     signed_complete_unbalanced,
+    smith_diagonal,
     spanning_tree_count,
     star,
     subgroup_invariant_factors,
@@ -37,6 +39,7 @@ from critgroup.errors import replace
 from conftest import (
     applicable_edges,
     connected_atlas,
+    PALEY_ORDERS,
     decomposition,
     graph_join,
     grounded_inverse_oracle,
@@ -45,6 +48,7 @@ from conftest import (
     random_sum_zero_vector,
     signed_complete_all_negative,
     signed_corpus,
+    signed_corpus_switchings,
     smith_normal_form,
     smith_order,
     spanning_trees_deletion_contraction,
@@ -150,6 +154,86 @@ def test_critical_group_matches_smith_oracle():
             assert critical_group(gs) == group, gs
 
 
+def _record_bearing(graphs):
+    out = []
+    for g in graphs:
+        try:
+            if detect_two_eigenvalue(g) is not None:
+                out.append(g)
+        except StructureError:  # complete graphs
+            pass
+    return out
+
+
+def test_record_route_matches_smith_oracle():
+    # the group read off the two-eigenvalue record against the integer
+    # Smith normal form; balanced signed graphs (p = 0) are rejected
+    graphs = _record_bearing([
+        *connected_atlas(7), *(g for _, g in unsigned_two_eigenvalue_corpus()),
+        *(gs for _, gs in signed_corpus()), *signed_corpus_switchings(),
+        *(paley(q) for q in PALEY_ORDERS if q <= 61),
+        make_signed_graph(4, complete(4).sorted_edges(), [(1, 2), (1, 3), (1, 4)]),
+    ])
+    assert len(graphs) == 85
+    for g in graphs:
+        diag = smith_normal_form(laplacian(g)).diagonal
+        if diag.count(0) > isinstance(g, Graph):
+            with pytest.raises(StructureError, match="balanced signed graph"):
+                critical_group(g)
+        else:
+            assert critical_group(g) == AbelianGroup.from_diagonal(diag), g
+    # beyond q = 61 the transforms of the oracle grow slow; there the
+    # Smith diagonal of L0 modulo p^2 stands in for it: p annihilates the
+    # group, so every invariant factor divides p^2 and survives
+    for q in PALEY_ORDERS:
+        if q > 61:
+            g = paley(q)
+            p = detect_two_eigenvalue(g).eigenvalue_product
+            grounded = [row[:-1] for row in laplacian(g)[:-1]]
+            assert critical_group(g) == AbelianGroup.from_diagonal(smith_diagonal(grounded, p * p)), q
+
+
+def test_record_route_pins(monkeypatch):
+    # on a prime Paley graph every prime of p is good or has v = 1: the
+    # group and the spectrum come off the record alone; on Paley 9 only the
+    # bad prime 3, v_3(18) = 2, needs Smith, modulo 9 and for its rank
+    # modulo 3
+    groups, linalg = critgroup.groups, critgroup.linalg
+    calls = []
+    for module, name in ((groups, "unit_pivot_core"), (groups, "determinant"),
+                         (groups, "smith_diagonal"), (linalg, "char_poly")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _name=name, _real=real: calls.append(
+            (_name, *a[1:])) or _real(*a))
+    groups._certified_group.cache_clear()
+    g = paley(101)
+    assert critical_group(g).invariant_factors == (25,) + (2525,) * 49
+    roots, factor = critgroup.laplacian_spectrum(g)
+    assert roots == [(0, 1)] and factor.degree == 100
+    assert calls == []
+    assert critical_group(paley(9)).invariant_factors == (6, 6, 18, 18)
+    assert calls == [("smith_diagonal", 9), ("smith_diagonal", 3)]
+    monkeypatch.undo()
+    groups._certified_group.cache_clear()
+
+
+def test_record_recheck_rejects_records_of_other_graphs(monkeypatch):
+    # the multiplicities read n, the edge count and the case, so the
+    # re-check holds the record to them as well as to the identity
+    groups = critgroup.groups
+    for g in (petersen(), signed_corpus()[7][1]):
+        params = groups._two_eigenvalue_params(g)
+        case = "srg" if params.case.startswith("signed") else "signed_regular"
+        for wrong in (replace(params, n=g.n + 1), replace(params, edge_count=params.edge_count + 1),
+                      replace(params, case=case), replace(params, mu=params.mu + 1)):
+            monkeypatch.setattr(groups, "_two_eigenvalue_params", lambda _, w=wrong: w)
+            groups._certified_group.cache_clear()
+            with pytest.raises(InternalCheckError, match="fails L\\^2 - s L \\+ p I = c J"):
+                critical_group(g)
+            monkeypatch.undo()
+    groups._certified_group.cache_clear()
+
+
 def test_critical_group_certificate_catches_short_modulus(monkeypatch):
     # p annihilates the group; p / q for a prime q | p does not, and the
     # certificate must notice rather than return a smaller group
@@ -162,21 +246,22 @@ def test_critical_group_certificate_catches_short_modulus(monkeypatch):
         with pytest.raises(InternalCheckError):
             critical_group(g)
         monkeypatch.undo()
-    # a chain with the right product but the wrong 5-rank: (2, 2, 10, 50)
-    # for Petersen's (2, 10, 10, 10)
+    # a chain with the right product but the wrong 3-rank: Paley 9 has
+    # p = 18, where 3 divides s^2 - 4p with v_3(p) = 2, so Smith runs modulo
+    # 9; (9, 9, 9) in place of its 3-part (3, 3, 9, 9)
     real = groups.smith_diagonal
 
     def wrong_chain(m, modulus):
         diag = real(m, modulus)
-        return diag[:-3] + [2, 10, 50] if modulus == 10 else diag
+        return diag[:-4] + [1, 9, 9, 9] if modulus == 9 else diag
 
     monkeypatch.setattr(groups, "smith_diagonal", wrong_chain)
     groups._certified_group.cache_clear()
-    with pytest.raises(InternalCheckError, match="rank modulo 5"):
-        critical_group(petersen())
+    with pytest.raises(InternalCheckError, match="rank modulo 3"):
+        critical_group(paley(9))
     monkeypatch.undo()
     groups._certified_group.cache_clear()
-    assert critical_group(petersen()).invariant_factors == (2, 10, 10, 10)
+    assert critical_group(paley(9)).invariant_factors == (6, 6, 18, 18)
 
 
 def test_critical_group_requires_connected():
@@ -305,7 +390,8 @@ def test_grounded_inverse_rejects():
 
 def test_grounded_inverse_certificate_catches_wrong_structure_record(monkeypatch, capsys):
     # a wrong eigenvalue sum, or a doubled product that still annihilates
-    # the group, leaves critical_group right and must trip L0 X == E I
+    # the group, fails the record re-check of critical_group, and with the
+    # true group cached it must still trip L0 X == E I
     import critgroup.cli
 
     groups = critgroup.groups
@@ -316,12 +402,16 @@ def test_grounded_inverse_certificate_catches_wrong_structure_record(monkeypatch
 
     for g in (petersen(), paley(13), star(4), signed_corpus()[3][1], signed_corpus()[7][1]):
         params = groups._two_eigenvalue_params(g)
-        group = critical_group(g)
         for wrong in (replace(params, eigenvalue_sum=params.eigenvalue_sum + 1),
                       replace(params, eigenvalue_product=2 * params.eigenvalue_product)):
             monkeypatch.setattr(groups, "_two_eigenvalue_params", lambda _, w=wrong: w)
             clear()
-            assert critical_group(g) == group
+            with pytest.raises(InternalCheckError, match="fails L\\^2 - s L \\+ p I = c J"):
+                critical_group(g)
+            monkeypatch.undo()
+            critical_group(g)
+            monkeypatch.setattr(groups, "_two_eigenvalue_params", lambda _, w=wrong: w)
+            groups.grounded_inverse.cache_clear()
             with pytest.raises(InternalCheckError, match="E L0\\^-1 is not integral|L0 X == E I"):
                 grounded_inverse(g)
             monkeypatch.undo()

@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -29,6 +29,7 @@ from critgroup import (
     verify_spectral_bound,
 )
 from conftest import (
+    PALEY_ORDERS,
     connected_atlas,
     determinant_divisor_diagonal,
     distinct_nonzero_root_product,
@@ -42,6 +43,7 @@ from conftest import (
     random_int_matrix,
     rational_squarefree_part,
     signed_corpus,
+    signed_corpus_switchings,
     smith_normal_form,
     transpose,
     unsigned_two_eigenvalue_corpus,
@@ -385,6 +387,18 @@ def test_char_poly_paley_closed_form(q):
     assert char_poly(laplacian(paley(q))) == want
 
 
+def test_laplacian_spectrum_paley_closed_form():
+    # the spectrum read off the record: integer roots (q -+ sqrt(q))/2 when
+    # q is a square, else the factor (x^2 - q x + q (q - 1)/4)^((q - 1)/2)
+    for q in PALEY_ORDERS:
+        m, root = (q - 1) // 2, isqrt(q)
+        if root * root == q:
+            want = [(0, 1), ((q - root) // 2, m), ((q + root) // 2, m)], Polynomial.make([1])
+        else:
+            want = [(0, 1)], _power(Polynomial.make([q * (q - 1) // 4, -q, 1]), m)
+        assert laplacian_spectrum(paley(q)) == want, q
+
+
 def test_mersenne_exponents_table():
     # OEIS A000043 from 61 to 19937
     assert linalg.MERSENNE_EXPONENTS == (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
@@ -431,6 +445,7 @@ def test_laplacian_spectrum_matches_char_poly():
     rng = random.Random(4242)
     graphs = [complete(1), *connected_atlas(7)]
     graphs += [g for _, g in signed_corpus() + unsigned_two_eigenvalue_corpus()]
+    graphs += [*signed_corpus_switchings(), *(paley(q) for q in PALEY_ORDERS if q <= 61)]
     graphs += [random_connected_graph(rng, rng.randint(3, 14), rng.choice([0.3, 0.5, 0.7]))
                for _ in range(30)]
     for g in graphs:
