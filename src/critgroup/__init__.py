@@ -29,7 +29,6 @@ _MODULE_EXPORTS = {
         "AbelianGroup", "ExponentReport", "SpectralBoundReport", "critical_group",
         "edge_difference", "element_order", "grounded_inverse", "spanning_tree_count",
         "subgroup_invariant_factors", "verify_exponent_theorem", "verify_spectral_bound",
-        "vertex_indicator",
     ),
     "linalg": (
         "Polynomial", "adjugate", "char_poly", "determinant", "gershgorin_bound", "laplacian",

@@ -6,11 +6,13 @@ already finite and is taken whole. On a graph with a two-eigenvalue
 record, re-checked on the graph, the invariant factors are read off the
 record; only its bad primes need a Smith diagonal. Other graphs take a
 Smith diagonal modulo the spanning-tree count of the core left by
-unit-pivot elimination. Orders of cokernel classes come from X = E L0^-1:
-read off the Laplacian identity L^2 - s L + p I = c J when the graph has
-one, else from the grounded adjugate, and certified by L0 X = E I. With
-the identity, column j of p L0^-1 is the paper's order-achieving
-decomposition of e_j - e_n.
+unit-pivot elimination. Orders of cokernel classes come from X = E L0^-1,
+certified by L0 X = E I. With the Laplacian identity L^2 - s L + p I = c J
+of a record, p L0^-1 is one closed-form matrix whose column j is the
+paper's order-achieving decomposition of e_j - e_n; other graphs take the
+grounded adjugate. The rows of X, with a zero row for the grounded vertex,
+form the potential table (`_potential_rows`): the exponent verifier and the
+pairing table read an edge class e_u - e_v off it as X[u] - X[v].
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from itertools import count
 from math import gcd, isqrt, prod
+from operator import sub
 
 from .errors import GraphError, InternalCheckError, StructureError, _record
 from .graphs import (
@@ -104,26 +107,6 @@ def _laplacian_mul(rows, x) -> list[int]:
     ]
 
 
-def _scaled_potential(rows, s: int, target) -> list[int]:
-    """f = s t - L t, with L t the combination of the Laplacian columns at
-    the non-zero entries of t. When L^2 - s L + p I = c J and c J t = 0,
-    L f = (s L - L^2) t = p t: f is p times a potential of t. With s and p
-    the sum and product of the two distinct non-zero eigenvalues, f is the
-    paper's order-achieving decomposition of t. The test suite builds it
-    for every edge class, with the switching, the triangle normal form and
-    the closed-form pairing, in tests/conftest.py."""
-    out = [s * t for t in target]
-    for v, t in enumerate(target):
-        if t:
-            d, pos, neg = rows[v]
-            out[v] -= d * t
-            for w in pos:
-                out[w - 1] += t
-            for w in neg:
-                out[w - 1] -= t
-    return out
-
-
 def _two_eigenvalue_params(g: Graph | SignedGraph) -> TwoEigenvalueParams:
     """The two-eigenvalue parameters of g; StructureError when it has none."""
     params = detect_two_eigenvalue(g)
@@ -142,21 +125,20 @@ def grounded_inverse(g: Graph | SignedGraph) -> tuple[int, tuple[tuple[int, ...]
     (X is empty for one vertex) and the whole signed Laplacian, rejected
     when balanced, for a signed graph. With the identity
     L^2 - s L + p I = c J of a structure record, where p != 0 (p = 0 forces
-    L = s (I - J / n), the Laplacian of K_n, which has no record), column j
-    of p L0^-1 is f = s t - L t for t = e_j - e_n, shifted by f_n so that
-    the ground entry is zero and then dropped (t = e_j and no shift for a
-    signed graph, where c = 0: p L^-1 = s I - L). That f is the paper's
-    order-achieving decomposition of e_j - e_n. Otherwise
-    X = E adj(L0) / kappa. Either way each division must be exact, and the
-    certificate L0 X = E I is checked over the adjacency, else
-    InternalCheckError. Cached per graph.
+    L = s (I - J / n), the Laplacian of K_n, which has no record), p L0^-1
+    is one closed-form matrix: for i, j < n,
+    (p L0^-1)_ij = s [i = j] - L_ij + L_in + L_jn + s - d_n.
+    Its column j is f - f_n 1 for f = (s I - L)(e_j - e_n), the paper's
+    order-achieving decomposition of e_j - e_n. A signed graph has c = 0
+    and p L^-1 = s I - L. Otherwise X = E adj(L0) / kappa. Either way each
+    division must be exact, and the certificate L0 X = E I is checked over
+    the adjacency, else InternalCheckError. Cached per graph.
     """
     require_connected(g, "grounded_inverse")
     exponent = _certified_group(g).exponent  # StructureError when balanced
     if g.n == 1:
         return 1, ()
     signed = isinstance(g, SignedGraph)
-    rows = _laplacian_rows(g)
     size = g.n if signed else g.n - 1
     try:
         params = _two_eigenvalue_params(g)
@@ -165,30 +147,35 @@ def grounded_inverse(g: Graph | SignedGraph) -> tuple[int, tuple[tuple[int, ...]
     if params is None:
         divisor, columns = adjugate(_grounded_laplacian(g))
     else:
-        divisor, columns = params.eigenvalue_product, []
-        for j in range(size):
-            target = [0] * g.n
-            target[j] = 1
-            if not signed:
-                target[-1] = -1
-            f = _scaled_potential(rows, params.eigenvalue_sum, target)
-            if not signed:
-                ground = f.pop()
-                f = [x - ground for x in f]
-            columns.append(f)
-    inverse = []
+        s, divisor, lap, columns = params.eigenvalue_sum, params.eigenvalue_product, laplacian(g), []
+        ground = [0] * g.n if signed else lap[-1][:-1]  # L_in for the grounded vertex n
+        shift = 0 if signed else s - lap[-1][-1]  # s - d_n
+        for i, row in enumerate(lap[:size]):  # zip stops at the size of ground
+            column = [ground[i] + shift + a - x for a, x in zip(ground, row)]
+            column[i] += s
+            columns.append(column)
+    inverse, grounded_rows = [], _laplacian_rows(g)[:size]
     for j, column in enumerate(columns):
         scaled = [exponent * x for x in column]
         if any(x % divisor for x in scaled):
             raise InternalCheckError(f"E L0^-1 is not integral: {divisor} does not divide column {j + 1}")
-        inverse.append(tuple(x // divisor for x in scaled))
-    grounded_rows = rows[:size]
-    for j, column in enumerate(inverse):
+        column = tuple(x // divisor for x in scaled)
         image = _laplacian_mul(grounded_rows, column if signed else (*column, 0))
         image[j] -= exponent
         if any(image):
             raise InternalCheckError(f"grounded inverse identity L0 X == E I failed at column {j + 1}")
+        inverse.append(column)
     return exponent, tuple(inverse)
+
+
+def _potential_rows(g: Graph | SignedGraph) -> tuple[int, list[tuple[int, ...]]]:
+    """(E, rows) with rows[v - 1] = X e_v for X = E L0^-1, a zero row for
+    the grounded vertex of an unsigned graph: the class of e_u - e_v has
+    order E / gcd(E, rows[u - 1] - rows[v - 1])."""
+    exponent, inverse = grounded_inverse(g)
+    if isinstance(g, SignedGraph):
+        return exponent, list(inverse)
+    return exponent, [*inverse, (0,) * (g.n - 1)]
 
 
 def _grounded_image(inverse, vector) -> list[int]:
@@ -327,14 +314,17 @@ def edge_difference(g: Graph | SignedGraph, u: int, v: int) -> tuple[int, ...]:
     return tuple(vec)
 
 
-def vertex_indicator(g: Graph | SignedGraph, u: int) -> tuple[int, ...]:
-    """The vector e_u (meaningful for signed graphs, where the cokernel is
-    not restricted to sum-zero vectors)."""
-    if not 1 <= u <= g.n:
-        raise GraphError(f"vertex {u} out of range")
-    vec = [0] * g.n
-    vec[u - 1] = 1
-    return tuple(vec)
+def _class_vector(g: Graph | SignedGraph, vector, name: str = "vector") -> list[int]:
+    """`vector` as a list, once it has n integer coordinates, summing to
+    zero on an unsigned graph, where only those vectors have classes."""
+    vector = list(vector)
+    if len(vector) != g.n:
+        raise GraphError(f"{name} length {len(vector)} != n = {g.n}")
+    if any(type(x) is not int for x in vector):
+        raise GraphError(f"{name} coordinates must be integers")
+    if isinstance(g, Graph) and sum(vector) != 0:
+        raise GraphError(f"{name} must have zero coordinate sum")
+    return vector
 
 
 def element_order(g: Graph | SignedGraph, vector) -> int:
@@ -344,13 +334,7 @@ def element_order(g: Graph | SignedGraph, vector) -> int:
     integral, so the order is E / gcd(E, X d0). For an unsigned
     graph the grounded equation is the only one left once d sums to zero.
     """
-    vector = list(vector)
-    if len(vector) != g.n:
-        raise GraphError(f"vector length {len(vector)} != n = {g.n}")
-    if any(type(x) is not int for x in vector):
-        raise GraphError("vector coordinates must be integers")
-    if isinstance(g, Graph) and sum(vector) != 0:
-        raise GraphError("unsigned critical group classes need sum-zero vectors")
+    vector = _class_vector(g, vector)
     require_connected(g, "element_order")
     exponent, inverse = grounded_inverse(g)
     return exponent // gcd(exponent, *_grounded_image(inverse, vector))
@@ -393,14 +377,15 @@ def verify_exponent_theorem(g: Graph | SignedGraph) -> ExponentReport:
         if bound % 2:
             raise InternalCheckError("complete bipartite bound should be even")
         classification, expected = "exceptional_complete_bipartite", bound // 2
+    exponent, rows = _potential_rows(g)
     max_order, max_edge = 0, None
-    for u, v in g.sorted_edges():
-        order = element_order(g, edge_difference(g, u, v))
+    for u, v in g.sorted_edges():  # orders divide E, so the first edge of order E ends the scan
+        order = exponent // gcd(exponent, *map(sub, rows[u - 1], rows[v - 1]))
         if order > max_order:
             max_order, max_edge = order, (u, v)
-    # every order divides the exponent, so the first edge of largest order
-    # is the first edge achieving the exponent, if any does
-    achieved = ("edge_difference", max_edge) if max_order == group.exponent else None
+            if order == exponent:
+                break
+    achieved = ("edge_difference", max_edge) if max_order == exponent else None
     half_even = None
     if params.case == "signed_complete":
         # edge classes have order at most 2 here; the order bound for e_u
@@ -408,9 +393,7 @@ def verify_exponent_theorem(g: Graph | SignedGraph) -> ExponentReport:
         # to be integral
         half_even = bound % 2 == 0
         achieved = next(
-            (("vertex_class", (u,)) for u in g.vertices()
-             if element_order(g, vertex_indicator(g, u)) == group.exponent),
-            None,
+            (("vertex_class", (u,)) for u in g.vertices() if gcd(exponent, *rows[u - 1]) == 1), None
         )
     return ExponentReport(
         kind=params.case,

@@ -29,9 +29,10 @@ from .graphs import (
 )
 from .groups import (
     AbelianGroup,
+    _class_vector,
     _grounded_image,
+    _potential_rows,
     critical_group,
-    element_order,
     grounded_inverse,
 )
 
@@ -78,24 +79,15 @@ def monodromy_pairing(g: Graph, d, d2, m: int | None = None) -> PairingValue:
     """
     _require_unsigned(g, "the monodromy pairing")
     require_connected(g, "monodromy_pairing")
-    d = list(d)
-    d2 = list(d2)
-    for name, vec in (("first", d), ("second", d2)):
-        if len(vec) != g.n:
-            raise GraphError(f"{name} vector length {len(vec)} != n = {g.n}")
-        if any(type(x) is not int for x in vec):
-            raise GraphError(f"{name} vector coordinates must be integers")
-        if sum(vec) != 0:
-            raise GraphError(f"{name} vector must have zero coordinate sum")
+    d, d2 = _class_vector(g, d, "first vector"), _class_vector(g, d2, "second vector")
     exponent, inverse = grounded_inverse(g)
+    image = _grounded_image(inverse, d)
     if m is None:
         m = exponent
-    else:
-        if type(m) is not int or m <= 0:
-            raise GraphError(f"m must be a positive integer, got {m}")
-        if m % element_order(g, d):
-            raise GraphError(f"m = {m} does not annihilate the first class")
-    image = _grounded_image(inverse, d)
+    elif type(m) is not int or m <= 0:
+        raise GraphError(f"m must be a positive integer, got {m}")
+    elif m * gcd(exponent, *image) % exponent:  # [d] has order E / gcd(E, X d0)
+        raise GraphError(f"m = {m} does not annihilate the first class")
     if any(m * x % exponent for x in image):
         raise InternalCheckError("annihilated classes admit integer potentials")
     numerator = sum(x * y for x, y in zip(d2, image))
@@ -156,12 +148,12 @@ class OrthogonalSet:
 def _pairing_table(g: Graph) -> tuple[list[tuple[int, int]], int, list[list[int]]]:
     """(edges, E, table): the edges in lexicographic order, the group
     exponent E, and for each pair of edge indices the numerator a in
-    [0, E) of their pairing a / E. With X = E L0^-1, edge (u, v) has
-    w = X (e_u - e_v)0 = X[u] - X[v], and pairs with edge (x, y) to
-    (w_x - w_y) / E mod 1; the grounded vertex has a zero row and entry."""
+    [0, E) of their pairing a / E. Edge (u, v) has the potential
+    w = X[u] - X[v] over the rows of `groups._potential_rows`, and pairs
+    with edge (x, y) to (w_x - w_y) / E mod 1; the grounded vertex has
+    potential zero."""
     edges = g.sorted_edges()
-    exponent, inverse = grounded_inverse(g)
-    rows = [*inverse, (0,) * (g.n - 1)]
+    exponent, rows = _potential_rows(g)
     ends = [(x - 1, y - 1) for x, y in edges]
     table = []
     for u, v in edges:

@@ -17,16 +17,19 @@ from critgroup import (
     clebsch_complement,
     complete,
     complete_multipartite,
+    critical_group,
     cycle,
     determinant,
+    edge_difference,
     edge_key,
+    element_order,
     make_graph,
     make_signed_graph,
     paley,
     petersen,
     star,
 )
-from critgroup.groups import _laplacian_mul, _laplacian_rows, _scaled_potential, _two_eigenvalue_params
+from critgroup.groups import _laplacian_mul, _laplacian_rows, _two_eigenvalue_params
 from critgroup.pairing import _closed_form_params
 
 
@@ -549,6 +552,34 @@ def grounded_inverse_oracle(g):
     return exponent, tuple(tuple(exponent * a // kappa for a in row) for row in adj)
 
 
+def vertex_indicator(g, u):
+    """The vector e_u (meaningful for signed graphs, where the cokernel is
+    not restricted to sum-zero vectors)."""
+    if not 1 <= u <= g.n:
+        raise GraphError(f"vertex {u} out of range")
+    vec = [0] * g.n
+    vec[u - 1] = 1
+    return tuple(vec)
+
+
+def exponent_achievers_oracle(g):
+    """(max_edge_order, max_edge, achieving_element) as
+    `verify_exponent_theorem` reports them, from one `element_order` call
+    per class: every edge difference, and on a signed complete graph every
+    vertex class, the achiever being the first vertex of full order."""
+    exponent = critical_group(g).exponent
+    max_order, max_edge = 0, None
+    for u, v in g.sorted_edges():
+        order = element_order(g, edge_difference(g, u, v))
+        if order > max_order:
+            max_order, max_edge = order, (u, v)
+    achieved = ("edge_difference", max_edge) if max_order == exponent else None
+    if _two_eigenvalue_params(g).case == "signed_complete":
+        achieved = next((("vertex_class", (u,)) for u in g.vertices()
+                         if element_order(g, vertex_indicator(g, u)) == exponent), None)
+    return max_order, max_edge, achieved
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """The identity sum_x coefficients[x] L_x = order * target over the
@@ -564,6 +595,26 @@ class Decomposition:
     target: tuple
     switch_set: frozenset
     triangle_vertex: int | None = None
+
+
+def _scaled_potential(rows, s: int, target) -> list[int]:
+    """f = s t - L t, with L t the combination of the Laplacian columns at
+    the non-zero entries of t. When L^2 - s L + p I = c J and c J t = 0,
+    L f = (s L - L^2) t = p t: f is p times a potential of t. With s and p
+    the sum and product of the two distinct non-zero eigenvalues, f is the
+    paper's order-achieving decomposition of t, which `decomposition` builds
+    for every edge class; `groups.grounded_inverse` reads the same vectors,
+    for t = e_j - e_n, off its closed form of p L0^-1."""
+    out = [s * t for t in target]
+    for v, t in enumerate(target):
+        if t:
+            d, pos, neg = rows[v]
+            out[v] -= d * t
+            for w in pos:
+                out[w - 1] += t
+            for w in neg:
+                out[w - 1] -= t
+    return out
 
 
 def decomposition(g, edge) -> Decomposition:

@@ -12,7 +12,7 @@ import critgroup.cli as cli
 import critgroup.groups
 from critgroup import InternalCheckError, SignedGraph, format_graph, petersen
 from critgroup.errors import replace
-from conftest import signed_corpus, unsigned_two_eigenvalue_corpus
+from conftest import signed_complete_all_negative, signed_corpus, unsigned_two_eigenvalue_corpus
 
 # analyze stdout for the two-eigenvalue corpora, each graph read from
 # <name>.txt in the working directory, recorded before the unsigned and
@@ -185,7 +185,8 @@ def test_traced_runner_matches_the_cli(tmp_path, monkeypatch):
     # one op of each kind the benchmark runs gives the same exit code and
     # stdout through bench/traced_cli.py as through the CLI, and its span
     # file parses; the runner looks up every traced module right after
-    # `import critgroup.cli`, so this fails if cli stops loading one
+    # `import critgroup.cli`, so this fails if cli stops loading one. The
+    # all-negative K_5 runs the exponent verdict's vertex classes
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("traced_cli", TRACED_CLI)
     traced_cli = importlib.util.module_from_spec(spec)
@@ -195,7 +196,10 @@ def test_traced_runner_matches_the_cli(tmp_path, monkeypatch):
            ["verify", "--check", "exponent"], ["verify", "--check", "spectral-bound"]]
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1]),
            "PYTHONHASHSEED": "0"}
-    for i, argv in enumerate([[*op, "--family", "petersen"] for op in ops] + [["scan", "--nmax", "60"]]):
+    negk = tmp_path / "negk-5.txt"
+    negk.write_text(format_graph(signed_complete_all_negative(5)))
+    extra = [["verify", "--check", "exponent", "--input", str(negk)], ["scan", "--nmax", "60"]]
+    for i, argv in enumerate([[*op, "--family", "petersen"] for op in ops] + extra):
         spans = tmp_path / f"spans-{i}.json"
         plain = subprocess.run([sys.executable, "-m", "critgroup.cli", *argv], env=env,
                                capture_output=True, text=True)

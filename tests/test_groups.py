@@ -31,7 +31,6 @@ from critgroup import (
     spanning_tree_count,
     star,
     subgroup_invariant_factors,
-    vertex_indicator,
     verify_exponent_theorem,
     verify_spectral_bound,
 )
@@ -41,6 +40,7 @@ from conftest import (
     connected_atlas,
     PALEY_ORDERS,
     decomposition,
+    exponent_achievers_oracle,
     graph_join,
     grounded_inverse_oracle,
     mul_vec,
@@ -54,6 +54,7 @@ from conftest import (
     spanning_trees_deletion_contraction,
     switch,
     unsigned_two_eigenvalue_corpus,
+    vertex_indicator,
     witnesses,
 )
 
@@ -364,8 +365,8 @@ def test_grounded_inverse_matches_adjugate_oracle():
     graphs += [random_connected_graph(rng, rng.randint(8, 20), rng.choice([0.2, 0.5])) for _ in range(30)]
     graphs += [g for _, g in unsigned_two_eigenvalue_corpus()]
     graphs += [star(p) for p in range(1, 11)] + [complete_multipartite([m, m]) for m in range(1, 6)]
-    graphs += [complete(n) for n in range(1, 8)] + [paley(17), cycle(12)]
-    graphs += [g for _, g in signed_corpus()]
+    graphs += [complete(n) for n in range(1, 8)] + [paley(q) for q in (9, 17, 25, 49)] + [cycle(12)]
+    graphs += [g for _, g in signed_corpus()] + signed_corpus_switchings()
     graphs += [signed_complete_all_negative(n) for n in range(3, 16)]
     graphs += [signed_complete_unbalanced(n) for n in range(3, 9)]
     structured = 0
@@ -688,6 +689,40 @@ def test_exponent_theorem_signed_complete_achiever_is_vertex_class():
         assert report.achieving_element[0] == "vertex_class"
         if report.spectral_bound % 2 == 0:
             assert report.half_bound_even
+
+
+def test_exponent_verifier_matches_element_order_oracle():
+    # the verifier reads every edge class, and the vertex classes of a
+    # signed complete graph, off the potential rows; one element_order
+    # call per class is the reference
+    graphs = _record_bearing([
+        *connected_atlas(7), *(g for _, g in unsigned_two_eigenvalue_corpus()),
+        *(gs for _, gs in signed_corpus()), *signed_corpus_switchings(),
+        *(paley(q) for q in PALEY_ORDERS if q <= 61),
+    ])
+    assert len(graphs) == 84
+    for g in graphs:
+        report = verify_exponent_theorem(g)
+        got = (report.max_edge_order, report.max_edge, report.achieving_element)
+        assert got == exponent_achievers_oracle(g), g
+
+
+def test_potential_table_route_pins(monkeypatch):
+    # on paley 61 the verifier calls no element_order and builds no edge
+    # vector, and the record route of grounded_inverse no adjugate; cycle
+    # 12, without a record, shows that the adjugate would be seen
+    groups = critgroup.groups
+    calls = []
+    for name in ("element_order", "edge_difference", "adjugate"):
+        real = getattr(groups, name)
+        monkeypatch.setattr(groups, name, lambda *a, _name=name, _real=real: calls.append(_name) or _real(*a))
+    groups.grounded_inverse.cache_clear()
+    assert verify_exponent_theorem(paley(61)).max_edge_order == 61 * 15
+    assert calls == []
+    grounded_inverse(cycle(12))
+    assert calls == ["adjugate"]
+    monkeypatch.undo()
+    groups.grounded_inverse.cache_clear()
 
 
 def test_exponent_theorem_rejects_structureless():
