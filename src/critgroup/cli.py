@@ -31,7 +31,6 @@ from .graphs import (
 )
 from .groups import (
     critical_group,
-    edge_difference,
     spanning_tree_count,
     verify_exponent_theorem,
     verify_spectral_bound,
@@ -41,7 +40,6 @@ from .pairing import (
     PairingValue,
     _closed_form_params,
     _pairing_table,
-    monodromy_pairing,
     orthogonal_subset,
     verify_tail_heavy,
 )
@@ -245,11 +243,12 @@ def _cmd_pairing(args) -> tuple[dict, dict, int]:
     except StructureError:
         result["closed_form"] = False
     if args.edge1 is not None:
-        d1, d2 = (edge_difference(g, *edge_key(*e)) for e in (e1, e2))
-        value = str(monodromy_pairing(g, d1, d2))
+        exponent, table = _pairing_table(g, [edge_key(*e1), edge_key(*e2)])
+        value = str(PairingValue.of(table[0][1], exponent))
         result["pairs"] = [{"edge1": _jedge(e1), "edge2": _jedge(e2), "value": value}]
     else:
-        edges, exponent, table = _pairing_table(g)
+        edges = g.sorted_edges()
+        exponent, table = _pairing_table(g, edges)
         labels = [_jedge(e) for e in edges]
         values = {a: str(PairingValue.of(a, exponent)) for a in {x for row in table for x in row}}
         result["pairs"] = [

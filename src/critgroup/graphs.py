@@ -123,7 +123,7 @@ class SignedGraph:
 
     @cached_property
     def _quadratic(self) -> tuple[int, int, int] | None:
-        return _laplacian_quadratic(self, None, 0)
+        return _laplacian_quadratic(self)
 
 
 def make_graph(n: int, edges) -> Graph:
@@ -437,11 +437,10 @@ def format_graph(g: Graph | SignedGraph) -> str:
 # Structure detection
 
 
-def _laplacian_quadratic(g: Graph | SignedGraph, t: int | None = None, c: int | None = None
-                         ) -> tuple[int, int, int] | None:
+def _laplacian_quadratic(g: Graph | SignedGraph) -> tuple[int, int, int] | None:
     """(s, p, c) with L^2 - s L + p I = c J entrywise, L the (signed)
     Laplacian of the connected graph g, or None when no such identity holds
-    or g has no edge. A t = s - c or a c given is checked, not found.
+    or g has no edge.
 
     Off the diagonal, L^2 has ncn(u, v) - sign(u, v) (d_u + d_v), where ncn
     is the signed common-neighbour count; on it, d^2 + d. So the identity
@@ -450,13 +449,13 @@ def _laplacian_quadratic(g: Graph | SignedGraph, t: int | None = None, c: int | 
     s = t + c), and when every degree d gives the same p = c - d^2 - d + s d.
     The last follows from the first two on a connected graph: they make
     L^2 - s L - c J diagonal, and L commutes with it, so its diagonal is
-    constant along every edge. A signed graph needs c = 0. An unsigned
-    complete graph fits every c, so callers handle it first. One pass over
-    the vertex pairs, on adjacency bitmasks.
+    constant along every edge. A signed graph needs c = 0, fixed here. An
+    unsigned complete graph fits every c and gives None. One pass over the
+    vertex pairs, on adjacency bitmasks.
     """
     signed = isinstance(g, SignedGraph)
     base = g.graph if signed else g
-    n = g.n
+    n, t, c = g.n, None, 0 if signed else None
     adj, neg = [0] * (n + 1), [0] * (n + 1)
     for u, v in base.edges:
         adj[u] |= 1 << v
@@ -482,7 +481,7 @@ def _laplacian_quadratic(g: Graph | SignedGraph, t: int | None = None, c: int | 
                 c = ncn
             elif c != ncn:
                 return None
-    if t is None:
+    if t is None or c is None:
         return None
     s = t + c
     d = base.degree_values[0]

@@ -10,9 +10,10 @@ unit-pivot elimination. Orders of cokernel classes come from X = E L0^-1,
 certified by L0 X = E I. With the Laplacian identity L^2 - s L + p I = c J
 of a record, p L0^-1 is one closed-form matrix whose column j is the
 paper's order-achieving decomposition of e_j - e_n; other graphs take the
-grounded adjugate. The rows of X, with a zero row for the grounded vertex,
-form the potential table (`_potential_rows`): the exponent verifier and the
-pairing table read an edge class e_u - e_v off it as X[u] - X[v].
+grounded adjugate. `grounded_inverse` returns X bordered by a zero row and
+column for the grounded vertex of an unsigned graph, the potential table P
+indexed by vertices 1..n: the exponent verifier, element orders and the
+pairing read the class of e_u - e_v off it as P[u] - P[v].
 """
 
 from __future__ import annotations
@@ -107,23 +108,24 @@ def _laplacian_mul(rows, x) -> list[int]:
     ]
 
 
-def _two_eigenvalue_params(g: Graph | SignedGraph) -> TwoEigenvalueParams:
-    """The two-eigenvalue parameters of g; StructureError when it has none."""
-    params = detect_two_eigenvalue(g)
-    if params is None:
-        what = "signed graph" if isinstance(g, SignedGraph) else "graph"
-        raise StructureError(f"{what} lacks the two-eigenvalue structure")
-    return params
+def _two_eigenvalue_params(g: Graph | SignedGraph) -> TwoEigenvalueParams | None:
+    """The two-eigenvalue record of g, or None; None also for an unsigned
+    complete graph, whose one non-zero eigenvalue gives no record."""
+    if isinstance(g, Graph) and g.is_complete():
+        return None
+    return detect_two_eigenvalue(g)
 
 
 @lru_cache(maxsize=CACHED_GRAPHS)
 def grounded_inverse(g: Graph | SignedGraph) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(E, X) with E the exponent of the critical group and X = E L0^-1, an
-    integer symmetric matrix: E annihilates the cokernel of L0.
+    """(E, P) with E the exponent of the critical group, which annihilates
+    the cokernel of L0, and P the potential table: the integer symmetric
+    X = E L0^-1, bordered by a zero row and column for the grounded vertex
+    n of an unsigned graph, so that the class of d has potential P d / E.
 
     L0 is the Laplacian with the last vertex grounded for an unsigned graph
-    (X is empty for one vertex) and the whole signed Laplacian, rejected
-    when balanced, for a signed graph. With the identity
+    (one vertex gives P = ((0,),)) and the whole signed Laplacian, rejected
+    when balanced, for a signed graph, where P = X. With the identity
     L^2 - s L + p I = c J of a structure record, where p != 0 (p = 0 forces
     L = s (I - J / n), the Laplacian of K_n, which has no record), p L0^-1
     is one closed-form matrix: for i, j < n,
@@ -135,15 +137,12 @@ def grounded_inverse(g: Graph | SignedGraph) -> tuple[int, tuple[tuple[int, ...]
     the adjacency, else InternalCheckError. Cached per graph.
     """
     require_connected(g, "grounded_inverse")
-    exponent = _certified_group(g).exponent  # StructureError when balanced
+    exponent = critical_group(g).exponent  # StructureError when balanced
     if g.n == 1:
-        return 1, ()
+        return 1, ((0,),)
     signed = isinstance(g, SignedGraph)
-    size = g.n if signed else g.n - 1
-    try:
-        params = _two_eigenvalue_params(g)
-    except StructureError:
-        params = None
+    size, border = (g.n, ()) if signed else (g.n - 1, (0,))
+    params = _two_eigenvalue_params(g)
     if params is None:
         divisor, columns = adjugate(_grounded_laplacian(g))
     else:
@@ -154,42 +153,33 @@ def grounded_inverse(g: Graph | SignedGraph) -> tuple[int, tuple[tuple[int, ...]
             column = [ground[i] + shift + a - x for a, x in zip(ground, row)]
             column[i] += s
             columns.append(column)
-    inverse, grounded_rows = [], _laplacian_rows(g)[:size]
+    table, grounded_rows = [], _laplacian_rows(g)[:size]
     for j, column in enumerate(columns):
         scaled = [exponent * x for x in column]
         if any(x % divisor for x in scaled):
             raise InternalCheckError(f"E L0^-1 is not integral: {divisor} does not divide column {j + 1}")
-        column = tuple(x // divisor for x in scaled)
-        image = _laplacian_mul(grounded_rows, column if signed else (*column, 0))
+        column = (*(x // divisor for x in scaled), *border)
+        image = _laplacian_mul(grounded_rows, column)
         image[j] -= exponent
         if any(image):
             raise InternalCheckError(f"grounded inverse identity L0 X == E I failed at column {j + 1}")
-        inverse.append(column)
-    return exponent, tuple(inverse)
+        table.append(column)
+    return exponent, tuple(table) if signed else (*table, (0,) * g.n)
 
 
-def _potential_rows(g: Graph | SignedGraph) -> tuple[int, list[tuple[int, ...]]]:
-    """(E, rows) with rows[v - 1] = X e_v for X = E L0^-1, a zero row for
-    the grounded vertex of an unsigned graph: the class of e_u - e_v has
-    order E / gcd(E, rows[u - 1] - rows[v - 1])."""
-    exponent, inverse = grounded_inverse(g)
-    if isinstance(g, SignedGraph):
-        return exponent, list(inverse)
-    return exponent, [*inverse, (0,) * (g.n - 1)]
-
-
-def _grounded_image(inverse, vector) -> list[int]:
-    """X d0 for X from `grounded_inverse`, where d0 is `vector` without the
-    grounded coordinate: X is symmetric, so X d0 is the sum of d_j times
-    row j of X."""
-    image = [0] * len(inverse)
-    for x, row in zip(vector, inverse):
+def _grounded_image(table, vector) -> list[int]:
+    """P d for the table P of `grounded_inverse`: P is symmetric, so P d is
+    the sum of d_j times row j of P. The grounded coordinate of d meets a
+    zero row, and P d ends in a zero, on an unsigned graph."""
+    image = [0] * len(table)
+    for x, row in zip(vector, table):
         if x:
             for i, a in enumerate(row):
                 image[i] += x * a
     return image
 
 
+@lru_cache(maxsize=CACHED_GRAPHS)
 def critical_group(g: Graph | SignedGraph) -> AbelianGroup:
     """Invariant factors of the critical group: the cokernel of L0, the
     Laplacian grounded at the last vertex, or the whole signed Laplacian of
@@ -204,25 +194,7 @@ def critical_group(g: Graph | SignedGraph) -> AbelianGroup:
     kappa. Cached per graph.
     """
     require_connected(g, "critical_group")
-    return _certified_group(g)
-
-
-def spanning_tree_count(g: Graph | SignedGraph) -> int:
-    """Number of spanning trees of g, or of the underlying graph of a
-    signed graph: kappa = det L0, read off the cached `critical_group`
-    computation, whose certificate checks that the invariant factors
-    multiply to kappa."""
-    base = g.graph if isinstance(g, SignedGraph) else g
-    require_connected(base, "spanning_tree_count")
-    return _certified_group(base).order
-
-
-@lru_cache(maxsize=CACHED_GRAPHS)
-def _certified_group(g: Graph | SignedGraph) -> AbelianGroup:
-    try:
-        params = _two_eigenvalue_params(g)
-    except StructureError:
-        params = None
+    params = _two_eigenvalue_params(g)
     if params is not None:
         kappa, diag = _record_diagonal(g, params)
     else:
@@ -241,6 +213,16 @@ def _certified_group(g: Graph | SignedGraph) -> AbelianGroup:
     return AbelianGroup.from_diagonal(diag)
 
 
+def spanning_tree_count(g: Graph | SignedGraph) -> int:
+    """Number of spanning trees of g, or of the underlying graph of a
+    signed graph: kappa = det L0, read off the cached `critical_group`
+    computation, whose certificate checks that the invariant factors
+    multiply to kappa."""
+    base = g.graph if isinstance(g, SignedGraph) else g
+    require_connected(base, "spanning_tree_count")
+    return critical_group(base).order
+
+
 def _record_diagonal(g: Graph | SignedGraph, params: TwoEigenvalueParams) -> tuple[int, list[int]]:
     """kappa and the invariant factors read off a record that passes its
     re-check: kappa from the spectrum and, for each prime q | p with
@@ -257,7 +239,7 @@ def _record_diagonal(g: Graph | SignedGraph, params: TwoEigenvalueParams) -> tup
         raise StructureError("balanced signed graph: the Laplacian cokernel is infinite")
     c, edges = params.mu, (g.graph if signed else g).edges  # re-check the record, not by detection
     if ((params.n, params.edge_count, params.case.startswith("signed")) != (g.n, len(edges), signed)
-            or signed and c or _laplacian_quadratic(g, s - c, c) != (s, p, c)):
+            or signed and c or _laplacian_quadratic(g) != (s, p, c)):
         raise InternalCheckError(f"the structure record {params} fails L^2 - s L + p I = c J on the graph")
     if params.multiplicities is None:
         raise InternalCheckError(f"the structure record {params} has no integral multiplicities")
@@ -330,14 +312,15 @@ def _class_vector(g: Graph | SignedGraph, vector, name: str = "vector") -> list[
 def element_order(g: Graph | SignedGraph, vector) -> int:
     """Order of the class of `vector` in the critical group.
 
-    The smallest t with t * d0 in the lattice of L0 makes t * X d0 / E
-    integral, so the order is E / gcd(E, X d0). For an unsigned
-    graph the grounded equation is the only one left once d sums to zero.
+    The smallest t with t * d0 in the lattice of L0 makes t * P d / E
+    integral (`grounded_inverse`), so the order is E / gcd(E, P d). For an
+    unsigned graph the grounded equation is the only one left once d sums
+    to zero.
     """
     vector = _class_vector(g, vector)
     require_connected(g, "element_order")
-    exponent, inverse = grounded_inverse(g)
-    return exponent // gcd(exponent, *_grounded_image(inverse, vector))
+    exponent, table = grounded_inverse(g)
+    return exponent // gcd(exponent, *_grounded_image(table, vector))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +350,10 @@ def verify_exponent_theorem(g: Graph | SignedGraph) -> ExponentReport:
     distinct non-zero Laplacian eigenvalues, with the two unsigned
     exceptional families of `TwoEigenvalueParams.exceptional_family`
     expecting their adjusted values instead."""
-    params = _two_eigenvalue_params(g)
+    params = detect_two_eigenvalue(g)
+    if params is None:
+        what = "signed graph" if isinstance(g, SignedGraph) else "graph"
+        raise StructureError(f"{what} lacks the two-eigenvalue structure")
     group = critical_group(g)  # rejects balanced signed graphs
     bound = params.eigenvalue_product
     classification, expected = "match", bound
@@ -377,7 +363,7 @@ def verify_exponent_theorem(g: Graph | SignedGraph) -> ExponentReport:
         if bound % 2:
             raise InternalCheckError("complete bipartite bound should be even")
         classification, expected = "exceptional_complete_bipartite", bound // 2
-    exponent, rows = _potential_rows(g)
+    exponent, rows = grounded_inverse(g)
     max_order, max_edge = 0, None
     for u, v in g.sorted_edges():  # orders divide E, so the first edge of order E ends the scan
         order = exponent // gcd(exponent, *map(sub, rows[u - 1], rows[v - 1]))

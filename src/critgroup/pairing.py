@@ -1,16 +1,16 @@
 """Monodromy pairing on critical groups, orthogonal edge sets, and the
 tail-heavy subgroup verifier.
 
-The pairing of two classes [D], [D2] is D2.f mod 1 where L f = D; with the
-last vertex grounded, f0 = X D0 / E for X = E L0^-1 and E the group
-exponent (`groups.grounded_inverse`). It is well-defined, bilinear, and
-symmetric; a value is kept as a reduced residue a/m mod 1
-(`PairingValue.of`). The paper's closed form on the edge classes of a
-strongly regular graph, read off the order-achieving decomposition, is a
-test oracle (tests/conftest.py); `_closed_form_params` says where it holds.
-A set of edges whose classes e_u - e_v pairwise pair to zero forces a
-tail-heavy subgroup: one factor of the full spectral bound plus copies of
-the self-pairing denominator.
+The pairing of two classes [D], [D2] is D2.f mod 1 where L f = D; f =
+P D / E for the potential table P and the group exponent E of
+`groups.grounded_inverse`, and `_pairing_table` reads it off P for edge
+classes. It is well-defined, bilinear, and symmetric; a value is kept as
+a reduced residue a/m mod 1 (`PairingValue.of`). The paper's closed form
+on the edge classes of a strongly regular graph, read off the
+order-achieving decomposition, is a test oracle (tests/conftest.py);
+`_closed_form_params` says where it holds. A set of edges whose classes
+e_u - e_v pairwise pair to zero forces a tail-heavy subgroup: one factor
+of the full spectral bound plus copies of the self-pairing denominator.
 """
 
 from __future__ import annotations
@@ -19,19 +19,12 @@ from collections.abc import Iterable
 from math import gcd
 
 from .errors import GraphError, InternalCheckError, StructureError, _record
-from .graphs import (
-    Graph,
-    SignedGraph,
-    TwoEigenvalueParams,
-    detect_two_eigenvalue,
-    edge_key,
-    require_connected,
-)
+from .graphs import Graph, SignedGraph, TwoEigenvalueParams, edge_key, require_connected
 from .groups import (
     AbelianGroup,
     _class_vector,
     _grounded_image,
-    _potential_rows,
+    _two_eigenvalue_params,
     critical_group,
     grounded_inverse,
 )
@@ -70,23 +63,24 @@ def _require_unsigned(g, what: str) -> None:
 
 
 def monodromy_pairing(g: Graph, d, d2, m: int | None = None) -> PairingValue:
-    """Pairing of the classes of the sum-zero vectors d and d2: d2 . X d0
-    / E mod 1 for X = E L0^-1, E the group exponent.
+    """Pairing of the classes of the sum-zero vectors d and d2: d2 . P d
+    / E mod 1 for the potential table P of `groups.grounded_inverse`, E the
+    group exponent.
 
     m must be a positive multiple of the order of [d] and defaults to the
-    group exponent; it enters only the check that m * X d0 / E is an
+    group exponent; it enters only the check that m * P d / E is an
     integer potential, so every valid m gives the same value.
     """
     _require_unsigned(g, "the monodromy pairing")
     require_connected(g, "monodromy_pairing")
     d, d2 = _class_vector(g, d, "first vector"), _class_vector(g, d2, "second vector")
-    exponent, inverse = grounded_inverse(g)
-    image = _grounded_image(inverse, d)
+    exponent, table = grounded_inverse(g)
+    image = _grounded_image(table, d)
     if m is None:
         m = exponent
     elif type(m) is not int or m <= 0:
         raise GraphError(f"m must be a positive integer, got {m}")
-    elif m * gcd(exponent, *image) % exponent:  # [d] has order E / gcd(E, X d0)
+    elif m * gcd(exponent, *image) % exponent:  # [d] has order E / gcd(E, P d)
         raise GraphError(f"m = {m} does not annihilate the first class")
     if any(m * x % exponent for x in image):
         raise InternalCheckError("annihilated classes admit integer potentials")
@@ -99,7 +93,7 @@ def _closed_form_params(g: Graph) -> TwoEigenvalueParams:
     a graph that is not strongly regular, and the complete graphs and
     K_{m,m} that the closed form excludes."""
     _require_unsigned(g, "closed-form pairing")
-    params = None if g.is_complete() else detect_two_eigenvalue(g)
+    params = _two_eigenvalue_params(g)
     if g.n > 1 and g.is_complete() or params and params.exceptional_family == "complete_bipartite":
         raise StructureError(
             "closed-form pairing excludes complete and balanced complete bipartite graphs"
@@ -145,21 +139,19 @@ class OrthogonalSet:
         return len(self.edges)
 
 
-def _pairing_table(g: Graph) -> tuple[list[tuple[int, int]], int, list[list[int]]]:
-    """(edges, E, table): the edges in lexicographic order, the group
-    exponent E, and for each pair of edge indices the numerator a in
-    [0, E) of their pairing a / E. Edge (u, v) has the potential
-    w = X[u] - X[v] over the rows of `groups._potential_rows`, and pairs
-    with edge (x, y) to (w_x - w_y) / E mod 1; the grounded vertex has
-    potential zero."""
-    edges = g.sorted_edges()
-    exponent, rows = _potential_rows(g)
+def _pairing_table(g: Graph, edges: list[tuple[int, int]]) -> tuple[int, list[list[int]]]:
+    """(E, table): the group exponent E and, for each pair of the edges
+    given, each (u, v) with u < v standing for e_u - e_v, the numerator a
+    in [0, E) of their pairing a / E. Edge (u, v) has the potential
+    w = P[u] - P[v] over the potential table P of `groups.grounded_inverse`,
+    and pairs with edge (x, y) to (w_x - w_y) / E mod 1."""
+    exponent, rows = grounded_inverse(g)
     ends = [(x - 1, y - 1) for x, y in edges]
     table = []
-    for u, v in edges:
-        w = [a - b for a, b in zip(rows[u - 1], rows[v - 1])] + [0]
+    for u, v in ends:
+        w = [a - b for a, b in zip(rows[u], rows[v])]
         table.append([(w[x] - w[y]) % exponent for x, y in ends])
-    return edges, exponent, table
+    return exponent, table
 
 
 def _clique_matching_hints(g: Graph) -> list[list[int]]:
@@ -312,7 +304,8 @@ def orthogonal_subset(g: Graph, mode: str = "exact", structural_hints: bool = Tr
     require_connected(g, "orthogonal_subset")
     if mode not in ("exact", "greedy"):
         raise GraphError(f"mode must be exact or greedy, got {mode!r}")
-    edges, exponent, table = _pairing_table(g)
+    edges = g.sorted_edges()
+    exponent, table = _pairing_table(g, edges)
     count = len(edges)
     masks = []
     for i, row in enumerate(table):

@@ -537,17 +537,20 @@ def smith_order(snf, vector):
 
 def grounded_inverse_oracle(g):
     """(E, E adj(L0) / kappa), with E the largest entry of the Smith normal
-    form oracle of L0: the Laplacian grounded at the last vertex, or the
-    whole Laplacian of a signed graph."""
+    form oracle of L0: the Laplacian grounded at the last vertex, bordered
+    by a zero row and column for that vertex, or the whole Laplacian of a
+    signed graph."""
     from critgroup import adjugate, laplacian
 
-    lap = laplacian(g)
-    if not hasattr(g, "negative_edges"):
+    lap, signed = laplacian(g), isinstance(g, SignedGraph)
+    if not signed:
         if g.n == 1:
-            return 1, ()
+            return 1, ((0,),)
         lap = [row[:-1] for row in lap[:-1]]
     exponent = max(smith_normal_form(lap).diagonal)
     kappa, adj = adjugate(lap)
+    if not signed:
+        adj = [*(row + [0] for row in adj), [0] * g.n]
     assert all(exponent * a % kappa == 0 for row in adj for a in row)
     return exponent, tuple(tuple(exponent * a // kappa for a in row) for row in adj)
 
@@ -630,6 +633,8 @@ def decomposition(g, edge) -> Decomposition:
     if (a, b) not in base.edges:
         raise GraphError(f"({edge[0]},{edge[1]}) is not an edge")
     params = _two_eigenvalue_params(g)
+    if params is None:
+        raise StructureError("decomposition needs a two-eigenvalue record")
     if not params.regular:
         if base.degree(a) == base.degree(b):
             raise StructureError("decomposition needs an edge joining the two degree classes")
@@ -920,7 +925,8 @@ def greedy_orthogonal_retest(g, hints):
     over all edge indices."""
     from critgroup.pairing import _pairing_table
 
-    edges, _, table = _pairing_table(g)
+    edges = g.sorted_edges()
+    _, table = _pairing_table(g, edges)
 
     def orthogonal(i, j):
         return i != j and table[i][j] == 0

@@ -10,9 +10,24 @@ import sys
 
 import critgroup.cli as cli
 import critgroup.groups
-from critgroup import InternalCheckError, SignedGraph, format_graph, petersen
+import critgroup.pairing
+from critgroup import (
+    InternalCheckError,
+    SignedGraph,
+    cycle,
+    edge_difference,
+    format_graph,
+    monodromy_pairing,
+    paley,
+    petersen,
+)
 from critgroup.errors import replace
-from conftest import signed_complete_all_negative, signed_corpus, unsigned_two_eigenvalue_corpus
+from conftest import (
+    random_connected_graph,
+    signed_complete_all_negative,
+    signed_corpus,
+    unsigned_two_eigenvalue_corpus,
+)
 
 # analyze stdout for the two-eigenvalue corpora, each graph read from
 # <name>.txt in the working directory, recorded before the unsigned and
@@ -288,7 +303,7 @@ def test_pairing_requires_both_edges(capsys):
     assert "error" in err
 
 
-def test_pairing_edges_are_ascending_edges_of_the_graph(capsys):
+def test_pairing_edges_are_ascending_edges_of_the_graph(capsys, tmp_path):
     # cycle 6 is not strongly regular, so no closed form applies
     def ask(edge1, edge2):
         return run(capsys, "pairing", "--family", "cycle", "--params", "6",
@@ -315,6 +330,51 @@ def test_pairing_edges_are_ascending_edges_of_the_graph(capsys):
             code, out, err = ask(edge1, edge2)
             assert code == 2 and out == ""
             assert "is not an edge" in err
+    # every ordered edge pair: the single pair, the table entry and
+    # monodromy_pairing agree, on record graphs and on a random graph
+    # without a record, whose potential table comes from the adjugate
+    rng = random.Random(2525)
+    other = random_connected_graph(rng, 9, 0.4)
+    assert critgroup.groups._two_eigenvalue_params(other) is None
+    path = tmp_path / "random.txt"
+    path.write_text(format_graph(other))
+    for source, g in ((["--family", "petersen"], petersen()),
+                      (["--family", "paley", "--params", "13"], paley(13)),
+                      (["--family", "cycle", "--params", "7"], cycle(7)),
+                      (["--input", str(path)], other)):
+        _, table, _ = run_json(capsys, "pairing", *source)
+        values = {}
+        for pair in table["result"]["pairs"]:
+            e1, e2 = tuple(pair["edge1"]), tuple(pair["edge2"])
+            values[e1, e2] = values[e2, e1] = pair["value"]
+        for e1, e2 in itertools.product(g.sorted_edges(), repeat=2):
+            code, out, _ = run(capsys, "pairing", *source, "--edge1", "%d,%d" % e1, "--edge2", "%d,%d" % e2)
+            [pair] = json.loads(out)["result"]["pairs"]
+            direct = monodromy_pairing(g, edge_difference(g, *e1), edge_difference(g, *e2))
+            key = (tuple(map(str, e1)), tuple(map(str, e2)))
+            assert code == 0 and pair["value"] == values[key] == str(direct), (source, e1, e2)
+
+
+def test_single_pair_route_pin(capsys, monkeypatch):
+    # a single pair is read off a two-edge pairing table: no edge vector
+    # and no monodromy_pairing call on the way; calling both directly
+    # shows that the spies would see them
+    calls = []
+    for name, real in (("monodromy_pairing", critgroup.pairing.monodromy_pairing),
+                       ("edge_difference", critgroup.groups.edge_difference)):
+        spy = lambda *a, _name=name, _real=real: calls.append(_name) or _real(*a)
+        for module in (cli, critgroup.groups, critgroup.pairing):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, spy)
+    for source, edge1, edge2 in ((["--family", "petersen"], "1,8", "1,9"),
+                                 (["--family", "cycle", "--params", "7"], "1,2", "2,3")):
+        code, out, _ = run(capsys, "pairing", *source, "--edge1", edge1, "--edge2", edge2)
+        assert code == 0 and json.loads(out)["result"]["pairs"]
+    assert calls == []
+    g = petersen()
+    d = critgroup.groups.edge_difference(g, 1, 8)
+    critgroup.pairing.monodromy_pairing(g, d, d)
+    assert calls == ["edge_difference", "monodromy_pairing"]
 
 
 def test_pairing_edgeless_graph(capsys):
@@ -417,12 +477,12 @@ def test_internal_check_exit_code(capsys, monkeypatch):
     params = groups._two_eigenvalue_params(critgroup.petersen())
     short = replace(params, eigenvalue_product=params.eigenvalue_product // 5)
     monkeypatch.setattr(groups, "_two_eigenvalue_params", lambda g: short)
-    groups._certified_group.cache_clear()
+    groups.critical_group.cache_clear()
     code, out, err = run(capsys, "group", "--family", "petersen")
     assert code == 3 and out == ""
     assert err.startswith("error: internal check failed: ")
     monkeypatch.undo()
-    groups._certified_group.cache_clear()
+    groups.critical_group.cache_clear()
 
 
 def test_error_exit_codes(capsys, tmp_path, monkeypatch):

@@ -206,7 +206,7 @@ def test_record_route_pins(monkeypatch):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, _name=name, _real=real: calls.append(
             (_name, *a[1:])) or _real(*a))
-    groups._certified_group.cache_clear()
+    groups.critical_group.cache_clear()
     g = paley(101)
     assert critical_group(g).invariant_factors == (25,) + (2525,) * 49
     roots, factor = critgroup.laplacian_spectrum(g)
@@ -215,7 +215,7 @@ def test_record_route_pins(monkeypatch):
     assert critical_group(paley(9)).invariant_factors == (6, 6, 18, 18)
     assert calls == [("smith_diagonal", 9), ("smith_diagonal", 3)]
     monkeypatch.undo()
-    groups._certified_group.cache_clear()
+    groups.critical_group.cache_clear()
 
 
 def test_record_recheck_rejects_records_of_other_graphs(monkeypatch):
@@ -228,11 +228,11 @@ def test_record_recheck_rejects_records_of_other_graphs(monkeypatch):
         for wrong in (replace(params, n=g.n + 1), replace(params, edge_count=params.edge_count + 1),
                       replace(params, case=case), replace(params, mu=params.mu + 1)):
             monkeypatch.setattr(groups, "_two_eigenvalue_params", lambda _, w=wrong: w)
-            groups._certified_group.cache_clear()
+            groups.critical_group.cache_clear()
             with pytest.raises(InternalCheckError, match="fails L\\^2 - s L \\+ p I = c J"):
                 critical_group(g)
             monkeypatch.undo()
-    groups._certified_group.cache_clear()
+    groups.critical_group.cache_clear()
 
 
 def test_critical_group_certificate_catches_short_modulus(monkeypatch):
@@ -243,7 +243,7 @@ def test_critical_group_certificate_catches_short_modulus(monkeypatch):
         params = groups._two_eigenvalue_params(g)
         short = replace(params, eigenvalue_product=params.eigenvalue_product // q)
         monkeypatch.setattr(groups, "_two_eigenvalue_params", lambda _, s=short: s)
-        groups._certified_group.cache_clear()
+        groups.critical_group.cache_clear()
         with pytest.raises(InternalCheckError):
             critical_group(g)
         monkeypatch.undo()
@@ -257,11 +257,11 @@ def test_critical_group_certificate_catches_short_modulus(monkeypatch):
         return diag[:-4] + [1, 9, 9, 9] if modulus == 9 else diag
 
     monkeypatch.setattr(groups, "smith_diagonal", wrong_chain)
-    groups._certified_group.cache_clear()
+    groups.critical_group.cache_clear()
     with pytest.raises(InternalCheckError, match="rank modulo 3"):
         critical_group(paley(9))
     monkeypatch.undo()
-    groups._certified_group.cache_clear()
+    groups.critical_group.cache_clear()
     assert critical_group(paley(9)).invariant_factors == (6, 6, 18, 18)
 
 
@@ -398,7 +398,7 @@ def test_grounded_inverse_certificate_catches_wrong_structure_record(monkeypatch
     groups = critgroup.groups
 
     def clear():
-        groups._certified_group.cache_clear()
+        groups.critical_group.cache_clear()
         groups.grounded_inverse.cache_clear()
 
     for g in (petersen(), paley(13), star(4), signed_corpus()[3][1], signed_corpus()[7][1]):
