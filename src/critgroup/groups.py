@@ -9,8 +9,8 @@ Smith diagonal modulo the spanning-tree count of the core left by
 unit-pivot elimination. Orders of cokernel classes come from X = E L0^-1,
 certified by L0 X = E I. With the Laplacian identity L^2 - s L + p I = c J
 of a record, p L0^-1 is one closed-form matrix whose column j is the
-paper's order-achieving decomposition of e_j - e_n; other graphs take the
-grounded adjugate. `grounded_inverse` returns X bordered by a zero row and
+paper's order-achieving decomposition of e_j - e_n; other graphs take
+adj(L0) from `solve`. `grounded_inverse` returns X bordered by a zero row and
 column for the grounded vertex of an unsigned graph, the potential table P
 indexed by vertices 1..n: the exponent verifier, element orders and the
 pairing read the class of e_u - e_v off it as P[u] - P[v].
@@ -33,11 +33,11 @@ from .graphs import (
     require_connected,
 )
 from .linalg import (
-    adjugate,
     determinant,
     laplacian,
     laplacian_spectrum,
     smith_diagonal,
+    solve,
     squarefree_part,
     unit_pivot_core,
 )
@@ -132,9 +132,9 @@ def grounded_inverse(g: Graph | SignedGraph) -> tuple[int, tuple[tuple[int, ...]
     (p L0^-1)_ij = s [i = j] - L_ij + L_in + L_jn + s - d_n.
     Its column j is f - f_n 1 for f = (s I - L)(e_j - e_n), the paper's
     order-achieving decomposition of e_j - e_n. A signed graph has c = 0
-    and p L^-1 = s I - L. Otherwise X = E adj(L0) / kappa. Either way each
-    division must be exact, and the certificate L0 X = E I is checked over
-    the adjacency, else InternalCheckError. Cached per graph.
+    and p L^-1 = s I - L. Otherwise X = E adj(L0) / kappa from `solve`.
+    Either way each division must be exact, and the certificate L0 X = E I
+    is checked over the adjacency, else InternalCheckError. Cached per graph.
     """
     require_connected(g, "grounded_inverse")
     exponent = critical_group(g).exponent  # StructureError when balanced
@@ -144,7 +144,8 @@ def grounded_inverse(g: Graph | SignedGraph) -> tuple[int, tuple[tuple[int, ...]
     size, border = (g.n, ()) if signed else (g.n - 1, (0,))
     params = _two_eigenvalue_params(g)
     if params is None:
-        divisor, columns = adjugate(_grounded_laplacian(g))
+        identity = [[int(i == j) for i in range(size)] for j in range(size)]
+        divisor, columns = solve(_grounded_laplacian(g), identity)
     else:
         s, divisor, lap, columns = params.eigenvalue_sum, params.eigenvalue_product, laplacian(g), []
         ground = [0] * g.n if signed else lap[-1][:-1]  # L_in for the grounded vertex n

@@ -2,15 +2,17 @@
 
 Everything here is exact: arbitrary-precision integers and residues modulo
 an integer. A matrix is a list of integer rows, which no routine mutates.
-Smith diagonals come from exact elimination on +-1 pivots followed by
-elimination modulo a multiple of the exponent of the cokernel.
-Characteristic polynomials come from a Hessenberg reduction modulo a
-Mersenne prime larger than twice the coefficient bound, checked against an
-exact determinant at one point. The Laplacian spectrum that `analyze`
-prints and `verify spectral-bound` multiplies is read off a two-eigenvalue
-record, else is that polynomial with its integer roots divided out
-(`laplacian_spectrum`); square-free parts come from a gcd modulo a prime,
-certified by exact division over the integers (`squarefree_part`).
+Determinants and the integer solutions of m x = det(m) b come from one
+fraction-free elimination (`solve`). Smith diagonals come from exact
+elimination on +-1 pivots followed by elimination modulo a multiple of the
+exponent of the cokernel. Characteristic polynomials come from a Hessenberg
+reduction modulo a Mersenne prime larger than twice the coefficient bound,
+checked against a determinant at one point. The Laplacian spectrum that
+`analyze` prints and `verify spectral-bound` multiplies is read off a
+two-eigenvalue record, else is that polynomial with its integer roots
+divided out (`laplacian_spectrum`); square-free parts come from a gcd
+modulo a prime, certified by exact division over the integers
+(`squarefree_part`).
 No fractions and no floating point anywhere.
 """
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from math import gcd, isqrt
+from operator import mul
 
 from .errors import GraphError, InternalCheckError, _record
 from .graphs import Graph, SignedGraph, detect_two_eigenvalue
@@ -39,60 +42,55 @@ def laplacian(g: Graph | SignedGraph) -> list[list[int]]:
     return m
 
 
-def determinant(m) -> int:
-    """Fraction-free Bareiss elimination; exact for integer matrices."""
-    n = len(m)
-    if not m or any(len(row) != n for row in m):
-        raise GraphError("determinant of a non-square matrix")
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+def solve(m, columns=()) -> tuple[int, list[list[int]] | None]:
+    """(d, xs): d = det m and, for each right-hand side b in `columns`,
+    x = adj(m) b, so m x = d b; xs is None when d = 0.
 
-
-def adjugate(m) -> tuple[int, list[list[int]]]:
-    """Determinant and adjugate of a square matrix: m @ adj == det * I.
-
-    The Bareiss loop of `determinant` run over every row of [m | I]
-    (fraction-free Gauss-Jordan): the right block ends as adj(m). Step k
-    touches only columns k+1 .. n+k; the others hold a reduced column or an
-    untouched identity column, whose entry in row k is then the previous
-    pivot. Without row swaps every leading principal minor must be
-    non-zero, as for a positive definite matrix.
+    Bareiss elimination of [m | columns]: a zero pivot swaps in a lower row
+    and negates the row it displaces, which keeps det m. After step k every
+    entry is a minor of order k + 1, so each division is exact, and the
+    last pivot is d. A row with a zero in the pivot column would only be
+    rescaled, so it is skipped and keeps in base[i] the pivot it is
+    relative to, which its next update divides by. Back substitution,
+    x_i = (d b_i - sum_{j>i} a_ij x_j) / a_ii, must divide exactly, else
+    InternalCheckError.
     """
     n = len(m)
     if not m or any(len(row) != n for row in m):
-        raise GraphError("adjugate of a non-square matrix")
-    a = [list(row) + [0] * n for row in m]
-    prev = 1
+        raise GraphError("determinant of a non-square matrix")
+    if any(len(b) != n for b in columns):
+        raise GraphError(f"right-hand side of a solve without {n} entries")
+    a = [[*row, *(b[i] for b in columns)] for i, row in enumerate(m)]
+    base, d = [1] * n, 1  # d: the last pivot
     for k in range(n):
+        if not a[k][k]:
+            i = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if i is None:
+                return 0, None
+            a[k], a[i], base[k], base[i] = a[i], [-x for x in a[k]], base[i], base[k]
         pivot_row = a[k]
-        pivot = pivot_row[k]
-        if pivot == 0:
-            raise GraphError(f"leading principal minor of order {k + 1} is zero")
-        pivot_row[n + k] = prev
-        for i, row in enumerate(a):
-            if i != k:
-                f = row[k]
-                for j in range(k + 1, n + k + 1):
-                    row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
-        prev = pivot
-    return prev, [row[n:] for row in a]
+        if base[k] != d:
+            pivot_row[k:] = [x * d // base[k] for x in pivot_row[k:]]
+        pivot, tail = pivot_row[k], pivot_row[k + 1:]
+        for i, row in enumerate(a[k + 1:], k + 1):
+            f = row[k]
+            if f:
+                q, base[i] = base[i], pivot
+                row[k + 1:] = [(x * pivot - f * y) // q for x, y in zip(row[k + 1:], tail)]
+        d = pivot
+    xs = [[0] * n for _ in columns]
+    for i in range(n - 1, -1, -1):
+        row, upper = a[i], a[i][i + 1:n]
+        for x, b in zip(xs, row[n:]):
+            x[i], r = divmod(d * b - sum(map(mul, upper, x[i + 1:])), row[i])
+            if r:
+                raise InternalCheckError(f"back substitution is not exact in row {i + 1}")
+    return d, xs
+
+
+def determinant(m) -> int:
+    """det m: `solve` with no right-hand side."""
+    return solve(m)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,37 @@ def identity(n: int, scale: int = 1):
     return [[scale if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def adjugate(m) -> tuple[int, list[list[int]]]:
+    """Determinant and adjugate of a square matrix: m @ adj == det * I.
+
+    A Bareiss loop run over every row of [m | I] (fraction-free
+    Gauss-Jordan), apart from the package's `solve`: the right block ends
+    as adj(m). Step k
+    touches only columns k+1 .. n+k; the others hold a reduced column or an
+    untouched identity column, whose entry in row k is then the previous
+    pivot. Without row swaps every leading principal minor must be
+    non-zero, as for a positive definite matrix.
+    """
+    n = len(m)
+    if not m or any(len(row) != n for row in m):
+        raise GraphError("adjugate of a non-square matrix")
+    a = [list(row) + [0] * n for row in m]
+    prev = 1
+    for k in range(n):
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        if pivot == 0:
+            raise GraphError(f"leading principal minor of order {k + 1} is zero")
+        pivot_row[n + k] = prev
+        for i, row in enumerate(a):
+            if i != k:
+                f = row[k]
+                for j in range(k + 1, n + k + 1):
+                    row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
+        prev = pivot
+    return prev, [row[n:] for row in a]
+
+
 def is_zero_matrix(m) -> bool:
     return all(x == 0 for row in m for x in row)
 
@@ -173,6 +204,32 @@ def wheel_w4():
 
 def complete_split(clique, independent):
     return graph_join(complete(clique), empty_graph(independent))
+
+
+def _symplectic_graph(points):
+    """Distinct points of PG(d, 2), each one non-zero vector over GF(2),
+    adjacent when the symplectic form sum_i x_2i y_2i+1 + x_2i+1 y_2i
+    vanishes."""
+    def orthogonal(x, y):
+        return sum(a * y[k ^ 1] for k, a in enumerate(x)) % 2 == 0
+
+    pairs = itertools.combinations(range(len(points)), 2)
+    return make_graph(len(points), [(i + 1, j + 1) for i, j in pairs if orthogonal(points[i], points[j])])
+
+
+def symplectic_w2():
+    """W(2): the 15 points of PG(3, 2), x ~ y when
+    x0y1 - x1y0 + x2y3 - x3y2 = 0; strongly regular (15, 6, 1, 3)."""
+    return _symplectic_graph([v for v in itertools.product((0, 1), repeat=4) if any(v)])
+
+
+def generalized_quadrangle_2_4():
+    """GQ(2, 4): the 27 zeros of x0x1 + x2x3 + x4^2 + x4x5 + x5^2 in
+    PG(5, 2), adjacent when the polar form, the symplectic form, vanishes;
+    strongly regular (27, 10, 1, 5)."""
+    zeros = [v for v in itertools.product((0, 1), repeat=6)
+             if any(v) and (v[0] * v[1] + v[2] * v[3] + v[4] + v[4] * v[5] + v[5]) % 2 == 0]
+    return _symplectic_graph(zeros)
 
 
 def unsigned_two_eigenvalue_corpus():
@@ -535,12 +592,39 @@ def smith_order(snf, vector):
     return order
 
 
+def invariant_factors_of(orders):
+    """Invariant factors of the sum of Z/a over `orders`, ascending: the
+    i-th largest is the product over primes q of the i-th largest q-power
+    among the a."""
+    powers = {}
+    for a in orders:
+        q = 2
+        while a > 1:
+            if a % q == 0:
+                power = 1
+                while a % q == 0:
+                    a, power = a // q, power * q
+                powers.setdefault(q, []).append(power)
+            q += 1
+    factors = [1] * max(map(len, powers.values()), default=0)
+    for found in powers.values():
+        for i, power in enumerate(sorted(found, reverse=True)):
+            factors[i] *= power
+    return tuple(reversed(factors))
+
+
+def complete_bipartite_group(m, n):
+    """Critical group of K_{m,n} in closed form (Jacobson, Niedermaier and
+    Reiner, J. Graph Theory 44, 2003): (Z/m)^(n-2) + (Z/n)^(m-2) + Z/mn."""
+    return invariant_factors_of([m] * (n - 2) + [n] * (m - 2) + [m * n])
+
+
 def grounded_inverse_oracle(g):
     """(E, E adj(L0) / kappa), with E the largest entry of the Smith normal
     form oracle of L0: the Laplacian grounded at the last vertex, bordered
     by a zero row and column for that vertex, or the whole Laplacian of a
     signed graph."""
-    from critgroup import adjugate, laplacian
+    from critgroup import laplacian
 
     lap, signed = laplacian(g), isinstance(g, SignedGraph)
     if not signed:

@@ -332,7 +332,7 @@ def test_pairing_edges_are_ascending_edges_of_the_graph(capsys, tmp_path):
             assert "is not an edge" in err
     # every ordered edge pair: the single pair, the table entry and
     # monodromy_pairing agree, on record graphs and on a random graph
-    # without a record, whose potential table comes from the adjugate
+    # without a record, whose potential table comes from `solve`
     rng = random.Random(2525)
     other = random_connected_graph(rng, 9, 0.4)
     assert critgroup.groups._two_eigenvalue_params(other) is None

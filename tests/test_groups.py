@@ -37,6 +37,7 @@ from critgroup import (
 from critgroup.errors import replace
 from conftest import (
     applicable_edges,
+    complete_bipartite_group,
     connected_atlas,
     PALEY_ORDERS,
     decomposition,
@@ -192,6 +193,18 @@ def test_record_route_matches_smith_oracle():
             p = detect_two_eigenvalue(g).eigenvalue_product
             grounded = [row[:-1] for row in laplacian(g)[:-1]]
             assert critical_group(g) == AbelianGroup.from_diagonal(smith_diagonal(grounded, p * p)), q
+
+
+def test_complete_bipartite_groups_match_closed_form():
+    # K_{m,m} takes the record route, where s^2 - 4p = -4m^2: a prime of m
+    # divides p = 2m^2 at least twice and is bad, so a Smith diagonal runs;
+    # K_{m,n} with m != n has three non-zero eigenvalues, hence no record,
+    # and takes the kappa route through `determinant`
+    for m in range(2, 13):
+        for n in range(m, 13):
+            g = complete_multipartite([m, n])
+            assert (detect_two_eigenvalue(g) is not None) == (m == n)
+            assert critical_group(g).invariant_factors == complete_bipartite_group(m, n), (m, n)
 
 
 def test_record_route_pins(monkeypatch):
@@ -709,18 +722,22 @@ def test_exponent_verifier_matches_element_order_oracle():
 
 def test_potential_table_route_pins(monkeypatch):
     # on paley 61 the verifier calls no element_order and builds no edge
-    # vector, and the record route of grounded_inverse no adjugate; cycle
-    # 12, without a record, shows that the adjugate would be seen
+    # vector, and the record route of grounded_inverse no solve with
+    # right-hand sides; cycle 12, without a record, shows that such a solve
+    # would be seen: one, against the 11 columns of the identity
     groups = critgroup.groups
     calls = []
-    for name in ("element_order", "edge_difference", "adjugate"):
+    for name in ("element_order", "edge_difference"):
         real = getattr(groups, name)
         monkeypatch.setattr(groups, name, lambda *a, _name=name, _real=real: calls.append(_name) or _real(*a))
+    real_solve = groups.solve
+    monkeypatch.setattr(groups, "solve", lambda m, columns=(): calls.append(("solve", len(columns)))
+                        or real_solve(m, columns))
     groups.grounded_inverse.cache_clear()
     assert verify_exponent_theorem(paley(61)).max_edge_order == 61 * 15
     assert calls == []
     grounded_inverse(cycle(12))
-    assert calls == ["adjugate"]
+    assert calls == [("solve", 11)]
     monkeypatch.undo()
     groups.grounded_inverse.cache_clear()
 

@@ -9,7 +9,6 @@ from critgroup import (
     GraphError,
     InternalCheckError,
     Polynomial,
-    adjugate,
     char_poly,
     complete,
     cycle,
@@ -23,6 +22,7 @@ from critgroup import (
     petersen,
     signed_complete_unbalanced,
     smith_diagonal,
+    solve,
     squarefree_part,
     star,
     unit_pivot_core,
@@ -30,6 +30,7 @@ from critgroup import (
 )
 from conftest import (
     PALEY_ORDERS,
+    adjugate,
     connected_atlas,
     determinant_divisor_diagonal,
     distinct_nonzero_root_product,
@@ -61,7 +62,7 @@ def test_matrix_construction_and_ops():
     assert determinant(m) == -2
 
 
-SQUARE_ONLY = {"determinant": determinant, "adjugate": adjugate,
+SQUARE_ONLY = {"determinant": determinant, "solve": solve,
                "unit_pivot_core": unit_pivot_core, "char_poly": char_poly,
                "gershgorin_bound": gershgorin_bound}
 MATRIX_ROUTINES = {**SQUARE_ONLY, "smith_diagonal": lambda m: smith_diagonal(m, 12)}
@@ -105,17 +106,28 @@ def test_determinant_goldens():
         determinant([[1, 2, 3]])
 
 
-def test_determinant_matches_cofactor_expansion():
-    def cofactor_det(rows):
-        n = len(rows)
-        if n == 1:
-            return rows[0][0]
-        total = 0
-        for j in range(n):
-            minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-            total += (-1) ** j * rows[0][j] * cofactor_det(minor)
-        return total
+def cofactor_det(rows):
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    total = 0
+    for j in range(n):
+        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+        total += (-1) ** j * rows[0][j] * cofactor_det(minor)
+    return total
 
+
+def cofactor_adjugate(rows):
+    """adj(m)_ij = (-1)^(i+j) times the minor of m without row j and
+    column i."""
+    n = len(rows)
+    if n == 1:
+        return [[1]]
+    return [[(-1) ** (i + j) * cofactor_det([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j])
+             for j in range(n)] for i in range(n)]
+
+
+def test_determinant_matches_cofactor_expansion():
     rng = random.Random(42)
     for _ in range(50):
         n = rng.randint(1, 5)
@@ -199,6 +211,52 @@ def random_positive_definite(rng: random.Random, n: int) -> list[list[int]]:
     b = random_int_matrix(rng, n, n, bound=5)
     return [[sum(b[k][i] * b[k][j] for k in range(n)) + (i == j) for j in range(n)]
             for i in range(n)]
+
+
+def test_solve_matches_cofactor_expansion_and_adjugate_oracle():
+    # d = det m and m x = d b for each column b, with x = adj(m) b, on
+    # seeded square matrices whose small entries often leave a zero pivot
+    # (a row swap) or make m singular (xs is None)
+    rng = random.Random(2026)
+    swaps = singular = 0
+    for _ in range(300):
+        n, bound = rng.randint(1, 6), rng.choice([1, 2, 9])
+        m = random_int_matrix(rng, n, n, bound=bound)
+        columns = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+        d, xs = solve(m, columns)
+        assert d == cofactor_det(m) == determinant(m)
+        swaps += n > 1 and m[0][0] == 0
+        if not d:
+            singular += 1
+            assert xs is None
+            continue
+        adj = cofactor_adjugate(m)
+        assert xs == [mul_vec(adj, b) for b in columns]
+        assert all(mul_vec(m, x) == [d * y for y in b] for x, b in zip(xs, columns))
+    assert swaps >= 30 and singular >= 30
+    # positive definite matrices against the Gauss-Jordan oracle
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        m = random_positive_definite(rng, n)
+        det, adj = adjugate(m)
+        assert solve(m, identity(n)) == (det, transpose(adj))
+    assert solve([[0, 1], [1, 0]], [[1, 0], [2, 3]]) == (-1, [[0, -1], [-3, -2]])
+    assert solve([[3]], [[2], [-5]]) == (3, [[2], [-5]])
+    assert solve([[1, 2], [2, 4]], [[1, 0]]) == (0, None)
+    assert solve(laplacian(complete(3)), identity(3)) == (0, None)
+    assert solve([[2, 1], [1, 2]]) == (3, [])
+
+
+def test_solve_rejects(monkeypatch):
+    for m, columns in (([[1, 2, 3]], ()), ([], ()), ([[1, 0], [0, 1]], [[1, 2, 3]]), ([[1]], [[1], []])):
+        with pytest.raises(GraphError):
+            solve(m, columns)
+    # every back-substitution division is checked: one with an injected
+    # remainder raises, and the determinant alone divides nothing there
+    monkeypatch.setattr(linalg, "divmod", lambda a, b: (a // b, 1), raising=False)
+    with pytest.raises(InternalCheckError):
+        solve([[2, 1], [1, 2]], [[1, 0]])
+    assert determinant([[2, 1], [1, 2]]) == 3
 
 
 def test_adjugate_matches_determinant_and_identity():

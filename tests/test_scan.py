@@ -10,9 +10,11 @@ from critgroup import (
     petersen,
     scan_tight_denominators,
     self_pairing_denominator,
+    verify_exponent_theorem,
+    verify_tail_heavy,
 )
 from critgroup.graphs import MAX_VERTICES
-from conftest import complement, enumerate_feasible_filter
+from conftest import complement, enumerate_feasible_filter, generalized_quadrangle_2_4, symplectic_w2
 
 
 def tuples(rows):
@@ -108,6 +110,22 @@ def test_scan_tight_34():
     assert not flags[(5, 2, 0, 1)]
     assert flags[(15, 6, 1, 3)]
     assert flags[(27, 10, 1, 5)]
+
+
+def test_flagged_tight_tuples_are_realized():
+    # scan flags (15,6,1,3) and (27,10,1,5) for review, yet W(2) and GQ(2,4)
+    # realize them: the self-pairing denominator equals the bound p, the
+    # exponent is p, and greedy orthogonal edges force a tail of full
+    # factors p
+    for g, params, p, r in ((symplectic_w2(), (15, 6, 1, 3), 45, 3),
+                            (generalized_quadrangle_2_4(), (27, 10, 1, 5), 135, 5)):
+        record = detect_two_eigenvalue(g)
+        assert (record.n, record.k1, record.lam, record.mu) == params
+        assert self_pairing_denominator(record) == record.eigenvalue_product == p
+        report = verify_exponent_theorem(g)
+        assert report.matched and report.exponent == p
+        tail = verify_tail_heavy(g, mode="greedy")
+        assert tail.passed and tail.strong_pattern and tail.size == r
 
 
 def test_scan_tight_100_unflagged_exactly_known():
