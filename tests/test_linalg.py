@@ -62,7 +62,7 @@ def test_matrix_construction_and_ops():
     assert determinant(m) == -2
 
 
-SQUARE_ONLY = {"determinant": determinant, "solve": solve,
+SQUARE_ONLY = {"determinant": determinant, "adjugate": adjugate, "solve": solve,
                "unit_pivot_core": unit_pivot_core, "char_poly": char_poly,
                "gershgorin_bound": gershgorin_bound}
 MATRIX_ROUTINES = {**SQUARE_ONLY, "smith_diagonal": lambda m: smith_diagonal(m, 12)}
