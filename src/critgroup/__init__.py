@@ -31,8 +31,8 @@ _MODULE_EXPORTS = {
         "subgroup_invariant_factors", "verify_exponent_theorem", "verify_spectral_bound",
     ),
     "linalg": (
-        "Polynomial", "char_poly", "determinant", "gershgorin_bound", "laplacian",
-        "laplacian_spectrum", "smith_diagonal", "solve", "squarefree_part", "unit_pivot_core",
+        "char_poly", "determinant", "gershgorin_bound", "laplacian", "laplacian_spectrum",
+        "smith_diagonal", "solve", "squarefree_part", "unit_pivot_core",
     ),
     "pairing": (
         "OrthogonalSet", "PairingValue", "TailHeavyReport", "check_subgroup_divisibility",

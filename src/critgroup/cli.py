@@ -169,8 +169,8 @@ def _spectrum_block(g: Graph | SignedGraph) -> dict:
             {"value": _jint(r), "multiplicity": _jint(m)} for r, m in roots
         ]
     }
-    if factor.degree > 0:
-        block["irrational_factor_coefficients"] = [_jint(c) for c in factor.coeffs]
+    if len(factor) > 1:
+        block["irrational_factor_coefficients"] = [_jint(c) for c in factor]
     return block
 
 
@@ -212,7 +212,7 @@ def _cmd_analyze(args) -> tuple[dict, dict, int]:
     }
     try:
         result["group"] = _group_block(g)
-    except (GraphError, StructureError) as exc:
+    except GraphError as exc:
         result["group"] = None
         result["group_note"] = str(exc)
     return result, descriptor, 0

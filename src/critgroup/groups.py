@@ -28,7 +28,6 @@ from .graphs import (
     Graph,
     SignedGraph,
     TwoEigenvalueParams,
-    _laplacian_quadratic,
     detect_two_eigenvalue,
     require_connected,
 )
@@ -238,9 +237,9 @@ def _record_diagonal(g: Graph | SignedGraph, params: TwoEigenvalueParams) -> tup
     s, p = params.eigenvalue_sum, params.eigenvalue_product
     if signed and not p:  # L^2 = s L: 0 is an eigenvalue
         raise StructureError("balanced signed graph: the Laplacian cokernel is infinite")
-    c, edges = params.mu, (g.graph if signed else g).edges  # re-check the record, not by detection
+    c, edges = params.mu, (g.graph if signed else g).edges  # re-check on g's detected identity
     if ((params.n, params.edge_count, params.case.startswith("signed")) != (g.n, len(edges), signed)
-            or signed and c or _laplacian_quadratic(g) != (s, p, c)):
+            or signed and c or g._quadratic != (s, p, c)):
         raise InternalCheckError(f"the structure record {params} fails L^2 - s L + p I = c J on the graph")
     if params.multiplicities is None:
         raise InternalCheckError(f"the structure record {params} has no integral multiplicities")
@@ -416,14 +415,14 @@ def verify_spectral_bound(g: Graph | SignedGraph) -> SpectralBoundReport:
     vertex has none: the empty product is 1."""
     group = critical_group(g)
     roots, factor = laplacian_spectrum(g)
-    if factor.leading() != 1:
-        raise InternalCheckError(f"the factor {factor.coeffs} of the characteristic polynomial is not monic")
+    if factor[-1] != 1:
+        raise InternalCheckError(f"the factor {factor} of the characteristic polynomial is not monic")
     q = squarefree_part(factor)
-    product = prod(r for r, _ in roots if r) * (-1) ** q.degree * q.coeffs[0]
+    product = prod(r for r, _ in roots if r) * (-1) ** (len(q) - 1) * q[0]
     if product <= 0:
         raise InternalCheckError(
             f"distinct eigenvalue product {product} should be positive, "
-            f"from the square-free factor {q.coeffs}"
+            f"from the square-free factor {q}"
         )
     return SpectralBoundReport(group.exponent, product, product % group.exponent == 0)
 

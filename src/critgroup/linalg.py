@@ -1,7 +1,8 @@
 """Exact integer linear algebra.
 
 Everything here is exact: arbitrary-precision integers and residues modulo
-an integer. A matrix is a list of integer rows, which no routine mutates.
+an integer. A matrix is a list of integer rows, which no routine mutates;
+a polynomial is a tuple of its int coefficients, low to high.
 Determinants and the integer solutions of m x = det(m) b come from one
 fraction-free elimination (`solve`). Smith diagonals come from exact
 elimination on +-1 pivots followed by elimination modulo a multiple of the
@@ -22,7 +23,7 @@ from collections import Counter
 from math import gcd, isqrt
 from operator import mul
 
-from .errors import GraphError, InternalCheckError, _record
+from .errors import GraphError, InternalCheckError
 from .graphs import Graph, SignedGraph, detect_two_eigenvalue
 
 
@@ -206,42 +207,7 @@ def _clear_column(a: list[list[int]], modulus: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials (coefficients low to high)
-
-
-@_record
-class Polynomial:
-    """Dense univariate polynomial with integer coefficients."""
-
-    coeffs: tuple
-
-    @classmethod
-    def make(cls, coeffs) -> Polynomial:
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        return cls(tuple(coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # zero polynomial: -1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def leading(self):
-        if self.is_zero():
-            raise GraphError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def evaluate(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> Polynomial:
-        return Polynomial.make(i * c for i, c in enumerate(self.coeffs) if i)
+# Characteristic polynomials and square-free parts, on coefficient tuples
 
 
 # Exponents p of the Mersenne primes 2^p - 1 that char_poly and
@@ -294,10 +260,11 @@ def _divide_monic(a, b) -> list[int] | None:
     return None if any(rem[:m]) else quotient
 
 
-def squarefree_part(p: Polynomial) -> Polynomial:
-    """p / gcd(p, p'): the monic integer polynomial p with every repeated
-    root collapsed to multiplicity one. Anything but a monic integer
-    polynomial is a GraphError.
+def squarefree_part(p) -> tuple[int, ...]:
+    """p / gcd(p, p'): the monic integer polynomial p, a sequence of int
+    coefficients low to high, with every repeated root collapsed to
+    multiplicity one, as a tuple. Anything but a monic integer polynomial
+    is a GraphError.
 
     gcd(p, p') is monic over Z by Gauss's lemma, so it divides the gcd of
     the residues modulo every prime. If that gcd is constant modulo
@@ -311,15 +278,15 @@ def squarefree_part(p: Polynomial) -> Polynomial:
     Laplacian characteristic polynomial up to graphs.MAX_VERTICES, so the
     table running out is an InternalCheckError.
     """
-    coeffs = p.coeffs
+    coeffs = tuple(p)
     if not coeffs or any(type(c) is not int for c in coeffs) or coeffs[-1] != 1:
         raise GraphError("square-free part of a polynomial that is not monic over the integers")
-    derivative = p.derivative().coeffs
+    derivative = [i * c for i, c in enumerate(coeffs) if i]
     first = 2**MERSENNE_EXPONENTS[0] - 1
     first_gcd = _gcd_modulo(coeffs, derivative, first)
     if len(first_gcd) == 1:
-        return p
-    bound = 2**p.degree * (isqrt(sum(c * c for c in coeffs) - 1) + 1)
+        return coeffs
+    bound = 2**(len(coeffs) - 1) * (isqrt(sum(c * c for c in coeffs) - 1) + 1)
     for e in MERSENNE_EXPONENTS:
         prime = 2**e - 1
         if prime <= 2 * bound:
@@ -328,8 +295,8 @@ def squarefree_part(p: Polynomial) -> Polynomial:
         gcd_p = [c - prime if c > prime // 2 else c for c in residues]
         quotient = _divide_monic(coeffs, gcd_p)
         if quotient is not None and _divide_monic(derivative, gcd_p) is not None:
-            return Polynomial(tuple(quotient))
-    raise InternalCheckError(f"no table prime lifts gcd(p, p') to a common divisor, deg p = {p.degree}")
+            return tuple(quotient)
+    raise InternalCheckError(f"no table prime lifts gcd(p, p') to a common divisor, deg p = {len(coeffs) - 1}")
 
 
 def _hessenberg_char_poly(rows, prime: int) -> list[int]:
@@ -390,15 +357,21 @@ def _hessenberg_char_poly(rows, prime: int) -> list[int]:
     return polys[n]
 
 
-def char_poly(m) -> Polynomial:
-    """Characteristic polynomial det(xI - m), monic with integer
-    coefficients, by Hessenberg reduction modulo one prime.
+def char_poly(m) -> tuple[int, ...]:
+    """det(xI - m) as its n + 1 int coefficients, low to high, the last 1.
+    `laplacian_spectrum` calls `_char_poly` directly: bench/traced_cli.py
+    wraps this name and reads a `.coeffs` attribute off the result."""
+    return _char_poly(m)
+
+
+def _char_poly(m) -> tuple[int, ...]:
+    """`char_poly`, by Hessenberg reduction modulo one prime.
 
     With g = gershgorin_bound(m), every eigenvalue has |lambda| <= g, so the
     coefficients are at most (1 + g)^n in absolute value and one Mersenne
     prime P > 2 (1 + g)^n determines them as symmetric residues. The result
-    is checked: monic of degree n, the x^(n-1) coefficient is -trace(m), and
-    p(g + 1) equals det((g + 1) I - m) computed exactly.
+    is checked: monic, the x^(n-1) coefficient is -trace(m), and p(g + 1)
+    equals det((g + 1) I - m) computed exactly.
     """
     n = len(m)
     if not m or any(len(row) != n for row in m):
@@ -406,15 +379,16 @@ def char_poly(m) -> Polynomial:
     g = gershgorin_bound(m)
     prime = _mersenne_prime(2 * (1 + g) ** n)
     half = prime // 2
-    coeffs = [c - prime if c > half else c for c in _hessenberg_char_poly(m, prime)]
-    poly = Polynomial.make(coeffs)
-    if poly.degree != n or poly.leading() != 1 or coeffs[n - 1] != -sum(row[i] for i, row in enumerate(m)):
+    coeffs = tuple(c - prime if c > half else c for c in _hessenberg_char_poly(m, prime))
+    if coeffs[n] != 1 or coeffs[n - 1] != -sum(row[i] for i, row in enumerate(m)):
         raise InternalCheckError("characteristic polynomial is not monic with the trace coefficient")
-    x0 = g + 1
+    x0, value = g + 1, 0
+    for c in reversed(coeffs):  # Horner: value = p(x0)
+        value = value * x0 + c
     shifted = [[(x0 if i == j else 0) - x for j, x in enumerate(row)] for i, row in enumerate(m)]
-    if poly.evaluate(x0) != determinant(shifted):
+    if value != determinant(shifted):
         raise InternalCheckError(f"characteristic polynomial disagrees with det(xI - m) at x = {x0}")
-    return poly
+    return coeffs
 
 
 def gershgorin_bound(m) -> int:
@@ -426,10 +400,11 @@ def gershgorin_bound(m) -> int:
     return max(sum(abs(x) for x in row) for row in m)
 
 
-def laplacian_spectrum(g: Graph | SignedGraph) -> tuple[list[tuple[int, int]], Polynomial]:
-    """The integer eigenvalues of the (signed) Laplacian of g with their
-    multiplicities, ascending, and the monic integer factor of its
-    characteristic polynomial that carries the other eigenvalues.
+def laplacian_spectrum(g: Graph | SignedGraph) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
+    """(roots, factor): the integer eigenvalues of the (signed) Laplacian of
+    g with their multiplicities, ascending, and the monic integer factor of
+    its characteristic polynomial that carries the other eigenvalues, as
+    coefficients low to high; (1,) when there is none.
 
     With a two-eigenvalue record (`detect_two_eigenvalue`) they are read
     off it: 0 once when unsigned, then theta1 < theta2 with the record's
@@ -437,7 +412,7 @@ def laplacian_spectrum(g: Graph | SignedGraph) -> tuple[list[tuple[int, int]], P
     (x^2 - s x + p)^m. Otherwise a (signed) Laplacian is positive
     semidefinite, so every eigenvalue lies in [0, gershgorin_bound]. Each
     integer r there, 0 included, is divided out of the monic `char_poly`
-    by synthetic division by x - r for as long as the remainder is zero.
+    (`_divide_monic` by x - r) for as long as the remainder is zero.
     The factor left has no integer root, hence no rational one.
     """
     try:
@@ -450,25 +425,17 @@ def laplacian_spectrum(g: Graph | SignedGraph) -> tuple[list[tuple[int, int]], P
         (m1, m2), conference = params.multiplicities
         roots = [] if params.case.startswith("signed") else [(0, 1)]
         if not conference:
-            return roots + list(zip(params.roots, (m1, m2))), Polynomial((1,))
+            return roots + list(zip(params.roots, (m1, m2))), (1,)
         s, p, coeffs = params.eigenvalue_sum, params.eigenvalue_product, [1]
         for _ in range(m1):  # times x^2 - s x + p
             coeffs = [p * a - s * b + c for a, b, c in zip(coeffs + [0, 0], [0, *coeffs, 0], [0, 0, *coeffs])]
-        return roots, Polynomial(tuple(coeffs))
+        return roots, tuple(coeffs)
     lap = laplacian(g)
-    coeffs = list(char_poly(lap).coeffs)
-    roots = []
+    coeffs, roots = _char_poly(lap), []
     for r in range(gershgorin_bound(lap) + 1):
         multiplicity = 0
-        while len(coeffs) > 1:
-            acc, quotient = 0, []
-            for c in reversed(coeffs):  # Horner: quotient high to low, then p(r)
-                acc = acc * r + c
-                quotient.append(acc)
-            if quotient.pop():
-                break
-            coeffs = quotient[::-1]
-            multiplicity += 1
+        while (quotient := _divide_monic(coeffs, (-r, 1))) is not None:
+            coeffs, multiplicity = quotient, multiplicity + 1
         if multiplicity:
             roots.append((r, multiplicity))
-    return roots, Polynomial(tuple(coeffs))
+    return roots, tuple(coeffs)

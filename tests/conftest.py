@@ -11,7 +11,6 @@ from critgroup import (
     GraphError,
     InternalCheckError,
     PairingValue,
-    Polynomial,
     SignedGraph,
     StructureError,
     clebsch_complement,
@@ -98,23 +97,33 @@ def fraction(value) -> Fraction:
     return Fraction(value.numerator, value.denominator)
 
 
-def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    if p.is_zero() or q.is_zero():
-        return Polynomial(())
-    out = [0] * (len(p.coeffs) + len(q.coeffs) - 1)
-    for i, a in enumerate(p.coeffs):
-        for j, b in enumerate(q.coeffs):
+def poly_mul(p, q) -> tuple:
+    """The product of two coefficient tuples (low to high, no trailing
+    zero); () is the zero polynomial."""
+    if not p or not q:
+        return ()
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
             out[i + j] += a * b
-    return Polynomial.make(out)
+    return tuple(out)
 
 
-def strip_zero_roots(p: Polynomial) -> tuple[Polynomial, int]:
+def poly_eval(p, x):
+    """p(x) by Horner's rule."""
+    value = 0
+    for c in reversed(p):
+        value = value * x + c
+    return value
+
+
+def strip_zero_roots(p) -> tuple[tuple, int]:
     """p with its largest power of x factored out, and that power."""
-    assert not p.is_zero()
+    assert any(p)
     v = 0
-    while p.coeffs[v] == 0:
+    while p[v] == 0:
         v += 1
-    return Polynomial.make(p.coeffs[v:]), v
+    return tuple(p[v:]), v
 
 
 def _rational_divmod(a, b) -> tuple[list, list]:
@@ -139,27 +148,27 @@ def _primitive(coeffs) -> list[int]:
     return [c // content for c in ints]
 
 
-def rational_squarefree_part(p: Polynomial) -> Polynomial:
+def rational_squarefree_part(p) -> tuple:
     """The slow oracle for squarefree_part: p / gcd(p, p') by Euclid's
     algorithm over Q, each remainder made primitive, and the quotient made
-    primitive with a positive leading coefficient."""
-    a, b = list(p.coeffs), list(p.derivative().coeffs)
+    primitive with a positive leading coefficient, as a tuple."""
+    a, b = list(p), [i * c for i, c in enumerate(p) if i]
     while b:
         _, r = _rational_divmod(a, b)
         a, b = b, _primitive(r) if r else []
-    quotient, r = _rational_divmod(p.coeffs, a)
-    assert not r, f"gcd {a} does not divide {p.coeffs}"
-    return Polynomial.make(_primitive(quotient))
+    quotient, r = _rational_divmod(p, a)
+    assert not r, f"gcd {a} does not divide {p}"
+    return tuple(_primitive(quotient))
 
 
-def distinct_nonzero_root_product(p: Polynomial) -> Fraction:
+def distinct_nonzero_root_product(p) -> Fraction:
     """Product of the distinct non-zero roots of a characteristic
     polynomial, read off the whole of it: strip its zero roots, take the
     square-free part q by the rational oracle, and return
     (-1)^deg(q) q(0) / lead(q); 1 for x^n, the polynomial of a zero
     matrix."""
     q = rational_squarefree_part(strip_zero_roots(p)[0])
-    return Fraction((-1) ** q.degree * q.coeffs[0], q.leading())
+    return Fraction((-1) ** (len(q) - 1) * q[0], q[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -819,8 +828,8 @@ def witnesses(g, edge, dec=None) -> Witnesses:
     return Witnesses(zero, unit, eliminated, math.gcd(*basis), basis)
 
 
-def faddeev_leverrier(m) -> Polynomial:
-    """Characteristic polynomial det(xI - m) by the O(n^4) Faddeev-LeVerrier
+def faddeev_leverrier(m) -> tuple:
+    """Coefficients (low to high) of det(xI - m) by the O(n^4) Faddeev-LeVerrier
     recurrence: with M_1 = m, c_k = -tr(M_k) / k and M_{k+1} = m (M_k + c_k I).
     For an integer matrix every division is exact."""
     n = len(m)
@@ -833,7 +842,7 @@ def faddeev_leverrier(m) -> Polynomial:
         coeffs.append(c)
         if k < n:
             work = matmul(m, [[x + c * (i == j) for j, x in enumerate(row)] for i, row in enumerate(work)])
-    return Polynomial.make(reversed(coeffs))
+    return tuple(reversed(coeffs))
 
 
 def adjacency_multiplicities(n, k, lam, mu):

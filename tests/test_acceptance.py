@@ -126,9 +126,9 @@ def quadratic_root_product(gs):
     # exactly-two-eigenvalue filter: squarefree part of the characteristic
     # polynomial is quadratic; the root product is then constant/leading
     sf = squarefree_part(char_poly(laplacian(gs)))
-    if sf.degree != 2:
+    if len(sf) != 3:
         return None
-    return Fraction(sf.coeffs[0], sf.coeffs[-1])
+    return Fraction(sf[0], sf[-1])
 
 
 def test_criterion_3_signed_exponent_theorem():

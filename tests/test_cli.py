@@ -201,7 +201,9 @@ def test_traced_runner_matches_the_cli(tmp_path, monkeypatch):
     # stdout through bench/traced_cli.py as through the CLI, and its span
     # file parses; the runner looks up every traced module right after
     # `import critgroup.cli`, so this fails if cli stops loading one. The
-    # all-negative K_5 runs the exponent verdict's vertex classes
+    # all-negative K_5 runs the exponent verdict's vertex classes, and C_7,
+    # which has no two-eigenvalue record, runs the spectrum through the
+    # characteristic polynomial
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("traced_cli", TRACED_CLI)
     traced_cli = importlib.util.module_from_spec(spec)
@@ -214,6 +216,8 @@ def test_traced_runner_matches_the_cli(tmp_path, monkeypatch):
     negk = tmp_path / "negk-5.txt"
     negk.write_text(format_graph(signed_complete_all_negative(5)))
     extra = [["verify", "--check", "exponent", "--input", str(negk)], ["scan", "--nmax", "60"]]
+    extra += [[*op, "--family", "cycle", "--params", "7"]
+              for op in (["analyze"], ["verify", "--check", "spectral-bound"])]
     for i, argv in enumerate([[*op, "--family", "petersen"] for op in ops] + extra):
         spans = tmp_path / f"spans-{i}.json"
         plain = subprocess.run([sys.executable, "-m", "critgroup.cli", *argv], env=env,

@@ -183,7 +183,7 @@ def _spectral_quadratic(g):
     if isinstance(g, Graph):
         poly, _ = strip_zero_roots(poly)
     q = squarefree_part(poly)
-    return q.coeffs if q.degree == 2 else None
+    return q if len(q) == 3 else None
 
 
 def test_detection_matches_spectrum():

@@ -215,7 +215,7 @@ def test_record_route_pins(monkeypatch):
     groups, linalg = critgroup.groups, critgroup.linalg
     calls = []
     for module, name in ((groups, "unit_pivot_core"), (groups, "determinant"),
-                         (groups, "smith_diagonal"), (linalg, "char_poly")):
+                         (groups, "smith_diagonal"), (linalg, "_char_poly")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, _name=name, _real=real: calls.append(
             (_name, *a[1:])) or _real(*a))
@@ -223,7 +223,7 @@ def test_record_route_pins(monkeypatch):
     g = paley(101)
     assert critical_group(g).invariant_factors == (25,) + (2525,) * 49
     roots, factor = critgroup.laplacian_spectrum(g)
-    assert roots == [(0, 1)] and factor.degree == 100
+    assert roots == [(0, 1)] and len(factor) == 101 and factor[-1] == 1
     assert calls == []
     assert critical_group(paley(9)).invariant_factors == (6, 6, 18, 18)
     assert calls == [("smith_diagonal", 9), ("smith_diagonal", 3)]
@@ -246,6 +246,26 @@ def test_record_recheck_rejects_records_of_other_graphs(monkeypatch):
                 critical_group(g)
             monkeypatch.undo()
     groups.critical_group.cache_clear()
+
+
+def test_structure_detection_runs_once_per_graph(monkeypatch):
+    # the record is re-checked against the identity detected on the graph
+    # object, so the group, the potential table and the spectrum of one
+    # graph share a single pass of `_laplacian_quadratic`
+    graphs, groups = critgroup.graphs, critgroup.groups
+    real, calls = graphs._laplacian_quadratic, []
+    monkeypatch.setattr(graphs, "_laplacian_quadratic", lambda g: calls.append(g) or real(g))
+    for g in (paley(61), signed_corpus()[7][1]):
+        groups.critical_group.cache_clear()
+        groups.grounded_inverse.cache_clear()
+        calls.clear()
+        critical_group(g)
+        grounded_inverse(g)
+        critgroup.laplacian_spectrum(g)
+        assert len(calls) == 1 and calls[0] is g, g
+    monkeypatch.undo()
+    groups.critical_group.cache_clear()
+    groups.grounded_inverse.cache_clear()
 
 
 def test_critical_group_certificate_catches_short_modulus(monkeypatch):
@@ -767,7 +787,7 @@ def test_spectral_bound_rejects_non_monic_factor(monkeypatch, capsys):
     import critgroup.cli
 
     monkeypatch.setattr(critgroup.groups, "laplacian_spectrum",
-                        lambda g: ([(0, 1)], critgroup.Polynomial.make([-3, 2])))
+                        lambda g: ([(0, 1)], (-3, 2)))
     with pytest.raises(InternalCheckError, match="monic"):
         verify_spectral_bound(petersen())
     code = critgroup.cli.main(["verify", "--family", "petersen", "--check", "spectral-bound"])

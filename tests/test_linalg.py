@@ -8,7 +8,6 @@ import pytest
 from critgroup import (
     GraphError,
     InternalCheckError,
-    Polynomial,
     char_poly,
     complete,
     cycle,
@@ -39,6 +38,7 @@ from conftest import (
     is_zero_matrix,
     matmul,
     mul_vec,
+    poly_eval,
     poly_mul,
     random_connected_graph,
     random_int_matrix,
@@ -283,24 +283,37 @@ def test_adjugate_rejects():
 
 
 def test_polynomial_arithmetic():
-    p = Polynomial.make([1, 2, 1])  # (x+1)^2
-    q = Polynomial.make([1, 1])
-    assert poly_mul(q, q).coeffs == p.coeffs
-    assert Polynomial.make([0, 0]).is_zero()
-    assert Polynomial.make([5]).degree == 0
+    # a polynomial is a tuple of coefficients, low to high; () is zero
+    assert poly_mul((1, 1), (1, 1)) == (1, 2, 1)  # (x+1)^2
+    assert poly_mul((), (1, 1)) == poly_mul((1, 1), ()) == ()
+    assert poly_mul((5,), (0, 1)) == (0, 5)
+    assert linalg._divide_monic((1, 2, 1), (1, 1)) == [1, 1]
+    assert linalg._divide_monic((1, 2, 2), (1, 1)) is None
 
 
 def test_polynomial_gcd_and_squarefree():
-    lin = Polynomial.make([1, 1])
-    other = Polynomial.make([-4, 1])
+    lin = (1, 1)
+    other = (-4, 1)
     p = poly_mul(poly_mul(lin, lin), other)
     sf = squarefree_part(p)
-    assert sf.coeffs == poly_mul(lin, other).coeffs
+    assert sf == poly_mul(lin, other)
     rng = random.Random(3)
     for _ in range(20):
-        coeffs = [rng.randint(-4, 4) for _ in range(rng.randint(1, 4))] + [1]
-        p = Polynomial.make(coeffs)
-        assert squarefree_part(poly_mul(p, p)).coeffs == squarefree_part(p).coeffs
+        p = tuple([rng.randint(-4, 4) for _ in range(rng.randint(1, 4))] + [1])
+        assert squarefree_part(poly_mul(p, p)) == squarefree_part(p)
+
+
+def test_polynomials_are_int_tuples():
+    # char_poly, the spectrum's factor and squarefree_part return tuples of
+    # int, and squarefree_part reads a list as it reads the tuple
+    for g in (cycle(7), petersen(), paley(13), signed_complete_unbalanced(4)):
+        p = char_poly(laplacian(g))
+        factor = laplacian_spectrum(g)[1]
+        for t in (p, factor, squarefree_part(factor), squarefree_part(list(factor))):
+            assert type(t) is tuple and all(type(c) is int for c in t), (g, t)
+        assert squarefree_part(list(factor)) == squarefree_part(factor)
+        assert squarefree_part(list(p)) == squarefree_part(p)
+    assert laplacian_spectrum(petersen())[1] == (1,)
 
 
 def test_squarefree_part_matches_rational_oracle(monkeypatch):
@@ -311,7 +324,7 @@ def test_squarefree_part_matches_rational_oracle(monkeypatch):
     graphs += [cycle(n) for n in range(3, 41)]
     graphs += [paley(q) for q in (5, 9, 13, 17, 25, 29)]
     factors = [laplacian_spectrum(g)[1] for g in graphs]
-    factors = [f for f in factors if f.degree > 0]
+    factors = [f for f in factors if len(f) > 1]
     assert len(factors) > 100
     divisions = []
     real_divide = linalg._divide_monic
@@ -326,11 +339,10 @@ def test_squarefree_part_matches_rational_oracle(monkeypatch):
     # a repeated root, and two roots that coincide modulo 2^61 - 1, x (x - P):
     # both leave a non-constant gcd there and take the lift
     prime = 2**61 - 1
-    repeated = poly_mul(poly_mul(Polynomial.make([-1, 1]), Polynomial.make([-1, 1])),
-                        Polynomial.make([2, 1]))
-    coincide = Polynomial.make([0, -prime, 1])
-    for p, want in ((repeated, Polynomial.make([-2, 1, 1])), (coincide, coincide)):
-        assert len(linalg._gcd_modulo(p.coeffs, p.derivative().coeffs, prime)) > 1
+    repeated = poly_mul(poly_mul((-1, 1), (-1, 1)), (2, 1))
+    coincide = (0, -prime, 1)
+    for p, want in ((repeated, (-2, 1, 1)), (coincide, coincide)):
+        assert len(linalg._gcd_modulo(p, [i * c for i, c in enumerate(p) if i], prime)) > 1
         before = len(divisions)
         assert squarefree_part(p) == want == rational_squarefree_part(p)
         assert len(divisions) > before
@@ -341,8 +353,7 @@ def test_squarefree_part_rejects_and_certifies(monkeypatch, capsys):
     import critgroup.cli
 
     # only a monic integer polynomial has a square-free part here
-    for p in (Polynomial.make([-2, 0, 2]), Polynomial.make([Fraction(-1), 0, Fraction(1)]),
-              Polynomial(())):
+    for p in ((-2, 0, 2), [Fraction(-1), 0, Fraction(1)], (), [1, 0]):
         with pytest.raises(GraphError, match="not monic over the integers"):
             squarefree_part(p)
     # C_40's factor has repeated roots and needs a prime above 2^61 - 1
@@ -365,11 +376,10 @@ def test_squarefree_part_rejects_and_certifies(monkeypatch, capsys):
             g = [(x - r * y) % prime for x, y in zip([0, *g], [*g, 0])]
         return g
 
-    repeated = poly_mul(poly_mul(Polynomial.make([-1, 1]), Polynomial.make([-1, 1])),
-                        Polynomial.make([2, 1]))
+    repeated = poly_mul(poly_mul((-1, 1), (-1, 1)), (2, 1))
     with monkeypatch.context() as m:
         m.setattr(linalg, "_gcd_modulo", unlucky)
-        assert squarefree_part(repeated) == Polynomial.make([-2, 1, 1])
+        assert squarefree_part(repeated) == (-2, 1, 1)
     assert calls == [2**e - 1 for e in (61, 89, 107)]
     # a lift that never divides is never returned
     monkeypatch.setattr(linalg, "_divide_monic", lambda a, b: None)
@@ -384,15 +394,15 @@ def test_squarefree_part_rejects_and_certifies(monkeypatch, capsys):
 def test_char_poly_goldens():
     # L(K3) has eigenvalues 0, 3, 3: x^3 - 6x^2 + 9x
     p = char_poly(laplacian(complete(3)))
-    assert p.coeffs == (0, 9, -6, 1)
+    assert p == (0, 9, -6, 1)
     # trace and determinant read off the ends
     lap = laplacian(petersen())
     p = char_poly(lap)
-    assert p.coeffs[-1] == 1
-    assert p.coeffs[-2] == -sum(lap[i][i] for i in range(10))
-    assert p.coeffs[0] == 0  # singular
-    assert p.evaluate(0) == 0
-    assert p.evaluate(2) == 0 and p.evaluate(5) == 0
+    assert len(p) == 11 and p[-1] == 1
+    assert p[-2] == -sum(lap[i][i] for i in range(10))
+    assert p[0] == 0  # singular
+    assert poly_eval(p, 0) == 0
+    assert poly_eval(p, 2) == 0 and poly_eval(p, 5) == 0
 
 
 def test_char_poly_matches_determinant():
@@ -402,11 +412,11 @@ def test_char_poly_matches_determinant():
         m = random_int_matrix(rng, n, n, bound=5)
         p = char_poly(m)
         # p(0) = det(0*I - M) = (-1)^n det(M)
-        assert p.evaluate(0) == (-1) ** n * determinant(m)
-        assert p.coeffs[-1] == 1
+        assert poly_eval(p, 0) == (-1) ** n * determinant(m)
+        assert len(p) == n + 1 and p[-1] == 1
         x = rng.randint(-9, 9)
-        assert p.evaluate(x) == determinant([[x * (i == j) - a for j, a in enumerate(row)]
-                                             for i, row in enumerate(m)])
+        assert poly_eval(p, x) == determinant([[x * (i == j) - a for j, a in enumerate(row)]
+                                               for i, row in enumerate(m)])
 
 
 def test_char_poly_matches_faddeev_leverrier():
@@ -430,7 +440,7 @@ def test_char_poly_matches_faddeev_leverrier():
 
 
 def _power(p, e):
-    result = Polynomial.make([1])
+    result = (1,)
     for _ in range(e):
         result = poly_mul(result, p)
     return result
@@ -440,8 +450,8 @@ def _power(p, e):
 def test_char_poly_paley_closed_form(q):
     # a conference graph has Laplacian eigenvalues 0 and (q +- sqrt(q))/2,
     # each of multiplicity (q - 1)/2
-    quadratic = Polynomial.make([q * (q - 1) // 4, -q, 1])
-    want = poly_mul(Polynomial.make([0, 1]), _power(quadratic, (q - 1) // 2))
+    quadratic = (q * (q - 1) // 4, -q, 1)
+    want = poly_mul((0, 1), _power(quadratic, (q - 1) // 2))
     assert char_poly(laplacian(paley(q))) == want
 
 
@@ -451,9 +461,9 @@ def test_laplacian_spectrum_paley_closed_form():
     for q in PALEY_ORDERS:
         m, root = (q - 1) // 2, isqrt(q)
         if root * root == q:
-            want = [(0, 1), ((q - root) // 2, m), ((q + root) // 2, m)], Polynomial.make([1])
+            want = [(0, 1), ((q - root) // 2, m), ((q + root) // 2, m)], (1,)
         else:
-            want = [(0, 1)], _power(Polynomial.make([q * (q - 1) // 4, -q, 1]), m)
+            want = [(0, 1)], _power((q * (q - 1) // 4, -q, 1), m)
         assert laplacian_spectrum(paley(q)) == want, q
 
 
@@ -484,15 +494,14 @@ def test_char_poly_certificate_and_modulus_table(monkeypatch):
 def test_integer_roots():
     roots, factor = laplacian_spectrum(complete(3))  # x^3 - 6x^2 + 9x
     assert roots == [(0, 1), (3, 2)]
-    assert factor.degree == 0
+    assert factor == (1,)
     roots, factor = laplacian_spectrum(petersen())
     assert roots == [(0, 1), (2, 5), (5, 4)]
-    assert factor.degree == 0
+    assert factor == (1,)
     # C5: only the zero root is rational, the rest stays in the factor
     roots, factor = laplacian_spectrum(cycle(5))
     assert roots == [(0, 1)]
-    assert factor.degree == 4
-    assert factor.coeffs == (25, -50, 35, -10, 1)
+    assert factor == (25, -50, 35, -10, 1)
 
 
 def test_laplacian_spectrum_matches_char_poly():
@@ -513,11 +522,11 @@ def test_laplacian_spectrum_matches_char_poly():
         rebuilt = factor
         for r, m in roots:
             for _ in range(m):
-                rebuilt = poly_mul(rebuilt, Polynomial.make([-r, 1]))
+                rebuilt = poly_mul(rebuilt, (-r, 1))
         assert rebuilt == poly, g
         assert [r for r, _ in roots] == sorted({r for r, _ in roots})
-        assert factor.leading() == 1
-        assert all(factor.evaluate(r) for r in range(gershgorin_bound(lap) + 1)), g
+        assert factor[-1] == 1
+        assert all(poly_eval(factor, r) for r in range(gershgorin_bound(lap) + 1)), g
         assert verify_spectral_bound(g).product == distinct_nonzero_root_product(poly), g
 
 
