@@ -29,12 +29,7 @@ from .graphs import (
     read_graph_file,
     require_connected,
 )
-from .groups import (
-    critical_group,
-    spanning_tree_count,
-    verify_exponent_theorem,
-    verify_spectral_bound,
-)
+from .groups import critical_group, verify_exponent_theorem, verify_spectral_bound
 from .linalg import laplacian_spectrum
 from .pairing import (
     PairingValue,
@@ -58,16 +53,6 @@ def _jedge(e) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # Input handling
-
-
-def _add_input_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", metavar="FILE", help="graph file to read")
-    p.add_argument("--family", metavar="NAME", help=f"one of: {', '.join(GENERATOR_FAMILIES)}")
-    p.add_argument("--params", metavar="LIST", help="comma-separated family parameters")
-
-
-def _add_format_argument(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "text"), default="json")
 
 
 def _family_params(raw: str | None):
@@ -181,30 +166,28 @@ def _group_block(g: Graph | SignedGraph) -> dict:
         "exponent": _jint(group.exponent),
         "order": _jint(group.order),
     }
-    if isinstance(g, Graph):
-        block["spanning_trees"] = _jint(spanning_tree_count(g))
+    if isinstance(g, Graph):  # the order of an unsigned group is kappa
+        block["spanning_trees"] = _jint(group.order)
     return block
 
 
 # ---------------------------------------------------------------------------
-# Subcommands (each returns (result dict, exit code))
+# Subcommands (each takes the arguments and the loaded graph, None for scan,
+# and returns (result dict, exit code))
 
 
-def _cmd_generate(args) -> tuple[dict, dict, int]:
-    g, descriptor = _load_graph(args)
-    base = g.graph if isinstance(g, SignedGraph) else g
+def _cmd_generate(args, g) -> tuple[dict, int]:
     result = {"n": _jint(g.n), "edges": []}
-    for u, v in base.sorted_edges():
+    for u, v in g.sorted_edges():
         entry = {"u": _jint(u), "v": _jint(v)}
         if isinstance(g, SignedGraph):
             entry["sign"] = "-" if (u, v) in g.negative_edges else "+"
         result["edges"].append(entry)
     result["file"] = format_graph(g)
-    return result, descriptor, 0
+    return result, 0
 
 
-def _cmd_analyze(args) -> tuple[dict, dict, int]:
-    g, descriptor = _load_graph(args)
+def _cmd_analyze(args, g) -> tuple[dict, int]:
     result = {
         "graph": _graph_summary(g),
         "structure": _structure_block(g),
@@ -215,16 +198,14 @@ def _cmd_analyze(args) -> tuple[dict, dict, int]:
     except GraphError as exc:
         result["group"] = None
         result["group_note"] = str(exc)
-    return result, descriptor, 0
+    return result, 0
 
 
-def _cmd_group(args) -> tuple[dict, dict, int]:
-    g, descriptor = _load_graph(args)
-    return _group_block(g), descriptor, 0
+def _cmd_group(args, g) -> tuple[dict, int]:
+    return _group_block(g), 0
 
 
-def _cmd_pairing(args) -> tuple[dict, dict, int]:
-    g, descriptor = _load_graph(args)
+def _cmd_pairing(args, g) -> tuple[dict, int]:
     if isinstance(g, SignedGraph):
         raise StructureError("the pairing is defined for unsigned graphs only")
     if (args.edge1 is None) != (args.edge2 is None):
@@ -232,23 +213,23 @@ def _cmd_pairing(args) -> tuple[dict, dict, int]:
     if args.edge1 is not None:
         e1 = _parse_edge(args.edge1, "--edge1")
         e2 = _parse_edge(args.edge2, "--edge2")
-        for u, v in (e1, e2):
-            if edge_key(u, v) not in g.edges:
+        edges = [edge_key(*e1), edge_key(*e2)]
+        for (u, v), e in zip((e1, e2), edges):
+            if e not in g.edges:
                 raise GraphError(f"({u},{v}) is not an edge")
-    group = critical_group(g)
-    result = {"m": _jint(group.exponent)}
+    else:
+        edges = g.sorted_edges()
+    exponent, table = _pairing_table(g, edges)
+    result = {"m": _jint(exponent)}
     try:
         _closed_form_params(g)
         result["closed_form"] = True
     except StructureError:
         result["closed_form"] = False
     if args.edge1 is not None:
-        exponent, table = _pairing_table(g, [edge_key(*e1), edge_key(*e2)])
         value = str(PairingValue.of(table[0][1], exponent))
         result["pairs"] = [{"edge1": _jedge(e1), "edge2": _jedge(e2), "value": value}]
     else:
-        edges = g.sorted_edges()
-        exponent, table = _pairing_table(g, edges)
         labels = [_jedge(e) for e in edges]
         values = {a: str(PairingValue.of(a, exponent)) for a in {x for row in table for x in row}}
         result["pairs"] = [
@@ -256,11 +237,10 @@ def _cmd_pairing(args) -> tuple[dict, dict, int]:
             for i, row in enumerate(table)
             for j in range(i, len(edges))
         ]
-    return result, descriptor, 0
+    return result, 0
 
 
-def _cmd_orthogonal(args) -> tuple[dict, dict, int]:
-    g, descriptor = _load_graph(args)
+def _cmd_orthogonal(args, g) -> tuple[dict, int]:
     found = orthogonal_subset(g, mode=args.mode, structural_hints=not args.no_hints)
     result = {
         "mode": args.mode,
@@ -271,11 +251,10 @@ def _cmd_orthogonal(args) -> tuple[dict, dict, int]:
             for a, b, v in found.certificate
         ],
     }
-    return result, descriptor, 0
+    return result, 0
 
 
-def _cmd_verify(args) -> tuple[dict, dict, int]:
-    g, descriptor = _load_graph(args)
+def _cmd_verify(args, g) -> tuple[dict, int]:
     if args.check == "exponent":
         report = verify_exponent_theorem(g)
         achieving = None
@@ -297,7 +276,7 @@ def _cmd_verify(args) -> tuple[dict, dict, int]:
         }
         if report.half_bound_even is not None:
             result["half_bound_even"] = report.half_bound_even
-        return result, descriptor, 0 if report.matched else 1
+        return result, 0 if report.matched else 1
     if args.check == "spectral-bound":
         report = verify_spectral_bound(g)
         result = {
@@ -306,7 +285,7 @@ def _cmd_verify(args) -> tuple[dict, dict, int]:
             "distinct_eigenvalue_product": _jint(report.product),
             "verdict": "pass" if report.passed else "fail",
         }
-        return result, descriptor, 0 if report.passed else 1
+        return result, 0 if report.passed else 1
     report = verify_tail_heavy(g, mode=args.mode)
     result = {
         "check": "tail-heavy",
@@ -325,10 +304,10 @@ def _cmd_verify(args) -> tuple[dict, dict, int]:
         "strong_pattern": report.strong_pattern,
         "verdict": "pass" if report.passed else "fail",
     }
-    return result, descriptor, 0 if report.passed else 1
+    return result, 0 if report.passed else 1
 
 
-def _cmd_scan(args) -> tuple[dict, dict, int]:
+def _cmd_scan(args, g) -> tuple[dict, int]:
     if args.full:
         tuples = enumerate_feasible(args.nmax)
     else:
@@ -355,42 +334,36 @@ def _cmd_scan(args) -> tuple[dict, dict, int]:
         "note": SCAN_NOTE,
         "tuples": rows,
     }
-    return result, {"source": "scan"}, 0
+    return result, 0
 
 
 # ---------------------------------------------------------------------------
 # Rendering
 
 
-def _render_text(obj, indent: int = 0) -> list[str]:
+def _render_text(obj: dict, indent: int = 0) -> list[str]:
     pad = "  " * indent
     lines: list[str] = []
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            if isinstance(value, dict):
-                lines.append(f"{pad}{key}:")
-                lines.extend(_render_text(value, indent + 1))
-            elif isinstance(value, list) and value and isinstance(value[0], (dict, list)):
-                lines.append(f"{pad}{key}:")
-                for item in value:
-                    if isinstance(item, list):
-                        inner = ", ".join(str(x) for x in item)
-                        lines.append(f"{'  ' * (indent + 1)}- [{inner}]")
-                        continue
-                    rendered = _render_text(item, indent + 2)
-                    if rendered:
-                        head = rendered[0].lstrip()
-                        lines.append(f"{'  ' * (indent + 1)}- {head}")
-                        lines.extend(rendered[1:])
-            elif isinstance(value, list):
-                lines.append(f"{pad}{key}: [{', '.join(str(x) for x in value)}]")
-            else:
-                lines.append(f"{pad}{key}: {value}")
-    elif isinstance(obj, list):
-        for item in obj:
-            lines.append(f"{pad}{item}")
-    else:
-        lines.append(f"{pad}{obj}")
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            lines.append(f"{pad}{key}:")
+            lines.extend(_render_text(value, indent + 1))
+        elif isinstance(value, list) and value and isinstance(value[0], (dict, list)):
+            lines.append(f"{pad}{key}:")
+            for item in value:
+                if isinstance(item, list):
+                    inner = ", ".join(str(x) for x in item)
+                    lines.append(f"{'  ' * (indent + 1)}- [{inner}]")
+                    continue
+                rendered = _render_text(item, indent + 2)
+                if rendered:
+                    head = rendered[0].lstrip()
+                    lines.append(f"{'  ' * (indent + 1)}- {head}")
+                    lines.extend(rendered[1:])
+        elif isinstance(value, list):
+            lines.append(f"{pad}{key}: [{', '.join(str(x) for x in value)}]")
+        else:
+            lines.append(f"{pad}{key}: {value}")
     return lines
 
 
@@ -411,40 +384,35 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact critical groups of graphs and signed graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--input", metavar="FILE", help="graph file to read")
+    inputs.add_argument("--family", metavar="NAME", help=f"one of: {', '.join(GENERATOR_FAMILIES)}")
+    inputs.add_argument("--params", metavar="LIST", help="comma-separated family parameters")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "text"), default="json")
+    graph_input = [inputs, fmt]
 
-    p = sub.add_parser("generate", help="emit a graph in the file format")
-    _add_input_arguments(p)
-    _add_format_argument(p)
+    p = sub.add_parser("generate", parents=graph_input, help="emit a graph in the file format")
     p.set_defaults(handler=_cmd_generate)
 
-    p = sub.add_parser("analyze", help="parameters, spectrum, and group")
-    _add_input_arguments(p)
-    _add_format_argument(p)
+    p = sub.add_parser("analyze", parents=graph_input, help="parameters, spectrum, and group")
     p.set_defaults(handler=_cmd_analyze)
 
-    p = sub.add_parser("group", help="invariant factors and exponent")
-    _add_input_arguments(p)
-    _add_format_argument(p)
+    p = sub.add_parser("group", parents=graph_input, help="invariant factors and exponent")
     p.set_defaults(handler=_cmd_group)
 
-    p = sub.add_parser("pairing", help="edge pairing table or a single pair")
-    _add_input_arguments(p)
-    _add_format_argument(p)
+    p = sub.add_parser("pairing", parents=graph_input, help="edge pairing table or a single pair")
     p.add_argument("--edge1", metavar="U,V", help="first edge")
     p.add_argument("--edge2", metavar="X,Y", help="second edge")
     p.set_defaults(handler=_cmd_pairing)
 
-    p = sub.add_parser("orthogonal", help="orthogonal edge set search")
-    _add_input_arguments(p)
-    _add_format_argument(p)
+    p = sub.add_parser("orthogonal", parents=graph_input, help="orthogonal edge set search")
     p.add_argument("--mode", choices=("exact", "greedy"), default="exact")
     p.add_argument("--no-hints", action="store_true",
                    help="disable the structural seeds of greedy mode")
     p.set_defaults(handler=_cmd_orthogonal)
 
-    p = sub.add_parser("verify", help="run a theorem verifier")
-    _add_input_arguments(p)
-    _add_format_argument(p)
+    p = sub.add_parser("verify", parents=graph_input, help="run a theorem verifier")
     p.add_argument(
         "--check",
         required=True,
@@ -453,8 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exact", "greedy"), default="exact")
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("scan", help="feasible parameter scan")
-    _add_format_argument(p)
+    p = sub.add_parser("scan", parents=[fmt], help="feasible parameter scan")
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--full", action="store_true", help="emit the full feasible enumeration")
     p.set_defaults(handler=_cmd_scan)
@@ -467,7 +434,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
-        result, descriptor, status = args.handler(args)
+        if args.command == "scan":
+            g, descriptor = None, {"source": "scan"}
+        else:
+            g, descriptor = _load_graph(args)
+        result, status = args.handler(args, g)
     except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,17 +8,19 @@ record; only its bad primes need a Smith diagonal. Other graphs take a
 Smith diagonal modulo the spanning-tree count of the core left by
 unit-pivot elimination. Orders of cokernel classes come from X = E L0^-1,
 certified by L0 X = E I. With the Laplacian identity L^2 - s L + p I = c J
-of a record, p L0^-1 is one closed-form matrix whose column j is the
+of a record, M = p L0^-1 is one closed-form matrix whose column j is the
 paper's order-achieving decomposition of e_j - e_n; other graphs take
-adj(L0) from `solve`. `grounded_inverse` returns X bordered by a zero row and
-column for the grounded vertex of an unsigned graph, the potential table P
-indexed by vertices 1..n: the exponent verifier, element orders and the
-pairing read the class of e_u - e_v off it as P[u] - P[v].
+M = adj(L0) = det(L0) L0^-1 from `solve`. Either way M = d L0^-1, and the
+exponent is E = |d| / gcd(d, entries of M), found without the group.
+`grounded_inverse` returns X bordered by a zero row and column for the
+grounded vertex of an unsigned graph, the potential table P indexed by
+vertices 1..n: the exponent verifier, element orders and the pairing read
+the class of e_u - e_v off it as P[u] - P[v].
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import count
 from math import gcd, isqrt, prod
 from operator import sub
@@ -68,7 +70,7 @@ class AbelianGroup:
 
     @property
     def order(self) -> int:
-        return reduce(lambda a, b: a * b, self.invariant_factors, 1)
+        return prod(self.invariant_factors)
 
     @property
     def exponent(self) -> int:
@@ -124,22 +126,23 @@ def grounded_inverse(g: Graph | SignedGraph) -> tuple[int, tuple[tuple[int, ...]
 
     L0 is the Laplacian with the last vertex grounded for an unsigned graph
     (one vertex gives P = ((0,),)) and the whole signed Laplacian, rejected
-    when balanced, for a signed graph, where P = X. With the identity
+    when balanced, for a signed graph, where P = X. Both routes build an
+    integer M = d L0^-1 for a divisor d != 0. With the identity
     L^2 - s L + p I = c J of a structure record, where p != 0 (p = 0 forces
-    L = s (I - J / n), the Laplacian of K_n, which has no record), p L0^-1
-    is one closed-form matrix: for i, j < n,
+    L = s (I - J / n), the Laplacian of K_n, which has no record), d = p and
+    M is one closed-form matrix: for i, j < n,
     (p L0^-1)_ij = s [i = j] - L_ij + L_in + L_jn + s - d_n.
     Its column j is f - f_n 1 for f = (s I - L)(e_j - e_n), the paper's
     order-achieving decomposition of e_j - e_n. A signed graph has c = 0
-    and p L^-1 = s I - L. Otherwise X = E adj(L0) / kappa from `solve`.
-    Either way each division must be exact, and the certificate L0 X = E I
-    is checked over the adjacency, else InternalCheckError. Cached per graph.
+    and p L^-1 = s I - L. Otherwise d = det L0 and M = adj(L0) from `solve`.
+    The smallest t with t L0^-1 integral is E = |d| / gcd(d, entries of M),
+    and X = M / (d / E), an exact division. The certificate L0 X = E I is
+    checked over the adjacency, else InternalCheckError. Cached per graph.
     """
     require_connected(g, "grounded_inverse")
-    exponent = critical_group(g).exponent  # StructureError when balanced
-    if g.n == 1:
-        return 1, ((0,),)
     signed = isinstance(g, SignedGraph)
+    if g.n == 1 and not signed:
+        return 1, ((0,),)
     size, border = (g.n, ()) if signed else (g.n - 1, (0,))
     params = _two_eigenvalue_params(g)
     if params is None:
@@ -153,12 +156,13 @@ def grounded_inverse(g: Graph | SignedGraph) -> tuple[int, tuple[tuple[int, ...]
             column = [ground[i] + shift + a - x for a, x in zip(ground, row)]
             column[i] += s
             columns.append(column)
+    if not divisor:  # L0 of a connected graph is singular only for a balanced signed graph
+        raise StructureError("balanced signed graph: the Laplacian cokernel is infinite")
+    exponent = abs(divisor) // gcd(divisor, *(x for column in columns for x in column))
+    scale = divisor // exponent
     table, grounded_rows = [], _laplacian_rows(g)[:size]
     for j, column in enumerate(columns):
-        scaled = [exponent * x for x in column]
-        if any(x % divisor for x in scaled):
-            raise InternalCheckError(f"E L0^-1 is not integral: {divisor} does not divide column {j + 1}")
-        column = (*(x // divisor for x in scaled), *border)
+        column = (*(x // scale for x in column), *border)
         image = _laplacian_mul(grounded_rows, column)
         image[j] -= exponent
         if any(image):
@@ -349,7 +353,9 @@ def verify_exponent_theorem(g: Graph | SignedGraph) -> ExponentReport:
     """Check that the critical group exponent equals the product of the two
     distinct non-zero Laplacian eigenvalues, with the two unsigned
     exceptional families of `TwoEigenvalueParams.exceptional_family`
-    expecting their adjusted values instead."""
+    expecting their adjusted values instead. The exponent of the invariant
+    factors and the one of `grounded_inverse` come from two methods and
+    must agree, else InternalCheckError."""
     params = detect_two_eigenvalue(g)
     if params is None:
         what = "signed graph" if isinstance(g, SignedGraph) else "graph"
@@ -364,6 +370,8 @@ def verify_exponent_theorem(g: Graph | SignedGraph) -> ExponentReport:
             raise InternalCheckError("complete bipartite bound should be even")
         classification, expected = "exceptional_complete_bipartite", bound // 2
     exponent, rows = grounded_inverse(g)
+    if exponent != group.exponent:
+        raise InternalCheckError(f"exponent {exponent} of L0^-1 disagrees with the group {group}")
     max_order, max_edge = 0, None
     for u, v in g.sorted_edges():  # orders divide E, so the first edge of order E ends the scan
         order = exponent // gcd(exponent, *map(sub, rows[u - 1], rows[v - 1]))
@@ -386,8 +394,8 @@ def verify_exponent_theorem(g: Graph | SignedGraph) -> ExponentReport:
         classification=classification,
         spectral_bound=bound,
         expected_exponent=expected,
-        exponent=group.exponent,
-        matched=group.exponent == expected,
+        exponent=exponent,
+        matched=exponent == expected,
         group=group,
         max_edge_order=max_order,
         max_edge=max_edge,

@@ -10,6 +10,7 @@ import sys
 
 import critgroup.cli as cli
 import critgroup.groups
+import critgroup.linalg
 import critgroup.pairing
 from critgroup import (
     InternalCheckError,
@@ -359,17 +360,24 @@ def test_pairing_edges_are_ascending_edges_of_the_graph(capsys, tmp_path):
             assert code == 0 and pair["value"] == values[key] == str(direct), (source, e1, e2)
 
 
+def _spy_everywhere(monkeypatch, *reals):
+    """Wrap each function at every critgroup module that binds it; the
+    returned list collects the name of each call."""
+    calls = []
+    for real in reals:
+        spy = lambda *a, _real=real: calls.append(_real.__name__) or _real(*a)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("critgroup") and getattr(module, real.__name__, None) is real:
+                monkeypatch.setattr(module, real.__name__, spy)
+    return calls
+
+
 def test_single_pair_route_pin(capsys, monkeypatch):
     # a single pair is read off a two-edge pairing table: no edge vector
     # and no monodromy_pairing call on the way; calling both directly
     # shows that the spies would see them
-    calls = []
-    for name, real in (("monodromy_pairing", critgroup.pairing.monodromy_pairing),
-                       ("edge_difference", critgroup.groups.edge_difference)):
-        spy = lambda *a, _name=name, _real=real: calls.append(_name) or _real(*a)
-        for module in (cli, critgroup.groups, critgroup.pairing):
-            if getattr(module, name, None) is real:
-                monkeypatch.setattr(module, name, spy)
+    calls = _spy_everywhere(monkeypatch, critgroup.pairing.monodromy_pairing,
+                            critgroup.groups.edge_difference)
     for source, edge1, edge2 in ((["--family", "petersen"], "1,8", "1,9"),
                                  (["--family", "cycle", "--params", "7"], "1,2", "2,3")):
         code, out, _ = run(capsys, "pairing", *source, "--edge1", edge1, "--edge2", edge2)
@@ -379,6 +387,40 @@ def test_single_pair_route_pin(capsys, monkeypatch):
     d = critgroup.groups.edge_difference(g, 1, 8)
     critgroup.pairing.monodromy_pairing(g, d, d)
     assert calls == ["edge_difference", "monodromy_pairing"]
+
+
+def test_pairing_builds_no_group(capsys, monkeypatch):
+    # the exponent m comes from the potential table's own solve, so neither
+    # a single pair nor the full table builds the critical group or takes
+    # a Smith diagonal; the caches are emptied so that nothing is served
+    # from an earlier test
+    groups = critgroup.groups
+    real_group, real_table = groups.critical_group, groups.grounded_inverse
+    calls = _spy_everywhere(monkeypatch, real_group, critgroup.linalg.smith_diagonal)
+    for source, edges in ((["--family", "petersen"], ["--edge1", "1,8", "--edge2", "1,9"]),
+                          (["--family", "cycle", "--params", "7"], ["--edge1", "1,2", "--edge2", "2,3"])):
+        for pair in (edges, []):
+            real_group.cache_clear()
+            real_table.cache_clear()
+            code, out, _ = run(capsys, "pairing", *source, *pair)
+            assert code == 0 and json.loads(out)["result"]["pairs"], (source, pair)
+    assert calls == []
+    real_group.cache_clear()
+    run(capsys, "group", "--family", "cycle", "--params", "7")
+    assert calls == ["critical_group", "smith_diagonal"]  # the spies see both
+
+
+def test_group_builds_its_group_once(capsys, monkeypatch):
+    # the block reads the spanning-tree count off the group's order
+    real_group = critgroup.groups.critical_group
+    calls = _spy_everywhere(monkeypatch, real_group)
+    for source in (["--family", "petersen"], ["--family", "cycle", "--params", "7"],
+                   ["--family", "signed_complete_unbalanced", "--params", "4"]):
+        real_group.cache_clear()
+        calls.clear()
+        code, out, _ = run(capsys, "group", *source)
+        assert code == 0 and json.loads(out)["result"]["exponent"]
+        assert calls == ["critical_group"], source
 
 
 def test_pairing_edgeless_graph(capsys):
@@ -411,6 +453,17 @@ def test_verify_exponent(capsys):
     assert result["verdict"] == "pass"
     assert result["exponent"] == "10"
     assert result["classification"] == "match"
+    assert "half_bound_even" not in result
+    # K_3 with one negative edge, the one signed_complete_unbalanced graph
+    # with two eigenvalues, is the signed_complete case, which reports it
+    signed = ("verify", "--family", "signed_complete_unbalanced", "--params", "3", "--check", "exponent")
+    code, report, _ = run_json(capsys, *signed)
+    result = report["result"]
+    assert code == 0 and result["kind"] == "signed_complete"
+    assert result["half_bound_even"] is True
+    assert result["achieving_element"] == {"type": "vertex_class", "vertices": ["1"]}
+    code, out, _ = run(capsys, *signed, "--format", "text")
+    assert code == 0 and out.endswith("  verdict: pass\n  half_bound_even: True\n")
 
 
 def test_verify_tail_heavy(capsys):
@@ -553,6 +606,12 @@ def test_error_exit_codes(capsys, tmp_path, monkeypatch):
                          "--edge1", "1,2")
     assert (code, out, built) == (2, "", [])
     assert err == "error: give both --edge1 and --edge2, or neither\n"
+    # an edge flag takes two integers
+    for edge1, message in (("1", "--edge1 expects 'u,v', got '1'"),
+                           ("a,b", "--edge1 expects integers, got 'a,b'")):
+        code, out, err = run(capsys, "pairing", "--family", "petersen", "--edge1", edge1, "--edge2", "1,8")
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
 
 
 def test_input_that_is_not_utf8_exits_2(capsys, tmp_path):

@@ -424,8 +424,9 @@ def test_grounded_inverse_rejects():
 
 def test_grounded_inverse_certificate_catches_wrong_structure_record(monkeypatch, capsys):
     # a wrong eigenvalue sum, or a doubled product that still annihilates
-    # the group, fails the record re-check of critical_group, and with the
-    # true group cached it must still trip L0 X == E I
+    # the group, fails the record re-check of critical_group; the grounded
+    # inverse, which reads E off its own matrix and not off the group, must
+    # still trip L0 X == E I with the true group cached
     import critgroup.cli
 
     groups = critgroup.groups
@@ -446,7 +447,7 @@ def test_grounded_inverse_certificate_catches_wrong_structure_record(monkeypatch
             critical_group(g)
             monkeypatch.setattr(groups, "_two_eigenvalue_params", lambda _, w=wrong: w)
             groups.grounded_inverse.cache_clear()
-            with pytest.raises(InternalCheckError, match="E L0\\^-1 is not integral|L0 X == E I"):
+            with pytest.raises(InternalCheckError, match="L0 X == E I"):
                 grounded_inverse(g)
             monkeypatch.undo()
     params = groups._two_eigenvalue_params(petersen())
@@ -765,6 +766,14 @@ def test_potential_table_route_pins(monkeypatch):
 def test_exponent_theorem_rejects_structureless():
     with pytest.raises(StructureError):
         verify_exponent_theorem(cycle(6))
+
+
+def test_exponent_theorem_cross_checks_the_two_exponents(monkeypatch):
+    # the invariant factors and the potential table find E by two methods;
+    # a group that disagrees with the table is an internal failure
+    monkeypatch.setattr(critgroup.groups, "critical_group", lambda g: AbelianGroup((2, 10, 10, 20)))
+    with pytest.raises(InternalCheckError, match="exponent 10 of L0\\^-1 disagrees"):
+        verify_exponent_theorem(petersen())
 
 
 def test_spectral_bound_corpus():
