@@ -584,14 +584,12 @@ def detect_two_eigenvalue(g: Graph | SignedGraph) -> TwoEigenvalueParams | None:
     eigenvalues (exactly two distinct eigenvalues for a signed graph), else
     None: the identity L^2 - s L + p I = mu J of `_laplacian_quadratic`,
     which for a regular graph says strongly regular, computed once per
-    graph object. Unsigned complete graphs, with a single non-zero
-    eigenvalue, raise.
+    graph object. An unsigned complete graph, with a single non-zero
+    eigenvalue, gives None.
     """
     require_connected(g, "detect_two_eigenvalue")
     signed = isinstance(g, SignedGraph)
     base = g.graph if signed else g
-    if not signed and g.is_complete():
-        raise StructureError("complete graphs have a single non-zero eigenvalue")
     quadratic = g._quadratic
     if quadratic is None:
         return None

@@ -109,14 +109,6 @@ def _laplacian_mul(rows, x) -> list[int]:
     ]
 
 
-def _two_eigenvalue_params(g: Graph | SignedGraph) -> TwoEigenvalueParams | None:
-    """The two-eigenvalue record of g, or None; None also for an unsigned
-    complete graph, whose one non-zero eigenvalue gives no record."""
-    if isinstance(g, Graph) and g.is_complete():
-        return None
-    return detect_two_eigenvalue(g)
-
-
 @lru_cache(maxsize=CACHED_GRAPHS)
 def grounded_inverse(g: Graph | SignedGraph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(E, P) with E the exponent of the critical group, which annihilates
@@ -144,7 +136,7 @@ def grounded_inverse(g: Graph | SignedGraph) -> tuple[int, tuple[tuple[int, ...]
     if g.n == 1 and not signed:
         return 1, ((0,),)
     size, border = (g.n, ()) if signed else (g.n - 1, (0,))
-    params = _two_eigenvalue_params(g)
+    params = detect_two_eigenvalue(g)
     if params is None:
         identity = [[int(i == j) for i in range(size)] for j in range(size)]
         divisor, columns = solve(_grounded_laplacian(g), identity)
@@ -198,7 +190,7 @@ def critical_group(g: Graph | SignedGraph) -> AbelianGroup:
     kappa. Cached per graph.
     """
     require_connected(g, "critical_group")
-    params = _two_eigenvalue_params(g)
+    params = detect_two_eigenvalue(g)
     if params is not None:
         kappa, diag = _record_diagonal(g, params)
     else:
@@ -356,6 +348,8 @@ def verify_exponent_theorem(g: Graph | SignedGraph) -> ExponentReport:
     expecting their adjusted values instead. The exponent of the invariant
     factors and the one of `grounded_inverse` come from two methods and
     must agree, else InternalCheckError."""
+    if isinstance(g, Graph) and g.is_complete():
+        raise StructureError("complete graphs have a single non-zero eigenvalue")
     params = detect_two_eigenvalue(g)
     if params is None:
         what = "signed graph" if isinstance(g, SignedGraph) else "graph"

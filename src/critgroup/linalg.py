@@ -23,7 +23,7 @@ from collections import Counter
 from math import gcd, isqrt
 from operator import mul
 
-from .errors import GraphError, InternalCheckError
+from .errors import DisconnectedGraphError, GraphError, InternalCheckError
 from .graphs import Graph, SignedGraph, detect_two_eigenvalue
 
 
@@ -417,7 +417,7 @@ def laplacian_spectrum(g: Graph | SignedGraph) -> tuple[list[tuple[int, int]], t
     """
     try:
         params = detect_two_eigenvalue(g)
-    except GraphError:  # disconnected, or complete with one non-zero eigenvalue
+    except DisconnectedGraphError:
         params = None
     if params is not None:
         if params.multiplicities is None:

@@ -18,6 +18,7 @@ from critgroup import (
     complete_multipartite,
     critical_group,
     cycle,
+    detect_two_eigenvalue,
     determinant,
     edge_difference,
     edge_key,
@@ -28,7 +29,7 @@ from critgroup import (
     petersen,
     star,
 )
-from critgroup.groups import _laplacian_mul, _laplacian_rows, _two_eigenvalue_params
+from critgroup.groups import _laplacian_mul, _laplacian_rows
 from critgroup.pairing import _closed_form_params
 
 
@@ -215,15 +216,18 @@ def complete_split(clique, independent):
     return graph_join(complete(clique), empty_graph(independent))
 
 
+def _point_graph(points, adjacent):
+    """The graph on the given points, vertex i + 1 for points[i], with an
+    edge wherever adjacent(x, y) holds."""
+    pairs = itertools.combinations(range(len(points)), 2)
+    return make_graph(len(points), [(i + 1, j + 1) for i, j in pairs if adjacent(points[i], points[j])])
+
+
 def _symplectic_graph(points):
     """Distinct points of PG(d, 2), each one non-zero vector over GF(2),
     adjacent when the symplectic form sum_i x_2i y_2i+1 + x_2i+1 y_2i
     vanishes."""
-    def orthogonal(x, y):
-        return sum(a * y[k ^ 1] for k, a in enumerate(x)) % 2 == 0
-
-    pairs = itertools.combinations(range(len(points)), 2)
-    return make_graph(len(points), [(i + 1, j + 1) for i, j in pairs if orthogonal(points[i], points[j])])
+    return _point_graph(points, lambda x, y: sum(a * y[k ^ 1] for k, a in enumerate(x)) % 2 == 0)
 
 
 def symplectic_w2():
@@ -239,6 +243,54 @@ def generalized_quadrangle_2_4():
     zeros = [v for v in itertools.product((0, 1), repeat=6)
              if any(v) and (v[0] * v[1] + v[2] * v[3] + v[4] + v[4] * v[5] + v[5]) % 2 == 0]
     return _symplectic_graph(zeros)
+
+
+def pg32_lines():
+    """The 35 lines of PG(3, 2), each the set {a, b, a ^ b} of non-zero
+    vectors of a two-dimensional subspace of GF(2)^4 (vectors as 4-bit
+    integers), adjacent when two lines meet; strongly regular (35, 18, 9, 9)."""
+    lines = sorted({frozenset((a, b, a ^ b)) for a, b in itertools.combinations(range(1, 16), 2)}, key=sorted)
+    return _point_graph(lines, lambda x, y: bool(x & y))
+
+
+_GF4_EXP, _GF4_LOG = (1, 2, 3), {1: 0, 2: 1, 3: 2}  # GF(4) = {0, 1, w, w^2} as 0..3 with w = 2
+
+
+def _gf4_mul(a, b):
+    return a and b and _GF4_EXP[(_GF4_LOG[a] + _GF4_LOG[b]) % 3]
+
+
+def _gf4_form(x, y, pairs):
+    """sum over (i, j) in pairs of x_i y_j in GF(4), where + is xor."""
+    total = 0
+    for i, j in pairs:
+        total ^= _gf4_mul(x[i], y[j])
+    return total
+
+
+def _pg3_4_points():
+    """The 85 points of PG(3, 4): non-zero vectors over GF(4) whose first
+    non-zero coordinate is 1."""
+    return [v for v in itertools.product(range(4), repeat=4) if any(v) and next(a for a in v if a) == 1]
+
+
+def hermitian_h34():
+    """H(3, 4): the 45 points x of PG(3, 4) with h(x, x) = 0 for the
+    Hermitian form h(x, y) = sum_i x_i y_i^2, adjacent when h(x, y) = 0;
+    strongly regular (45, 12, 3, 3)."""
+    conjugate = [_gf4_mul(a, a) for a in range(4)]
+
+    def h(x, y):
+        return _gf4_form(x, [conjugate[a] for a in y], [(i, i) for i in range(4)])
+
+    return _point_graph([x for x in _pg3_4_points() if not h(x, x)], lambda x, y: not h(x, y))
+
+
+def symplectic_w4():
+    """W(4): the 85 points of PG(3, 4), adjacent when
+    x0y1 + x1y0 + x2y3 + x3y2 = 0; strongly regular (85, 20, 3, 5)."""
+    pairs = [(0, 1), (1, 0), (2, 3), (3, 2)]
+    return _point_graph(_pg3_4_points(), lambda x, y: not _gf4_form(x, y, pairs))
 
 
 def unsigned_two_eigenvalue_corpus():
@@ -268,8 +320,6 @@ def unsigned_two_eigenvalue_corpus():
 
 
 def unsigned_srg_corpus():
-    from critgroup import detect_two_eigenvalue
-
     return [
         (name, g) for name, g in unsigned_two_eigenvalue_corpus()
         if detect_two_eigenvalue(g).regular
@@ -277,8 +327,6 @@ def unsigned_srg_corpus():
 
 
 def strongly_regular_or_complete(g):
-    from critgroup import detect_two_eigenvalue
-
     if g.is_complete():
         return True
     params = detect_two_eigenvalue(g)
@@ -670,7 +718,7 @@ def exponent_achievers_oracle(g):
         if order > max_order:
             max_order, max_edge = order, (u, v)
     achieved = ("edge_difference", max_edge) if max_order == exponent else None
-    if _two_eigenvalue_params(g).case == "signed_complete":
+    if detect_two_eigenvalue(g).case == "signed_complete":
         achieved = next((("vertex_class", (u,)) for u in g.vertices()
                          if element_order(g, vertex_indicator(g, u)) == exponent), None)
     return max_order, max_edge, achieved
@@ -725,7 +773,7 @@ def decomposition(g, edge) -> Decomposition:
     a, b = edge_key(*edge)
     if (a, b) not in base.edges:
         raise GraphError(f"({edge[0]},{edge[1]}) is not an edge")
-    params = _two_eigenvalue_params(g)
+    params = detect_two_eigenvalue(g)
     if params is None:
         raise StructureError("decomposition needs a two-eigenvalue record")
     if not params.regular:

@@ -340,7 +340,7 @@ def test_pairing_edges_are_ascending_edges_of_the_graph(capsys, tmp_path):
     # without a record, whose potential table comes from `solve`
     rng = random.Random(2525)
     other = random_connected_graph(rng, 9, 0.4)
-    assert critgroup.groups._two_eigenvalue_params(other) is None
+    assert critgroup.groups.detect_two_eigenvalue(other) is None
     path = tmp_path / "random.txt"
     path.write_text(format_graph(other))
     for source, g in ((["--family", "petersen"], petersen()),
@@ -531,9 +531,9 @@ def test_internal_check_exit_code(capsys, monkeypatch):
     # a structural modulus that does not annihilate the group: theta1 theta2
     # / 5 on Petersen cuts the 5-parts short, and the group certificate fails
     groups = critgroup.groups
-    params = groups._two_eigenvalue_params(critgroup.petersen())
+    params = groups.detect_two_eigenvalue(critgroup.petersen())
     short = replace(params, eigenvalue_product=params.eigenvalue_product // 5)
-    monkeypatch.setattr(groups, "_two_eigenvalue_params", lambda g: short)
+    monkeypatch.setattr(groups, "detect_two_eigenvalue", lambda g: short)
     groups.critical_group.cache_clear()
     code, out, err = run(capsys, "group", "--family", "petersen")
     assert code == 3 and out == ""
@@ -569,6 +569,18 @@ def test_error_exit_codes(capsys, tmp_path, monkeypatch):
     # structure error: exponent check on a graph without the structure
     code, _, err = run(capsys, "verify", "--family", "cycle", "--params", "6", "--check", "exponent")
     assert code == 2
+    # family parameters outside a family's domain, and a file without vertices
+    path5 = tmp_path / "empty.txt"
+    path5.write_text("n 0\n")
+    for argv, message in (
+        (("--family", "paley", "--params", "21"), "q must be a prime power"),
+        (("--family", "paley", "--params", "1"), "q must be a prime power >= 2"),
+        (("--family", "complete_multipartite"), "complete_multipartite needs part sizes"),
+        (("--input", str(path5)), "line 1: bad vertex count 0"),
+    ):
+        code, out, err = run(capsys, "group", *argv)
+        assert code == 2 and out == ""
+        assert err.splitlines()[0] == f"error: {message}"
     # --params must be integers, and the bad value is named
     for params, bad in (("a", "'a'"), ("1,x", "'x'")):
         code, out, err = run(capsys, "group", "--family", "complete", "--params", params)

@@ -30,6 +30,7 @@ from critgroup import (
     star,
 )
 from critgroup.cli import _structure_block
+from critgroup.errors import replace
 from conftest import (
     complement,
     connected_atlas,
@@ -143,10 +144,9 @@ def test_srg_detection_rejects_non_srg():
 
 
 def test_srg_complete_graph_has_mu_zero():
-    # the record leaves out complete graphs, which have one non-zero
-    # eigenvalue; analyze reports K_n as strongly regular (n, n-1, n-2, 0)
-    with pytest.raises(StructureError):
-        detect_two_eigenvalue(complete(4))
+    # complete graphs, which have one non-zero eigenvalue, have no record;
+    # analyze reports K_n as strongly regular (n, n-1, n-2, 0)
+    assert all(detect_two_eigenvalue(complete(n)) is None for n in range(1, 9))
     block = _structure_block(complete(4))
     assert block["type"] == "strongly_regular"
     assert (block["n"], block["k"], block["lam"], block["mu"]) == ("4", "3", "2", "0")
@@ -156,6 +156,8 @@ def test_srg_eigenvalue_product():
     p = detect_two_eigenvalue(petersen())
     assert p.eigenvalue_sum == 2 * 3 - 0 + 1
     assert p.eigenvalue_product == 10 * 1
+    # x^2 - 7x + 13 has no real roots, so no multiplicities
+    assert replace(p, eigenvalue_product=13).multiplicities is None
 
 
 def test_two_degree_detection():
@@ -171,8 +173,7 @@ def test_two_degree_detection():
     assert p.eigenvalue_product == 5
 
     assert detect_two_eigenvalue(cycle(6)) is None
-    with pytest.raises(StructureError):
-        detect_two_eigenvalue(complete(4))
+    assert detect_two_eigenvalue(complete(4)) is None
 
 
 def _spectral_quadratic(g):

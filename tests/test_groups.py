@@ -157,14 +157,7 @@ def test_critical_group_matches_smith_oracle():
 
 
 def _record_bearing(graphs):
-    out = []
-    for g in graphs:
-        try:
-            if detect_two_eigenvalue(g) is not None:
-                out.append(g)
-        except StructureError:  # complete graphs
-            pass
-    return out
+    return [g for g in graphs if detect_two_eigenvalue(g) is not None]
 
 
 def test_record_route_matches_smith_oracle():
@@ -236,16 +229,23 @@ def test_record_recheck_rejects_records_of_other_graphs(monkeypatch):
     # re-check holds the record to them as well as to the identity
     groups = critgroup.groups
     for g in (petersen(), signed_corpus()[7][1]):
-        params = groups._two_eigenvalue_params(g)
+        params = groups.detect_two_eigenvalue(g)
         case = "srg" if params.case.startswith("signed") else "signed_regular"
         for wrong in (replace(params, n=g.n + 1), replace(params, edge_count=params.edge_count + 1),
                       replace(params, case=case), replace(params, mu=params.mu + 1)):
-            monkeypatch.setattr(groups, "_two_eigenvalue_params", lambda _, w=wrong: w)
+            monkeypatch.setattr(groups, "detect_two_eigenvalue", lambda _, w=wrong: w)
             groups.critical_group.cache_clear()
             with pytest.raises(InternalCheckError, match="fails L\\^2 - s L \\+ p I = c J"):
                 critical_group(g)
             monkeypatch.undo()
     groups.critical_group.cache_clear()
+    # the spectrum reads the multiplicities off the record, and one edge too
+    # many leaves Petersen's non-integral
+    params = groups.detect_two_eigenvalue(petersen())
+    wrong = replace(params, edge_count=params.edge_count + 1)
+    monkeypatch.setattr(critgroup.linalg, "detect_two_eigenvalue", lambda _: wrong)
+    with pytest.raises(InternalCheckError, match="no integral multiplicities"):
+        critgroup.laplacian_spectrum(petersen())
 
 
 def test_structure_detection_runs_once_per_graph(monkeypatch):
@@ -273,9 +273,9 @@ def test_critical_group_certificate_catches_short_modulus(monkeypatch):
     # certificate must notice rather than return a smaller group
     groups = critgroup.groups
     for g, q in ((petersen(), 2), (petersen(), 5), (paley(13), 13), (signed_corpus()[1][1], 3)):
-        params = groups._two_eigenvalue_params(g)
+        params = groups.detect_two_eigenvalue(g)
         short = replace(params, eigenvalue_product=params.eigenvalue_product // q)
-        monkeypatch.setattr(groups, "_two_eigenvalue_params", lambda _, s=short: s)
+        monkeypatch.setattr(groups, "detect_two_eigenvalue", lambda _, s=short: s)
         groups.critical_group.cache_clear()
         with pytest.raises(InternalCheckError):
             critical_group(g)
@@ -335,6 +335,9 @@ def test_element_order_basics():
     for vector in ([1.0, 0, 0, 0, 0, 0, 0, -1.0, 0, 0], [Fraction(1)] + [0] * 6 + [-1, 0, 0]):
         with pytest.raises(GraphError, match="integers"):
             element_order(g, vector)
+    for u, v in ((1, 1), (0, 2), (1, 11)):
+        with pytest.raises(GraphError, match="bad vertex pair"):
+            edge_difference(g, u, v)
     gs = signed_complete_unbalanced(3)
     assert element_order(gs, vertex_indicator(gs, 1)) == 4
     assert element_order(gs, [1, 1, 0]) == 2
@@ -405,10 +408,7 @@ def test_grounded_inverse_matches_adjugate_oracle():
     structured = 0
     for g in graphs:
         assert grounded_inverse(g) == grounded_inverse_oracle(g), g
-        try:
-            structured += detect_two_eigenvalue(g) is not None
-        except StructureError:  # complete graphs
-            pass
+        structured += detect_two_eigenvalue(g) is not None
     assert structured >= 75
 
 
@@ -436,23 +436,23 @@ def test_grounded_inverse_certificate_catches_wrong_structure_record(monkeypatch
         groups.grounded_inverse.cache_clear()
 
     for g in (petersen(), paley(13), star(4), signed_corpus()[3][1], signed_corpus()[7][1]):
-        params = groups._two_eigenvalue_params(g)
+        params = groups.detect_two_eigenvalue(g)
         for wrong in (replace(params, eigenvalue_sum=params.eigenvalue_sum + 1),
                       replace(params, eigenvalue_product=2 * params.eigenvalue_product)):
-            monkeypatch.setattr(groups, "_two_eigenvalue_params", lambda _, w=wrong: w)
+            monkeypatch.setattr(groups, "detect_two_eigenvalue", lambda _, w=wrong: w)
             clear()
             with pytest.raises(InternalCheckError, match="fails L\\^2 - s L \\+ p I = c J"):
                 critical_group(g)
             monkeypatch.undo()
             critical_group(g)
-            monkeypatch.setattr(groups, "_two_eigenvalue_params", lambda _, w=wrong: w)
+            monkeypatch.setattr(groups, "detect_two_eigenvalue", lambda _, w=wrong: w)
             groups.grounded_inverse.cache_clear()
             with pytest.raises(InternalCheckError, match="L0 X == E I"):
                 grounded_inverse(g)
             monkeypatch.undo()
-    params = groups._two_eigenvalue_params(petersen())
+    params = groups.detect_two_eigenvalue(petersen())
     wrong = replace(params, eigenvalue_sum=params.eigenvalue_sum + 1)
-    monkeypatch.setattr(groups, "_two_eigenvalue_params", lambda _: wrong)
+    monkeypatch.setattr(groups, "detect_two_eigenvalue", lambda _: wrong)
     clear()
     code = critgroup.cli.main(["pairing", "--family", "petersen", "--edge1", "1,8", "--edge2", "1,9"])
     out, err = capsys.readouterr()
@@ -658,7 +658,7 @@ def test_exceptional_family_matches_networkx_oracle():
             want = "complete_bipartite"
         else:
             want = None
-        params = None if g.is_complete() else detect_two_eigenvalue(g)
+        params = detect_two_eigenvalue(g)
         assert (params and params.exceptional_family) == want, g
         seen.add(want)
     assert seen == {"star", "complete_bipartite", None}

@@ -16,6 +16,7 @@ from critgroup import (
     laplacian,
     laplacian_spectrum,
     linalg,
+    make_graph,
     make_signed_graph,
     paley,
     petersen,
@@ -502,6 +503,8 @@ def test_integer_roots():
     roots, factor = laplacian_spectrum(cycle(5))
     assert roots == [(0, 1)]
     assert factor == (25, -50, 35, -10, 1)
+    # a disconnected graph has no record and takes the char_poly route
+    assert laplacian_spectrum(make_graph(4, [(1, 2), (3, 4)])) == ([(0, 2), (2, 2)], (1,))
 
 
 def test_laplacian_spectrum_matches_char_poly():

@@ -7,6 +7,8 @@ import pytest
 from critgroup import (
     AbelianGroup,
     GraphError,
+    InternalCheckError,
+    OrthogonalSet,
     PairingValue,
     StructureError,
     check_subgroup_divisibility,
@@ -31,6 +33,7 @@ from critgroup import (
     verify_tail_heavy,
 )
 import critgroup.pairing
+from critgroup.errors import replace
 from critgroup.pairing import _closed_form_params, _pairing_table
 from conftest import (
     connected_atlas,
@@ -301,6 +304,9 @@ def test_orthogonal_subset_certificate_complete():
     pairs = {(e1, e2) for e1, e2, _ in res.certificate}
     expected = {(e1, e2) for e1, e2 in itertools.combinations(res.edges, 2)}
     assert pairs == expected
+    e1, e2, _ = res.certificate[0]
+    with pytest.raises(InternalCheckError, match="non-zero value"):
+        OrthogonalSet(res.edges, ((e1, e2, PairingValue(1, 2)),))
 
 
 def test_subgroup_bound_goldens():
@@ -310,6 +316,8 @@ def test_subgroup_bound_goldens():
     assert subgroup_bound(detect_two_eigenvalue(petersen()), 3).invariant_factors == (5, 5, 10)
     with pytest.raises(GraphError):
         subgroup_bound(detect_two_eigenvalue(petersen()), 0)
+    with pytest.raises(GraphError, match="non-complete"):
+        subgroup_bound(replace(detect_two_eigenvalue(petersen()), mu=0), 1)
 
 
 def test_check_subgroup_divisibility():

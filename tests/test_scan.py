@@ -14,7 +14,15 @@ from critgroup import (
     verify_tail_heavy,
 )
 from critgroup.graphs import MAX_VERTICES
-from conftest import complement, enumerate_feasible_filter, generalized_quadrangle_2_4, symplectic_w2
+from conftest import (
+    complement,
+    enumerate_feasible_filter,
+    generalized_quadrangle_2_4,
+    hermitian_h34,
+    pg32_lines,
+    symplectic_w2,
+    symplectic_w4,
+)
 
 
 def tuples(rows):
@@ -112,12 +120,17 @@ def test_scan_tight_34():
     assert flags[(27, 10, 1, 5)]
 
 
-def test_flagged_tight_tuples_are_realized():
-    # scan flags (15,6,1,3) and (27,10,1,5) for review, yet W(2) and GQ(2,4)
-    # realize them: the self-pairing denominator equals the bound p, the
-    # exponent is p, and greedy orthogonal edges force a tail of full
-    # factors p
-    for g, params, p, r in ((symplectic_w2(), (15, 6, 1, 3), 45, 3),
+def test_tight_tuples_are_realized():
+    # classical graphs realize every KNOWN_TIGHT_TUPLES entry and the two
+    # tuples scan flags for review, (15,6,1,3) and (27,10,1,5): on each the
+    # self-pairing denominator equals the bound p, the exponent is p, and
+    # greedy orthogonal edges force a tail of full factors p
+    realized = set()
+    for g, params, p, r in ((paley(5), (5, 2, 0, 1), 5, 1),
+                            (pg32_lines(), (35, 18, 9, 9), 315, 9),
+                            (hermitian_h34(), (45, 12, 3, 3), 135, 6),
+                            (symplectic_w4(), (85, 20, 3, 5), 425, 7),
+                            (symplectic_w2(), (15, 6, 1, 3), 45, 3),
                             (generalized_quadrangle_2_4(), (27, 10, 1, 5), 135, 5)):
         record = detect_two_eigenvalue(g)
         assert (record.n, record.k1, record.lam, record.mu) == params
@@ -126,6 +139,8 @@ def test_flagged_tight_tuples_are_realized():
         assert report.matched and report.exponent == p
         tail = verify_tail_heavy(g, mode="greedy")
         assert tail.passed and tail.strong_pattern and tail.size == r
+        realized.add(params)
+    assert realized - {(15, 6, 1, 3), (27, 10, 1, 5)} == KNOWN_TIGHT_TUPLES
 
 
 def test_scan_tight_100_unflagged_exactly_known():
