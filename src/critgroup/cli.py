@@ -1,8 +1,9 @@
 """Command-line surface: graph ingestion, analysis, verification reports.
 
 Reports are deterministic: identical invocations produce byte-identical
-stdout. Timing goes to stderr. Integers are serialized as decimal strings
-and pairing values as "p/q", so consumers never face overflow or floats.
+stdout. Timing goes to stderr. Report builders return plain values, and
+`_json` is the one place an integer becomes a decimal string; pairing
+values are "p/q", so consumers never face overflow or floats.
 
 Exit codes: 0 a report was written, 1 a verifier ran and the property
 failed, 2 bad input or a graph the command does not apply to (an `error:`
@@ -12,9 +13,9 @@ line on stderr), 3 an internal exact check failed.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from .errors import GraphError, InternalCheckError, StructureError
 from .graphs import (
@@ -41,14 +42,6 @@ from .pairing import (
 from .scan import SCAN_NOTE, enumerate_feasible, scan_tight_denominators
 
 SCHEMA = "critgroup/1"
-
-
-def _jint(x: int) -> str:
-    return str(int(x))
-
-
-def _jedge(e) -> list[str]:
-    return [_jint(e[0]), _jint(e[1])]
 
 
 # ---------------------------------------------------------------------------
@@ -109,13 +102,13 @@ def _graph_summary(g: Graph | SignedGraph) -> dict:
     signed = isinstance(g, SignedGraph)
     base = g.graph if signed else g
     summary = {
-        "n": _jint(g.n),
-        "edge_count": _jint(len(base.edges)),
+        "n": g.n,
+        "edge_count": len(base.edges),
         "signed": signed,
         "connected": base.is_connected(),
     }
     if signed:
-        summary["negative_edge_count"] = _jint(len(g.negative_edges))
+        summary["negative_edge_count"] = len(g.negative_edges)
         summary["balanced"] = is_balanced(g).balanced
     return summary
 
@@ -141,33 +134,33 @@ def _structure_block(g: Graph | SignedGraph) -> dict | None:
             case = "regular" if p.regular else "two_degree"
             fields = {"type": "signed_two_eigenvalue", "case": case, **sums, **degrees}
         elif p.regular:
-            fields = {"type": "strongly_regular", "n": p.n, **degrees, "mu": p.mu, **sums}
+            fields = {"type": "strongly_regular", **_srg_fields(p), **sums}
         else:
             fields = {"type": "two_degree", **degrees, "mu": p.mu, "mu_bar": p.mu_bar, **sums}
-    return {key: x if isinstance(x, str) else _jint(x) for key, x in fields.items()}
+    return fields
+
+
+def _srg_fields(p) -> dict:
+    return {"n": p.n, "k": p.k1, "lam": p.lam, "mu": p.mu}
 
 
 def _spectrum_block(g: Graph | SignedGraph) -> dict:
     roots, factor = laplacian_spectrum(g)
-    block = {
-        "integer_eigenvalues": [
-            {"value": _jint(r), "multiplicity": _jint(m)} for r, m in roots
-        ]
-    }
+    block = {"integer_eigenvalues": [{"value": r, "multiplicity": m} for r, m in roots]}
     if len(factor) > 1:
-        block["irrational_factor_coefficients"] = [_jint(c) for c in factor]
+        block["irrational_factor_coefficients"] = factor
     return block
 
 
 def _group_block(g: Graph | SignedGraph) -> dict:
     group = critical_group(g)
     block = {
-        "invariant_factors": [_jint(f) for f in group.invariant_factors],
-        "exponent": _jint(group.exponent),
-        "order": _jint(group.order),
+        "invariant_factors": group.invariant_factors,
+        "exponent": group.exponent,
+        "order": group.order,
     }
     if isinstance(g, Graph):  # the order of an unsigned group is kappa
-        block["spanning_trees"] = _jint(group.order)
+        block["spanning_trees"] = group.order
     return block
 
 
@@ -177,9 +170,9 @@ def _group_block(g: Graph | SignedGraph) -> dict:
 
 
 def _cmd_generate(args, g) -> tuple[dict, int]:
-    result = {"n": _jint(g.n), "edges": []}
+    result = {"n": g.n, "edges": []}
     for u, v in g.sorted_edges():
-        entry = {"u": _jint(u), "v": _jint(v)}
+        entry = {"u": u, "v": v}
         if isinstance(g, SignedGraph):
             entry["sign"] = "-" if (u, v) in g.negative_edges else "+"
         result["edges"].append(entry)
@@ -220,7 +213,7 @@ def _cmd_pairing(args, g) -> tuple[dict, int]:
     else:
         edges = g.sorted_edges()
     exponent, table = _pairing_table(g, edges)
-    result = {"m": _jint(exponent)}
+    result = {"m": exponent}
     try:
         _closed_form_params(g)
         result["closed_form"] = True
@@ -228,12 +221,11 @@ def _cmd_pairing(args, g) -> tuple[dict, int]:
         result["closed_form"] = False
     if args.edge1 is not None:
         value = str(PairingValue.of(table[0][1], exponent))
-        result["pairs"] = [{"edge1": _jedge(e1), "edge2": _jedge(e2), "value": value}]
+        result["pairs"] = [{"edge1": e1, "edge2": e2, "value": value}]
     else:
-        labels = [_jedge(e) for e in edges]
         values = {a: str(PairingValue.of(a, exponent)) for a in {x for row in table for x in row}}
         result["pairs"] = [
-            {"edge1": labels[i], "edge2": labels[j], "value": values[row[j]]}
+            {"edge1": edges[i], "edge2": edges[j], "value": values[row[j]]}
             for i, row in enumerate(table)
             for j in range(i, len(edges))
         ]
@@ -244,10 +236,10 @@ def _cmd_orthogonal(args, g) -> tuple[dict, int]:
     found = orthogonal_subset(g, mode=args.mode, structural_hints=not args.no_hints)
     result = {
         "mode": args.mode,
-        "size": _jint(found.size),
-        "edges": [_jedge(e) for e in found.edges],
+        "size": found.size,
+        "edges": found.edges,
         "certificate": [
-            {"edge1": _jedge(a), "edge2": _jedge(b), "value": str(v)}
+            {"edge1": a, "edge2": b, "value": str(v)}
             for a, b, v in found.certificate
         ],
     }
@@ -260,17 +252,17 @@ def _cmd_verify(args, g) -> tuple[dict, int]:
         achieving = None
         if report.achieving_element is not None:
             kind, vertices = report.achieving_element
-            achieving = {"type": kind, "vertices": [_jint(x) for x in vertices]}
+            achieving = {"type": kind, "vertices": vertices}
         result = {
             "check": "exponent",
             "kind": report.kind,
             "classification": report.classification,
-            "spectral_bound": _jint(report.spectral_bound),
-            "expected_exponent": _jint(report.expected_exponent),
-            "exponent": _jint(report.exponent),
-            "invariant_factors": [_jint(f) for f in report.group.invariant_factors],
-            "max_edge_order": _jint(report.max_edge_order),
-            "max_edge": _jedge(report.max_edge) if report.max_edge else None,
+            "spectral_bound": report.spectral_bound,
+            "expected_exponent": report.expected_exponent,
+            "exponent": report.exponent,
+            "invariant_factors": report.group.invariant_factors,
+            "max_edge_order": report.max_edge_order,
+            "max_edge": report.max_edge,
             "achieving_element": achieving,
             "verdict": "pass" if report.matched else "fail",
         }
@@ -281,25 +273,20 @@ def _cmd_verify(args, g) -> tuple[dict, int]:
         report = verify_spectral_bound(g)
         result = {
             "check": "spectral-bound",
-            "exponent": _jint(report.exponent),
-            "distinct_eigenvalue_product": _jint(report.product),
+            "exponent": report.exponent,
+            "distinct_eigenvalue_product": report.product,
             "verdict": "pass" if report.passed else "fail",
         }
         return result, 0 if report.passed else 1
     report = verify_tail_heavy(g, mode=args.mode)
     result = {
         "check": "tail-heavy",
-        "parameters": {
-            "n": _jint(report.params.n),
-            "k": _jint(report.params.k1),
-            "lam": _jint(report.params.lam),
-            "mu": _jint(report.params.mu),
-        },
-        "self_pairing_denominator": _jint(report.denominator),
-        "orthogonal_size": _jint(report.orthogonal_set.size),
-        "orthogonal_edges": [_jedge(e) for e in report.orthogonal_set.edges],
-        "predicted_subgroup": [_jint(f) for f in report.predicted.invariant_factors],
-        "invariant_factors": [_jint(f) for f in report.group.invariant_factors],
+        "parameters": _srg_fields(report.params),
+        "self_pairing_denominator": report.denominator,
+        "orthogonal_size": report.orthogonal_set.size,
+        "orthogonal_edges": report.orthogonal_set.edges,
+        "predicted_subgroup": report.predicted.invariant_factors,
+        "invariant_factors": report.group.invariant_factors,
         "divisibility_ok": report.divisibility_ok,
         "strong_pattern": report.strong_pattern,
         "verdict": "pass" if report.passed else "fail",
@@ -312,24 +299,19 @@ def _cmd_scan(args, g) -> tuple[dict, int]:
         tuples = enumerate_feasible(args.nmax)
     else:
         tuples = scan_tight_denominators(args.nmax)
-    rows = []
-    for ft in tuples:
-        p = ft.params
-        rows.append(
-            {
-                "n": _jint(p.n),
-                "k": _jint(p.k1),
-                "lam": _jint(p.lam),
-                "mu": _jint(p.mu),
-                "multiplicities": [_jint(m) for m in ft.multiplicities],
-                "conference": ft.conference,
-                "denominator": _jint(ft.denominator),
-                "denominator_equals_bound": ft.denominator_equals_bound,
-                "needs_review": ft.needs_review,
-            }
-        )
+    rows = [
+        {
+            **_srg_fields(ft.params),
+            "multiplicities": ft.multiplicities,
+            "conference": ft.conference,
+            "denominator": ft.denominator,
+            "denominator_equals_bound": ft.denominator_equals_bound,
+            "needs_review": ft.needs_review,
+        }
+        for ft in tuples
+    ]
     result = {
-        "nmax": _jint(args.nmax),
+        "nmax": args.nmax,
         "full_enumeration": bool(args.full),
         "note": SCAN_NOTE,
         "tuples": rows,
@@ -341,17 +323,37 @@ def _cmd_scan(args, g) -> tuple[dict, int]:
 # Rendering
 
 
+def _json(x, pad: str = "") -> str:
+    """`x` as the stdlib JSON encoder writes it with indent=2, except that
+    every int that is not a bool is a quoted decimal and a tuple a list."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None or isinstance(x, bool):
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return f'"{x}"'
+    inner = pad + "  "
+    if isinstance(x, dict):
+        ends, items = "{}", [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in x.items()]
+    else:
+        ends, items = "[]", [_json(v, inner) for v in x]
+    if not items:
+        return ends
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{ends[1]}"
+
+
 def _render_text(obj: dict, indent: int = 0) -> list[str]:
+    """The `--format text` lines of the plain values that `_json` writes."""
     pad = "  " * indent
     lines: list[str] = []
     for key, value in obj.items():
         if isinstance(value, dict):
             lines.append(f"{pad}{key}:")
             lines.extend(_render_text(value, indent + 1))
-        elif isinstance(value, list) and value and isinstance(value[0], (dict, list)):
+        elif isinstance(value, (list, tuple)) and value and isinstance(value[0], (dict, list, tuple)):
             lines.append(f"{pad}{key}:")
             for item in value:
-                if isinstance(item, list):
+                if isinstance(item, (list, tuple)):
                     inner = ", ".join(str(x) for x in item)
                     lines.append(f"{'  ' * (indent + 1)}- [{inner}]")
                     continue
@@ -360,7 +362,7 @@ def _render_text(obj: dict, indent: int = 0) -> list[str]:
                     head = rendered[0].lstrip()
                     lines.append(f"{'  ' * (indent + 1)}- {head}")
                     lines.extend(rendered[1:])
-        elif isinstance(value, list):
+        elif isinstance(value, (list, tuple)):
             lines.append(f"{pad}{key}: [{', '.join(str(x) for x in value)}]")
         else:
             lines.append(f"{pad}{key}: {value}")
@@ -369,7 +371,7 @@ def _render_text(obj: dict, indent: int = 0) -> list[str]:
 
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+        sys.stdout.write(_json(report) + "\n")
     else:
         sys.stdout.write("\n".join(_render_text(report)) + "\n")
 

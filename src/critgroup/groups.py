@@ -360,8 +360,6 @@ def verify_exponent_theorem(g: Graph | SignedGraph) -> ExponentReport:
     if params.exceptional_family == "star":
         classification, expected = "exceptional_star", 1
     elif params.exceptional_family == "complete_bipartite":
-        if bound % 2:
-            raise InternalCheckError("complete bipartite bound should be even")
         classification, expected = "exceptional_complete_bipartite", bound // 2
     exponent, rows = grounded_inverse(g)
     if exponent != group.exponent:

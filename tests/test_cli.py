@@ -665,6 +665,30 @@ def test_scan_full_listing(capsys):
     assert len(report["result"]["tuples"]) >= 4
 
 
+def test_json_writer_matches_json_dumps():
+    # _json writes what json.dumps(indent=2) writes once every int that is
+    # not a bool is a decimal string and every tuple a list
+    def stringify(x):
+        if x is None or isinstance(x, (bool, str)):
+            return x
+        if isinstance(x, int):
+            return str(x)
+        if isinstance(x, dict):
+            return {key: stringify(value) for key, value in x.items()}
+        return [stringify(value) for value in x]
+
+    odd = 'a"b\\c\td\ne\u00e9\U0001f600'  # quote, backslash, tab, newline, e-acute, emoji
+    sample = {
+        "empty": [{}, [], (), None],
+        "bools": (True, False),
+        "ints": [0, -7, 2**200],
+        "nested": ((1, (2, ())), [{"a": 3, "b": [{}]}, {}]),
+        odd: [odd, {odd: (odd, 5)}],
+    }
+    for x in (sample, {}, [], (), None, True, False, 0, 2**200, odd):
+        assert cli._json(x) == json.dumps(stringify(x), indent=2)
+
+
 def test_text_format_renders_same_data(capsys):
     code, out_json, _ = run(capsys, "group", "--family", "petersen")
     code2, out_text, _ = run(capsys, "group", "--family", "petersen", "--format", "text")

@@ -149,7 +149,7 @@ def test_srg_complete_graph_has_mu_zero():
     assert all(detect_two_eigenvalue(complete(n)) is None for n in range(1, 9))
     block = _structure_block(complete(4))
     assert block["type"] == "strongly_regular"
-    assert (block["n"], block["k"], block["lam"], block["mu"]) == ("4", "3", "2", "0")
+    assert (block["n"], block["k"], block["lam"], block["mu"]) == (4, 3, 2, 0)
 
 
 def test_srg_eigenvalue_product():
@@ -245,6 +245,8 @@ def test_balance_detection():
     assert not switch(gs, result.switching_set).negative_edges
     with pytest.raises(StructureError):
         is_balanced(petersen())  # an unsigned graph has no signs
+    with pytest.raises(GraphError, match=r"\(1,3\) is not an edge"):
+        make_signed_graph(4, edges, []).sign(1, 3)
 
 
 def test_signed_two_eigenvalue_detection_corpus():
