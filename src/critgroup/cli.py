@@ -22,6 +22,7 @@ from .graphs import (
     GENERATOR_FAMILIES,
     Graph,
     SignedGraph,
+    TwoEigenvalueParams,
     detect_two_eigenvalue,
     edge_key,
     format_graph,
@@ -118,26 +119,20 @@ def _structure_block(g: Graph | SignedGraph) -> dict | None:
     its one non-zero eigenvalue n standing for both, and is reported as
     strongly regular with parameters (n, n-1, n-2, 0)."""
     signed = isinstance(g, SignedGraph)
-    if not signed and g.is_complete():
-        if g.n == 1:
-            return None
-        n = g.n
-        fields = {"type": "strongly_regular", "n": n, "k": n - 1, "lam": n - 2, "mu": 0,
-                  "eigenvalue_sum": n, "eigenvalue_product": 0}
+    if not signed and g.is_complete() and g.n > 1:
+        p = TwoEigenvalueParams(g.n, "srg", g.n - 1, g.n - 1, 0, g.n, 0, len(g.edges))
     else:
         p = detect_two_eigenvalue(g)
-        if p is None:
-            return None
-        sums = {"eigenvalue_sum": p.eigenvalue_sum, "eigenvalue_product": p.eigenvalue_product}
-        degrees = {"k": p.k1, "lam": p.lam} if p.regular else {"k1": p.k1, "k2": p.k2}
-        if signed:
-            case = "regular" if p.regular else "two_degree"
-            fields = {"type": "signed_two_eigenvalue", "case": case, **sums, **degrees}
-        elif p.regular:
-            fields = {"type": "strongly_regular", **_srg_fields(p), **sums}
-        else:
-            fields = {"type": "two_degree", **degrees, "mu": p.mu, "mu_bar": p.mu_bar, **sums}
-    return fields
+    if p is None:
+        return None
+    sums = {"eigenvalue_sum": p.eigenvalue_sum, "eigenvalue_product": p.eigenvalue_product}
+    degrees = {"k": p.k1, "lam": p.lam} if p.regular else {"k1": p.k1, "k2": p.k2}
+    if signed:
+        case = "regular" if p.regular else "two_degree"
+        return {"type": "signed_two_eigenvalue", "case": case, **sums, **degrees}
+    if p.regular:
+        return {"type": "strongly_regular", **_srg_fields(p), **sums}
+    return {"type": "two_degree", **degrees, "mu": p.mu, "mu_bar": p.mu_bar, **sums}
 
 
 def _srg_fields(p) -> dict:

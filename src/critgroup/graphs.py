@@ -167,136 +167,84 @@ def star(p: int) -> Graph:
     return make_graph(p + 1, [(1, i) for i in range(2, p + 2)])
 
 
+def _pair_graph(n: int, adjacent) -> Graph:
+    """The graph on 1..n whose edges are the pairs u < v with adjacent(u, v)."""
+    return Graph(n, frozenset(e for e in combinations(range(1, n + 1), 2) if adjacent(*e)))
+
+
 def complete_multipartite(parts: list[int]) -> Graph:
     """Complete multipartite graph; part i occupies a consecutive label block."""
     if len(parts) < 2 or any(m < 1 for m in parts):
         raise GraphError("need at least two parts, each of size >= 1")
-    n = sum(parts)
-    blocks = []
-    start = 1
-    for m in parts:
-        blocks.append(range(start, start + m))
-        start += m
-    edges = []
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            edges.extend((u, v) for u in blocks[i] for v in blocks[j])
-    return make_graph(n, edges)
+    part = [None, *(i for i, m in enumerate(parts) for _ in range(m))]
+    return _pair_graph(len(part) - 1, lambda u, v: part[u] != part[v])
 
 
 def petersen() -> Graph:
     """Kneser graph on the 2-subsets of {1..5}, labeled in lexicographic order."""
-    subsets = list(combinations(range(1, 6), 2))
-    index = {s: i + 1 for i, s in enumerate(subsets)}
-    edges = [
-        (index[a], index[b])
-        for a, b in combinations(subsets, 2)
-        if not set(a) & set(b)
-    ]
-    return make_graph(10, edges)
+    subsets = [None, *map(set, combinations(range(1, 6), 2))]
+    return _pair_graph(10, lambda u, v: not subsets[u] & subsets[v])
 
 
 def clebsch_complement() -> Graph:
     """Binary strings of length 4 (lexicographic), adjacent iff they differ
     in exactly 2 or 3 positions. This is the (16,10,6,6) strongly regular
     complement of the Clebsch graph."""
-    edges = []
-    for a, b in combinations(range(16), 2):
-        if bin(a ^ b).count("1") in (2, 3):
-            edges.append((a + 1, b + 1))
-    return make_graph(16, edges)
+    return _pair_graph(16, lambda u, v: bin((u - 1) ^ (v - 1)).count("1") in (2, 3))
 
 
-def _factor_prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            while q % p == 0:
-                q //= p
-                e += 1
-            if q != 1:
-                raise GraphError("q must be a prime power")
-            return p, e
-    raise GraphError("q must be a prime power >= 2")
-
-
-def _find_irreducible(p: int, e: int) -> tuple[int, ...]:
-    """Monic irreducible of degree e over F_p, coefficients low to high,
-    found by deterministic search with trial division."""
-
-    def poly_mod(num, den):
-        num = list(num)
-        while len(num) >= len(den):
-            if num[-1] % p:
-                shift = len(num) - len(den)
-                lead = num[-1] * pow(den[-1], -1, p) % p
-                for i, c in enumerate(den):
-                    num[shift + i] = (num[shift + i] - lead * c) % p
-            num.pop()
-        return num
-
-    for code in range(p**e):
-        coeffs = [(code // p**i) % p for i in range(e)] + [1]
-        ok = True
-        for d in range(1, e // 2 + 1):
-            for dcode in range(p**d):
-                den = [(dcode // p**i) % p for i in range(d)] + [1]
-                if not any(poly_mod(coeffs, den)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return tuple(coeffs)
-    raise GraphError(f"no irreducible of degree {e} over F_{p}")
+def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """Product over F_p of two polynomials, coefficients low to high."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return tuple(c % p for c in prod)
 
 
 def paley(q: int) -> Graph:
     """Paley graph on the field with q elements, q a prime power, q = 1 mod 4.
 
-    Field elements are enumerated by integer value sum(c_i * p^i) of their
-    coefficient vectors; vertex labels are that value plus one. Two vertices
-    are adjacent iff their difference is a non-zero square.
+    For q = p^e the field is F_p[x]/(f), f the first monic irreducible of
+    degree e when its lower coefficients, low to high, are read as base-p
+    digits: x^2 + 1 for q = 9, x^2 + 2 for q = 25. An element is the
+    coefficient vector of a polynomial of degree below e, and vertex i is
+    the element whose base-p digits are those of i - 1. Two vertices are
+    adjacent iff their difference is a non-zero square.
     """
     if q % 4 != 1:
         raise GraphError("paley needs q = 1 mod 4")
-    p, e = _factor_prime_power(q)
+    if q < 2:
+        raise GraphError("q must be a prime power >= 2")
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    e = 1
+    while p**e < q:
+        e += 1
+    if p**e != q:
+        raise GraphError("q must be a prime power")
     if e == 1:
         squares = {x * x % p for x in range(1, p)}
-        edges = [
-            (a + 1, b + 1) for a, b in combinations(range(p), 2) if (a - b) % p in squares
-        ]
-        return make_graph(p, edges)
+        return _pair_graph(q, lambda u, v: (u - v) % p in squares)
 
-    modulus = _find_irreducible(p, e)
+    elements = [tuple(code // p**i % p for i in range(e)) for code in range(q)]
 
-    def decode(code):
-        return tuple((code // p**i) % p for i in range(e))
+    def monic(d):  # every monic polynomial of degree d
+        return [x[:d] + (1,) for x in elements[: p**d]]
 
-    def encode(coeffs):
-        return sum(c * p**i for i, c in enumerate(coeffs))
-
-    def mul(a, b):
-        prod = [0] * (2 * e - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                prod[i + j] += x * y
-        # reduce mod the irreducible, x^e = -(lower terms)
-        for i in range(2 * e - 2, e - 1, -1):
-            c = prod[i] % p
-            prod[i] = 0
+    # f is the first monic polynomial of degree e that is no product of two
+    # monic polynomials of lower degree
+    reducible = {_poly_mul(a, b, p) for d in range(1, e // 2 + 1) for a in monic(d) for b in monic(e - d)}
+    f = next(x for x in monic(e) if x not in reducible)
+    squares = set()
+    for x in elements[1:]:
+        square = list(_poly_mul(x, x, p))
+        for i in range(2 * e - 2, e - 1, -1):  # subtract c x^(i-e) f, top term first
+            c = square[i]
             for j in range(e):
-                prod[i - e + j] = (prod[i - e + j] - c * modulus[j]) % p
-        return tuple(c % p for c in prod[:e])
-
-    elements = [decode(c) for c in range(q)]
-    squares = {encode(mul(x, x)) for x in elements} - {0}
-    edges = []
-    for ca, cb in combinations(range(q), 2):
-        diff = tuple((x - y) % p for x, y in zip(decode(ca), decode(cb)))
-        if encode(diff) in squares:
-            edges.append((ca + 1, cb + 1))
-    return make_graph(q, edges)
+                square[i - e + j] = (square[i - e + j] - c * f[j]) % p
+        squares.add(tuple(square[:e]))
+    vector = [None, *elements]
+    return _pair_graph(q, lambda u, v: tuple((a - b) % p for a, b in zip(vector[u], vector[v])) in squares)
 
 
 def signed_complete_unbalanced(n: int) -> SignedGraph:
@@ -327,25 +275,24 @@ GENERATOR_FAMILIES = tuple(_FAMILIES)
 def generate(family: str, params=None) -> Graph | SignedGraph:
     """Build a named family member from a list of integer parameters.
 
-    Every family's vertex count is the sum of its parameters, plus one for
-    the centre of a star, so it is checked against MAX_VERTICES first.
+    The family and its parameter count are checked first. Every family's
+    vertex count is then the sum of its parameters, plus one for the centre
+    of a star, so it is checked against MAX_VERTICES before anything is built.
     """
     params = list(params) if params is not None else []
+    if family not in _FAMILIES:
+        raise GraphError(f"unknown family {family!r}; known: {', '.join(GENERATOR_FAMILIES)}")
+    builder, arity = _FAMILIES[family]
+    if arity is None and not params:
+        raise GraphError(f"{family} needs part sizes")
+    if arity is not None and len(params) != arity:
+        raise GraphError(f"family {family} takes {arity} parameter(s), got {len(params)}")
     vertices = sum(params) + (family == "star")
     if vertices > MAX_VERTICES:
         raise GraphError(
             f"family {family} would have {vertices} vertices; the limit is {MAX_VERTICES}"
         )
-    if family not in _FAMILIES:
-        raise GraphError(f"unknown family {family!r}; known: {', '.join(GENERATOR_FAMILIES)}")
-    builder, arity = _FAMILIES[family]
-    if arity is None:
-        if not params:
-            raise GraphError(f"{family} needs part sizes")
-        return builder(params)
-    if len(params) != arity:
-        raise GraphError(f"family {family} takes {arity} parameter(s), got {len(params)}")
-    return builder(*params)
+    return builder(params) if arity is None else builder(*params)
 
 
 # ---------------------------------------------------------------------------

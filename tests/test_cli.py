@@ -13,6 +13,7 @@ import critgroup.groups
 import critgroup.linalg
 import critgroup.pairing
 from critgroup import (
+    GENERATOR_FAMILIES,
     InternalCheckError,
     SignedGraph,
     cycle,
@@ -577,6 +578,11 @@ def test_error_exit_codes(capsys, tmp_path, monkeypatch):
         (("--family", "paley", "--params", "1"), "q must be a prime power >= 2"),
         (("--family", "complete_multipartite"), "complete_multipartite needs part sizes"),
         (("--input", str(path5)), "line 1: bad vertex count 0"),
+        # the family and its parameter count are checked before the vertex limit
+        (("--family", "nosuch", "--params", "2000"),
+         f"unknown family 'nosuch'; known: {', '.join(GENERATOR_FAMILIES)}"),
+        (("--family", "petersen", "--params", "5000"), "family petersen takes 0 parameter(s), got 1"),
+        (("--family", "paley", "--params", "2001,-1000"), "family paley takes 1 parameter(s), got 2"),
     ):
         code, out, err = run(capsys, "group", *argv)
         assert code == 2 and out == ""

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -117,6 +118,48 @@ def test_clebsch_complement_binary_labeling():
     assert g.has_edge(1, 4)
     assert g.has_edge(15, 14)
     assert not g.has_edge(1, 16)  # 0000 vs 1111 differ in four bits
+
+
+def _networkx_edges(nx_graph):
+    """The undirected edges of a networkx graph on 0..n-1, labels + 1."""
+    return sorted({tuple(sorted((u + 1, v + 1))) for u, v in nx_graph.edges()})
+
+
+def test_complete_multipartite_matches_networkx():
+    import networkx as nx
+
+    for parts in ([1, 1], [2, 3], [3, 4, 5], [2, 2, 2, 2], [1, 2, 3, 4]):
+        g = complete_multipartite(parts)
+        assert g.n == sum(parts)
+        assert g.sorted_edges() == _networkx_edges(nx.complete_multipartite_graph(*parts))
+
+
+def test_prime_paley_matches_networkx():
+    import networkx as nx
+
+    for q in (5, 13, 17, 29, 37, 41, 53, 61, 101):
+        g = paley(q)
+        assert g.n == q
+        assert g.sorted_edges() == _networkx_edges(nx.paley_graph(q))
+
+
+# sha256 of format_graph(paley(q)) for the prime powers, recorded from the
+# trial-division field construction before the generators were rebuilt on
+# vertex-pair predicates: the field modulus and the labelling must not move
+PRIME_POWER_PALEY_DIGESTS = {
+    9: "c9da0ff6401443a9f0099eb212827c70e3efcc8301bb61fc6d24d74d328465b8",
+    25: "530b01691e6dea7e0353e0088c77efe1a09b88016997651dab086a43aeb2b8cf",
+    49: "0cc9418c13ed3c7d9b8fe5eb7eff4e38ca82573a23db1b26df21f6c6d037cccd",
+    81: "bbed337ade9eab777f79ef4dc49cd15ced9894465053d4dc11c58c6ded2cca57",
+    121: "36e32bca40353824088af63c1476805eb2ecf0a8537e6b5720bd5537a9cd5d1d",
+    125: "303d7e9d28066d283c1929df76a186ec167eb5a3ae478fd6b7cdc097fe49f240",
+    729: "c877c0950fd89a843bae87575fcffdf23e09fe76b70e82fd2bf32d7361ddf9a0",
+}
+
+
+def test_prime_power_paley_labelling_is_pinned():
+    for q, digest in PRIME_POWER_PALEY_DIGESTS.items():
+        assert hashlib.sha256(format_graph(paley(q)).encode()).hexdigest() == digest, q
 
 
 def test_srg_detection_golden_parameters():

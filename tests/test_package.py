@@ -449,3 +449,12 @@ def test_readme_cli_examples_are_real_output():
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             assert critgroup.cli.main(argv) == 0, argv
         assert out.getvalue() == output, argv
+
+
+def test_readme_family_table_lists_every_generator_family():
+    # one row per family, in the order of GENERATOR_FAMILIES, so a new
+    # family cannot ship undocumented
+    text = README.read_text(encoding="utf-8")
+    table = text.split("### Graph families\n", 1)[1].strip().split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \|", table, re.M)
+    assert tuple(rows) == critgroup.GENERATOR_FAMILIES
