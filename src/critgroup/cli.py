@@ -8,14 +8,23 @@ values are "p/q", so consumers never face overflow or floats.
 Exit codes: 0 a report was written, 1 a verifier ran and the property
 failed, 2 bad input or a graph the command does not apply to (an `error:`
 line on stderr), 3 an internal exact check failed.
+
+A run compiles only the modules its subcommand calls. `pairing` and `scan`
+are in sys.modules and on the package from import on, where
+bench/traced_cli.py looks them up, but each is compiled on its first
+attribute access, so `group`, `analyze` and `verify --check
+exponent|spectral-bound` never compile them. Strings are escaped by the C
+function of `_json` that `json.encoder` also uses, without importing the
+json package.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import sys
 import time
-from json.encoder import encode_basestring_ascii
+from _json import encode_basestring_ascii
 
 from .errors import GraphError, InternalCheckError, StructureError
 from .graphs import (
@@ -33,14 +42,28 @@ from .graphs import (
 )
 from .groups import critical_group, verify_exponent_theorem, verify_spectral_bound
 from .linalg import laplacian_spectrum
-from .pairing import (
-    PairingValue,
-    _closed_form_params,
-    _pairing_table,
-    orthogonal_subset,
-    verify_tail_heavy,
-)
-from .scan import SCAN_NOTE, enumerate_feasible, scan_tight_denominators
+
+
+def _lazy_module(name: str):
+    """The package module `name`, compiled only on its first attribute
+    access. It goes into sys.modules and onto the package now, as an import
+    would put it, so `import critgroup.pairing` and `critgroup.pairing.x`
+    find it; a module already imported is returned as it is, so that its
+    classes exist once."""
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+pairing = _lazy_module("pairing")
+scan = _lazy_module("scan")
 
 SCHEMA = "critgroup/1"
 
@@ -207,18 +230,18 @@ def _cmd_pairing(args, g) -> tuple[dict, int]:
                 raise GraphError(f"({u},{v}) is not an edge")
     else:
         edges = g.sorted_edges()
-    exponent, table = _pairing_table(g, edges)
+    exponent, table = pairing._pairing_table(g, edges)
     result = {"m": exponent}
     try:
-        _closed_form_params(g)
+        pairing._closed_form_params(g)
         result["closed_form"] = True
     except StructureError:
         result["closed_form"] = False
     if args.edge1 is not None:
-        value = str(PairingValue.of(table[0][1], exponent))
+        value = str(pairing.PairingValue.of(table[0][1], exponent))
         result["pairs"] = [{"edge1": e1, "edge2": e2, "value": value}]
     else:
-        values = {a: str(PairingValue.of(a, exponent)) for a in {x for row in table for x in row}}
+        values = {a: str(pairing.PairingValue.of(a, exponent)) for a in {x for row in table for x in row}}
         result["pairs"] = [
             {"edge1": edges[i], "edge2": edges[j], "value": values[row[j]]}
             for i, row in enumerate(table)
@@ -228,7 +251,7 @@ def _cmd_pairing(args, g) -> tuple[dict, int]:
 
 
 def _cmd_orthogonal(args, g) -> tuple[dict, int]:
-    found = orthogonal_subset(g, mode=args.mode, structural_hints=not args.no_hints)
+    found = pairing.orthogonal_subset(g, mode=args.mode, structural_hints=not args.no_hints)
     result = {
         "mode": args.mode,
         "size": found.size,
@@ -273,7 +296,7 @@ def _cmd_verify(args, g) -> tuple[dict, int]:
             "verdict": "pass" if report.passed else "fail",
         }
         return result, 0 if report.passed else 1
-    report = verify_tail_heavy(g, mode=args.mode)
+    report = pairing.verify_tail_heavy(g, mode=args.mode)
     result = {
         "check": "tail-heavy",
         "parameters": _srg_fields(report.params),
@@ -291,9 +314,9 @@ def _cmd_verify(args, g) -> tuple[dict, int]:
 
 def _cmd_scan(args, g) -> tuple[dict, int]:
     if args.full:
-        tuples = enumerate_feasible(args.nmax)
+        tuples = scan.enumerate_feasible(args.nmax)
     else:
-        tuples = scan_tight_denominators(args.nmax)
+        tuples = scan.scan_tight_denominators(args.nmax)
     rows = [
         {
             **_srg_fields(ft.params),
@@ -308,7 +331,7 @@ def _cmd_scan(args, g) -> tuple[dict, int]:
     result = {
         "nmax": args.nmax,
         "full_enumeration": bool(args.full),
-        "note": SCAN_NOTE,
+        "note": scan.SCAN_NOTE,
         "tuples": rows,
     }
     return result, 0

@@ -53,8 +53,8 @@ def solve(m, columns=()) -> tuple[int, list[list[int]] | None]:
     last pivot is d. A row with a zero in the pivot column would only be
     rescaled, so it is skipped and keeps in base[i] the pivot it is
     relative to, which its next update divides by. Back substitution,
-    x_i = (d b_i - sum_{j>i} a_ij x_j) / a_ii, must divide exactly, else
-    InternalCheckError.
+    x_i = (d b_i - sum_{j>i} a_ij x_j) / a_ii over the non-zero a_ij only,
+    must divide exactly, else InternalCheckError.
     """
     n = len(m)
     if not m or any(len(row) != n for row in m):
@@ -81,9 +81,13 @@ def solve(m, columns=()) -> tuple[int, list[list[int]] | None]:
         d = pivot
     xs = [[0] * n for _ in columns]
     for i in range(n - 1, -1, -1):
-        row, upper = a[i], a[i][i + 1:n]
+        row = a[i]
+        cols = [j for j in range(i + 1, n) if row[j]]
+        vals = [row[j] for j in cols]
+        dense = len(cols) == n - i - 1  # a slice is the faster gather then
         for x, b in zip(xs, row[n:]):
-            x[i], r = divmod(d * b - sum(map(mul, upper, x[i + 1:])), row[i])
+            known = x[i + 1:] if dense else map(x.__getitem__, cols)
+            x[i], r = divmod(d * b - sum(map(mul, vals, known)), row[i])
             if r:
                 raise InternalCheckError(f"back substitution is not exact in row {i + 1}")
     return d, xs

@@ -202,10 +202,11 @@ def test_traced_runner_matches_the_cli(tmp_path, monkeypatch):
     # one op of each kind the benchmark runs gives the same exit code and
     # stdout through bench/traced_cli.py as through the CLI, and its span
     # file parses; the runner looks up every traced module right after
-    # `import critgroup.cli`, so this fails if cli stops loading one. The
-    # all-negative K_5 runs the exponent verdict's vertex classes, and C_7,
-    # which has no two-eigenvalue record, runs the spectrum through the
-    # characteristic polynomial
+    # `import critgroup.cli`, which registers pairing and scan without
+    # compiling them, and the runner's own lookups load them, so this fails
+    # if cli stops registering one. The all-negative K_5 runs the exponent
+    # verdict's vertex classes, and C_7, which has no two-eigenvalue
+    # record, runs the spectrum through the characteristic polynomial
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("traced_cli", TRACED_CLI)
     traced_cli = importlib.util.module_from_spec(spec)
@@ -231,6 +232,8 @@ def test_traced_runner_matches_the_cli(tmp_path, monkeypatch):
             argv, traced.stderr)
         metrics = traced_cli.summarize(json.loads(spans.read_text(encoding="utf-8")))
         assert set(metrics) == set(traced_cli.metric_units()) - {"trace.overhead_s"}, argv
+        if argv[0] == "orthogonal":  # the span wraps the function cli calls through its module
+            assert metrics["pairing.orthogonal_subset.calls"] == 1, argv
 
 
 def test_disconnected_input_is_rejected_by_every_graph_command(capsys, tmp_path):
@@ -693,6 +696,11 @@ def test_json_writer_matches_json_dumps():
     }
     for x in (sample, {}, [], (), None, True, False, 0, 2**200, odd):
         assert cli._json(x) == json.dumps(stringify(x), indent=2)
+
+
+def test_json_writer_escapes_strings_with_the_json_encoders_function():
+    # cli takes the C function from _json, so the json package stays unloaded
+    assert cli.encode_basestring_ascii is json.encoder.encode_basestring_ascii
 
 
 def test_text_format_renders_same_data(capsys):

@@ -241,6 +241,17 @@ def test_solve_matches_cofactor_expansion_and_adjugate_oracle():
         m = random_positive_definite(rng, n)
         det, adj = adjugate(m)
         assert solve(m, identity(n)) == (det, transpose(adj))
+    # grounded Laplacians whose eliminated upper triangle is bidiagonal
+    # (path), bidiagonal with a full last column (cycle), dense (star with
+    # centre 1) or sparse (star centred mid-way), so back substitution
+    # reads rows of every density
+    for n in (3, 4, 7, 12):
+        hub = n // 2 + 1
+        for g in (cycle(n), make_graph(n, [(i, i + 1) for i in range(1, n)]), star(n - 1),
+                  make_graph(n, [(hub, v) for v in range(1, n + 1) if v != hub])):
+            grounded = [row[:-1] for row in laplacian(g)[:-1]]
+            det, adj = adjugate(grounded)
+            assert solve(grounded, identity(n - 1)) == (det, transpose(adj)), (n, g)
     assert solve([[0, 1], [1, 0]], [[1, 0], [2, 3]]) == (-1, [[0, -1], [-3, -2]])
     assert solve([[3]], [[2], [-5]]) == (3, [[2], [-5]])
     assert solve([[1, 2], [2, 4]], [[1, 0]]) == (0, None)

@@ -1,6 +1,7 @@
 import ast
 import collections
 import contextlib
+import importlib
 import io
 import os
 import pathlib
@@ -110,6 +111,70 @@ def test_cli_start_loads_no_slow_start_module():
     assert not extra & (SLOW_START_MODULES | RATIONAL_MODULES), sorted(extra)
 
 
+def _compiled_and_loaded(tmp_path, code):
+    """The exit status and stdout of `code` in a fresh interpreter with no
+    bytecode to read or write, as on a fresh checkout run with
+    PYTHONDONTWRITEBYTECODE=1; the package files it compiles; and the package
+    and json modules it leaves in sys.modules."""
+    package = str(pathlib.Path(critgroup.__file__).parent)
+    probe = (
+        "import os, sys\n"
+        "compiled = []\n"
+        "def audit(event, args):\n"
+        f"    if event == 'compile' and os.path.dirname(str(args[1])) == {package!r}:\n"
+        "        compiled.append(os.path.basename(args[1]))\n"
+        "sys.addaudithook(audit)\n"
+        "status = 0\n"
+        "try:\n"
+        f"    {code}\n"
+        "except SystemExit as exc:\n"
+        "    status = exc.code\n"
+        "loaded = [m for m in sys.modules if m == 'json' or m.startswith('critgroup.')]\n"
+        "print(status, '|', ' '.join(sorted(compiled)), '|', ' '.join(sorted(loaded)), file=sys.stderr)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(package).parent),
+           "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": str(tmp_path)}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    status, compiled, loaded = proc.stderr.splitlines()[-1].split("|")
+    return int(status), proc.stdout, set(compiled.split()), set(loaded.split())
+
+
+def test_each_subcommand_compiles_only_the_modules_it_calls(tmp_path):
+    # cli registers pairing and scan at import, for bench/traced_cli.py's
+    # lookups, and compiles each on first use; _json gives the string
+    # escaper without the json package
+    core = {"__init__.py", "cli.py", "errors.py", "graphs.py", "groups.py", "linalg.py"}
+    run_cli = "import runpy; runpy.run_module('critgroup.cli', run_name='__main__', alter_sys=True)"
+    status, _, compiled, loaded = _compiled_and_loaded(tmp_path, "import critgroup.cli")
+    assert status == 0
+    assert compiled == core
+    assert {"critgroup.pairing", "critgroup.scan"} <= loaded
+    # an import of the registered module finds it on the package too
+    status, _, compiled, _ = _compiled_and_loaded(
+        tmp_path, "import critgroup.cli, critgroup.pairing; critgroup.pairing.monodromy_pairing")
+    assert status == 0
+    assert compiled == core | {"pairing.py"}
+    petersen = ["--family", "petersen"]
+    for argv, extra in (
+        (["generate", *petersen], set()),
+        (["group", *petersen], set()),
+        (["group", "--family", "cycle", "--params", "7", "--format", "text"], set()),
+        (["analyze", *petersen], set()),
+        (["verify", "--check", "exponent", *petersen], set()),
+        (["verify", "--check", "spectral-bound", *petersen], set()),
+        (["pairing", *petersen], {"pairing.py"}),
+        (["pairing", *petersen, "--edge1", "1,8", "--edge2", "1,9"], {"pairing.py"}),
+        (["orthogonal", *petersen], {"pairing.py"}),
+        (["verify", "--check", "tail-heavy", "--mode", "greedy", *petersen], {"pairing.py"}),
+        (["scan", "--nmax", "20"], {"pairing.py", "scan.py"}),
+    ):
+        status, out, compiled, loaded = _compiled_and_loaded(
+            tmp_path, f"sys.argv[1:] = {argv!r}; {run_cli}")
+        assert status == 0 and "critgroup/1" in out, argv
+        assert compiled == core | extra, argv
+        assert "json" not in loaded, argv
+
+
 def _sample_records():
     """One instance of every record class of the package."""
     from critgroup import (
@@ -132,9 +197,8 @@ RECORDS = _sample_records()
 
 
 def test_every_record_class_has_a_sample():
-    import critgroup.cli  # noqa: F401  loads every module
-
-    modules = [sys.modules[f"critgroup.{path.stem}"] for path in SOURCES if path.stem != "__init__"]
+    modules = [importlib.import_module(f"critgroup.{path.stem}")
+               for path in SOURCES if path.stem != "__init__"]
     classes = {value for module in modules for value in vars(module).values()
                if isinstance(value, type) and value.__module__ == module.__name__
                and "_fields" in vars(value)}
