@@ -9,23 +9,23 @@ Exit codes: 0 a report was written, 1 a verifier ran and the property
 failed, 2 bad input or a graph the command does not apply to (an `error:`
 line on stderr), 3 an internal exact check failed.
 
-A run compiles only the modules its subcommand calls. `pairing` and `scan`
-are in sys.modules and on the package from import on, where
-bench/traced_cli.py looks them up, but each is compiled on its first
-attribute access, so `group`, `analyze` and `verify --check
-exponent|spectral-bound` never compile them. Strings are escaped by the C
-function of `_json` that `json.encoder` also uses, without importing the
-json package.
+A run compiles only the modules its subcommand calls. `import
+critgroup.cli` compiles `errors` and `graphs`; every other module is in
+sys.modules and on the package from import on, where bench/traced_cli.py
+looks them up, but is compiled on its first attribute access
+(`critgroup._lazy_module`), so each subcommand compiles about the code it
+runs. Strings are escaped by the C function of `_json` that `json.encoder`
+also uses, without importing the json package.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import sys
 import time
 from _json import encode_basestring_ascii
 
+from . import _lazy_module
 from .errors import GraphError, InternalCheckError, StructureError
 from .graphs import (
     GENERATOR_FAMILIES,
@@ -40,30 +40,10 @@ from .graphs import (
     read_graph_file,
     require_connected,
 )
-from .groups import critical_group, verify_exponent_theorem, verify_spectral_bound
-from .linalg import laplacian_spectrum
 
-
-def _lazy_module(name: str):
-    """The package module `name`, compiled only on its first attribute
-    access. It goes into sys.modules and onto the package now, as an import
-    would put it, so `import critgroup.pairing` and `critgroup.pairing.x`
-    find it; a module already imported is returned as it is, so that its
-    classes exist once."""
-    full = f"{__package__}.{name}"
-    module = sys.modules.get(full)
-    if module is None:
-        spec = importlib.util.find_spec(full)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[full] = module
-        spec.loader.exec_module(module)
-        setattr(sys.modules[__package__], name, module)
-    return module
-
-
-pairing = _lazy_module("pairing")
-scan = _lazy_module("scan")
+groups, monodromy, pairing, scan, spectrum = map(
+    _lazy_module, ("groups", "monodromy", "pairing", "scan", "spectrum"))
+_lazy_module("linalg")  # cli calls none of it; bench/traced_cli.py looks it up in sys.modules
 
 SCHEMA = "critgroup/1"
 
@@ -163,7 +143,7 @@ def _srg_fields(p) -> dict:
 
 
 def _spectrum_block(g: Graph | SignedGraph) -> dict:
-    roots, factor = laplacian_spectrum(g)
+    roots, factor = spectrum.laplacian_spectrum(g)
     block = {"integer_eigenvalues": [{"value": r, "multiplicity": m} for r, m in roots]}
     if len(factor) > 1:
         block["irrational_factor_coefficients"] = factor
@@ -171,7 +151,7 @@ def _spectrum_block(g: Graph | SignedGraph) -> dict:
 
 
 def _group_block(g: Graph | SignedGraph) -> dict:
-    group = critical_group(g)
+    group = groups.critical_group(g)
     block = {
         "invariant_factors": group.invariant_factors,
         "exponent": group.exponent,
@@ -230,18 +210,18 @@ def _cmd_pairing(args, g) -> tuple[dict, int]:
                 raise GraphError(f"({u},{v}) is not an edge")
     else:
         edges = g.sorted_edges()
-    exponent, table = pairing._pairing_table(g, edges)
+    exponent, table = monodromy._pairing_table(g, edges)
     result = {"m": exponent}
     try:
-        pairing._closed_form_params(g)
+        monodromy._closed_form_params(g)
         result["closed_form"] = True
     except StructureError:
         result["closed_form"] = False
     if args.edge1 is not None:
-        value = str(pairing.PairingValue.of(table[0][1], exponent))
+        value = str(monodromy.PairingValue.of(table[0][1], exponent))
         result["pairs"] = [{"edge1": e1, "edge2": e2, "value": value}]
     else:
-        values = {a: str(pairing.PairingValue.of(a, exponent)) for a in {x for row in table for x in row}}
+        values = {a: str(monodromy.PairingValue.of(a, exponent)) for a in {x for row in table for x in row}}
         result["pairs"] = [
             {"edge1": edges[i], "edge2": edges[j], "value": values[row[j]]}
             for i, row in enumerate(table)
@@ -266,7 +246,7 @@ def _cmd_orthogonal(args, g) -> tuple[dict, int]:
 
 def _cmd_verify(args, g) -> tuple[dict, int]:
     if args.check == "exponent":
-        report = verify_exponent_theorem(g)
+        report = groups.verify_exponent_theorem(g)
         achieving = None
         if report.achieving_element is not None:
             kind, vertices = report.achieving_element
@@ -288,7 +268,7 @@ def _cmd_verify(args, g) -> tuple[dict, int]:
             result["half_bound_even"] = report.half_bound_even
         return result, 0 if report.matched else 1
     if args.check == "spectral-bound":
-        report = verify_spectral_bound(g)
+        report = groups.verify_spectral_bound(g)
         result = {
             "check": "spectral-bound",
             "exponent": report.exponent,

@@ -8,9 +8,11 @@ edges; every other edge is positive.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations
+from itertools import compress
 from math import isqrt
+from operator import sub
 
+from . import _lazy_module
 from .errors import (
     DisconnectedGraphError,
     GraphError,
@@ -18,6 +20,8 @@ from .errors import (
     StructureError,
     _record,
 )
+
+families = _lazy_module("families")
 
 
 def edge_key(u: int, v: int) -> tuple[int, int]:
@@ -143,133 +147,17 @@ def require_connected(g: Graph | SignedGraph, what: str) -> None:
         raise DisconnectedGraphError(f"{what} requires a connected graph")
 
 
-# ---------------------------------------------------------------------------
-# Generators
-
-
-def complete(n: int) -> Graph:
-    if n < 1:
-        raise GraphError("complete graph needs n >= 1")
-    return make_graph(n, combinations(range(1, n + 1), 2))
-
-
-def cycle(n: int) -> Graph:
-    if n < 3:
-        raise GraphError("cycle needs n >= 3")
-    edges = [(i, i + 1) for i in range(1, n)] + [(1, n)]
-    return make_graph(n, edges)
-
-
-def star(p: int) -> Graph:
-    """Star with center vertex 1 and leaves 2..p+1."""
-    if p < 1:
-        raise GraphError("star needs at least one leaf")
-    return make_graph(p + 1, [(1, i) for i in range(2, p + 2)])
-
-
-def _pair_graph(n: int, adjacent) -> Graph:
-    """The graph on 1..n whose edges are the pairs u < v with adjacent(u, v)."""
-    return Graph(n, frozenset(e for e in combinations(range(1, n + 1), 2) if adjacent(*e)))
-
-
-def complete_multipartite(parts: list[int]) -> Graph:
-    """Complete multipartite graph; part i occupies a consecutive label block."""
-    if len(parts) < 2 or any(m < 1 for m in parts):
-        raise GraphError("need at least two parts, each of size >= 1")
-    part = [None, *(i for i, m in enumerate(parts) for _ in range(m))]
-    return _pair_graph(len(part) - 1, lambda u, v: part[u] != part[v])
-
-
-def petersen() -> Graph:
-    """Kneser graph on the 2-subsets of {1..5}, labeled in lexicographic order."""
-    subsets = [None, *map(set, combinations(range(1, 6), 2))]
-    return _pair_graph(10, lambda u, v: not subsets[u] & subsets[v])
-
-
-def clebsch_complement() -> Graph:
-    """Binary strings of length 4 (lexicographic), adjacent iff they differ
-    in exactly 2 or 3 positions. This is the (16,10,6,6) strongly regular
-    complement of the Clebsch graph."""
-    return _pair_graph(16, lambda u, v: bin((u - 1) ^ (v - 1)).count("1") in (2, 3))
-
-
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Product over F_p of two polynomials, coefficients low to high."""
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            prod[i + j] += x * y
-    return tuple(c % p for c in prod)
-
-
-def paley(q: int) -> Graph:
-    """Paley graph on the field with q elements, q a prime power, q = 1 mod 4.
-
-    For q = p^e the field is F_p[x]/(f), f the first monic irreducible of
-    degree e when its lower coefficients, low to high, are read as base-p
-    digits: x^2 + 1 for q = 9, x^2 + 2 for q = 25. An element is the
-    coefficient vector of a polynomial of degree below e, and vertex i is
-    the element whose base-p digits are those of i - 1. Two vertices are
-    adjacent iff their difference is a non-zero square.
-    """
-    if q % 4 != 1:
-        raise GraphError("paley needs q = 1 mod 4")
-    if q < 2:
-        raise GraphError("q must be a prime power >= 2")
-    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
-    e = 1
-    while p**e < q:
-        e += 1
-    if p**e != q:
-        raise GraphError("q must be a prime power")
-    if e == 1:
-        squares = {x * x % p for x in range(1, p)}
-        return _pair_graph(q, lambda u, v: (u - v) % p in squares)
-
-    elements = [tuple(code // p**i % p for i in range(e)) for code in range(q)]
-
-    def monic(d):  # every monic polynomial of degree d
-        return [x[:d] + (1,) for x in elements[: p**d]]
-
-    # f is the first monic polynomial of degree e that is no product of two
-    # monic polynomials of lower degree
-    reducible = {_poly_mul(a, b, p) for d in range(1, e // 2 + 1) for a in monic(d) for b in monic(e - d)}
-    f = next(x for x in monic(e) if x not in reducible)
-    squares = set()
-    for x in elements[1:]:
-        square = list(_poly_mul(x, x, p))
-        for i in range(2 * e - 2, e - 1, -1):  # subtract c x^(i-e) f, top term first
-            c = square[i]
-            for j in range(e):
-                square[i - e + j] = (square[i - e + j] - c * f[j]) % p
-        squares.add(tuple(square[:e]))
-    vector = [None, *elements]
-    return _pair_graph(q, lambda u, v: tuple((a - b) % p for a, b in zip(vector[u], vector[v])) in squares)
-
-
-def signed_complete_unbalanced(n: int) -> SignedGraph:
-    """Complete graph on n >= 3 vertices with the single negative edge (1,2)."""
-    if n < 3:
-        raise GraphError("unbalanced signed complete graph needs n >= 3")
-    return SignedGraph(complete(n), frozenset({(1, 2)}))
-
+# Graphs whose group and grounded inverse stay cached; one CLI run reads one.
+CACHED_GRAPHS = 8
 
 # Largest vertex count accepted from outside input, a file header or the
 # parameters of a family, checked before anything of that size is built.
 MAX_VERTICES = 1000
 
-# Each family's builder and parameter count; None takes the whole list.
-_FAMILIES = {
-    "complete": (complete, 1),
-    "complete_multipartite": (complete_multipartite, None),
-    "star": (star, 1),
-    "cycle": (cycle, 1),
-    "paley": (paley, 1),
-    "petersen": (petersen, 0),
-    "clebsch_complement": (clebsch_complement, 0),
-    "signed_complete_unbalanced": (signed_complete_unbalanced, 1),
-}
-GENERATOR_FAMILIES = tuple(_FAMILIES)
+# The families `generate` builds; `families.BUILDERS` holds each one's
+# builder and parameter count.
+GENERATOR_FAMILIES = ("complete", "complete_multipartite", "star", "cycle", "paley", "petersen",
+                      "clebsch_complement", "signed_complete_unbalanced")
 
 
 def generate(family: str, params=None) -> Graph | SignedGraph:
@@ -280,9 +168,9 @@ def generate(family: str, params=None) -> Graph | SignedGraph:
     of a star, so it is checked against MAX_VERTICES before anything is built.
     """
     params = list(params) if params is not None else []
-    if family not in _FAMILIES:
+    if family not in GENERATOR_FAMILIES:
         raise GraphError(f"unknown family {family!r}; known: {', '.join(GENERATOR_FAMILIES)}")
-    builder, arity = _FAMILIES[family]
+    builder, arity = families.BUILDERS[family]
     if arity is None and not params:
         raise GraphError(f"{family} needs part sizes")
     if arity is not None and len(params) != arity:
@@ -384,6 +272,10 @@ def format_graph(g: Graph | SignedGraph) -> str:
 # Structure detection
 
 
+# A b"0"/b"1" row as the selectors of its 1s and of its 0s.
+_EDGE_FLAGS, _NON_EDGE_FLAGS = bytes.maketrans(b"01", b"\0\1"), bytes.maketrans(b"01", b"\1\0")
+
+
 def _laplacian_quadratic(g: Graph | SignedGraph) -> tuple[int, int, int] | None:
     """(s, p, c) with L^2 - s L + p I = c J entrywise, L the (signed)
     Laplacian of the connected graph g, or None when no such identity holds
@@ -398,38 +290,39 @@ def _laplacian_quadratic(g: Graph | SignedGraph) -> tuple[int, int, int] | None:
     L^2 - s L - c J diagonal, and L commutes with it, so its diagonal is
     constant along every edge. A signed graph needs c = 0, fixed here. An
     unsigned complete graph fits every c and gives None. One pass over the
-    vertex pairs, on adjacency bitmasks.
+    rows of adjacency bitmasks, built from b"0"/b"1" rows: row u takes its
+    common-neighbour counts with every later vertex in C, by map, and the
+    pass stops at the first row that gives a second value of t or c.
     """
     signed = isinstance(g, SignedGraph)
     base = g.graph if signed else g
-    n, t, c = g.n, None, 0 if signed else None
-    adj, neg = [0] * (n + 1), [0] * (n + 1)
-    for u, v in base.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    n, zeros = g.n, b"0" * (g.n + 1)
+    rows, adj, neg = [zeros] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    for v, nbrs in base.adjacency.items():
+        row = bytearray(zeros)  # b"1" at each neighbour w, so adj[v] has bit w
+        for w in nbrs:
+            row[w] = 49
+        rows[v], adj[v] = row, int(row[::-1], 2)
     for u, v in g.negative_edges if signed else ():
         neg[u] |= 1 << v
         neg[v] |= 1 << u
     degree = [a.bit_count() for a in adj]
+    ts, cs = set(), {0} if signed else set()
     for u in range(1, n):
-        au, nu, du = adj[u], neg[u], degree[u]
-        for v in range(u + 1, n + 1):
-            common = au & adj[v]
-            ncn = common.bit_count()
-            if nu | neg[v]:  # w counts -1 when exactly one of uw, wv is negative
-                ncn -= 2 * (common & (nu ^ neg[v])).bit_count()
-            if au >> v & 1:
-                value = du + degree[v] - (-ncn if nu >> v & 1 else ncn)
-                if t is None:
-                    t = value
-                elif t != value:
-                    return None
-            elif c is None:
-                c = ncn
-            elif c != ncn:
-                return None
-    if t is None or c is None:
+        au, nu = adj[u], neg[u]
+        ncn = list(map(int.bit_count, map(au.__and__, adj[u + 1:])))
+        if signed:  # w counts -1 when exactly one of uw, wv is negative; a negative uv negates ncn
+            ncn = [(x - 2 * (au & adj[v] & (nu ^ neg[v])).bit_count()) * (-1 if nu >> v & 1 else 1)
+                   for v, x in enumerate(ncn, u + 1)]
+        later = rows[u][u + 1:]
+        edge = later.translate(_EDGE_FLAGS)
+        ts.update(map(degree[u].__add__, map(sub, compress(degree[u + 1:], edge), compress(ncn, edge))))
+        cs.update(compress(ncn, later.translate(_NON_EDGE_FLAGS)))
+        if len(ts) > 1 or len(cs) > 1:
+            return None
+    if not ts or not cs:
         return None
+    (t,), (c,) = ts, cs
     s = t + c
     d = base.degree_values[0]
     return s, c - d * d - d + s * d, c

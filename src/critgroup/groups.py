@@ -1,4 +1,4 @@
-"""Critical groups, element orders, and exponent verifiers.
+"""Critical groups and exponent verifiers.
 
 The critical group of a connected graph is the torsion part of the integer
 cokernel of its Laplacian; for an unbalanced signed graph the cokernel is
@@ -6,16 +6,9 @@ already finite and is taken whole. On a graph with a two-eigenvalue
 record, re-checked on the graph, the invariant factors are read off the
 record; only its bad primes need a Smith diagonal. Other graphs take a
 Smith diagonal modulo the spanning-tree count of the core left by
-unit-pivot elimination. Orders of cokernel classes come from X = E L0^-1,
-certified by L0 X = E I. With the Laplacian identity L^2 - s L + p I = c J
-of a record, M = p L0^-1 is one closed-form matrix whose column j is the
-paper's order-achieving decomposition of e_j - e_n; other graphs take
-M = adj(L0) = det(L0) L0^-1 from `solve`. Either way M = d L0^-1, and the
-exponent is E = |d| / gcd(d, entries of M), found without the group.
-`grounded_inverse` returns X bordered by a zero row and column for the
-grounded vertex of an unsigned graph, the potential table P indexed by
-vertices 1..n: the exponent verifier, element orders and the pairing read
-the class of e_u - e_v off it as P[u] - P[v].
+unit-pivot elimination. The exponent verifier reads element orders off the
+potential table of `monodromy.grounded_inverse`, whose exponent comes from
+a second method and must agree with the group's.
 """
 
 from __future__ import annotations
@@ -25,26 +18,18 @@ from itertools import count
 from math import gcd, isqrt, prod
 from operator import sub
 
+from . import _lazy_module
 from .errors import GraphError, InternalCheckError, StructureError, _record
 from .graphs import (
+    CACHED_GRAPHS,
     Graph,
     SignedGraph,
     TwoEigenvalueParams,
     detect_two_eigenvalue,
     require_connected,
 )
-from .linalg import (
-    determinant,
-    laplacian,
-    laplacian_spectrum,
-    smith_diagonal,
-    solve,
-    squarefree_part,
-    unit_pivot_core,
-)
 
-# Graphs whose group and grounded inverse stay cached; one CLI run reads one.
-CACHED_GRAPHS = 8
+linalg, monodromy, spectrum = map(_lazy_module, ("linalg", "monodromy", "spectrum"))
 
 
 @_record
@@ -80,101 +65,6 @@ class AbelianGroup:
         return not self.invariant_factors
 
 
-def _grounded_laplacian(g: Graph | SignedGraph) -> list[list[int]]:
-    """L0: the Laplacian without the last vertex's row and column for an
-    unsigned graph (empty for one vertex, whose group is trivial), the whole
-    signed Laplacian for a signed graph."""
-    lap = laplacian(g)
-    if isinstance(g, SignedGraph):
-        return lap
-    return [row[:-1] for row in lap[:-1]]
-
-
-def _laplacian_rows(g: Graph | SignedGraph) -> list[tuple[int, frozenset[int], frozenset[int]]]:
-    """Row v of the (signed) Laplacian at index v - 1, read off the
-    adjacency: (degree, positive neighbours, negative neighbours), for the
-    entries d_v, -1 and +1."""
-    if isinstance(g, Graph):
-        return [(len(nbrs), nbrs, frozenset()) for nbrs in g.adjacency.values()]
-    negative = Graph(g.n, g.negative_edges).adjacency
-    return [(len(nbrs), nbrs - negative[v], negative[v]) for v, nbrs in g.graph.adjacency.items()]
-
-
-def _laplacian_mul(rows, x) -> list[int]:
-    """L x, over the rows of `_laplacian_rows` (or a leading part of them)."""
-    at = [0, *x].__getitem__  # vertex v is entry v - 1
-    return [
-        d * x[i] - sum(map(at, pos)) + sum(map(at, neg))
-        for i, (d, pos, neg) in enumerate(rows)
-    ]
-
-
-@lru_cache(maxsize=CACHED_GRAPHS)
-def grounded_inverse(g: Graph | SignedGraph) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(E, P) with E the exponent of the critical group, which annihilates
-    the cokernel of L0, and P the potential table: the integer symmetric
-    X = E L0^-1, bordered by a zero row and column for the grounded vertex
-    n of an unsigned graph, so that the class of d has potential P d / E.
-
-    L0 is the Laplacian with the last vertex grounded for an unsigned graph
-    (one vertex gives P = ((0,),)) and the whole signed Laplacian, rejected
-    when balanced, for a signed graph, where P = X. Both routes build an
-    integer M = d L0^-1 for a divisor d != 0. With the identity
-    L^2 - s L + p I = c J of a structure record, where p != 0 (p = 0 forces
-    L = s (I - J / n), the Laplacian of K_n, which has no record), d = p and
-    M is one closed-form matrix: for i, j < n,
-    (p L0^-1)_ij = s [i = j] - L_ij + L_in + L_jn + s - d_n.
-    Its column j is f - f_n 1 for f = (s I - L)(e_j - e_n), the paper's
-    order-achieving decomposition of e_j - e_n. A signed graph has c = 0
-    and p L^-1 = s I - L. Otherwise d = det L0 and M = adj(L0) from `solve`.
-    The smallest t with t L0^-1 integral is E = |d| / gcd(d, entries of M),
-    and X = M / (d / E), an exact division. The certificate L0 X = E I is
-    checked over the adjacency, else InternalCheckError. Cached per graph.
-    """
-    require_connected(g, "grounded_inverse")
-    signed = isinstance(g, SignedGraph)
-    if g.n == 1 and not signed:
-        return 1, ((0,),)
-    size, border = (g.n, ()) if signed else (g.n - 1, (0,))
-    params = detect_two_eigenvalue(g)
-    if params is None:
-        identity = [[int(i == j) for i in range(size)] for j in range(size)]
-        divisor, columns = solve(_grounded_laplacian(g), identity)
-    else:
-        s, divisor, lap, columns = params.eigenvalue_sum, params.eigenvalue_product, laplacian(g), []
-        ground = [0] * g.n if signed else lap[-1][:-1]  # L_in for the grounded vertex n
-        shift = 0 if signed else s - lap[-1][-1]  # s - d_n
-        for i, row in enumerate(lap[:size]):  # zip stops at the size of ground
-            column = [ground[i] + shift + a - x for a, x in zip(ground, row)]
-            column[i] += s
-            columns.append(column)
-    if not divisor:  # L0 of a connected graph is singular only for a balanced signed graph
-        raise StructureError("balanced signed graph: the Laplacian cokernel is infinite")
-    exponent = abs(divisor) // gcd(divisor, *(x for column in columns for x in column))
-    scale = divisor // exponent
-    table, grounded_rows = [], _laplacian_rows(g)[:size]
-    for j, column in enumerate(columns):
-        column = (*(x // scale for x in column), *border)
-        image = _laplacian_mul(grounded_rows, column)
-        image[j] -= exponent
-        if any(image):
-            raise InternalCheckError(f"grounded inverse identity L0 X == E I failed at column {j + 1}")
-        table.append(column)
-    return exponent, tuple(table) if signed else (*table, (0,) * g.n)
-
-
-def _grounded_image(table, vector) -> list[int]:
-    """P d for the table P of `grounded_inverse`: P is symmetric, so P d is
-    the sum of d_j times row j of P. The grounded coordinate of d meets a
-    zero row, and P d ends in a zero, on an unsigned graph."""
-    image = [0] * len(table)
-    for x, row in zip(vector, table):
-        if x:
-            for i, a in enumerate(row):
-                image[i] += x * a
-    return image
-
-
 @lru_cache(maxsize=CACHED_GRAPHS)
 def critical_group(g: Graph | SignedGraph) -> AbelianGroup:
     """Invariant factors of the critical group: the cokernel of L0, the
@@ -194,16 +84,16 @@ def critical_group(g: Graph | SignedGraph) -> AbelianGroup:
     if params is not None:
         kappa, diag = _record_diagonal(g, params)
     else:
-        lap = _grounded_laplacian(g)
-        core = unit_pivot_core(lap) if lap else []
+        lap = linalg._grounded_laplacian(g)
+        core = linalg.unit_pivot_core(lap) if lap else []
         if not core:  # one vertex, or every row eliminated on a unit pivot
             return AbelianGroup(())
-        kappa = abs(determinant(core))
+        kappa = abs(linalg.determinant(core))
         if not kappa:
             if isinstance(g, SignedGraph):
                 raise StructureError("balanced signed graph: the Laplacian cokernel is infinite")
             raise InternalCheckError("grounded Laplacian of a connected graph is singular")
-        diag = smith_diagonal(core, kappa)
+        diag = linalg.smith_diagonal(core, kappa)
     if prod(diag) != kappa or any(b % a for a, b in zip(diag, diag[1:])):
         raise InternalCheckError(f"Smith diagonal {diag} is not a chain with product {kappa}")
     return AbelianGroup.from_diagonal(diag)
@@ -255,10 +145,10 @@ def _record_diagonal(g: Graph | SignedGraph, params: TwoEigenvalueParams) -> tup
             modulus, bad = modulus * q ** v, [*bad, q]
     diag = []
     if bad:
-        lap = _grounded_laplacian(g)
-        diag = smith_diagonal(lap, modulus)
+        lap = linalg._grounded_laplacian(g)
+        diag = linalg.smith_diagonal(lap, modulus)
         for q in bad:  # q divides as many factors as the rank of L0 drops modulo q
-            if sum(1 for d in diag if d % q == 0) != smith_diagonal(lap, q).count(q):
+            if sum(1 for d in diag if d % q == 0) != linalg.smith_diagonal(lap, q).count(q):
                 raise InternalCheckError(f"Smith diagonal {diag} disagrees with the rank modulo {q}")
     for power, copies in parts:  # the top `copies` factors of the chain gain the q-part
         diag = [1] * (copies - len(diag)) + diag
@@ -275,48 +165,6 @@ def _prime_factors(m: int) -> list[int]:
             while m % q == 0:
                 m //= q
     return primes + [m] if m > 1 else primes
-
-
-# ---------------------------------------------------------------------------
-# Element orders
-
-
-def edge_difference(g: Graph | SignedGraph, u: int, v: int) -> tuple[int, ...]:
-    """The vector e_u - e_v."""
-    n = g.n
-    if not (1 <= u <= n and 1 <= v <= n) or u == v:
-        raise GraphError(f"bad vertex pair ({u},{v})")
-    vec = [0] * n
-    vec[u - 1] = 1
-    vec[v - 1] = -1
-    return tuple(vec)
-
-
-def _class_vector(g: Graph | SignedGraph, vector, name: str = "vector") -> list[int]:
-    """`vector` as a list, once it has n integer coordinates, summing to
-    zero on an unsigned graph, where only those vectors have classes."""
-    vector = list(vector)
-    if len(vector) != g.n:
-        raise GraphError(f"{name} length {len(vector)} != n = {g.n}")
-    if any(type(x) is not int for x in vector):
-        raise GraphError(f"{name} coordinates must be integers")
-    if isinstance(g, Graph) and sum(vector) != 0:
-        raise GraphError(f"{name} must have zero coordinate sum")
-    return vector
-
-
-def element_order(g: Graph | SignedGraph, vector) -> int:
-    """Order of the class of `vector` in the critical group.
-
-    The smallest t with t * d0 in the lattice of L0 makes t * P d / E
-    integral (`grounded_inverse`), so the order is E / gcd(E, P d). For an
-    unsigned graph the grounded equation is the only one left once d sums
-    to zero.
-    """
-    vector = _class_vector(g, vector)
-    require_connected(g, "element_order")
-    exponent, table = grounded_inverse(g)
-    return exponent // gcd(exponent, *_grounded_image(table, vector))
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +194,8 @@ def verify_exponent_theorem(g: Graph | SignedGraph) -> ExponentReport:
     distinct non-zero Laplacian eigenvalues, with the two unsigned
     exceptional families of `TwoEigenvalueParams.exceptional_family`
     expecting their adjusted values instead. The exponent of the invariant
-    factors and the one of `grounded_inverse` come from two methods and
-    must agree, else InternalCheckError."""
+    factors and the one of `monodromy.grounded_inverse` come from two
+    methods and must agree, else InternalCheckError."""
     if isinstance(g, Graph) and g.is_complete():
         raise StructureError("complete graphs have a single non-zero eigenvalue")
     params = detect_two_eigenvalue(g)
@@ -361,7 +209,7 @@ def verify_exponent_theorem(g: Graph | SignedGraph) -> ExponentReport:
         classification, expected = "exceptional_star", 1
     elif params.exceptional_family == "complete_bipartite":
         classification, expected = "exceptional_complete_bipartite", bound // 2
-    exponent, rows = grounded_inverse(g)
+    exponent, rows = monodromy.grounded_inverse(g)
     if exponent != group.exponent:
         raise InternalCheckError(f"exponent {exponent} of L0^-1 disagrees with the group {group}")
     max_order, max_edge = 0, None
@@ -409,15 +257,15 @@ class SpectralBoundReport:
 def verify_spectral_bound(g: Graph | SignedGraph) -> SpectralBoundReport:
     """The group exponent must divide the product of the distinct non-zero
     Laplacian eigenvalues, an integer for any graph Laplacian. From
-    `laplacian_spectrum` it is the product of the distinct positive integer
+    `spectrum.laplacian_spectrum` it is the product of the distinct positive integer
     eigenvalues times (-1)^deg q q(0), the product of the roots of q, the
     square-free part of the monic factor carrying the rest. A single
     vertex has none: the empty product is 1."""
     group = critical_group(g)
-    roots, factor = laplacian_spectrum(g)
+    roots, factor = spectrum.laplacian_spectrum(g)
     if factor[-1] != 1:
         raise InternalCheckError(f"the factor {factor} of the characteristic polynomial is not monic")
-    q = squarefree_part(factor)
+    q = spectrum.squarefree_part(factor)
     product = prod(r for r, _ in roots if r) * (-1) ** (len(q) - 1) * q[0]
     if product <= 0:
         raise InternalCheckError(
@@ -450,4 +298,4 @@ def subgroup_invariant_factors(group: AbelianGroup, generators) -> AbelianGroup:
         return AbelianGroup(())
     e = group.exponent
     scaled = [[x * (e // d) for x, d in zip(v, factors)] for v in gens]
-    return AbelianGroup.from_diagonal(sorted(e // s for s in smith_diagonal(scaled, e)))
+    return AbelianGroup.from_diagonal(sorted(e // s for s in linalg.smith_diagonal(scaled, e)))

@@ -3,14 +3,11 @@ tail-heavy subgroup verifier.
 
 The pairing of two classes [D], [D2] is D2.f mod 1 where L f = D; f =
 P D / E for the potential table P and the group exponent E of
-`groups.grounded_inverse`, and `_pairing_table` reads it off P for edge
-classes. It is well-defined, bilinear, and symmetric; a value is kept as
-a reduced residue a/m mod 1 (`PairingValue.of`). The paper's closed form
-on the edge classes of a strongly regular graph, read off the
-order-achieving decomposition, is a test oracle (tests/conftest.py);
-`_closed_form_params` says where it holds. A set of edges whose classes
-e_u - e_v pairwise pair to zero forces a tail-heavy subgroup: one factor
-of the full spectral bound plus copies of the self-pairing denominator.
+`monodromy.grounded_inverse`, where the pairing values and the table of
+edge pairings live. It is well-defined, bilinear, and symmetric. A set of
+edges whose classes e_u - e_v pairwise pair to zero forces a tail-heavy
+subgroup: one factor of the full spectral bound plus copies of the
+self-pairing denominator.
 """
 
 from __future__ import annotations
@@ -18,65 +15,28 @@ from __future__ import annotations
 from collections.abc import Iterable
 from math import gcd
 
-from .errors import GraphError, InternalCheckError, StructureError, _record
-from .graphs import (
-    Graph, SignedGraph, TwoEigenvalueParams, detect_two_eigenvalue, edge_key, require_connected,
-)
-from .groups import (
-    AbelianGroup,
-    _class_vector,
-    _grounded_image,
-    critical_group,
-    grounded_inverse,
-)
+from . import _lazy_module
+from .errors import GraphError, InternalCheckError, _record
+from .graphs import Graph, TwoEigenvalueParams, edge_key, require_connected
 
-
-@_record
-class PairingValue:
-    """A pairing value in [0, 1) in lowest terms: numerator / denominator
-    with 0 <= numerator < denominator and the two coprime."""
-
-    numerator: int
-    denominator: int
-
-    def __post_init__(self):
-        if not 0 <= self.numerator < self.denominator or gcd(self.numerator, self.denominator) > 1:
-            raise GraphError(f"pairing value {self} not reduced mod 1")
-
-    @classmethod
-    def of(cls, a: int, m: int) -> PairingValue:
-        """a / m mod 1, for integers a and m > 0."""
-        if m <= 0:
-            raise GraphError(f"pairing denominator must be positive, got {m}")
-        h = gcd(a, m)
-        return cls(a % m // h, m // h)
-
-    def is_zero(self) -> bool:
-        return not self.numerator
-
-    def __str__(self) -> str:
-        return f"{self.numerator}/{self.denominator}"
-
-
-def _require_unsigned(g, what: str) -> None:
-    if isinstance(g, SignedGraph):
-        raise StructureError(f"{what} is defined for unsigned graphs only")
+groups, monodromy = map(_lazy_module, ("groups", "monodromy"))
 
 
 def monodromy_pairing(g: Graph, d, d2, m: int | None = None) -> PairingValue:
     """Pairing of the classes of the sum-zero vectors d and d2: d2 . P d
-    / E mod 1 for the potential table P of `groups.grounded_inverse`, E the
-    group exponent.
+    / E mod 1 for the potential table P of `monodromy.grounded_inverse`, E
+    the group exponent.
 
     m must be a positive multiple of the order of [d] and defaults to the
     group exponent; it enters only the check that m * P d / E is an
     integer potential, so every valid m gives the same value.
     """
-    _require_unsigned(g, "the monodromy pairing")
+    monodromy._require_unsigned(g, "the monodromy pairing")
     require_connected(g, "monodromy_pairing")
-    d, d2 = _class_vector(g, d, "first vector"), _class_vector(g, d2, "second vector")
-    exponent, table = grounded_inverse(g)
-    image = _grounded_image(table, d)
+    vector = monodromy._class_vector
+    d, d2 = vector(g, d, "first vector"), vector(g, d2, "second vector")
+    exponent, table = monodromy.grounded_inverse(g)
+    image = monodromy._grounded_image(table, d)
     if m is None:
         m = exponent
     elif type(m) is not int or m <= 0:
@@ -84,37 +44,7 @@ def monodromy_pairing(g: Graph, d, d2, m: int | None = None) -> PairingValue:
     elif m * gcd(exponent, *image) % exponent:  # [d] has order E / gcd(E, P d)
         raise GraphError(f"m = {m} does not annihilate the first class")
     numerator = sum(x * y for x, y in zip(d2, image))
-    return PairingValue.of(numerator, exponent)
-
-
-def _closed_form_params(g: Graph) -> TwoEigenvalueParams:
-    """The strongly regular record of g; StructureError for a signed graph,
-    a graph that is not strongly regular, and the complete graphs and
-    K_{m,m} that the closed form excludes."""
-    _require_unsigned(g, "closed-form pairing")
-    params = detect_two_eigenvalue(g)
-    if g.n > 1 and g.is_complete() or params and params.exceptional_family == "complete_bipartite":
-        raise StructureError(
-            "closed-form pairing excludes complete and balanced complete bipartite graphs"
-        )
-    if params is None or not params.regular:
-        raise StructureError("closed-form pairing needs a strongly regular graph")
-    return params
-
-
-def self_pairing_denominator(params: TwoEigenvalueParams) -> int:
-    """Denominator of the self-pairing 2(n-1)/(kn) of any edge class of a
-    strongly regular graph of degree k = params.k1. It always exceeds 1 and
-    divides the product of the two distinct non-zero Laplacian eigenvalues."""
-    n, k = params.n, params.k1
-    eta = k * n // gcd(2 * (n - 1), k * n)
-    if eta <= 1:
-        raise InternalCheckError(f"self-pairing denominator {eta} should exceed 1")
-    if params.eigenvalue_product % eta:
-        raise InternalCheckError(
-            f"denominator {eta} should divide {params.eigenvalue_product}"
-        )
-    return eta
+    return monodromy.PairingValue.of(numerator, exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -136,21 +66,6 @@ class OrthogonalSet:
     @property
     def size(self) -> int:
         return len(self.edges)
-
-
-def _pairing_table(g: Graph, edges: list[tuple[int, int]]) -> tuple[int, list[list[int]]]:
-    """(E, table): the group exponent E and, for each pair of the edges
-    given, each (u, v) with u < v standing for e_u - e_v, the numerator a
-    in [0, E) of their pairing a / E. Edge (u, v) has the potential
-    w = P[u] - P[v] over the potential table P of `groups.grounded_inverse`,
-    and pairs with edge (x, y) to (w_x - w_y) / E mod 1."""
-    exponent, rows = grounded_inverse(g)
-    ends = [(x - 1, y - 1) for x, y in edges]
-    table = []
-    for u, v in ends:
-        w = [a - b for a, b in zip(rows[u], rows[v])]
-        table.append([(w[x] - w[y]) % exponent for x, y in ends])
-    return exponent, table
 
 
 def _clique_matching_hints(g: Graph) -> list[list[int]]:
@@ -299,12 +214,12 @@ def orthogonal_subset(g: Graph, mode: str = "exact", structural_hints: bool = Tr
     (greedy mode, lexicographic scan). Structural hints seed the greedy scan
     with clique matchings, induced matchings, and triangle-chain matchings;
     exact mode builds none, as its result does not depend on a seed."""
-    _require_unsigned(g, "orthogonal edge search")
+    monodromy._require_unsigned(g, "orthogonal edge search")
     require_connected(g, "orthogonal_subset")
     if mode not in ("exact", "greedy"):
         raise GraphError(f"mode must be exact or greedy, got {mode!r}")
     edges = g.sorted_edges()
-    exponent, table = _pairing_table(g, edges)
+    exponent, table = monodromy._pairing_table(g, edges)
     count = len(edges)
     masks = []
     for i, row in enumerate(table):
@@ -325,7 +240,7 @@ def orthogonal_subset(g: Graph, mode: str = "exact", structural_hints: bool = Tr
 
     chosen_edges = tuple(edges[i] for i in chosen)
     certificate = tuple(
-        (edges[i], edges[j], PairingValue.of(table[i][j], exponent))
+        (edges[i], edges[j], monodromy.PairingValue.of(table[i][j], exponent))
         for pos, i in enumerate(chosen)
         for j in chosen[pos + 1 :]
     )
@@ -344,8 +259,8 @@ def subgroup_bound(params: TwoEigenvalueParams, r: int) -> AbelianGroup:
         raise GraphError(f"need r >= 1, got {r}")
     if params.mu < 1:
         raise GraphError("subgroup bound needs a non-complete strongly regular graph")
-    eta = self_pairing_denominator(params)
-    return AbelianGroup((eta,) * (r - 1) + (params.eigenvalue_product,))
+    eta = monodromy.self_pairing_denominator(params)
+    return groups.AbelianGroup((eta,) * (r - 1) + (params.eigenvalue_product,))
 
 
 def check_subgroup_divisibility(h: AbelianGroup, g: AbelianGroup) -> bool:
@@ -393,18 +308,18 @@ def verify_tail_heavy(g: Graph, mode: str = "exact") -> TailHeavyReport:
     full bound p. The verdict is the necessary divisibility condition of
     `check_subgroup_divisibility` against the critical group, not an
     embedding. StructureError for a signed graph, a graph that is not
-    strongly regular, and K_n or K_{m,m} (`_closed_form_params`)."""
-    params = _closed_form_params(g)
+    strongly regular, and K_n or K_{m,m} (`monodromy._closed_form_params`)."""
+    params = monodromy._closed_form_params(g)
     orth = orthogonal_subset(g, mode=mode, structural_hints=True)
     r = orth.size
     predicted = subgroup_bound(params, r)
-    group = critical_group(g)
+    group = groups.critical_group(g)
     bound = params.eigenvalue_product
     factors = group.invariant_factors
     strong = len(factors) >= r and all(f == bound for f in factors[-r:])
     return TailHeavyReport(
         params=params,
-        denominator=self_pairing_denominator(params),
+        denominator=monodromy.self_pairing_denominator(params),
         orthogonal_set=orth,
         predicted=predicted,
         group=group,

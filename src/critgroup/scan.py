@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from math import gcd
 
+from . import _lazy_module
 from .errors import GraphError, _record, replace
 from .graphs import MAX_VERTICES, TwoEigenvalueParams, _multiplicities
-from .pairing import self_pairing_denominator
+
+monodromy = _lazy_module("monodromy")
 
 # Parameter tuples with denominator equal to the full bound whose graphs are
 # known to exist; the reference catalogues confirm realizations for each.
@@ -78,7 +80,7 @@ def enumerate_feasible(n_max: int) -> list[FeasibleTuple]:
                     continue
                 pair, conference = mult
                 params = TwoEigenvalueParams(n, "srg", k, k, mu, s, n * mu, n * k // 2)
-                denominator = self_pairing_denominator(params)
+                denominator = monodromy.self_pairing_denominator(params)
                 tight = denominator == params.eigenvalue_product
                 out.append(FeasibleTuple(params, pair, conference, denominator, tight, False))
     return out

@@ -29,8 +29,6 @@ from critgroup import (
     petersen,
     star,
 )
-from critgroup.groups import _laplacian_mul, _laplacian_rows
-from critgroup.pairing import _closed_form_params
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +435,28 @@ def connected_atlas(n_max):
 # Independent oracles
 
 
+def laplacian_quadratic_oracle(g):
+    """(s, p, c) with L^2 - s L + p I = c J, read entry by entry off the
+    matrix L^2, else None: c from the non-adjacent pairs (0 when signed),
+    s from the edges, where L_uv = +-1, and p from the diagonal. An
+    unsigned complete graph leaves c open and gives None."""
+    from critgroup import laplacian
+
+    lap = laplacian(g)
+    square = matmul(lap, lap)
+    off = [(u, v) for u in range(g.n) for v in range(g.n) if u != v]
+    cs = {square[u][v] for u, v in off if not lap[u][v]} | ({0} if isinstance(g, SignedGraph) else set())
+    if len(cs) != 1:
+        return None
+    (c,) = cs
+    ss = {(square[u][v] - c) * lap[u][v] for u, v in off if lap[u][v]}
+    if len(ss) != 1:
+        return None
+    (s,) = ss
+    ps = {c - square[u][u] + s * lap[u][u] for u in range(g.n)}
+    return (s, ps.pop(), c) if len(ps) == 1 else None
+
+
 def spanning_trees_deletion_contraction(n, edges):
     """Spanning tree count by deletion-contraction on a multigraph given as
     an edge list (loops discarded on contraction)."""
@@ -747,7 +767,7 @@ def _scaled_potential(rows, s: int, target) -> list[int]:
     L f = (s L - L^2) t = p t: f is p times a potential of t. With s and p
     the sum and product of the two distinct non-zero eigenvalues, f is the
     paper's order-achieving decomposition of t, which `decomposition` builds
-    for every edge class; `groups.grounded_inverse` reads the same vectors,
+    for every edge class; `monodromy.grounded_inverse` reads the same vectors,
     for t = e_j - e_n, off its closed form of p L0^-1."""
     out = [s * t for t in target]
     for v, t in enumerate(target):
@@ -769,6 +789,8 @@ def decomposition(g, edge) -> Decomposition:
     switched so that (a, b) is positive or, in the complete case, the unique
     negative edge of the first unbalanced triangle (a, b, w); there
     t = e_a + e_b. The identity is checked before the result is returned."""
+    from critgroup.monodromy import _laplacian_mul, _laplacian_rows
+
     base = g.graph if isinstance(g, SignedGraph) else g
     a, b = edge_key(*edge)
     if (a, b) not in base.edges:
@@ -808,6 +830,8 @@ def edge_pairing_closed_form(g, e1, e2) -> PairingValue:
     """The paper's closed form for the pairing of two edge classes of a
     strongly regular graph: the decomposition coefficient of e1 at x minus
     the one at y, for e2 = (x, y) ascending, over the order bound."""
+    from critgroup.monodromy import _closed_form_params
+
     params = _closed_form_params(g)
     x, y = edge_key(*e2)
     if (x, y) not in g.edges:
@@ -1064,7 +1088,7 @@ def greedy_orthogonal_retest(g, hints):
     """Edges of the greedy orthogonal set: each hint filtered to a pairwise
     orthogonal subset, the longest (first among equals) extended by a scan
     over all edge indices."""
-    from critgroup.pairing import _pairing_table
+    from critgroup.monodromy import _pairing_table
 
     edges = g.sorted_edges()
     _, table = _pairing_table(g, edges)

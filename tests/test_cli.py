@@ -11,7 +11,9 @@ import sys
 import critgroup.cli as cli
 import critgroup.groups
 import critgroup.linalg
+import critgroup.monodromy
 import critgroup.pairing
+import critgroup.spectrum
 from critgroup import (
     GENERATOR_FAMILIES,
     InternalCheckError,
@@ -381,14 +383,14 @@ def test_single_pair_route_pin(capsys, monkeypatch):
     # and no monodromy_pairing call on the way; calling both directly
     # shows that the spies would see them
     calls = _spy_everywhere(monkeypatch, critgroup.pairing.monodromy_pairing,
-                            critgroup.groups.edge_difference)
+                            critgroup.monodromy.edge_difference)
     for source, edge1, edge2 in ((["--family", "petersen"], "1,8", "1,9"),
                                  (["--family", "cycle", "--params", "7"], "1,2", "2,3")):
         code, out, _ = run(capsys, "pairing", *source, "--edge1", edge1, "--edge2", edge2)
         assert code == 0 and json.loads(out)["result"]["pairs"]
     assert calls == []
     g = petersen()
-    d = critgroup.groups.edge_difference(g, 1, 8)
+    d = critgroup.monodromy.edge_difference(g, 1, 8)
     critgroup.pairing.monodromy_pairing(g, d, d)
     assert calls == ["edge_difference", "monodromy_pairing"]
 
@@ -398,8 +400,7 @@ def test_pairing_builds_no_group(capsys, monkeypatch):
     # a single pair nor the full table builds the critical group or takes
     # a Smith diagonal; the caches are emptied so that nothing is served
     # from an earlier test
-    groups = critgroup.groups
-    real_group, real_table = groups.critical_group, groups.grounded_inverse
+    real_group, real_table = critgroup.groups.critical_group, critgroup.monodromy.grounded_inverse
     calls = _spy_everywhere(monkeypatch, real_group, critgroup.linalg.smith_diagonal)
     for source, edges in ((["--family", "petersen"], ["--edge1", "1,8", "--edge2", "1,9"]),
                           (["--family", "cycle", "--params", "7"], ["--edge1", "1,2", "--edge2", "2,3"])):
@@ -507,7 +508,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     def failing(g):
         return replace(real(g), matched=False)
 
-    monkeypatch.setattr(cli, "verify_exponent_theorem", failing)
+    monkeypatch.setattr(critgroup.groups, "verify_exponent_theorem", failing)
     code, out, err = run(capsys, "verify", "--family", "petersen", "--check", "exponent")
     assert code == 1
     assert json.loads(out)["result"]["verdict"] == "fail"
@@ -518,7 +519,7 @@ def test_internal_check_exit_code(capsys, monkeypatch):
     def broken(g):
         raise InternalCheckError("stubbed identity failed")
 
-    monkeypatch.setattr(cli, "verify_spectral_bound", broken)
+    monkeypatch.setattr(critgroup.groups, "verify_spectral_bound", broken)
     code, out, err = run(
         capsys, "verify", "--family", "petersen", "--check", "spectral-bound"
     )
@@ -528,7 +529,7 @@ def test_internal_check_exit_code(capsys, monkeypatch):
     # the coefficients, and the one-point certificate fails the command;
     # this graph has no two-eigenvalue record, so its spectrum needs
     # char_poly, and its coefficients reach 83 bits
-    monkeypatch.setattr(critgroup.linalg, "_mersenne_prime", lambda limit: 2 ** 61 - 1)
+    monkeypatch.setattr(critgroup.spectrum, "_mersenne_prime", lambda limit: 2 ** 61 - 1)
     code, out, err = run(capsys, "analyze", "--family", "signed_complete_unbalanced", "--params", "20")
     assert code == 3 and out == ""
     assert err.startswith("error: internal check failed: ")
@@ -622,7 +623,7 @@ def test_error_exit_codes(capsys, tmp_path, monkeypatch):
     # one edge flag without the other is a usage error found before the
     # group is built
     built = []
-    monkeypatch.setattr(cli, "critical_group", built.append)
+    monkeypatch.setattr(critgroup.groups, "critical_group", built.append)
     code, out, err = run(capsys, "pairing", "--family", "paley", "--params", "149",
                          "--edge1", "1,2")
     assert (code, out, built) == (2, "", [])

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+import critgroup.graphs
 from critgroup import (
+    GENERATOR_FAMILIES,
     DisconnectedGraphError,
     Graph,
     GraphError,
@@ -16,6 +18,7 @@ from critgroup import (
     complete_multipartite,
     cycle,
     detect_two_eigenvalue,
+    families,
     format_graph,
     generate,
     is_balanced,
@@ -36,8 +39,10 @@ from conftest import (
     complement,
     connected_atlas,
     graph_join,
+    laplacian_quadratic_oracle,
     signed_c4_one_negative,
     signed_corpus,
+    signed_corpus_switchings,
     signed_k6_pentagon,
     signed_two_degree_hexad,
     strip_zero_roots,
@@ -258,6 +263,24 @@ def test_detection_matches_spectrum():
             assert (p and (p.eigenvalue_product, -p.eigenvalue_sum, 1)) == want, gs
 
 
+def test_laplacian_quadratic_matches_matrix_oracle():
+    # the row pass of `_laplacian_quadratic` against L^2 entry by entry, on
+    # every connected atlas graph, seeded signings of them, the signed
+    # corpus and its switchings, and Paley graphs whose rows are long
+    rng = random.Random(1999)
+    graphs = connected_atlas(7)
+    graphs += [make_signed_graph(g.n, g.sorted_edges(), [e for e in g.sorted_edges() if rng.random() < 0.3])
+               for g in graphs if g.n <= 6]
+    graphs += [gs for _, gs in signed_corpus()] + signed_corpus_switchings()
+    graphs += [paley(q) for q in (5, 9, 13, 29)]
+    found = 0
+    for g in graphs:
+        want = laplacian_quadratic_oracle(g)
+        assert critgroup.graphs._laplacian_quadratic(g) == want, g
+        found += want is not None
+    assert 50 < found < len(graphs)
+
+
 def test_switch_is_involution_and_preserves_balance_class():
     rng = random.Random(7)
     for _ in range(20):
@@ -357,6 +380,7 @@ def test_signed_two_eigenvalue_detection_rejects():
 
 
 def test_generate_dispatcher():
+    assert tuple(families.BUILDERS) == GENERATOR_FAMILIES
     g = generate("petersen", [])
     assert g.n == 10
     g = generate("complete", [4])

@@ -5,6 +5,9 @@ from fractions import Fraction
 import pytest
 
 import critgroup.groups
+import critgroup.linalg
+import critgroup.monodromy
+import critgroup.spectrum
 from critgroup import (
     AbelianGroup,
     DisconnectedGraphError,
@@ -207,8 +210,8 @@ def test_record_route_pins(monkeypatch):
     # modulo 3
     groups, linalg = critgroup.groups, critgroup.linalg
     calls = []
-    for module, name in ((groups, "unit_pivot_core"), (groups, "determinant"),
-                         (groups, "smith_diagonal"), (linalg, "_char_poly")):
+    for module, name in ((linalg, "unit_pivot_core"), (linalg, "determinant"),
+                         (linalg, "smith_diagonal"), (critgroup.spectrum, "char_poly")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, _name=name, _real=real: calls.append(
             (_name, *a[1:])) or _real(*a))
@@ -243,7 +246,7 @@ def test_record_recheck_rejects_records_of_other_graphs(monkeypatch):
     # many leaves Petersen's non-integral
     params = groups.detect_two_eigenvalue(petersen())
     wrong = replace(params, edge_count=params.edge_count + 1)
-    monkeypatch.setattr(critgroup.linalg, "detect_two_eigenvalue", lambda _: wrong)
+    monkeypatch.setattr(critgroup.spectrum, "detect_two_eigenvalue", lambda _: wrong)
     with pytest.raises(InternalCheckError, match="no integral multiplicities"):
         critgroup.laplacian_spectrum(petersen())
 
@@ -252,12 +255,12 @@ def test_structure_detection_runs_once_per_graph(monkeypatch):
     # the record is re-checked against the identity detected on the graph
     # object, so the group, the potential table and the spectrum of one
     # graph share a single pass of `_laplacian_quadratic`
-    graphs, groups = critgroup.graphs, critgroup.groups
+    graphs, groups, monodromy = critgroup.graphs, critgroup.groups, critgroup.monodromy
     real, calls = graphs._laplacian_quadratic, []
     monkeypatch.setattr(graphs, "_laplacian_quadratic", lambda g: calls.append(g) or real(g))
     for g in (paley(61), signed_corpus()[7][1]):
         groups.critical_group.cache_clear()
-        groups.grounded_inverse.cache_clear()
+        monodromy.grounded_inverse.cache_clear()
         calls.clear()
         critical_group(g)
         grounded_inverse(g)
@@ -265,7 +268,7 @@ def test_structure_detection_runs_once_per_graph(monkeypatch):
         assert len(calls) == 1 and calls[0] is g, g
     monkeypatch.undo()
     groups.critical_group.cache_clear()
-    groups.grounded_inverse.cache_clear()
+    monodromy.grounded_inverse.cache_clear()
 
 
 def test_critical_group_certificate_catches_short_modulus(monkeypatch):
@@ -283,13 +286,13 @@ def test_critical_group_certificate_catches_short_modulus(monkeypatch):
     # a chain with the right product but the wrong 3-rank: Paley 9 has
     # p = 18, where 3 divides s^2 - 4p with v_3(p) = 2, so Smith runs modulo
     # 9; (9, 9, 9) in place of its 3-part (3, 3, 9, 9)
-    real = groups.smith_diagonal
+    real = critgroup.linalg.smith_diagonal
 
     def wrong_chain(m, modulus):
         diag = real(m, modulus)
         return diag[:-4] + [1, 9, 9, 9] if modulus == 9 else diag
 
-    monkeypatch.setattr(groups, "smith_diagonal", wrong_chain)
+    monkeypatch.setattr(critgroup.linalg, "smith_diagonal", wrong_chain)
     groups.critical_group.cache_clear()
     with pytest.raises(InternalCheckError, match="rank modulo 3"):
         critical_group(paley(9))
@@ -429,11 +432,11 @@ def test_grounded_inverse_certificate_catches_wrong_structure_record(monkeypatch
     # still trip L0 X == E I with the true group cached
     import critgroup.cli
 
-    groups = critgroup.groups
+    groups, monodromy = critgroup.groups, critgroup.monodromy
 
     def clear():
         groups.critical_group.cache_clear()
-        groups.grounded_inverse.cache_clear()
+        monodromy.grounded_inverse.cache_clear()
 
     for g in (petersen(), paley(13), star(4), signed_corpus()[3][1], signed_corpus()[7][1]):
         params = groups.detect_two_eigenvalue(g)
@@ -445,14 +448,14 @@ def test_grounded_inverse_certificate_catches_wrong_structure_record(monkeypatch
                 critical_group(g)
             monkeypatch.undo()
             critical_group(g)
-            monkeypatch.setattr(groups, "detect_two_eigenvalue", lambda _, w=wrong: w)
-            groups.grounded_inverse.cache_clear()
+            monkeypatch.setattr(monodromy, "detect_two_eigenvalue", lambda _, w=wrong: w)
+            monodromy.grounded_inverse.cache_clear()
             with pytest.raises(InternalCheckError, match="L0 X == E I"):
                 grounded_inverse(g)
             monkeypatch.undo()
     params = groups.detect_two_eigenvalue(petersen())
     wrong = replace(params, eigenvalue_sum=params.eigenvalue_sum + 1)
-    monkeypatch.setattr(groups, "detect_two_eigenvalue", lambda _: wrong)
+    monkeypatch.setattr(monodromy, "detect_two_eigenvalue", lambda _: wrong)
     clear()
     code = critgroup.cli.main(["pairing", "--family", "petersen", "--edge1", "1,8", "--edge2", "1,9"])
     out, err = capsys.readouterr()
@@ -746,21 +749,21 @@ def test_potential_table_route_pins(monkeypatch):
     # vector, and the record route of grounded_inverse no solve with
     # right-hand sides; cycle 12, without a record, shows that such a solve
     # would be seen: one, against the 11 columns of the identity
-    groups = critgroup.groups
+    monodromy = critgroup.monodromy
     calls = []
     for name in ("element_order", "edge_difference"):
-        real = getattr(groups, name)
-        monkeypatch.setattr(groups, name, lambda *a, _name=name, _real=real: calls.append(_name) or _real(*a))
-    real_solve = groups.solve
-    monkeypatch.setattr(groups, "solve", lambda m, columns=(): calls.append(("solve", len(columns)))
+        real = getattr(monodromy, name)
+        monkeypatch.setattr(monodromy, name, lambda *a, _name=name, _real=real: calls.append(_name) or _real(*a))
+    real_solve = critgroup.linalg.solve
+    monkeypatch.setattr(critgroup.linalg, "solve", lambda m, columns=(): calls.append(("solve", len(columns)))
                         or real_solve(m, columns))
-    groups.grounded_inverse.cache_clear()
+    monodromy.grounded_inverse.cache_clear()
     assert verify_exponent_theorem(paley(61)).max_edge_order == 61 * 15
     assert calls == []
     grounded_inverse(cycle(12))
     assert calls == [("solve", 11)]
     monkeypatch.undo()
-    groups.grounded_inverse.cache_clear()
+    monodromy.grounded_inverse.cache_clear()
 
 
 def test_exponent_theorem_rejects_structureless():
@@ -795,7 +798,7 @@ def test_spectral_bound_rejects_non_monic_factor(monkeypatch, capsys):
     # must refuse it rather than multiply its constant term in
     import critgroup.cli
 
-    monkeypatch.setattr(critgroup.groups, "laplacian_spectrum",
+    monkeypatch.setattr(critgroup.spectrum, "laplacian_spectrum",
                         lambda g: ([(0, 1)], (-3, 2)))
     with pytest.raises(InternalCheckError, match="monic"):
         verify_spectral_bound(petersen())

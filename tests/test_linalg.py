@@ -23,6 +23,7 @@ from critgroup import (
     signed_complete_unbalanced,
     smith_diagonal,
     solve,
+    spectrum,
     squarefree_part,
     star,
     unit_pivot_core,
@@ -299,8 +300,8 @@ def test_polynomial_arithmetic():
     assert poly_mul((1, 1), (1, 1)) == (1, 2, 1)  # (x+1)^2
     assert poly_mul((), (1, 1)) == poly_mul((1, 1), ()) == ()
     assert poly_mul((5,), (0, 1)) == (0, 5)
-    assert linalg._divide_monic((1, 2, 1), (1, 1)) == [1, 1]
-    assert linalg._divide_monic((1, 2, 2), (1, 1)) is None
+    assert spectrum._divide_monic((1, 2, 1), (1, 1)) == [1, 1]
+    assert spectrum._divide_monic((1, 2, 2), (1, 1)) is None
 
 
 def test_polynomial_gcd_and_squarefree():
@@ -339,8 +340,8 @@ def test_squarefree_part_matches_rational_oracle(monkeypatch):
     factors = [f for f in factors if len(f) > 1]
     assert len(factors) > 100
     divisions = []
-    real_divide = linalg._divide_monic
-    monkeypatch.setattr(linalg, "_divide_monic", lambda a, b: divisions.append(b) or real_divide(a, b))
+    real_divide = spectrum._divide_monic
+    monkeypatch.setattr(spectrum, "_divide_monic", lambda a, b: divisions.append(b) or real_divide(a, b))
     lifted = 0
     for f in factors:
         before = len(divisions)
@@ -354,11 +355,11 @@ def test_squarefree_part_matches_rational_oracle(monkeypatch):
     repeated = poly_mul(poly_mul((-1, 1), (-1, 1)), (2, 1))
     coincide = (0, -prime, 1)
     for p, want in ((repeated, (-2, 1, 1)), (coincide, coincide)):
-        assert len(linalg._gcd_modulo(p, [i * c for i, c in enumerate(p) if i], prime)) > 1
+        assert len(spectrum._gcd_modulo(p, [i * c for i, c in enumerate(p) if i], prime)) > 1
         before = len(divisions)
         assert squarefree_part(p) == want == rational_squarefree_part(p)
         assert len(divisions) > before
-    assert linalg._gcd_modulo([5], [], prime) == [1]
+    assert spectrum._gcd_modulo([5], [], prime) == [1]
 
 
 def test_squarefree_part_rejects_and_certifies(monkeypatch, capsys):
@@ -372,13 +373,13 @@ def test_squarefree_part_rejects_and_certifies(monkeypatch, capsys):
     factor = laplacian_spectrum(cycle(40))[1]
     assert rational_squarefree_part(factor) != factor
     with monkeypatch.context() as m:
-        m.setattr(linalg, "MERSENNE_EXPONENTS", (61,))
+        m.setattr(spectrum, "MERSENNE_EXPONENTS", (61,))
         with pytest.raises(InternalCheckError, match="no table prime"):
             squarefree_part(factor)
     # an unlucky prime, whose gcd is too large, moves the lift on: times
     # (x - 1) it still divides (x - 1)^2 (x + 2) but not its derivative,
     # times (x - 3) it divides neither
-    real_gcd, calls = linalg._gcd_modulo, []
+    real_gcd, calls = spectrum._gcd_modulo, []
 
     def unlucky(a, b, prime):
         calls.append(prime)
@@ -390,11 +391,11 @@ def test_squarefree_part_rejects_and_certifies(monkeypatch, capsys):
 
     repeated = poly_mul(poly_mul((-1, 1), (-1, 1)), (2, 1))
     with monkeypatch.context() as m:
-        m.setattr(linalg, "_gcd_modulo", unlucky)
+        m.setattr(spectrum, "_gcd_modulo", unlucky)
         assert squarefree_part(repeated) == (-2, 1, 1)
     assert calls == [2**e - 1 for e in (61, 89, 107)]
     # a lift that never divides is never returned
-    monkeypatch.setattr(linalg, "_divide_monic", lambda a, b: None)
+    monkeypatch.setattr(spectrum, "_divide_monic", lambda a, b: None)
     with pytest.raises(InternalCheckError, match="no table prime"):
         squarefree_part(factor)
     code = critgroup.cli.main(["verify", "--family", "cycle", "--params", "40", "--check", "spectral-bound"])
@@ -481,9 +482,9 @@ def test_laplacian_spectrum_paley_closed_form():
 
 def test_mersenne_exponents_table():
     # OEIS A000043 from 61 to 19937
-    assert linalg.MERSENNE_EXPONENTS == (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
-                                         4253, 4423, 9689, 9941, 11213, 19937)
-    for p in linalg.MERSENNE_EXPONENTS:
+    assert spectrum.MERSENNE_EXPONENTS == (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
+                                           4253, 4423, 9689, 9941, 11213, 19937)
+    for p in spectrum.MERSENNE_EXPONENTS:
         if p <= 1279:  # Lucas-Lehmer: 2^p - 1 is prime iff s_(p-2) = 0
             prime = 2 ** p - 1
             s = 4
@@ -498,7 +499,7 @@ def test_char_poly_certificate_and_modulus_table(monkeypatch):
         char_poly([[2 ** 20000]])
     # a modulus below the coefficient bound wraps the coefficients; the
     # one-point certificate must notice
-    monkeypatch.setattr(linalg, "_mersenne_prime", lambda limit: 2 ** 61 - 1)
+    monkeypatch.setattr(spectrum, "_mersenne_prime", lambda limit: 2 ** 61 - 1)
     with pytest.raises(InternalCheckError):
         char_poly(lap)
 

@@ -41,7 +41,7 @@ def test_public_names_load_their_module_on_first_access():
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.splitlines() == ["[]", "['critgroup.errors', 'critgroup.graphs']"]
+    assert out.splitlines() == ["[]", "['critgroup.errors', 'critgroup.families', 'critgroup.graphs']"]
     assert set(critgroup.__all__) <= set(dir(critgroup))
     with pytest.raises(AttributeError):
         critgroup.grounded_adjugate
@@ -139,40 +139,77 @@ def _compiled_and_loaded(tmp_path, code):
     return int(status), proc.stdout, set(compiled.split()), set(loaded.split())
 
 
+CLI_CORE = {"__init__.py", "cli.py", "errors.py", "graphs.py"}
+RUN_CLI = "import runpy; runpy.run_module('critgroup.cli', run_name='__main__', alter_sys=True)"
+
+
+def _cli_compiles(tmp_path, argv):
+    """The package files one CLI run compiles beyond CLI_CORE; the run must
+    write a report and leave json unloaded."""
+    status, out, compiled, loaded = _compiled_and_loaded(tmp_path, f"sys.argv[1:] = {argv!r}; {RUN_CLI}")
+    assert status == 0 and "critgroup/1" in out, argv
+    assert "json" not in loaded, argv
+    assert compiled >= CLI_CORE, argv
+    return compiled - CLI_CORE
+
+
 def test_each_subcommand_compiles_only_the_modules_it_calls(tmp_path):
-    # cli registers pairing and scan at import, for bench/traced_cli.py's
-    # lookups, and compiles each on first use; _json gives the string
-    # escaper without the json package
-    core = {"__init__.py", "cli.py", "errors.py", "graphs.py", "groups.py", "linalg.py"}
-    run_cli = "import runpy; runpy.run_module('critgroup.cli', run_name='__main__', alter_sys=True)"
+    # cli registers every other module at import, for bench/traced_cli.py's
+    # lookups, and each compiles on first use; _json gives the string
+    # escaper without the json package. The pairing table compiles neither
+    # groups nor spectrum, the exponent verdict no spectrum, and file input
+    # no families
     status, _, compiled, loaded = _compiled_and_loaded(tmp_path, "import critgroup.cli")
     assert status == 0
-    assert compiled == core
-    assert {"critgroup.pairing", "critgroup.scan"} <= loaded
+    assert compiled == CLI_CORE
+    assert {f"critgroup.{m}" for m in ("graphs", "linalg", "groups", "pairing", "scan")} <= loaded
     # an import of the registered module finds it on the package too
     status, _, compiled, _ = _compiled_and_loaded(
         tmp_path, "import critgroup.cli, critgroup.pairing; critgroup.pairing.monodromy_pairing")
     assert status == 0
-    assert compiled == core | {"pairing.py"}
+    assert compiled == CLI_CORE | {"pairing.py"}
+    c7 = tmp_path / "c7.txt"
+    c7.write_text(critgroup.format_graph(critgroup.cycle(7)))
     petersen = ["--family", "petersen"]
+    record = {"families.py", "groups.py"}
+    table = {"families.py", "linalg.py", "monodromy.py"}
     for argv, extra in (
-        (["generate", *petersen], set()),
-        (["group", *petersen], set()),
-        (["group", "--family", "cycle", "--params", "7", "--format", "text"], set()),
-        (["analyze", *petersen], set()),
-        (["verify", "--check", "exponent", *petersen], set()),
-        (["verify", "--check", "spectral-bound", *petersen], set()),
-        (["pairing", *petersen], {"pairing.py"}),
-        (["pairing", *petersen, "--edge1", "1,8", "--edge2", "1,9"], {"pairing.py"}),
-        (["orthogonal", *petersen], {"pairing.py"}),
-        (["verify", "--check", "tail-heavy", "--mode", "greedy", *petersen], {"pairing.py"}),
-        (["scan", "--nmax", "20"], {"pairing.py", "scan.py"}),
+        (["generate", *petersen], {"families.py"}),
+        (["group", *petersen], record),
+        (["group", "--family", "cycle", "--params", "7", "--format", "text"], record | {"linalg.py"}),
+        (["group", "--input", str(c7)], {"groups.py", "linalg.py"}),
+        (["analyze", *petersen], record | {"spectrum.py"}),
+        (["verify", "--check", "exponent", *petersen], record | {"linalg.py", "monodromy.py"}),
+        (["verify", "--check", "spectral-bound", *petersen], record | {"spectrum.py"}),
+        (["pairing", *petersen], table),
+        (["pairing", *petersen, "--edge1", "1,8", "--edge2", "1,9"], table),
+        (["orthogonal", *petersen], table | {"pairing.py"}),
+        (["verify", "--check", "tail-heavy", "--mode", "greedy", *petersen], table | record | {"pairing.py"}),
+        (["scan", "--nmax", "20"], {"monodromy.py", "scan.py"}),
     ):
-        status, out, compiled, loaded = _compiled_and_loaded(
-            tmp_path, f"sys.argv[1:] = {argv!r}; {run_cli}")
-        assert status == 0 and "critgroup/1" in out, argv
-        assert compiled == core | extra, argv
-        assert "json" not in loaded, argv
+        assert _cli_compiles(tmp_path, argv) == extra, argv
+
+
+def _readme_startup_table(text):
+    """(argv, files) for each row of the README's start-up table: the
+    subcommand's arguments and the package files it compiles beyond CLI_CORE."""
+    section = text.split("\n### Start-up\n", 1)[1].split("\n### ", 1)[0]
+    rows = re.findall(r"^\| `critgroup ([^`]*)` \| (.*) \|$", section, re.M)
+    return [(shlex.split(command), {f"{name}.py" for name in re.findall(r"`(\w+)`", files)})
+            for command, files in rows]
+
+
+def test_readme_startup_table_is_what_each_run_compiles(tmp_path):
+    # the table cannot drift from the files each run compiles; FILE is C_7
+    c7 = tmp_path / "c7.txt"
+    c7.write_text(critgroup.format_graph(critgroup.cycle(7)))
+    rows = _readme_startup_table(README.read_text(encoding="utf-8"))
+    assert len(rows) >= 10
+    assert {argv[0] for argv, _ in rows} == {
+        "generate", "analyze", "group", "pairing", "orthogonal", "verify", "scan"}
+    for argv, files in rows:
+        argv = [str(c7) if a == "FILE" else a for a in argv]
+        assert _cli_compiles(tmp_path, argv) == files, argv
 
 
 def _sample_records():

@@ -34,7 +34,7 @@ from critgroup import (
 )
 import critgroup.pairing
 from critgroup.errors import replace
-from critgroup.pairing import _closed_form_params, _pairing_table
+from critgroup.monodromy import _closed_form_params, _pairing_table
 from conftest import (
     connected_atlas,
     edge_pairing_closed_form,
