@@ -15,15 +15,17 @@ sys.modules and on the package from import on, where bench/traced_cli.py
 looks them up, but is compiled on its first attribute access
 (`critgroup._lazy_module`), so each subcommand compiles about the code it
 runs. Strings are escaped by the C function of `_json` that `json.encoder`
-also uses, without importing the json package.
+also uses, without importing the json package. One option table feeds
+`_parse_args`, which reads a well-formed command line without argparse,
+and `build_parser`, which only help and usage errors need.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 from _json import encode_basestring_ascii
+from types import SimpleNamespace
 
 from . import _lazy_module
 from .errors import GraphError, InternalCheckError, StructureError
@@ -378,60 +380,101 @@ def _emit(report: dict, fmt: str) -> None:
 # Entry point
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The grammar, stated once: each subcommand's help, handler and options, an
+# option as its flag and the keywords `add_argument` takes, in the order
+# `build_parser` adds them. `_parse_args` reads the same table.
+_INPUTS = (
+    ("--input", {"metavar": "FILE", "help": "graph file to read"}),
+    ("--family", {"metavar": "NAME", "help": f"one of: {', '.join(GENERATOR_FAMILIES)}"}),
+    ("--params", {"metavar": "LIST", "help": "comma-separated family parameters"}),
+)
+_FORMAT = (("--format", {"choices": ("json", "text"), "default": "json"}),)
+_MODE = ("--mode", {"choices": ("exact", "greedy"), "default": "exact"})
+_SUBCOMMANDS = {
+    "generate": ("emit a graph in the file format", _cmd_generate, _INPUTS + _FORMAT),
+    "analyze": ("parameters, spectrum, and group", _cmd_analyze, _INPUTS + _FORMAT),
+    "group": ("invariant factors and exponent", _cmd_group, _INPUTS + _FORMAT),
+    "pairing": ("edge pairing table or a single pair", _cmd_pairing, _INPUTS + _FORMAT + (
+        ("--edge1", {"metavar": "U,V", "help": "first edge"}),
+        ("--edge2", {"metavar": "X,Y", "help": "second edge"}),
+    )),
+    "orthogonal": ("orthogonal edge set search", _cmd_orthogonal, _INPUTS + _FORMAT + (
+        _MODE,
+        ("--no-hints", {"action": "store_true", "default": False,
+                        "help": "disable the structural seeds of greedy mode"}),
+    )),
+    "verify": ("run a theorem verifier", _cmd_verify, _INPUTS + _FORMAT + (
+        ("--check", {"required": True, "choices": ("exponent", "spectral-bound", "tail-heavy")}),
+        _MODE,
+    )),
+    "scan": ("feasible parameter scan", _cmd_scan, _FORMAT + (
+        ("--nmax", {"type": int, "required": True}),
+        ("--full", {"action": "store_true", "default": False,
+                    "help": "emit the full feasible enumeration"}),
+    )),
+}
+
+
+def build_parser():
+    """The argparse parser of the table, for the lines `_parse_args` leaves."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="critgroup",
         description="Exact critical groups of graphs and signed graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    inputs = argparse.ArgumentParser(add_help=False)
-    inputs.add_argument("--input", metavar="FILE", help="graph file to read")
-    inputs.add_argument("--family", metavar="NAME", help=f"one of: {', '.join(GENERATOR_FAMILIES)}")
-    inputs.add_argument("--params", metavar="LIST", help="comma-separated family parameters")
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=("json", "text"), default="json")
-    graph_input = [inputs, fmt]
-
-    p = sub.add_parser("generate", parents=graph_input, help="emit a graph in the file format")
-    p.set_defaults(handler=_cmd_generate)
-
-    p = sub.add_parser("analyze", parents=graph_input, help="parameters, spectrum, and group")
-    p.set_defaults(handler=_cmd_analyze)
-
-    p = sub.add_parser("group", parents=graph_input, help="invariant factors and exponent")
-    p.set_defaults(handler=_cmd_group)
-
-    p = sub.add_parser("pairing", parents=graph_input, help="edge pairing table or a single pair")
-    p.add_argument("--edge1", metavar="U,V", help="first edge")
-    p.add_argument("--edge2", metavar="X,Y", help="second edge")
-    p.set_defaults(handler=_cmd_pairing)
-
-    p = sub.add_parser("orthogonal", parents=graph_input, help="orthogonal edge set search")
-    p.add_argument("--mode", choices=("exact", "greedy"), default="exact")
-    p.add_argument("--no-hints", action="store_true",
-                   help="disable the structural seeds of greedy mode")
-    p.set_defaults(handler=_cmd_orthogonal)
-
-    p = sub.add_parser("verify", parents=graph_input, help="run a theorem verifier")
-    p.add_argument(
-        "--check",
-        required=True,
-        choices=("exponent", "spectral-bound", "tail-heavy"),
-    )
-    p.add_argument("--mode", choices=("exact", "greedy"), default="exact")
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("scan", parents=[fmt], help="feasible parameter scan")
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--full", action="store_true", help="emit the full feasible enumeration")
-    p.set_defaults(handler=_cmd_scan)
-
+    for name, (text, handler, options) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(handler=handler)
     return parser
 
 
+def _parse_args(argv: list[str]):
+    """The namespace `build_parser().parse_args(argv)` gives, for the plain
+    form only: the subcommand, then each option at most once, as `--flag
+    value` with a value not starting with "-" or as a bare store_true flag,
+    with every choice, int and required option good. None for anything
+    else (help, abbreviations, `--flag=value`, usage errors), which argparse
+    then parses or rejects."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    _, handler, options = _SUBCOMMANDS[argv[0]]
+    options = dict(options)
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        keywords = options.get(flag)
+        if keywords is None or flag in given:
+            return None
+        if keywords.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        given[flag] = value
+    args = SimpleNamespace(command=argv[0], handler=handler)
+    for flag, keywords in options.items():
+        if flag not in given and keywords.get("required"):
+            return None
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, keywords.get("default")))
+    return args
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line, sys.argv[1:] by default, and return its exit
+    status; argparse parses only the lines `_parse_args` leaves to it."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_args(argv) or build_parser().parse_args(argv)
     started = time.monotonic()
     try:
         if args.command == "scan":

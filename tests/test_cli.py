@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import importlib.util
 import itertools
@@ -42,6 +43,10 @@ ANALYZE_GOLDENS = pathlib.Path(__file__).with_name("analyze_goldens.json")
 # strongly regular record and the complete-multipartite classifiers still
 # existed beside it; keyed by the joined arguments of `structure_ops`
 STRUCTURE_GOLDENS = pathlib.Path(__file__).with_name("structure_goldens.json")
+# exit code, stdout and stderr of help and usage errors, and of forms only
+# argparse accepts, keyed by `usage_ops`; recorded while every run built the
+# argparse parser
+USAGE_GOLDENS = pathlib.Path(__file__).with_name("usage_goldens.json")
 # stdout SHA-256 of the benchmark's family ops, keyed by their joined
 # arguments; the benchmark owns this file and the tests only read it
 BENCH_DIGESTS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "digests.json"
@@ -90,15 +95,19 @@ def structure_ops():
     return ops
 
 
+def without_elapsed(err):
+    """stderr without its elapsed line, the one part of a run's output that
+    changes between runs."""
+    return "".join(line for line in err.splitlines(keepends=True)
+                   if not line.startswith("elapsed: "))
+
+
 def structure_record(code, out, err):
-    """What a structure golden keeps of one run: the elapsed line, the one
-    part of a report that changes between runs, is dropped."""
+    """What a structure golden keeps of one run."""
     return {
         "exit": code,
         "stdout_sha256": hashlib.sha256(out.encode()).hexdigest(),
-        "stderr": "".join(
-            line for line in err.splitlines(keepends=True) if not line.startswith("elapsed: ")
-        ),
+        "stderr": without_elapsed(err),
     }
 
 
@@ -185,6 +194,50 @@ def test_structure_goldens(capsys, tmp_path, monkeypatch):
     write_corpus_files(tmp_path)
     for argv in ops:
         assert structure_record(*run(capsys, *argv)) == goldens[" ".join(argv)], argv
+
+
+SUBCOMMANDS = ("generate", "analyze", "group", "pairing", "orthogonal", "verify", "scan")
+
+
+def usage_ops():
+    """CLI argument lists that only argparse handles: help, usage errors,
+    and forms argparse accepts that are not the plain `--flag value` form."""
+    petersen = ["--family", "petersen"]
+    return [
+        ["--help"], ["-h"], *([name, "--help"] for name in SUBCOMMANDS), ["group", "-h"],
+        # usage errors
+        [], ["nosuch"], ["verify", *petersen], ["verify", *petersen, "--check", "bogus"],
+        ["orthogonal", *petersen, "--mode", "bogus"], ["group", *petersen, "--format", "xml"],
+        ["scan", "--nmax", "x"], ["scan"], ["group", "--family"], ["group", *petersen, "--bogus"],
+        ["group", *petersen, "stray"], ["group", "--", *petersen],
+        # accepted by argparse
+        ["group", "--fam", "petersen"], ["group", "--family", "complete", "--params=-1"],
+        ["group", "--family", "cycle", "--params", "-5"],
+        ["group", *petersen, "--format", "text", "--format", "json"],
+        ["group", "--family=petersen", "--format=text"],
+    ]
+
+
+def usage_record(capsys, argv):
+    """What a usage golden keeps of one run, which may exit through
+    argparse."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return {"argv": argv, "exit": code, "stdout": out, "stderr": without_elapsed(err)}
+
+
+def test_usage_goldens(capsys, monkeypatch):
+    # help text and usage errors, recorded while argparse parsed every run;
+    # the fast path leaves each of these command lines to argparse
+    monkeypatch.setenv("COLUMNS", "80")
+    goldens = json.loads(USAGE_GOLDENS.read_text(encoding="utf-8"))
+    assert [g["argv"] for g in goldens] == usage_ops()
+    for golden in goldens:
+        assert cli._parse_args(golden["argv"]) is None, golden["argv"]
+        assert usage_record(capsys, golden["argv"]) == golden, golden["argv"]
 
 
 def test_bench_digests_of_family_ops(capsys):
@@ -719,6 +772,64 @@ def test_text_format_scan(capsys):
     code, out, _ = run(capsys, "scan", "--nmax", "40", "--format", "text")
     assert code == 0
     assert "needs_review" in out
+
+
+def _random_argv(rng, tokens):
+    """A command line near the plain form: a subcommand (now and then a
+    stray token) and a shuffled subset of its options, each with a value
+    it accepts or, now and then, any token; now and then one token is
+    repeated or inserted anywhere."""
+    name = rng.choice(SUBCOMMANDS) if rng.random() < 0.95 else rng.choice(tokens)
+    argv = [name]
+    options = list(cli._SUBCOMMANDS.get(name, (None, None, ()))[2])
+    rng.shuffle(options)
+    for flag, keywords in options:
+        if rng.random() < 0.5:
+            continue
+        argv.append(flag)
+        if keywords.get("action") == "store_true":
+            continue
+        good = keywords.get("choices") or (("20", "0", "+3") if "type" in keywords else
+                                           ("petersen", "1,2", "", "a=b", " -1"))
+        argv.append(rng.choice(good) if rng.random() < 0.9 else rng.choice(tokens))
+    for _ in range(rng.choice((0, 0, 0, 1, 2))):
+        argv.insert(rng.randint(0, len(argv)), rng.choice(tokens + argv))
+    return argv
+
+
+def test_fast_parse_matches_argparse(capsys):
+    # a well-formed command line gives argparse's namespace without
+    # argparse; anything else is left to argparse, so `_parse_args` is None
+    # or equal to what argparse parses, and never accepts what it rejects
+    flags = sorted({flag for _, _, options in cli._SUBCOMMANDS.values() for flag, _ in options})
+    tokens = [*SUBCOMMANDS, *flags, "-h", "--help", "--", "-", "-1", "--nmax=5", "--format=text",
+              *(flag[:k] for flag in flags for k in (3, 6)), "petersen", "json", "text", "xml",
+              "exact", "greedy", "exponent", "tail-heavy", "bogus", "7", "x", "1,2", "", "a b"]
+    parser = cli.build_parser()
+    rng = random.Random(4242)
+    hits = collections.Counter()
+    for _ in range(6000):
+        argv = _random_argv(rng, tokens)
+        fast = cli._parse_args(argv)
+        if fast is None:
+            continue
+        try:
+            slow = parser.parse_args(argv)
+        except SystemExit:
+            slow = None
+        capsys.readouterr()
+        assert slow is not None and vars(fast) == vars(slow), argv
+        hits[argv[0]] += 1
+    assert set(hits) == set(SUBCOMMANDS) and min(hits.values()) >= 100, hits
+
+
+def test_console_script_reads_sys_argv(capsys, monkeypatch):
+    # the console script calls main() with no argument
+    for argv in (["group", "--family", "petersen"], ["scan", "--nmax", "5", "--format", "text"],
+                 ["group", "--family=petersen"]):
+        expected = run(capsys, *argv)[:2]
+        monkeypatch.setattr(sys, "argv", ["critgroup", *argv])
+        assert (cli.main(), capsys.readouterr().out) == expected, argv
 
 
 def _random_graph_file(rng):

@@ -48,6 +48,9 @@ def test_public_names_load_their_module_on_first_access():
 
 
 SLOW_START_MODULES = {"dataclasses", "inspect"}
+# argparse, with the gettext it imports and the locale gettext's lookups
+# import: a well-formed command line never builds the argparse parser
+ARGPARSE_MODULES = {"argparse", "gettext", "locale"}
 RATIONAL_MODULES = {"fractions", "decimal", "numbers"}
 
 
@@ -108,14 +111,14 @@ def test_cli_start_loads_no_slow_start_module():
 
     extra = loaded("import critgroup.cli; " + probe) - loaded(probe)
     assert "critgroup.cli" in extra
-    assert not extra & (SLOW_START_MODULES | RATIONAL_MODULES), sorted(extra)
+    assert not extra & (SLOW_START_MODULES | RATIONAL_MODULES | ARGPARSE_MODULES), sorted(extra)
 
 
 def _compiled_and_loaded(tmp_path, code):
     """The exit status and stdout of `code` in a fresh interpreter with no
     bytecode to read or write, as on a fresh checkout run with
-    PYTHONDONTWRITEBYTECODE=1; the package files it compiles; and the package
-    and json modules it leaves in sys.modules."""
+    PYTHONDONTWRITEBYTECODE=1; the package files it compiles; and the package,
+    json and ARGPARSE_MODULES modules it leaves in sys.modules."""
     package = str(pathlib.Path(critgroup.__file__).parent)
     probe = (
         "import os, sys\n"
@@ -129,7 +132,8 @@ def _compiled_and_loaded(tmp_path, code):
         f"    {code}\n"
         "except SystemExit as exc:\n"
         "    status = exc.code\n"
-        "loaded = [m for m in sys.modules if m == 'json' or m.startswith('critgroup.')]\n"
+        f"loaded = [m for m in sys.modules if m in {sorted(ARGPARSE_MODULES | {'json'})!r}\n"
+        "          or m.startswith('critgroup.')]\n"
         "print(status, '|', ' '.join(sorted(compiled)), '|', ' '.join(sorted(loaded)), file=sys.stderr)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(package).parent),
@@ -145,10 +149,10 @@ RUN_CLI = "import runpy; runpy.run_module('critgroup.cli', run_name='__main__', 
 
 def _cli_compiles(tmp_path, argv):
     """The package files one CLI run compiles beyond CLI_CORE; the run must
-    write a report and leave json unloaded."""
+    write a report and leave json and argparse unloaded."""
     status, out, compiled, loaded = _compiled_and_loaded(tmp_path, f"sys.argv[1:] = {argv!r}; {RUN_CLI}")
     assert status == 0 and "critgroup/1" in out, argv
-    assert "json" not in loaded, argv
+    assert not loaded & (ARGPARSE_MODULES | {"json"}), (argv, loaded)
     assert compiled >= CLI_CORE, argv
     return compiled - CLI_CORE
 
@@ -163,6 +167,13 @@ def test_each_subcommand_compiles_only_the_modules_it_calls(tmp_path):
     assert status == 0
     assert compiled == CLI_CORE
     assert {f"critgroup.{m}" for m in ("graphs", "linalg", "groups", "pairing", "scan")} <= loaded
+    assert not loaded & ARGPARSE_MODULES
+    # help builds the argparse parser, and compiles no module beyond the core
+    status, out, compiled, loaded = _compiled_and_loaded(
+        tmp_path, f"sys.argv[1:] = ['group', '--help']; {RUN_CLI}")
+    assert status == 0 and out.startswith("usage: critgroup group")
+    assert compiled == CLI_CORE
+    assert ARGPARSE_MODULES <= loaded
     # an import of the registered module finds it on the package too
     status, _, compiled, _ = _compiled_and_loaded(
         tmp_path, "import critgroup.cli, critgroup.pairing; critgroup.pairing.monodromy_pairing")
