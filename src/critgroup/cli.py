@@ -43,8 +43,8 @@ from .graphs import (
     require_connected,
 )
 
-groups, monodromy, pairing, scan, spectrum = map(
-    _lazy_module, ("groups", "monodromy", "pairing", "scan", "spectrum"))
+families, groups, monodromy, pairing, scan, spectrum = map(
+    _lazy_module, ("families", "groups", "monodromy", "pairing", "scan", "spectrum"))
 _lazy_module("linalg")  # cli calls none of it; bench/traced_cli.py looks it up in sys.modules
 
 SCHEMA = "critgroup/1"
@@ -88,6 +88,12 @@ def _load_graph(args) -> tuple[Graph | SignedGraph, dict]:
     if args.command != "generate":
         require_connected(g, args.command)
     return g, descriptor
+
+
+def _automorphisms(args) -> tuple:
+    """`families.automorphisms` of a family in exact mode, else ()."""
+    exact = args.family is not None and args.mode == "exact"
+    return families.automorphisms(args.family, _family_params(args.params)) if exact else ()
 
 
 def _parse_edge(raw: str, flag: str) -> tuple[int, int]:
@@ -233,7 +239,8 @@ def _cmd_pairing(args, g) -> tuple[dict, int]:
 
 
 def _cmd_orthogonal(args, g) -> tuple[dict, int]:
-    found = pairing.orthogonal_subset(g, mode=args.mode, structural_hints=not args.no_hints)
+    found = pairing.orthogonal_subset(g, mode=args.mode, structural_hints=not args.no_hints,
+                                      automorphisms=_automorphisms(args))
     result = {
         "mode": args.mode,
         "size": found.size,
@@ -278,7 +285,7 @@ def _cmd_verify(args, g) -> tuple[dict, int]:
             "verdict": "pass" if report.passed else "fail",
         }
         return result, 0 if report.passed else 1
-    report = pairing.verify_tail_heavy(g, mode=args.mode)
+    report = pairing.verify_tail_heavy(g, mode=args.mode, automorphisms=_automorphisms(args))
     result = {
         "check": "tail-heavy",
         "parameters": _srg_fields(report.params),

@@ -67,18 +67,12 @@ def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]
     return tuple(c % p for c in prod)
 
 
-def paley(q: int) -> Graph:
-    """Paley graph on the field with q elements, q a prime power, q = 1 mod 4.
-
-    For q = p^e the field is F_p[x]/(f), f the first monic irreducible of
-    degree e when its lower coefficients, low to high, are read as base-p
-    digits: x^2 + 1 for q = 9, x^2 + 2 for q = 25. An element is the
-    coefficient vector of a polynomial of degree below e, and vertex i is
-    the element whose base-p digits are those of i - 1. Two vertices are
-    adjacent iff their difference is a non-zero square.
-    """
-    if q % 4 != 1:
-        raise GraphError("paley needs q = 1 mod 4")
+def _field(q: int):
+    """(p, elements, mul) of the field with q = p^e elements, else
+    GraphError: F_p[x]/(f), f the first monic irreducible of degree e when
+    its lower coefficients, low to high, are read as base-p digits. Element
+    i is the coefficient tuple, low to high, of the base-p digits of i, and
+    mul is the product."""
     if q < 2:
         raise GraphError("q must be a prime power >= 2")
     p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
@@ -87,10 +81,6 @@ def paley(q: int) -> Graph:
         e += 1
     if p**e != q:
         raise GraphError("q must be a prime power")
-    if e == 1:
-        squares = {x * x % p for x in range(1, p)}
-        return _pair_graph(q, lambda u, v: (u - v) % p in squares)
-
     elements = [tuple(code // p**i % p for i in range(e)) for code in range(q)]
 
     def monic(d):  # every monic polynomial of degree d
@@ -100,16 +90,58 @@ def paley(q: int) -> Graph:
     # monic polynomials of lower degree
     reducible = {_poly_mul(a, b, p) for d in range(1, e // 2 + 1) for a in monic(d) for b in monic(e - d)}
     f = next(x for x in monic(e) if x not in reducible)
-    squares = set()
-    for x in elements[1:]:
-        square = list(_poly_mul(x, x, p))
+
+    def mul(x, y):
+        product = list(_poly_mul(x, y, p))
         for i in range(2 * e - 2, e - 1, -1):  # subtract c x^(i-e) f, top term first
-            c = square[i]
+            c = product[i]
             for j in range(e):
-                square[i - e + j] = (square[i - e + j] - c * f[j]) % p
-        squares.add(tuple(square[:e]))
+                product[i - e + j] = (product[i - e + j] - c * f[j]) % p
+        return tuple(product[:e])
+
+    return p, elements, mul
+
+
+def paley(q: int) -> Graph:
+    """Paley graph on the field with q elements, q a prime power, q = 1 mod 4.
+
+    The field is `_field(q)`, with modulus x^2 + 1 for q = 9 and x^2 + 2 for
+    q = 25. Vertex i is the element whose base-p digits are those of i - 1.
+    Two vertices are adjacent iff their difference is a non-zero square.
+    """
+    if q % 4 != 1:
+        raise GraphError("paley needs q = 1 mod 4")
+    p, elements, mul = _field(q)
+    if p == q:
+        squares = {x * x % p for x in range(1, p)}
+        return _pair_graph(q, lambda u, v: (u - v) % p in squares)
+    squares = {mul(x, x) for x in elements[1:]}
     vector = [None, *elements]
     return _pair_graph(q, lambda u, v: tuple((a - b) % p for a, b in zip(vector[u], vector[v])) in squares)
+
+
+def automorphisms(family: str, params) -> tuple[tuple[int, ...], ...]:
+    """Generators of automorphisms of the family member `graphs.generate`
+    builds, each the images of 1..n, which `pairing` verifies; () for a
+    family without them. For a cycle the rotation and the reflection; for
+    Paley x -> x + b for each basis vector b and x -> w^2 x for the first
+    primitive element w, which move any edge {x, x + s} to {0, 1}."""
+    if family == "cycle":
+        (n,) = params
+        return tuple(v % n + 1 for v in range(1, n + 1)), tuple(range(n, 0, -1))
+    if family != "paley":
+        return ()
+    p, elements, mul = _field(*params)
+    vertex = {x: i + 1 for i, x in enumerate(elements)}
+    for w in elements[2:]:
+        power, order = w, 1
+        while power != elements[1]:
+            power, order = mul(power, w), order + 1
+        if order == len(elements) - 1:
+            break
+    square = mul(w, w)
+    shifts = [tuple(vertex[(*x[:i], (x[i] + 1) % p, *x[i + 1:])] for x in elements) for i in range(len(w))]
+    return (*shifts, tuple(vertex[mul(square, x)] for x in elements))
 
 
 def signed_complete_unbalanced(n: int) -> SignedGraph:

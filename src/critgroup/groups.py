@@ -255,23 +255,26 @@ class SpectralBoundReport:
 
 
 def verify_spectral_bound(g: Graph | SignedGraph) -> SpectralBoundReport:
-    """The group exponent must divide the product of the distinct non-zero
-    Laplacian eigenvalues, an integer for any graph Laplacian. From
-    `spectrum.laplacian_spectrum` it is the product of the distinct positive integer
-    eigenvalues times (-1)^deg q q(0), the product of the roots of q, the
-    square-free part of the monic factor carrying the rest. A single
-    vertex has none: the empty product is 1."""
+    """The group exponent must divide D, the product of the distinct
+    non-zero Laplacian eigenvalues, an integer for any graph Laplacian.
+    Without a record, `spectrum._krylov_product` usually gives D. Otherwise,
+    from `spectrum.laplacian_spectrum`, it is the product of the distinct
+    positive integer eigenvalues times (-1)^deg q q(0), the product of the
+    roots of q, the square-free part of the monic factor carrying the rest.
+    A single vertex has none: the empty product is 1."""
     group = critical_group(g)
-    roots, factor = spectrum.laplacian_spectrum(g)
-    if factor[-1] != 1:
-        raise InternalCheckError(f"the factor {factor} of the characteristic polynomial is not monic")
-    q = spectrum.squarefree_part(factor)
-    product = prod(r for r, _ in roots if r) * (-1) ** (len(q) - 1) * q[0]
-    if product <= 0:
-        raise InternalCheckError(
-            f"distinct eigenvalue product {product} should be positive, "
-            f"from the square-free factor {q}"
-        )
+    product = spectrum._krylov_product(g, group.order) if detect_two_eigenvalue(g) is None else None
+    if product is None:
+        roots, factor = spectrum.laplacian_spectrum(g)
+        if factor[-1] != 1:
+            raise InternalCheckError(f"the factor {factor} of the characteristic polynomial is not monic")
+        q = spectrum.squarefree_part(factor)
+        product = prod(r for r, _ in roots if r) * (-1) ** (len(q) - 1) * q[0]
+        if product <= 0:
+            raise InternalCheckError(
+                f"distinct eigenvalue product {product} should be positive, "
+                f"from the square-free factor {q}"
+            )
     return SpectralBoundReport(group.exponent, product, product % group.exponent == 0)
 
 

@@ -5,8 +5,8 @@ an integer. A matrix is a list of integer rows, which no routine mutates.
 Determinants and the integer solutions of m x = det(m) b come from one
 fraction-free elimination (`solve`). Smith diagonals come from exact
 elimination on +-1 pivots followed by elimination modulo a multiple of the
-exponent of the cokernel. Characteristic polynomials and the Laplacian
-spectrum are in `spectrum`.
+exponent of the cokernel. `_laplacian_mul` is the one sparse L x.
+Characteristic polynomials and the Laplacian spectrum are in `spectrum`.
 No fractions and no floating point anywhere.
 """
 
@@ -34,6 +34,25 @@ def laplacian(g: Graph | SignedGraph) -> list[list[int]]:
         m[u - 1][v - 1] = -s
         m[v - 1][u - 1] = -s
     return m
+
+
+def _laplacian_rows(g: Graph | SignedGraph) -> list[tuple[int, frozenset[int], frozenset[int]]]:
+    """Row v of the (signed) Laplacian at index v - 1, read off the
+    adjacency: (degree, positive neighbours, negative neighbours), for the
+    entries d_v, -1 and +1."""
+    if isinstance(g, Graph):
+        return [(len(nbrs), nbrs, frozenset()) for nbrs in g.adjacency.values()]
+    negative = Graph(g.n, g.negative_edges).adjacency
+    return [(len(nbrs), nbrs - negative[v], negative[v]) for v, nbrs in g.graph.adjacency.items()]
+
+
+def _laplacian_mul(rows, x) -> list[int]:
+    """L x, over the rows of `_laplacian_rows` (or a leading part of them)."""
+    at = [0, *x].__getitem__  # vertex v is entry v - 1
+    return [
+        d * x[i] - sum(map(at, pos)) + sum(map(at, neg))
+        for i, (d, pos, neg) in enumerate(rows)
+    ]
 
 
 def _grounded_laplacian(g: Graph | SignedGraph) -> list[list[int]]:

@@ -36,25 +36,6 @@ from .graphs import (
 linalg = _lazy_module("linalg")
 
 
-def _laplacian_rows(g: Graph | SignedGraph) -> list[tuple[int, frozenset[int], frozenset[int]]]:
-    """Row v of the (signed) Laplacian at index v - 1, read off the
-    adjacency: (degree, positive neighbours, negative neighbours), for the
-    entries d_v, -1 and +1."""
-    if isinstance(g, Graph):
-        return [(len(nbrs), nbrs, frozenset()) for nbrs in g.adjacency.values()]
-    negative = Graph(g.n, g.negative_edges).adjacency
-    return [(len(nbrs), nbrs - negative[v], negative[v]) for v, nbrs in g.graph.adjacency.items()]
-
-
-def _laplacian_mul(rows, x) -> list[int]:
-    """L x, over the rows of `_laplacian_rows` (or a leading part of them)."""
-    at = [0, *x].__getitem__  # vertex v is entry v - 1
-    return [
-        d * x[i] - sum(map(at, pos)) + sum(map(at, neg))
-        for i, (d, pos, neg) in enumerate(rows)
-    ]
-
-
 @lru_cache(maxsize=CACHED_GRAPHS)
 def grounded_inverse(g: Graph | SignedGraph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(E, P) with E the exponent of the critical group, which annihilates
@@ -98,10 +79,10 @@ def grounded_inverse(g: Graph | SignedGraph) -> tuple[int, tuple[tuple[int, ...]
         raise StructureError("balanced signed graph: the Laplacian cokernel is infinite")
     exponent = abs(divisor) // gcd(divisor, *(x for column in columns for x in column))
     scale = divisor // exponent
-    table, grounded_rows = [], _laplacian_rows(g)[:size]
+    table, grounded_rows = [], linalg._laplacian_rows(g)[:size]
     for j, column in enumerate(columns):
         column = (*(x // scale for x in column), *border)
-        image = _laplacian_mul(grounded_rows, column)
+        image = linalg._laplacian_mul(grounded_rows, column)
         image[j] -= exponent
         if any(image):
             raise InternalCheckError(f"grounded inverse identity L0 X == E I failed at column {j + 1}")

@@ -21,6 +21,8 @@ from .graphs import Graph, TwoEigenvalueParams, edge_key, require_connected
 
 groups, monodromy = map(_lazy_module, ("groups", "monodromy"))
 
+_ZERO_IS_ONE = bytes.maketrans(b"\0\1", b"10")  # b"\0" (a zero pairing) becomes the digit 1
+
 
 def monodromy_pairing(g: Graph, d, d2, m: int | None = None) -> PairingValue:
     """Pairing of the classes of the sum-zero vectors d and d2: d2 . P d
@@ -105,6 +107,14 @@ def _induced_matching_hint(g: Graph) -> list[int]:
     return chosen
 
 
+def _members(mask: int):
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _triangle_chain_hint(g: Graph) -> list[int]:
     """Matching along a greedily grown induced chain of triangles: triangles
     T_i = {u_i, v_i, w_i} sharing only the consecutive vertices w_i = u_{i+1},
@@ -115,24 +125,27 @@ def _triangle_chain_hint(g: Graph) -> list[int]:
     and w have tail as their only chain neighbour. That is the same as
     re-testing every vertex pair of the extended chain: the chain is
     induced before the step, and v and w are adjacent to each other and to
-    tail, so only an edge from v or w to another chain vertex can break it."""
+    tail, so only an edge from v or w to another chain vertex can break it.
+    The chain and the neighbourhoods are bitmasks over the vertices."""
     edges = g.sorted_edges()
     index = {e: i for i, e in enumerate(edges)}
     adj = g.adjacency
+    bits = [0, *(sum(1 << w for w in nbrs) for nbrs in adj.values())]
     best: list[int] = []
     for u0, v0 in edges:
-        for w0 in sorted(adj[u0] & adj[v0]):
-            chain = {u0, v0, w0}
+        for w0 in _members(bits[u0] & bits[v0]):
+            chain, tail = 1 << u0 | 1 << v0 | 1 << w0, w0
             matching = [index[(u0, v0)]]
-            tail = w0
             while True:
-                free = {x for x in adj[tail] - chain if adj[x] & chain == {tail}}
-                step = min(((v, w) for v in free for w in free & adj[v]), default=None)
+                only = 1 << tail
+                free = sum(1 << x for x in adj[tail] if bits[x] & chain == only and not chain >> x & 1)
+                step = next(((v, ends) for v in _members(free) if (ends := free & bits[v])), None)
                 if step is None:
                     break
-                matching.append(index[edge_key(tail, step[0])])
-                chain.update(step)
-                tail = step[1]
+                v, ends = step
+                matching.append(index[edge_key(tail, v)])
+                tail = (ends & -ends).bit_length() - 1
+                chain |= 1 << v | 1 << tail
             if len(matching) > len(best):
                 best = matching
     return best
@@ -171,18 +184,22 @@ def _color_bound(candidates: int, masks: list[int]) -> int:
     return len(colors)
 
 
-def _max_orthogonal(masks: list[int], count: int) -> list[int]:
+def _max_orthogonal(masks: list[int], count: int, roots: int = -1) -> list[int]:
     """Lexicographically least maximum clique of the orthogonality graph.
 
     Include-first depth-first search in index order with strict size
     improvement visits candidate sets in lexicographic order, so the first
     clique of each new record size is the lexicographically least of that
     size; popcount and coloring bounds only prune subtrees that cannot
-    strictly improve."""
+    strictly improve. Only the indices in the bitmask `roots` start a
+    clique. With the orbit minima of `_orbit_minima` the result is the
+    same: an automorphism mapping the least index j of the result to some
+    i < j would map the result to a lexicographically smaller maximum, and
+    skipped branches only keep the record size smaller."""
     best: list[int] = []
     best_size = 0
 
-    def dfs(current: list[int], candidates: int) -> None:
+    def dfs(current: list[int], candidates: int, branches: int) -> None:
         nonlocal best, best_size
         if not candidates:
             if len(current) > best_size:
@@ -199,21 +216,50 @@ def _max_orthogonal(masks: list[int], count: int) -> list[int]:
             rest &= rest - 1
             if len(current) + 1 + rest.bit_count() <= best_size:
                 break
-            current.append(i)
-            dfs(current, rest & masks[i])
-            current.pop()
-    dfs([], (1 << count) - 1)
+            if branches >> i & 1:
+                current.append(i)
+                dfs(current, rest & masks[i], -1)
+                current.pop()
+    dfs([], (1 << count) - 1, roots)
     if count and not best:  # without edges the empty set is the maximum
         raise InternalCheckError("orthogonal search returned no edge of a non-empty graph")
     return best
 
 
-def orthogonal_subset(g: Graph, mode: str = "exact", structural_hints: bool = True) -> OrthogonalSet:
+def _orbit_minima(g: Graph, edges: list[tuple[int, int]],
+                  automorphisms: Iterable[tuple[int, ...]]) -> int:
+    """The bitmask of the edge indices least in their orbit, by union-find,
+    under the vertex permutations given as the images of 1..n; one that
+    does not map the edges onto themselves is an InternalCheckError."""
+    index = {e: i for i, e in enumerate(edges)}
+    parent = list(range(len(edges)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]  # path halving
+        return i
+
+    for perm in automorphisms:
+        image = None
+        if sorted(perm) == [*g.vertices()]:
+            image = [edge_key(perm[u - 1], perm[v - 1]) for u, v in edges]
+        if image is None or set(image) != g.edges:
+            raise InternalCheckError(f"vertex permutation {perm} is not an automorphism of the graph")
+        for i, e in enumerate(image):
+            a, b = sorted((find(i), find(index[e])))
+            parent[b] = a
+    return sum(1 << i for i in range(len(edges)) if parent[i] == i)
+
+
+def orthogonal_subset(g: Graph, mode: str = "exact", structural_hints: bool = True,
+                      automorphisms: Iterable[tuple[int, ...]] = ()) -> OrthogonalSet:
     """Orthogonal edge set: maximum (exact mode, branch and bound over the
     orthogonality graph, lexicographically least among maximums) or maximal
     (greedy mode, lexicographic scan). Structural hints seed the greedy scan
     with clique matchings, induced matchings, and triangle-chain matchings;
-    exact mode builds none, as its result does not depend on a seed."""
+    exact mode builds none, as its result does not depend on a seed. Exact
+    mode starts only at the edges least in their orbit under the
+    automorphisms (`_orbit_minima`), which leaves the result the same."""
     monodromy._require_unsigned(g, "orthogonal edge search")
     require_connected(g, "orthogonal_subset")
     if mode not in ("exact", "greedy"):
@@ -221,13 +267,8 @@ def orthogonal_subset(g: Graph, mode: str = "exact", structural_hints: bool = Tr
     edges = g.sorted_edges()
     exponent, table = monodromy._pairing_table(g, edges)
     count = len(edges)
-    masks = []
-    for i, row in enumerate(table):
-        mask = 0
-        for j, value in enumerate(row):
-            if not value:
-                mask |= 1 << j
-        masks.append(mask & ~(1 << i))
+    masks = [int(bytes(map(bool, reversed(row))).translate(_ZERO_IS_ONE), 2) & ~(1 << i)
+             for i, row in enumerate(table)]
 
     if mode == "greedy":
         hints = []
@@ -236,7 +277,7 @@ def orthogonal_subset(g: Graph, mode: str = "exact", structural_hints: bool = Tr
         seed = max((_greedy_orthogonal(masks, sorted(h)) for h in hints), key=len, default=[])
         chosen = sorted(_greedy_orthogonal(masks, range(count), seed))
     else:
-        chosen = _max_orthogonal(masks, count)
+        chosen = _max_orthogonal(masks, count, _orbit_minima(g, edges, automorphisms))
 
     chosen_edges = tuple(edges[i] for i in chosen)
     certificate = tuple(
@@ -301,16 +342,18 @@ class TailHeavyReport:
         return self.divisibility_ok
 
 
-def verify_tail_heavy(g: Graph, mode: str = "exact") -> TailHeavyReport:
+def verify_tail_heavy(g: Graph, mode: str = "exact",
+                      automorphisms: Iterable[tuple[int, ...]] = ()) -> TailHeavyReport:
     """Search g for an orthogonal edge set (`orthogonal_subset` in the given
-    mode, with structural hints) and check the subgroup its r edges predict,
-    `subgroup_bound`: r - 1 copies of the self-pairing denominator below the
-    full bound p. The verdict is the necessary divisibility condition of
-    `check_subgroup_divisibility` against the critical group, not an
-    embedding. StructureError for a signed graph, a graph that is not
-    strongly regular, and K_n or K_{m,m} (`monodromy._closed_form_params`)."""
+    mode, with structural hints and the automorphisms) and check the
+    subgroup its r edges predict, `subgroup_bound`: r - 1 copies of the
+    self-pairing denominator below the full bound p. The verdict is the
+    necessary divisibility condition of `check_subgroup_divisibility`
+    against the critical group, not an embedding. StructureError for a
+    signed graph, a graph that is not strongly regular, and K_n or K_{m,m}
+    (`monodromy._closed_form_params`)."""
     params = monodromy._closed_form_params(g)
-    orth = orthogonal_subset(g, mode=mode, structural_hints=True)
+    orth = orthogonal_subset(g, mode=mode, structural_hints=True, automorphisms=automorphisms)
     r = orth.size
     predicted = subgroup_bound(params, r)
     group = groups.critical_group(g)

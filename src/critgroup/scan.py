@@ -10,7 +10,7 @@ of suppressing it.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, isqrt
 
 from . import _lazy_module
 from .errors import GraphError, _record, replace
@@ -59,22 +59,27 @@ def enumerate_feasible(n_max: int) -> list[FeasibleTuple]:
     With m = n-k-1 and d = k-1-lam the parameter identity reads
     mu * m = k * d, so mu is an integer exactly when m / gcd(k, m) divides
     d; an integer mu then lies in 1..k exactly when 1 <= d <= m. Only those
-    d are visited, in descending order so that lam ascends."""
+    d are visited, in descending order so that lam ascends. Irrational
+    eigenvalues need s (n - 1) = 2 n k, so (n - 1) | 2k: 2k = n - 1."""
     if n_max < 5:
         raise GraphError(f"need n_max >= 5, got {n_max}")
     if n_max > MAX_VERTICES:
         raise GraphError(f"n_max {n_max} exceeds the limit of {MAX_VERTICES}")
     out = []
     for n in range(5, n_max + 1):
-        for k in range(2, n - 1):
-            if (n * k) % 2:
-                continue
+        four_n = 4 * n
+        for k in range(2, n - 1, 1 + n % 2):  # n k is even
             m = n - k - 1
             step = m // gcd(k, m)
+            irrational = 2 * k == n - 1  # the one k that admits irrational eigenvalues
             for d in range(min(k - 1, m) // step * step, 0, -step):
                 lam = k - 1 - d
                 mu = k * d // m
                 s = 2 * k - lam + mu
+                disc = s * s - four_n * mu  # (lam - mu)^2 + 4 (k - mu) >= 0
+                root = isqrt(disc)
+                if root * root != disc and not irrational:
+                    continue
                 mult = _multiplicities(n - 1, s, n * mu, n * k)  # TwoEigenvalueParams.multiplicities
                 if mult is None:
                     continue

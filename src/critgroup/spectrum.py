@@ -15,6 +15,7 @@ No fractions and no floating point anywhere.
 from __future__ import annotations
 
 from math import isqrt
+from operator import mul
 
 from . import _lazy_module
 from .errors import DisconnectedGraphError, GraphError, InternalCheckError
@@ -168,6 +169,56 @@ def _hessenberg_char_poly(rows, prime: int) -> list[int]:
             coeffs[:i + 1] = [a - f * c for a, c in zip(coeffs, polys[i])]
         polys.append([c % prime for c in coeffs])
     return polys[n]
+
+
+def _krylov_char_poly(g: Graph | SignedGraph, prime: int) -> list[int] | None:
+    """det(xI - L) modulo the prime, low to high, for the (signed)
+    Laplacian L of g, by Wiedemann's method, or None. Berlekamp-Massey
+    gives the minimal polynomial m of a_i = u L^i v, i < 2n, for u and v
+    fixed by a linear congruential generator. m divides det(xI - L), so it
+    is that polynomial when its degree is n; else the result is None."""
+    rows, state = linalg._laplacian_rows(g), 1
+    n = len(rows)
+    draws = [(state := (6364136223846793005 * state + 1442695040888963407) % 2**64) % prime
+             for _ in range(2 * n)]  # Knuth's MMIX generator
+    u, v = draws[:n], draws[n:]
+    seq = [sum(map(mul, u, v)) % prime]
+    for _ in range(2 * n - 1):
+        v = [x % prime for x in linalg._laplacian_mul(rows, v)]
+        seq.append(sum(map(mul, u, v)) % prime)
+    # c is the connection polynomial of the shortest recurrence so far, b
+    # the one before its last length change, whose discrepancy was `scale`
+    c, b, length, gap, scale = [1], [1], 0, 1, 1
+    for k in range(2 * n):
+        d = sum(map(mul, c, seq[k::-1])) % prime
+        if d:
+            f, previous = d * pow(scale, -1, prime) % prime, c
+            c = c + [0] * (len(b) + gap - len(c))
+            c[gap:gap + len(b)] = [(x - f * y) % prime for x, y in zip(c[gap:], b)]
+            if 2 * length <= k:
+                length, b, scale, gap = k + 1 - length, previous, d, 0
+        gap += 1
+    return (c + [0] * n)[n::-1] if length == n else None
+
+
+def _krylov_product(g: Graph | SignedGraph, order: int) -> int | None:
+    """D, the product of the distinct non-zero Laplacian eigenvalues of g,
+    from h = det(xI - L) modulo P = 2^61 - 1 (`_krylov_char_poly`), over x
+    when unsigned; None when it falls short or gcd(h, h') modulo P is not 1.
+    The non-zero eigenvalues multiply to N = n |G| (|G| when signed), |G|
+    the group `order`, so h(0) = (-1)^deg h N modulo P, else
+    InternalCheckError. A coprime h' makes the monic h square-free over Z
+    (Gauss's lemma), so D = N."""
+    prime = 2 ** MERSENNE_EXPONENTS[0] - 1
+    f = _krylov_char_poly(g, prime)
+    if f is None:
+        return None
+    signed = isinstance(g, SignedGraph)
+    h, nonzero = (f, order) if signed else (f[1:], g.n * order)
+    if not signed and f[0] or (h[0] - (-1) ** (len(h) - 1) * nonzero) % prime:
+        raise InternalCheckError(f"det(xI - L) modulo {prime} disagrees with the group order {order}")
+    derivative = [i * c for i, c in enumerate(h) if i]
+    return nonzero if len(_gcd_modulo(h, derivative, prime)) == 1 else None
 
 
 def char_poly(m) -> tuple[int, ...]:

@@ -789,7 +789,7 @@ def decomposition(g, edge) -> Decomposition:
     switched so that (a, b) is positive or, in the complete case, the unique
     negative edge of the first unbalanced triangle (a, b, w); there
     t = e_a + e_b. The identity is checked before the result is returned."""
-    from critgroup.monodromy import _laplacian_mul, _laplacian_rows
+    from critgroup.linalg import _laplacian_mul, _laplacian_rows
 
     base = g.graph if isinstance(g, SignedGraph) else g
     a, b = edge_key(*edge)
@@ -983,6 +983,34 @@ def enumerate_feasible_filter(n_max):
     return out
 
 
+def enumerate_feasible_loop(n_max):
+    """`critgroup.enumerate_feasible` without its prefilter: every k from 2
+    to n - 2 with n k even, and `_multiplicities` on every admissible lam."""
+    from critgroup import FeasibleTuple, TwoEigenvalueParams, self_pairing_denominator
+    from critgroup.graphs import _multiplicities
+
+    out = []
+    for n in range(5, n_max + 1):
+        for k in range(2, n - 1):
+            if (n * k) % 2:
+                continue
+            m = n - k - 1
+            step = m // math.gcd(k, m)
+            for d in range(min(k - 1, m) // step * step, 0, -step):
+                lam = k - 1 - d
+                mu = k * d // m
+                s = 2 * k - lam + mu
+                mult = _multiplicities(n - 1, s, n * mu, n * k)
+                if mult is None:
+                    continue
+                pair, conference = mult
+                params = TwoEigenvalueParams(n, "srg", k, k, mu, s, n * mu, n * k // 2)
+                denominator = self_pairing_denominator(params)
+                tight = denominator == params.eigenvalue_product
+                out.append(FeasibleTuple(params, pair, conference, denominator, tight, False))
+    return out
+
+
 # Greedy orthogonal seeds by re-testing: each hint below builds its edge
 # index list the direct way, pair by pair, and the seed is filtered and
 # extended by two separate scans. Same results as the hints of
@@ -1069,6 +1097,35 @@ def triangle_chain_hint_retest(g):
                             break
                     if grown:
                         break
+            if len(matching) > len(best):
+                best = matching
+    return best
+
+
+def triangle_chain_hint_sets(g):
+    """The triangle chain of `critgroup.pairing._triangle_chain_hint` on
+    vertex sets: each step takes the least (v, w), v first, of the
+    neighbours of the tail off the chain whose only chain neighbour is the
+    tail."""
+    from critgroup import edge_key
+
+    edges = g.sorted_edges()
+    index = {e: i for i, e in enumerate(edges)}
+    adj = g.adjacency
+    best = []
+    for u0, v0 in edges:
+        for w0 in sorted(adj[u0] & adj[v0]):
+            chain = {u0, v0, w0}
+            matching = [index[(u0, v0)]]
+            tail = w0
+            while True:
+                free = {x for x in adj[tail] - chain if adj[x] & chain == {tail}}
+                step = min(((v, w) for v in free for w in free & adj[v]), default=None)
+                if step is None:
+                    break
+                matching.append(index[edge_key(tail, step[0])])
+                chain.update(step)
+                tail = step[1]
             if len(matching) > len(best):
                 best = matching
     return best

@@ -28,6 +28,7 @@ from critgroup import (
 )
 from critgroup.errors import replace
 from conftest import (
+    distinct_nonzero_root_product,
     random_connected_graph,
     signed_complete_all_negative,
     signed_corpus,
@@ -540,6 +541,27 @@ def test_verify_spectral_bound(capsys):
         capsys, "verify", "--family", "cycle", "--params", "6", "--check", "spectral-bound"
     )
     assert code == 0
+    assert report["result"]["verdict"] == "pass"
+
+
+def test_verify_spectral_bound_without_record_builds_no_polynomial(capsys, monkeypatch, tmp_path):
+    # a G(n, p) file has no record and simple eigenvalues: the Krylov
+    # polynomial modulo 2^61 - 1 settles the product, with no exact
+    # characteristic polynomial
+    g = random_connected_graph(random.Random(41), 40, 0.15)
+    assert critgroup.spectrum.detect_two_eigenvalue(g) is None
+    want = distinct_nonzero_root_product(critgroup.spectrum.char_poly(critgroup.linalg.laplacian(g)))
+    path = tmp_path / "gnp40.txt"
+    path.write_text(format_graph(g))
+
+    def broken(*args):
+        raise AssertionError("built an exact characteristic polynomial")
+
+    monkeypatch.setattr(critgroup.spectrum, "char_poly", broken)
+    monkeypatch.setattr(critgroup.spectrum, "_hessenberg_char_poly", broken)
+    code, report, _ = run_json(capsys, "verify", "--input", str(path), "--check", "spectral-bound")
+    assert code == 0
+    assert report["result"]["distinct_eigenvalue_product"] == str(want)
     assert report["result"]["verdict"] == "pass"
 
 

@@ -8,6 +8,7 @@ import pytest
 from critgroup import (
     GraphError,
     InternalCheckError,
+    SignedGraph,
     char_poly,
     complete,
     cycle,
@@ -450,6 +451,71 @@ def test_char_poly_matches_faddeev_leverrier():
         matrices.append(rows)
     for m in matrices:
         assert char_poly(m) == faddeev_leverrier(m), m
+
+
+def test_krylov_char_poly_matches_hessenberg_and_faddeev_leverrier():
+    # whenever the Krylov sequence reaches degree n its polynomial is
+    # det(xI - L) modulo 2^61 - 1; here it falls short only where L has a
+    # repeated eigenvalue
+    prime = 2 ** 61 - 1
+    atlas = connected_atlas(7)
+    rng = random.Random(7)
+    signings = [make_signed_graph(g.n, g.edges, [e for e in g.sorted_edges() if rng.random() < 0.5])
+                for g in atlas if g.n >= 5]
+    reached = []
+    for g in atlas + signings:
+        lap = laplacian(g)
+        want = faddeev_leverrier(lap)
+        got = spectrum._krylov_char_poly(g, prime)
+        if got is None:
+            assert squarefree_part(want) != want, g
+            continue
+        assert got == spectrum._hessenberg_char_poly(lap, prime) == [c % prime for c in want], g
+        reached.append(isinstance(g, SignedGraph))
+    assert (reached.count(False), reached.count(True)) == (656, 844)
+
+
+def test_spectral_bound_krylov_route_and_fallback(monkeypatch):
+    # without a record and with simple eigenvalues no exact polynomial is
+    # built; cycle 40 and signed K_20 repeat eigenvalues, the Krylov degree
+    # falls short and the exact route runs, as it does when the gcd modulo
+    # 2^61 - 1 is not 1
+    rng = random.Random(40)
+    gnp = random_connected_graph(rng, 40, 0.15)
+    signed = make_signed_graph(gnp.n, gnp.edges, [e for e in gnp.sorted_edges() if rng.random() < 0.3])
+    want = {g: distinct_nonzero_root_product(char_poly(laplacian(g)))
+            for g in (gnp, signed, cycle(40), signed_complete_unbalanced(20))}
+    calls, real = [], spectrum.char_poly
+    monkeypatch.setattr(spectrum, "char_poly", lambda m: calls.append(len(m)) or real(m))
+    for g in (gnp, signed):
+        assert spectrum.detect_two_eigenvalue(g) is None
+        assert verify_spectral_bound(g).product == want[g]
+    assert calls == []
+    for g in (cycle(40), signed_complete_unbalanced(20)):
+        assert spectrum._krylov_char_poly(g, 2 ** 61 - 1) is None
+        assert verify_spectral_bound(g).product == want[g]
+    assert calls == [40, 20]
+    real_gcd, gcds = spectrum._gcd_modulo, []
+    monkeypatch.setattr(spectrum, "_gcd_modulo", lambda a, b, prime: gcds.append(prime) or (
+        real_gcd(a, b, prime) if len(gcds) > 1 else [1, 1]))
+    assert verify_spectral_bound(gnp).product == want[gnp]
+    assert calls == [40, 20, 40]
+
+
+def test_spectral_bound_cross_checks_the_krylov_polynomial(monkeypatch):
+    # the constant term of det(xI - L) / x (of det(xI - L) when signed)
+    # must be +-n kappa (+-|G|) modulo the prime, and x must divide it when
+    # unsigned
+    rng = random.Random(40)
+    gnp = random_connected_graph(rng, 40, 0.15)
+    signed = make_signed_graph(gnp.n, gnp.edges, [e for e in gnp.sorted_edges() if rng.random() < 0.3])
+    real = spectrum._krylov_char_poly
+    for shift in ((1, 0), (0, 1)):
+        monkeypatch.setattr(spectrum, "_krylov_char_poly", lambda g, prime: [
+            (c + d) % prime for c, d in itertools.zip_longest(real(g, prime), shift, fillvalue=0)])
+        for g in (gnp, signed) if shift == (1, 0) else (gnp,):
+            with pytest.raises(InternalCheckError, match="disagrees with the group order"):
+                verify_spectral_bound(g)
 
 
 def _power(p, e):

@@ -28,11 +28,13 @@ from critgroup import (
     petersen,
     self_pairing_denominator,
     signed_complete_unbalanced,
+    star,
     subgroup_bound,
     subgroup_invariant_factors,
     verify_tail_heavy,
 )
 import critgroup.pairing
+from critgroup import families
 from critgroup.errors import replace
 from critgroup.monodromy import _closed_form_params, _pairing_table
 from conftest import (
@@ -44,6 +46,7 @@ from conftest import (
     random_connected_graph,
     random_sum_zero_vector,
     structural_hints_retest,
+    triangle_chain_hint_sets,
     unsigned_srg_corpus,
 )
 
@@ -286,6 +289,88 @@ def test_hints_match_retest_oracles(seed_corpus):
         assert got == want, (g.n, g.sorted_edges())
     # chains of zero to three triangles all occur
     assert {len(hints[-1]) for _, hints in seed_corpus} == {0, 1, 2, 3}
+
+
+def test_triangle_chain_hint_matches_the_set_version():
+    # the bitmask chain gives the set version's matching on every family
+    # and every connected graph on at most 7 vertices
+    graphs = [*connected_atlas(7), petersen(), clebsch_complement()]
+    graphs += [complete(n) for n in range(2, 9)] + [star(p) for p in range(1, 8)]
+    graphs += [complete_multipartite(parts) for parts in ([2, 3], [3, 3], [2, 2, 2], [1, 2, 3, 4])]
+    graphs += [cycle(n) for n in range(3, 13)] + [paley(q) for q in (5, 9, 13, 17, 25, 29, 37)]
+    graphs.append(signed_complete_unbalanced(6).graph)
+    lengths = set()
+    for g in graphs:
+        chain = triangle_chain_hint_sets(g)
+        assert critgroup.pairing._triangle_chain_hint(g) == chain, g
+        lengths.add(len(chain))
+    assert lengths >= {0, 1, 2, 3}
+
+
+def _petersen_automorphisms():
+    """The transposition (1 2) and the 5-cycle (1 2 3 4 5) acting on the
+    2-subsets of {1..5}, labeled as in `petersen`."""
+    subsets = list(itertools.combinations(range(1, 6), 2))
+    label = {pair: i + 1 for i, pair in enumerate(subsets)}
+    return tuple(
+        tuple(label[tuple(sorted(sigma[x - 1] for x in pair))] for pair in subsets)
+        for sigma in ((2, 1, 3, 4, 5), (2, 3, 4, 5, 1))
+    )
+
+
+def _clebsch_complement_automorphisms():
+    """Translations of the binary strings by each unit vector and the cyclic
+    shift of their positions: three edge orbits, by the weight of the
+    difference and the distance between two differing positions."""
+    shifts = [tuple((v - 1 ^ 1 << i) + 1 for v in range(1, 17)) for i in range(4)]
+    rotate = tuple(((v - 1) << 1 & 15 | (v - 1) >> 3) + 1 for v in range(1, 17))
+    return (*shifts, rotate)
+
+
+def test_root_orbit_pruning_keeps_the_exact_search():
+    # starting only at the least edge of each orbit finds the same
+    # lexicographically least maximum set, on every family the plain
+    # search finishes; edge-transitive graphs keep edge 0 as the one root
+    cases = [(paley(q), families.automorphisms("paley", [q])) for q in (5, 9, 13, 17, 25, 29, 37, 41)]
+    cases += [(cycle(n), families.automorphisms("cycle", [n])) for n in range(3, 13)]
+    cases += [(petersen(), _petersen_automorphisms()),
+              (clebsch_complement(), _clebsch_complement_automorphisms())]
+    for g, generators in cases:
+        edges = g.sorted_edges()
+        roots = critgroup.pairing._orbit_minima(g, edges, generators)
+        assert roots & 1 and roots.bit_count() == (3 if g.n == 16 else 1), (g.n, bin(roots))
+        assert orthogonal_subset(g, automorphisms=generators) == orthogonal_subset(g), g.n
+        try:
+            _closed_form_params(g)
+        except StructureError:  # cycles other than C_5 are no tail-heavy input
+            continue
+        assert verify_tail_heavy(g, automorphisms=generators) == verify_tail_heavy(g), g.n
+    # the roots restrict the first branch: index 0 pairs with nothing, 1 with 2
+    masks = [0, 0b100, 0b010]
+    assert critgroup.pairing._max_orthogonal(masks, 3) == [1, 2]
+    assert critgroup.pairing._max_orthogonal(masks, 3, roots=0b001) == [0]
+    # without automorphisms every edge is a root; greedy mode reads none
+    g = paley(13)
+    assert critgroup.pairing._orbit_minima(g, g.sorted_edges(), ()) == (1 << 39) - 1
+    bogus = ((2,) * 13,)
+    assert orthogonal_subset(g, mode="greedy", automorphisms=bogus) == orthogonal_subset(g, mode="greedy")
+
+
+def test_root_orbit_pruning_rejects_non_automorphisms():
+    # x -> 2x multiplies by a non-square modulo 13 and maps the Paley graph
+    # onto its complement; a map that is no permutation, and a reflection
+    # that breaks the edge set, are rejected too
+    g = paley(13)
+    translation, multiplier = families.automorphisms("paley", [13])
+    non_square = tuple((v - 1) * 2 % 13 + 1 for v in g.vertices())
+    assert multiplier == tuple((v - 1) * 4 % 13 + 1 for v in g.vertices())  # 2 is primitive
+    for bad in (non_square, (1,) * 13, translation[:-1], (*range(2, 14), 2)):
+        with pytest.raises(InternalCheckError, match="not an automorphism"):
+            orthogonal_subset(g, automorphisms=(translation, bad))
+        with pytest.raises(InternalCheckError, match="not an automorphism"):
+            verify_tail_heavy(g, automorphisms=(bad,))
+    with pytest.raises(InternalCheckError, match="not an automorphism"):
+        orthogonal_subset(cycle(6), automorphisms=((2, 1, 3, 4, 5, 6),))
 
 
 def test_greedy_orthogonal_matches_retest_oracle(seed_corpus):

@@ -17,6 +17,7 @@ from critgroup.graphs import MAX_VERTICES
 from conftest import (
     complement,
     enumerate_feasible_filter,
+    enumerate_feasible_loop,
     generalized_quadrangle_2_4,
     hermitian_h34,
     pg32_lines,
@@ -52,6 +53,16 @@ def test_enumerate_feasible_matches_generate_and_filter():
     want = enumerate_feasible_filter(150)
     assert len(want) == 801
     assert enumerate_feasible(150) == want
+
+
+def test_enumerate_feasible_matches_the_unfiltered_loop():
+    # the even n k stride and the skip of irrational discriminants away from
+    # 2k = n - 1 drop only tuples `_multiplicities` rejects; rows come in
+    # order of n, so every n_max up to the limit gives a prefix of these
+    want = enumerate_feasible_loop(MAX_VERTICES)
+    assert len(want) == 8591
+    assert enumerate_feasible(MAX_VERTICES) == want
+    assert sum(row.conference for row in want) == 234
 
 
 def test_enumerate_feasible_rejects_tiny():
