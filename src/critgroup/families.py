@@ -1,6 +1,7 @@
 """Generators of the named graph families, which `graphs.generate`
 dispatches to by name after checking the family's parameters. All
-labelings are fixed, so each family member is one graph.
+labelings are fixed, so each family member is one graph, and
+`automorphisms` recognises a cycle or Paley graph by its edge set.
 """
 
 from __future__ import annotations
@@ -120,18 +121,22 @@ def paley(q: int) -> Graph:
     return _pair_graph(q, lambda u, v: tuple((a - b) % p for a, b in zip(vector[u], vector[v])) in squares)
 
 
-def automorphisms(family: str, params) -> tuple[tuple[int, ...], ...]:
-    """Generators of automorphisms of the family member `graphs.generate`
-    builds, each the images of 1..n, which `pairing` verifies; () for a
-    family without them. For a cycle the rotation and the reflection; for
-    Paley x -> x + b for each basis vector b and x -> w^2 x for the first
+def automorphisms(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Generators of automorphisms of g, each the images of 1..n, which
+    `pairing` verifies, when g's edge set is that of the `cycle(n)` or
+    `paley(n)` that `graphs.generate` builds, else (); the edge count is
+    compared first. For a cycle the rotation and the reflection; for Paley
+    x -> x + b for each basis vector b and x -> w^2 x for the first
     primitive element w, which move any edge {x, x + s} to {0, 1}."""
-    if family == "cycle":
-        (n,) = params
+    n, size = g.n, len(g.edges)
+    if n >= 3 and size == n and g.edges == cycle(n).edges:
         return tuple(v % n + 1 for v in range(1, n + 1)), tuple(range(n, 0, -1))
-    if family != "paley":
+    try:  # paley(n) rejects n that is not 1 mod 4 or no prime power before it builds
+        if 4 * size != n * (n - 1) or g.edges != paley(n).edges:
+            return ()
+    except GraphError:
         return ()
-    p, elements, mul = _field(*params)
+    p, elements, mul = _field(n)
     vertex = {x: i + 1 for i, x in enumerate(elements)}
     for w in elements[2:]:
         power, order = w, 1

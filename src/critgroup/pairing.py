@@ -19,7 +19,7 @@ from . import _lazy_module
 from .errors import GraphError, InternalCheckError, _record
 from .graphs import Graph, TwoEigenvalueParams, edge_key, require_connected
 
-groups, monodromy = map(_lazy_module, ("groups", "monodromy"))
+families, groups, monodromy = map(_lazy_module, ("families", "groups", "monodromy"))
 
 _ZERO_IS_ONE = bytes.maketrans(b"\0\1", b"10")  # b"\0" (a zero pairing) becomes the digit 1
 
@@ -226,10 +226,9 @@ def _max_orthogonal(masks: list[int], count: int, roots: int = -1) -> list[int]:
     return best
 
 
-def _orbit_minima(g: Graph, edges: list[tuple[int, int]],
-                  automorphisms: Iterable[tuple[int, ...]]) -> int:
+def _orbit_minima(g: Graph, edges: list[tuple[int, int]]) -> int:
     """The bitmask of the edge indices least in their orbit, by union-find,
-    under the vertex permutations given as the images of 1..n; one that
+    under `families.automorphisms(g)`, each the images of 1..n; one that
     does not map the edges onto themselves is an InternalCheckError."""
     index = {e: i for i, e in enumerate(edges)}
     parent = list(range(len(edges)))
@@ -239,7 +238,7 @@ def _orbit_minima(g: Graph, edges: list[tuple[int, int]],
             parent[i] = i = parent[parent[i]]  # path halving
         return i
 
-    for perm in automorphisms:
+    for perm in families.automorphisms(g):
         image = None
         if sorted(perm) == [*g.vertices()]:
             image = [edge_key(perm[u - 1], perm[v - 1]) for u, v in edges]
@@ -251,15 +250,15 @@ def _orbit_minima(g: Graph, edges: list[tuple[int, int]],
     return sum(1 << i for i in range(len(edges)) if parent[i] == i)
 
 
-def orthogonal_subset(g: Graph, mode: str = "exact", structural_hints: bool = True,
-                      automorphisms: Iterable[tuple[int, ...]] = ()) -> OrthogonalSet:
+def orthogonal_subset(g: Graph, mode: str = "exact", structural_hints: bool = True) -> OrthogonalSet:
     """Orthogonal edge set: maximum (exact mode, branch and bound over the
     orthogonality graph, lexicographically least among maximums) or maximal
     (greedy mode, lexicographic scan). Structural hints seed the greedy scan
     with clique matchings, induced matchings, and triangle-chain matchings;
     exact mode builds none, as its result does not depend on a seed. Exact
     mode starts only at the edges least in their orbit under the
-    automorphisms (`_orbit_minima`), which leaves the result the same."""
+    automorphisms `families.automorphisms` finds (`_orbit_minima`), which
+    leaves the result the same."""
     monodromy._require_unsigned(g, "orthogonal edge search")
     require_connected(g, "orthogonal_subset")
     if mode not in ("exact", "greedy"):
@@ -277,7 +276,7 @@ def orthogonal_subset(g: Graph, mode: str = "exact", structural_hints: bool = Tr
         seed = max((_greedy_orthogonal(masks, sorted(h)) for h in hints), key=len, default=[])
         chosen = sorted(_greedy_orthogonal(masks, range(count), seed))
     else:
-        chosen = _max_orthogonal(masks, count, _orbit_minima(g, edges, automorphisms))
+        chosen = _max_orthogonal(masks, count, _orbit_minima(g, edges))
 
     chosen_edges = tuple(edges[i] for i in chosen)
     certificate = tuple(
@@ -342,18 +341,17 @@ class TailHeavyReport:
         return self.divisibility_ok
 
 
-def verify_tail_heavy(g: Graph, mode: str = "exact",
-                      automorphisms: Iterable[tuple[int, ...]] = ()) -> TailHeavyReport:
+def verify_tail_heavy(g: Graph, mode: str = "exact") -> TailHeavyReport:
     """Search g for an orthogonal edge set (`orthogonal_subset` in the given
-    mode, with structural hints and the automorphisms) and check the
-    subgroup its r edges predict, `subgroup_bound`: r - 1 copies of the
-    self-pairing denominator below the full bound p. The verdict is the
+    mode, with structural hints) and check the subgroup its r edges
+    predict, `subgroup_bound`: r - 1 copies of the self-pairing
+    denominator below the full bound p. The verdict is the
     necessary divisibility condition of `check_subgroup_divisibility`
     against the critical group, not an embedding. StructureError for a
     signed graph, a graph that is not strongly regular, and K_n or K_{m,m}
     (`monodromy._closed_form_params`)."""
     params = monodromy._closed_form_params(g)
-    orth = orthogonal_subset(g, mode=mode, structural_hints=True, automorphisms=automorphisms)
+    orth = orthogonal_subset(g, mode=mode)
     r = orth.size
     predicted = subgroup_bound(params, r)
     group = groups.critical_group(g)

@@ -4,10 +4,11 @@ spectrum, on coefficient tuples.
 A polynomial is a tuple of its int coefficients, low to high.
 Characteristic polynomials come from a Hessenberg reduction modulo a
 Mersenne prime larger than twice the coefficient bound, checked against a
-determinant at one point. The Laplacian spectrum that `analyze` prints and
-`verify spectral-bound` multiplies is read off a two-eigenvalue record,
-else is that polynomial with its integer roots divided out
-(`laplacian_spectrum`); square-free parts come from a gcd modulo a prime,
+determinant at one point. The Laplacian spectrum that `analyze` prints is
+read off a two-eigenvalue record, else is that polynomial with its integer
+roots divided out (`laplacian_spectrum`); `verify spectral-bound` on a
+graph without a record multiplies the roots of its square-free part
+(`_distinct_product`). Square-free parts come from a gcd modulo a prime,
 certified by exact division over the integers (`squarefree_part`).
 No fractions and no floating point anywhere.
 """
@@ -201,24 +202,34 @@ def _krylov_char_poly(g: Graph | SignedGraph, prime: int) -> list[int] | None:
     return (c + [0] * n)[n::-1] if length == n else None
 
 
-def _krylov_product(g: Graph | SignedGraph, order: int) -> int | None:
-    """D, the product of the distinct non-zero Laplacian eigenvalues of g,
-    from h = det(xI - L) modulo P = 2^61 - 1 (`_krylov_char_poly`), over x
-    when unsigned; None when it falls short or gcd(h, h') modulo P is not 1.
-    The non-zero eigenvalues multiply to N = n |G| (|G| when signed), |G|
-    the group `order`, so h(0) = (-1)^deg h N modulo P, else
-    InternalCheckError. A coprime h' makes the monic h square-free over Z
-    (Gauss's lemma), so D = N."""
+def _distinct_product(g: Graph | SignedGraph, order: int) -> int:
+    """D, the product of the distinct non-zero Laplacian eigenvalues of g.
+    They are the roots of h = det(xI - L), over x when unsigned, and with
+    multiplicity they multiply to N = n |G| (|G| when signed), |G| the
+    group `order`. h comes modulo P = 2^61 - 1 from `_krylov_char_poly`,
+    else from one exact `char_poly`; either way h(0) = (-1)^deg h N modulo
+    P, else InternalCheckError. A coprime h' modulo P makes the monic h
+    square-free over Z (Gauss's lemma), so D = N. Otherwise D = (-1)^deg q
+    q(0) for q the `squarefree_part` of the exact h, which makes the same
+    test first; D must be a positive divisor of N."""
     prime = 2 ** MERSENNE_EXPONENTS[0] - 1
-    f = _krylov_char_poly(g, prime)
+    exact, f = None, _krylov_char_poly(g, prime)
     if f is None:
-        return None
+        exact = char_poly(linalg.laplacian(g))
+        f = [c % prime for c in exact]
     signed = isinstance(g, SignedGraph)
     h, nonzero = (f, order) if signed else (f[1:], g.n * order)
     if not signed and f[0] or (h[0] - (-1) ** (len(h) - 1) * nonzero) % prime:
         raise InternalCheckError(f"det(xI - L) modulo {prime} disagrees with the group order {order}")
-    derivative = [i * c for i, c in enumerate(h) if i]
-    return nonzero if len(_gcd_modulo(h, derivative, prime)) == 1 else None
+    if exact is None:
+        if len(_gcd_modulo(h, [i * c for i, c in enumerate(h) if i], prime)) == 1:
+            return nonzero
+        exact = char_poly(linalg.laplacian(g))
+    q = squarefree_part(exact if signed else exact[1:])  # h itself when gcd(h, h') is 1 modulo P
+    product = (-1) ** (len(q) - 1) * q[0]
+    if product <= 0 or nonzero % product:
+        raise InternalCheckError(f"distinct eigenvalue product {product} is no positive divisor of {nonzero}")
+    return product
 
 
 def char_poly(m) -> tuple[int, ...]:

@@ -496,6 +496,30 @@ def test_orthogonal_exact(capsys):
     assert all(entry["value"] == "0/1" for entry in report["result"]["certificate"])
 
 
+def test_file_input_is_searched_like_its_family(capsys, monkeypatch, tmp_path):
+    # the generated file of a cycle or Paley graph is recognised, so the
+    # exact search starts at edge 0 alone and reports what the family run
+    # does; C_12 is no tail-heavy input, and both runs reject it alike
+    real, roots = critgroup.pairing._max_orthogonal, []
+    monkeypatch.setattr(critgroup.pairing, "_max_orthogonal",
+                        lambda masks, count, branches=-1: roots.append(branches) or real(masks, count, branches))
+
+    def result(*argv):
+        code, out, err = run(capsys, *argv)
+        return code, out and json.loads(out)["result"], without_elapsed(err)
+
+    for family, params in (("paley", "29"), ("cycle", "12")):
+        source = ["--family", family, "--params", params]
+        path = tmp_path / f"{family}{params}.txt"
+        path.write_text(run_json(capsys, "generate", *source)[1]["result"]["file"])
+        for op in (["orthogonal"], ["verify", "--check", "tail-heavy"]):
+            roots.clear()
+            from_file = result(*op, "--input", str(path))
+            assert roots == ([] if from_file[0] == 2 else [1]), (family, op)
+            assert from_file == result(*op, *source), (family, op)
+            assert from_file[0] == (2 if family == "cycle" and op[0] == "verify" else 0), (family, op)
+
+
 def test_orthogonal_edgeless_graph(capsys):
     for mode in ("exact", "greedy"):
         code, report, _ = run_json(

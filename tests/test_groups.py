@@ -793,19 +793,28 @@ def test_spectral_bound_report():
     assert (report.exponent, report.product, report.passed) == (10, 10, True)
 
 
-def test_spectral_bound_rejects_non_monic_factor(monkeypatch, capsys):
-    # a factor 2x - 3 would give the non-integral product 3/2; the bound
-    # must refuse it rather than multiply its constant term in
+def test_spectral_bound_checks_the_exact_polynomial(monkeypatch, capsys):
+    # K_3 has no record and the repeated eigenvalue 3, so its product comes
+    # from the exact det(xI - L) = x (x - 3)^2. Over x its constant term
+    # must be n kappa = 9 modulo P = 2^61 - 1, and its square-free part
+    # must give a positive divisor of 9; a polynomial failing either check
+    # is refused, with exit 3 from the CLI
     import critgroup.cli
 
-    monkeypatch.setattr(critgroup.spectrum, "laplacian_spectrum",
-                        lambda g: ([(0, 1)], (-3, 2)))
-    with pytest.raises(InternalCheckError, match="monic"):
-        verify_spectral_bound(petersen())
-    code = critgroup.cli.main(["verify", "--family", "petersen", "--check", "spectral-bound"])
+    prime, g = 2 ** 61 - 1, complete(3)
+    assert detect_two_eigenvalue(g) is None and critgroup.spectrum._krylov_char_poly(g, prime) is None
+    assert verify_spectral_bound(g).product == 3
+    a = 9 + prime  # x (x - 1)^2 (x - a): h(0) = -9 modulo P, but a does not divide 9
+    for fake, message in (((0, 10, -6, 1), "disagrees with the group order"),
+                          ((0, 9, 6, 1), "no positive divisor"),  # x (x + 3)^2 gives -3
+                          ((0, -a, 2 * a + 1, -a - 2, 1), "no positive divisor")):
+        monkeypatch.setattr(critgroup.spectrum, "char_poly", lambda m: fake)
+        with pytest.raises(InternalCheckError, match=message):
+            verify_spectral_bound(g)
+    code = critgroup.cli.main(["verify", "--family", "complete", "--params", "3", "--check", "spectral-bound"])
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
-    assert err.startswith("error: internal check failed: ")
+    assert err.startswith("error: internal check failed: distinct eigenvalue product")
 
 
 def test_spectral_bound_random_graphs():

@@ -161,8 +161,9 @@ def test_each_subcommand_compiles_only_the_modules_it_calls(tmp_path):
     # cli registers every other module at import, for bench/traced_cli.py's
     # lookups, and each compiles on first use; _json gives the string
     # escaper without the json package. The pairing table compiles neither
-    # groups nor spectrum, the exponent verdict no spectrum, and file input
-    # no families
+    # groups nor spectrum, the exponent and spectral-bound verdicts on a
+    # record no spectrum, and file input families only for the symmetry of
+    # the exact orthogonal search
     status, _, compiled, loaded = _compiled_and_loaded(tmp_path, "import critgroup.cli")
     assert status == 0
     assert compiled == CLI_CORE
@@ -191,10 +192,12 @@ def test_each_subcommand_compiles_only_the_modules_it_calls(tmp_path):
         (["group", "--input", str(c7)], {"groups.py", "linalg.py"}),
         (["analyze", *petersen], record | {"spectrum.py"}),
         (["verify", "--check", "exponent", *petersen], record | {"linalg.py", "monodromy.py"}),
-        (["verify", "--check", "spectral-bound", *petersen], record | {"spectrum.py"}),
+        (["verify", "--check", "spectral-bound", *petersen], record),
         (["pairing", *petersen], table),
         (["pairing", *petersen, "--edge1", "1,8", "--edge2", "1,9"], table),
         (["orthogonal", *petersen], table | {"pairing.py"}),
+        (["orthogonal", "--input", str(c7)], table | {"pairing.py"}),
+        (["orthogonal", "--input", str(c7), "--mode", "greedy"], {"linalg.py", "monodromy.py", "pairing.py"}),
         (["verify", "--check", "tail-heavy", "--mode", "greedy", *petersen], table | record | {"pairing.py"}),
         (["scan", "--nmax", "20"], {"monodromy.py", "scan.py"}),
     ):

@@ -21,6 +21,7 @@ from critgroup import (
     edge_difference,
     element_order,
     enumerate_feasible,
+    make_graph,
     make_signed_graph,
     monodromy_pairing,
     orthogonal_subset,
@@ -327,50 +328,80 @@ def _clebsch_complement_automorphisms():
     return (*shifts, rotate)
 
 
-def test_root_orbit_pruning_keeps_the_exact_search():
+def test_root_orbit_pruning_keeps_the_exact_search(monkeypatch):
     # starting only at the least edge of each orbit finds the same
     # lexicographically least maximum set, on every family the plain
-    # search finishes; edge-transitive graphs keep edge 0 as the one root
-    cases = [(paley(q), families.automorphisms("paley", [q])) for q in (5, 9, 13, 17, 25, 29, 37, 41)]
-    cases += [(cycle(n), families.automorphisms("cycle", [n])) for n in range(3, 13)]
+    # search finishes; edge-transitive graphs keep edge 0 as the one root.
+    # Paley graphs and cycles take their generators off the graph; the
+    # unpruned baseline and the Petersen and clebsch_complement generators
+    # come in through families.automorphisms
+    real = families.automorphisms
+    cases = [(paley(q), real(paley(q))) for q in (5, 9, 13, 17, 25, 29, 37, 41)]
+    cases += [(cycle(n), real(cycle(n))) for n in range(3, 13)]
     cases += [(petersen(), _petersen_automorphisms()),
               (clebsch_complement(), _clebsch_complement_automorphisms())]
+
+    def run(generators, search, g, *args, **kwargs):
+        monkeypatch.setattr(families, "automorphisms", lambda graph: generators)
+        return search(g, *args, **kwargs)
+
     for g, generators in cases:
+        assert generators, g.n
         edges = g.sorted_edges()
-        roots = critgroup.pairing._orbit_minima(g, edges, generators)
+        roots = run(generators, critgroup.pairing._orbit_minima, g, edges)
         assert roots & 1 and roots.bit_count() == (3 if g.n == 16 else 1), (g.n, bin(roots))
-        assert orthogonal_subset(g, automorphisms=generators) == orthogonal_subset(g), g.n
+        assert run(generators, orthogonal_subset, g) == run((), orthogonal_subset, g), g.n
         try:
             _closed_form_params(g)
         except StructureError:  # cycles other than C_5 are no tail-heavy input
             continue
-        assert verify_tail_heavy(g, automorphisms=generators) == verify_tail_heavy(g), g.n
+        assert run(generators, verify_tail_heavy, g) == run((), verify_tail_heavy, g), g.n
     # the roots restrict the first branch: index 0 pairs with nothing, 1 with 2
     masks = [0, 0b100, 0b010]
     assert critgroup.pairing._max_orthogonal(masks, 3) == [1, 2]
     assert critgroup.pairing._max_orthogonal(masks, 3, roots=0b001) == [0]
     # without automorphisms every edge is a root; greedy mode reads none
     g = paley(13)
-    assert critgroup.pairing._orbit_minima(g, g.sorted_edges(), ()) == (1 << 39) - 1
+    assert run((), critgroup.pairing._orbit_minima, g, g.sorted_edges()) == (1 << 39) - 1
     bogus = ((2,) * 13,)
-    assert orthogonal_subset(g, mode="greedy", automorphisms=bogus) == orthogonal_subset(g, mode="greedy")
+    assert run(bogus, orthogonal_subset, g, mode="greedy") == run((), orthogonal_subset, g, mode="greedy")
 
 
-def test_root_orbit_pruning_rejects_non_automorphisms():
+def test_root_orbit_pruning_rejects_non_automorphisms(monkeypatch):
     # x -> 2x multiplies by a non-square modulo 13 and maps the Paley graph
     # onto its complement; a map that is no permutation, and a reflection
     # that breaks the edge set, are rejected too
     g = paley(13)
-    translation, multiplier = families.automorphisms("paley", [13])
+    translation, multiplier = families.automorphisms(g)
     non_square = tuple((v - 1) * 2 % 13 + 1 for v in g.vertices())
     assert multiplier == tuple((v - 1) * 4 % 13 + 1 for v in g.vertices())  # 2 is primitive
     for bad in (non_square, (1,) * 13, translation[:-1], (*range(2, 14), 2)):
+        monkeypatch.setattr(families, "automorphisms", lambda graph: (translation, bad))
         with pytest.raises(InternalCheckError, match="not an automorphism"):
-            orthogonal_subset(g, automorphisms=(translation, bad))
+            orthogonal_subset(g)
+        monkeypatch.setattr(families, "automorphisms", lambda graph: (bad,))
         with pytest.raises(InternalCheckError, match="not an automorphism"):
-            verify_tail_heavy(g, automorphisms=(bad,))
+            verify_tail_heavy(g)
+    monkeypatch.setattr(families, "automorphisms", lambda graph: ((2, 1, 3, 4, 5, 6),))
     with pytest.raises(InternalCheckError, match="not an automorphism"):
-        orthogonal_subset(cycle(6), automorphisms=((2, 1, 3, 4, 5, 6),))
+        orthogonal_subset(cycle(6))
+
+
+def test_automorphisms_need_the_generated_edge_set(monkeypatch):
+    # a relabelled Paley graph, a Paley graph less one edge and Petersen
+    # get no generators, and the relabelled graph is searched unpruned to
+    # the same set as when every edge is a root
+    g = paley(13)
+    rng = random.Random(13)
+    label = [0, *rng.sample(range(1, 14), 13)]
+    relabelled = make_graph(13, [(label[u], label[v]) for u, v in g.edges])
+    assert relabelled.edges != g.edges
+    for other in (relabelled, make_graph(13, sorted(g.edges)[1:]), petersen()):
+        assert families.automorphisms(other) == (), other
+    found = orthogonal_subset(relabelled)
+    assert found.size == orthogonal_subset(g).size
+    monkeypatch.setattr(families, "automorphisms", lambda graph: ())
+    assert found == orthogonal_subset(relabelled)
 
 
 def test_greedy_orthogonal_matches_retest_oracle(seed_corpus):
