@@ -167,34 +167,17 @@ def _greedy_orthogonal(
     return chosen
 
 
-def _color_bound(candidates: int, masks: list[int]) -> int:
-    """Greedy coloring of the orthogonality graph restricted to the
-    candidate set: the chromatic number bounds the largest clique."""
-    colors: list[int] = []  # one mask of members per color class
-    rest = candidates
-    while rest:
-        i = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-        for idx, members in enumerate(colors):
-            if not members & masks[i]:
-                colors[idx] = members | (1 << i)
-                break
-        else:
-            colors.append(1 << i)
-    return len(colors)
-
-
 def _max_orthogonal(masks: list[int], count: int, roots: int = -1) -> list[int]:
     """Lexicographically least maximum clique of the orthogonality graph.
 
     Include-first depth-first search in index order with strict size
     improvement visits candidate sets in lexicographic order, so the first
     clique of each new record size is the lexicographically least of that
-    size; popcount and coloring bounds only prune subtrees that cannot
-    strictly improve. Only the indices in the bitmask `roots` start a
-    clique. With the orbit minima of `_orbit_minima` the result is the
-    same: an automorphism mapping the least index j of the result to some
-    i < j would map the result to a lexicographically smaller maximum, and
+    size; the popcount bound only prunes subtrees that cannot strictly
+    improve. Only the indices in the bitmask `roots` start a clique. With
+    the orbit minima of `_orbit_minima` the result is the same: an
+    automorphism mapping the least index j of the result to some i < j
+    would map the result to a lexicographically smaller maximum, and
     skipped branches only keep the record size smaller."""
     best: list[int] = []
     best_size = 0
@@ -205,10 +188,6 @@ def _max_orthogonal(masks: list[int], count: int, roots: int = -1) -> list[int]:
             if len(current) > best_size:
                 best = list(current)
                 best_size = len(current)
-            return
-        if len(current) + candidates.bit_count() <= best_size:
-            return
-        if len(current) + _color_bound(candidates, masks) <= best_size:
             return
         rest = candidates
         while rest:

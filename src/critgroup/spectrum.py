@@ -6,8 +6,10 @@ Characteristic polynomials come from a Hessenberg reduction modulo a
 Mersenne prime larger than twice the coefficient bound, checked against a
 determinant at one point. The Laplacian spectrum that `analyze` prints is
 read off a two-eigenvalue record, else is that polynomial with its integer
-roots divided out (`laplacian_spectrum`); `verify spectral-bound` on a
-graph without a record multiplies the roots of its square-free part
+roots divided out (`laplacian_spectrum`). `verify spectral-bound` on a
+graph without a record takes the product of the distinct non-zero
+eigenvalues from the group when a Krylov polynomial modulo 2^61 - 1
+reaches degree n, else from the square-free part of the exact polynomial
 (`_distinct_product`). Square-free parts come from a gcd modulo a prime,
 certified by exact division over the integers (`squarefree_part`).
 No fractions and no floating point anywhere.
@@ -208,10 +210,12 @@ def _distinct_product(g: Graph | SignedGraph, order: int) -> int:
     multiplicity they multiply to N = n |G| (|G| when signed), |G| the
     group `order`. h comes modulo P = 2^61 - 1 from `_krylov_char_poly`,
     else from one exact `char_poly`; either way h(0) = (-1)^deg h N modulo
-    P, else InternalCheckError. A coprime h' modulo P makes the monic h
-    square-free over Z (Gauss's lemma), so D = N. Otherwise D = (-1)^deg q
-    q(0) for q the `squarefree_part` of the exact h, which makes the same
-    test first; D must be a positive divisor of N."""
+    P, else InternalCheckError. A Krylov h gives D = N: the sequence's
+    minimal polynomial divides the reduction of L's integer minimal
+    polynomial, so degree n makes that polynomial det(xI - L), and a
+    symmetric L then has n distinct eigenvalues. Otherwise D = (-1)^deg q
+    q(0) for q the `squarefree_part` of the exact h, and D must be a
+    positive divisor of N."""
     prime = 2 ** MERSENNE_EXPONENTS[0] - 1
     exact, f = None, _krylov_char_poly(g, prime)
     if f is None:
@@ -222,10 +226,8 @@ def _distinct_product(g: Graph | SignedGraph, order: int) -> int:
     if not signed and f[0] or (h[0] - (-1) ** (len(h) - 1) * nonzero) % prime:
         raise InternalCheckError(f"det(xI - L) modulo {prime} disagrees with the group order {order}")
     if exact is None:
-        if len(_gcd_modulo(h, [i * c for i, c in enumerate(h) if i], prime)) == 1:
-            return nonzero
-        exact = char_poly(linalg.laplacian(g))
-    q = squarefree_part(exact if signed else exact[1:])  # h itself when gcd(h, h') is 1 modulo P
+        return nonzero
+    q = squarefree_part(exact if signed else exact[1:])
     product = (-1) ** (len(q) - 1) * q[0]
     if product <= 0 or nonzero % product:
         raise InternalCheckError(f"distinct eigenvalue product {product} is no positive divisor of {nonzero}")

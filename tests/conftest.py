@@ -1167,6 +1167,24 @@ def greedy_orthogonal_retest(g, hints):
     return tuple(edges[i] for i in sorted(chosen))
 
 
+def max_orthogonal_oracle(g):
+    """Edge indices, into g.sorted_edges(), of the lexicographically least
+    maximum orthogonal set: the least sorted index list among the maximum
+    cliques that networkx.find_cliques lists in the graph on the edges
+    joined where the pairing table is zero."""
+    import networkx as nx
+    from critgroup.monodromy import _pairing_table
+
+    edges = g.sorted_edges()
+    _, table = _pairing_table(g, edges)
+    zero = nx.Graph()
+    zero.add_nodes_from(range(len(edges)))
+    zero.add_edges_from((i, j) for i, j in itertools.combinations(range(len(edges)), 2) if table[i][j] == 0)
+    cliques = [sorted(c) for c in nx.find_cliques(zero)]
+    size = max(map(len, cliques))
+    return min(c for c in cliques if len(c) == size)
+
+
 # ---------------------------------------------------------------------------
 # Seeded randomness helpers
 

@@ -455,8 +455,8 @@ def test_char_poly_matches_faddeev_leverrier():
 
 def test_krylov_char_poly_matches_hessenberg_and_faddeev_leverrier():
     # whenever the Krylov sequence reaches degree n its polynomial is
-    # det(xI - L) modulo 2^61 - 1; here it falls short only where L has a
-    # repeated eigenvalue
+    # det(xI - L) modulo 2^61 - 1 and square-free; it falls short exactly
+    # where L has a repeated eigenvalue
     prime = 2 ** 61 - 1
     atlas = connected_atlas(7)
     rng = random.Random(7)
@@ -471,15 +471,15 @@ def test_krylov_char_poly_matches_hessenberg_and_faddeev_leverrier():
             assert squarefree_part(want) != want, g
             continue
         assert got == spectrum._hessenberg_char_poly(lap, prime) == [c % prime for c in want], g
+        assert squarefree_part(want) == want, g  # degree n: n distinct eigenvalues
         reached.append(isinstance(g, SignedGraph))
     assert (reached.count(False), reached.count(True)) == (656, 844)
 
 
 def test_spectral_bound_krylov_route_and_fallback(monkeypatch):
-    # without a record and with simple eigenvalues no exact polynomial is
-    # built; cycle 40 and signed K_20 repeat eigenvalues, the Krylov degree
-    # falls short and the exact route runs, as it does when the gcd modulo
-    # 2^61 - 1 is not 1
+    # without a record and with simple eigenvalues neither an exact
+    # polynomial nor a gcd is built; cycle 40 and signed K_20 repeat
+    # eigenvalues, the Krylov degree falls short and the exact route runs
     rng = random.Random(40)
     gnp = random_connected_graph(rng, 40, 0.15)
     signed = make_signed_graph(gnp.n, gnp.edges, [e for e in gnp.sorted_edges() if rng.random() < 0.3])
@@ -487,19 +487,16 @@ def test_spectral_bound_krylov_route_and_fallback(monkeypatch):
             for g in (gnp, signed, cycle(40), signed_complete_unbalanced(20))}
     calls, real = [], spectrum.char_poly
     monkeypatch.setattr(spectrum, "char_poly", lambda m: calls.append(len(m)) or real(m))
+    gcds, real_gcd = [], spectrum._gcd_modulo
+    monkeypatch.setattr(spectrum, "_gcd_modulo", lambda a, b, prime: gcds.append(prime) or real_gcd(a, b, prime))
     for g in (gnp, signed):
         assert spectrum.detect_two_eigenvalue(g) is None
         assert verify_spectral_bound(g).product == want[g]
-    assert calls == []
+    assert calls == [] and gcds == []
     for g in (cycle(40), signed_complete_unbalanced(20)):
         assert spectrum._krylov_char_poly(g, 2 ** 61 - 1) is None
         assert verify_spectral_bound(g).product == want[g]
     assert calls == [40, 20]
-    real_gcd, gcds = spectrum._gcd_modulo, []
-    monkeypatch.setattr(spectrum, "_gcd_modulo", lambda a, b, prime: gcds.append(prime) or (
-        real_gcd(a, b, prime) if len(gcds) > 1 else [1, 1]))
-    assert verify_spectral_bound(gnp).product == want[gnp]
-    assert calls == [40, 20, 40]
 
 
 def test_spectral_bound_cross_checks_the_krylov_polynomial(monkeypatch):

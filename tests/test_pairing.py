@@ -42,12 +42,16 @@ from conftest import (
     connected_atlas,
     edge_pairing_closed_form,
     fraction,
+    generalized_quadrangle_2_4,
     greedy_orthogonal_retest,
+    max_orthogonal_oracle,
     mul_vec,
     random_connected_graph,
     random_sum_zero_vector,
     structural_hints_retest,
+    symplectic_w2,
     triangle_chain_hint_sets,
+    triangular_t5,
     unsigned_srg_corpus,
 )
 
@@ -402,6 +406,22 @@ def test_automorphisms_need_the_generated_edge_set(monkeypatch):
     assert found.size == orthogonal_subset(g).size
     monkeypatch.setattr(families, "automorphisms", lambda graph: ())
     assert found == orthogonal_subset(relabelled)
+
+
+def test_exact_orthogonal_matches_the_clique_oracle():
+    # the search's size bound and root pruning only skip branches, so its
+    # set is the least maximum clique that networkx lists, on pruned Paley
+    # graphs, relabelled ones searched at every root, and graphs without
+    # generators
+    graphs = [paley(q) for q in (5, 9, 13, 17, 25, 29, 37)]
+    for q in (13, 29):
+        label = [0, *random.Random(q).sample(range(1, q + 1), q)]
+        graphs.append(make_graph(q, [(label[u], label[v]) for u, v in paley(q).edges]))
+    graphs += [petersen(), clebsch_complement(), cycle(8), symplectic_w2(),
+               generalized_quadrangle_2_4(), triangular_t5()]
+    for g in graphs:
+        index = {e: i for i, e in enumerate(g.sorted_edges())}
+        assert [index[e] for e in orthogonal_subset(g, "exact").edges] == max_orthogonal_oracle(g), g.n
 
 
 def test_greedy_orthogonal_matches_retest_oracle(seed_corpus):
