@@ -234,10 +234,10 @@ def orthogonal_subset(g: Graph, mode: str = "exact", structural_hints: bool = Tr
     orthogonality graph, lexicographically least among maximums) or maximal
     (greedy mode, lexicographic scan). Structural hints seed the greedy scan
     with clique matchings, induced matchings, and triangle-chain matchings;
-    exact mode builds none, as its result does not depend on a seed. Exact
-    mode starts only at the edges least in their orbit under the
-    automorphisms `families.automorphisms` finds (`_orbit_minima`), which
-    leaves the result the same."""
+    exact mode builds none, as its result does not depend on a seed. On a
+    Paley graph exact mode starts only at the edges least in their orbit
+    under the automorphisms `families.automorphisms` finds
+    (`_orbit_minima`), which leaves the result the same."""
     monodromy._require_unsigned(g, "orthogonal edge search")
     require_connected(g, "orthogonal_subset")
     if mode not in ("exact", "greedy"):

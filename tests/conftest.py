@@ -1205,7 +1205,3 @@ def random_sum_zero_vector(rng: random.Random, n: int, bound: int = 9):
 
 def random_int_matrix(rng: random.Random, rows: int, cols: int, bound: int = 9) -> list[list[int]]:
     return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
-
-
-def frac(a, b=1):
-    return Fraction(a, b)

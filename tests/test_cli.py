@@ -497,9 +497,10 @@ def test_orthogonal_exact(capsys):
 
 
 def test_file_input_is_searched_like_its_family(capsys, monkeypatch, tmp_path):
-    # the generated file of a cycle or Paley graph is recognised, so the
-    # exact search starts at edge 0 alone and reports what the family run
-    # does; C_12 is no tail-heavy input, and both runs reject it alike
+    # the generated file of a Paley graph is recognised, so the exact
+    # search starts at edge 0 alone and reports what the family run does;
+    # a cycle gets no generators, so C_12 starts at every edge from either
+    # source, and is no tail-heavy input, which both runs reject alike
     real, roots = critgroup.pairing._max_orthogonal, []
     monkeypatch.setattr(critgroup.pairing, "_max_orthogonal",
                         lambda masks, count, branches=-1: roots.append(branches) or real(masks, count, branches))
@@ -508,15 +509,15 @@ def test_file_input_is_searched_like_its_family(capsys, monkeypatch, tmp_path):
         code, out, err = run(capsys, *argv)
         return code, out and json.loads(out)["result"], without_elapsed(err)
 
-    for family, params in (("paley", "29"), ("cycle", "12")):
+    for family, params, root_mask in (("paley", "29", 1), ("cycle", "12", 4095)):
         source = ["--family", family, "--params", params]
         path = tmp_path / f"{family}{params}.txt"
         path.write_text(run_json(capsys, "generate", *source)[1]["result"]["file"])
         for op in (["orthogonal"], ["verify", "--check", "tail-heavy"]):
             roots.clear()
             from_file = result(*op, "--input", str(path))
-            assert roots == ([] if from_file[0] == 2 else [1]), (family, op)
             assert from_file == result(*op, *source), (family, op)
+            assert roots == ([] if from_file[0] == 2 else [root_mask] * 2), (family, op)
             assert from_file[0] == (2 if family == "cycle" and op[0] == "verify" else 0), (family, op)
 
 

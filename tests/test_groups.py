@@ -1,12 +1,16 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+import critgroup.cli
+import critgroup.graphs
 import critgroup.groups
 import critgroup.linalg
 import critgroup.monodromy
+import critgroup.pairing
 import critgroup.spectrum
 from critgroup import (
     AbelianGroup,
@@ -901,3 +905,59 @@ def test_subgroup_invariant_factors_trivial_group():
     assert subgroup_invariant_factors(AbelianGroup(()), [()]).is_trivial()
     with pytest.raises(GraphError):
         subgroup_invariant_factors(AbelianGroup(()), [(1,)])
+
+
+@pytest.mark.parametrize("patches, call, message, argv", [
+    # the core of C_6 is one row, which unit pivots cannot clear
+    pytest.param([(critgroup.linalg, "determinant", lambda m: 0)], lambda: critical_group(cycle(6)),
+                 "grounded Laplacian of a connected graph is singular",
+                 ["group", "--family", "cycle", "--params", "6"], id="singular-core"),
+    pytest.param([(critgroup.linalg, "smith_diagonal", lambda m, modulus: [1] * len(m))],
+                 lambda: critical_group(cycle(6)), r"Smith diagonal \[1\] is not a chain with product 6",
+                 ["group", "--family", "cycle", "--params", "6"], id="smith-chain"),
+    pytest.param([(critgroup.graphs, "_multiplicities", lambda *args: None)],
+                 lambda: critical_group(petersen()), "has no integral multiplicities",
+                 ["group", "--family", "petersen"], id="no-multiplicities"),
+    # Petersen's roots are 2 and 5; 2^9 is no multiple of n = 10
+    pytest.param([(critgroup.graphs, "_multiplicities", lambda *args: ((9, 0), False))],
+                 lambda: critical_group(petersen()), "n = 10 does not divide the eigenvalue product",
+                 ["group", "--family", "petersen"], id="n-divides-kappa"),
+    # a good prime q | p divides one root only, so v_q(kappa) = m v_q(p)
+    # for that root's multiplicity m, and only a factor that is no prime
+    # breaks the check: 14 on Paley 49 (roots 21 and 28, p = 14^2 * 3),
+    # with kappa = 21^23 28^24 / 49
+    pytest.param([(critgroup.groups, "_prime_factors", lambda m: [14]),
+                  (critgroup.graphs, "_multiplicities", lambda *args: ((23, 24), False))],
+                 lambda: critical_group(paley(49)),
+                 r"v_14\(kappa\) = 45 is not a multiple of v_14\(p\) = 2",
+                 ["group", "--family", "paley", "--params", "49"], id="valuation-multiple"),
+    # K_2 as a crafted record: 2(n - 1)/(kn) = 1
+    pytest.param([], lambda: critgroup.self_pairing_denominator(
+                     critgroup.TwoEigenvalueParams(2, "srg", 1, 1, 0, 2, 0, 1)),
+                 "self-pairing denominator 1 should exceed 1", None, id="denominator-exceeds-one"),
+    pytest.param([], lambda: critgroup.self_pairing_denominator(
+                     replace(detect_two_eigenvalue(petersen()), eigenvalue_product=1)),
+                 "denominator 5 should divide 1", None, id="denominator-divides-bound"),
+    pytest.param([], lambda: critgroup.pairing._max_orthogonal([0], 1, roots=0),
+                 "orthogonal search returned no edge", None, id="empty-search"),
+    # C_6 has no record, so analyze takes char_poly of its Laplacian
+    pytest.param([(critgroup.spectrum, "_hessenberg_char_poly", lambda m, prime: [0] * (len(m) + 1))],
+                 lambda: critgroup.spectrum.char_poly(laplacian(cycle(6))),
+                 "not monic with the trace coefficient",
+                 ["analyze", "--family", "cycle", "--params", "6"], id="char-poly-monic"),
+])
+def test_internal_checks_fire(monkeypatch, capsys, patches, call, message, argv):
+    # each exact check that no correct input reaches fires on a broken
+    # collaborator (module, attribute, replacement) or a crafted argument,
+    # and the CLI exits 3 on it; the group cache is cleared around the runs
+    for module, name, value in patches:
+        monkeypatch.setattr(module, name, value)
+    critgroup.groups.critical_group.cache_clear()
+    with pytest.raises(InternalCheckError, match=message):
+        call()
+    if argv is not None:
+        code = critgroup.cli.main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "") and err.startswith("error: internal check failed: "), err
+        assert re.search(message, err), err
+    critgroup.groups.critical_group.cache_clear()
